@@ -219,8 +219,10 @@ def main(argv=None) -> int:
                   f"{'complete' if prog.complete else 'stuck states found'}")
         if not pres.ok or not prog.ok:
             for v in pres.violations:
-                print(f"violation at step {v.step}: {v.detail}",
-                      file=sys.stderr)
+                print(f"violation at step {v.step} ({v.clause}): expected "
+                      f"{v.expected}, got {v.actual}", file=sys.stderr)
+            for stuck in prog.stuck:
+                print(f"stuck state: {stuck['actors']}", file=sys.stderr)
             raise SystemExit(EXIT_CONFORMANCE)
         return EXIT_OK
 

@@ -7,6 +7,12 @@ the event according to whether it is a producer or a consumer.  Undelayed
 channels record buffered items as pending sends; delayed channels record
 freed slots as pending receives, so a full delay buffer (the initial and
 steady state) contributes nothing.
+
+Cost model: each label unrolls only the head of the comprehension that emits
+it and counts every residual comprehension once, in closed form
+(`flowstate.count_in_range`), so a co-simulation is linear in the rate.  Heap
+counts are recomputed from the heap on every step, so both clauses compare
+two independent views.
 """
 
 from __future__ import annotations
@@ -15,11 +21,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
+from .flowstate import count_in_range
 from .netcheck import PRODUCER, classify_event
 from .kinding import normalize_size
 from .printer import print_comp
 from .runtime import (
-    Configuration, Fault, Heap, Label, explore, instantiate, run,
+    Configuration, Fault, Heap, Label, explore, instantiate, run, step_expr,
 )
 from .syntax import (
     ActorComp, ActorE, BoolLit, BoolType, ChanArrayType, ChannelArrayKind,
@@ -121,31 +128,21 @@ def heap_flowstate(tenv: TypeEnv, venv: ValueEnv, heap: Heap
 def _silent_normalize(comp: Comp) -> Optional[Comp]:
     """Discharge numeric guards and empty iterator ranges.  Returns None when
     the comprehension reduces silently to the empty flowstate."""
-    iters = list(comp.iterators)
     guards = list(comp.guards)
-    while True:
-        if guards:
-            g = guards[-1]
-            if isinstance(g, NumGuard):
-                lv, rv = normalize_size(g.left), normalize_size(g.right)
-                if isinstance(lv, Num) and isinstance(rv, Num):
-                    if g.op == "|":
-                        holds = (rv.value % lv.value == 0 if lv.value
-                                 else rv.value == 0)
-                    else:
-                        holds = lv.value <= rv.value
-                    if holds:
-                        guards.pop()
-                        continue
-                    return None
-        if iters:
-            it = iters[-1]
-            lo, hi = normalize_size(it.lo), normalize_size(it.hi)
-            if isinstance(lo, Num) and isinstance(hi, Num) and lo.value > hi.value:
-                # exhausted range: the event never fires
-                return None
-        break
-    return Comp(comp.event, tuple(iters), tuple(guards))
+    while guards and isinstance(guards[-1], NumGuard):
+        holds = _num_guard_holds(guards[-1])
+        if holds is None:
+            break
+        if not holds:
+            return None
+        guards.pop()
+    if comp.iterators:
+        it = comp.iterators[-1]
+        lo, hi = normalize_size(it.lo), normalize_size(it.hi)
+        if isinstance(lo, Num) and isinstance(hi, Num) and lo.value > hi.value:
+            # exhausted range: the event never fires
+            return None
+    return Comp(comp.event, comp.iterators, tuple(guards))
 
 
 def _event_matches(ev: Event, label: Label) -> bool:
@@ -192,26 +189,40 @@ def try_consume_comp(comp: Comp, label: Label) -> Optional[list[Comp]]:
         return pending + residual
 
 
-def comp_occurrence_count(comp: Comp) -> Optional[int]:
-    """Number of events a fully numeric comprehension will emit; None when
-    some bound or guard stays symbolic."""
-    c = _silent_normalize(comp)
-    if c is None:
-        return 0
-    if not c.iterators:
-        return None if c.guards else 1
-    it = c.iterators[-1]
-    lo, hi = normalize_size(it.lo), normalize_size(it.hi)
-    if not (isinstance(lo, Num) and isinstance(hi, Num)):
+def _num_guard_holds(g: NumGuard) -> Optional[bool]:
+    """Truth of a numeric guard (`0 | k` only for k == 0, as at run time);
+    None while an operand stays symbolic."""
+    lv, rv = normalize_size(g.left), normalize_size(g.right)
+    if not (isinstance(lv, Num) and isinstance(rv, Num)):
         return None
-    total = 0
-    for k in range(lo.value, hi.value + 1):
-        head = subst_comp(Comp(c.event, c.iterators[:-1], c.guards),
-                          it.var, Num(k))
-        n = comp_occurrence_count(head)
-        if n is None:
-            return None
-        total += n
+    if g.op == "|":
+        return rv.value % lv.value == 0 if lv.value else rv.value == 0
+    return lv.value <= rv.value
+
+
+def comp_occurrence_count(comp: Comp) -> Optional[int]:
+    """Number of events a comprehension will emit, in closed form: the
+    product over its iterators of the values that pass that iterator's
+    guards.  0 when a numeric guard fails or some factor is empty; None when
+    a bound or guard stays symbolic and no factor is provably 0."""
+    by_var: dict[str, list] = {it.var: [] for it in comp.iterators}
+    total: Optional[int] = 1
+    for g in comp.guards:
+        if isinstance(g, NumGuard):
+            holds = _num_guard_holds(g)
+            if holds is False:
+                return 0
+            if holds is None:
+                total = None
+        elif g.var in by_var:
+            by_var[g.var].append(g)
+        else:
+            total = None  # guard on a variable no iterator binds
+    for it in comp.iterators:
+        n = count_in_range(it.lo, it.hi, by_var[it.var])
+        if n == 0:
+            return 0
+        total = None if n is None or total is None else total * n
     return total
 
 
@@ -453,7 +464,9 @@ def check_progress_theorem(net: Network, sizes: dict[str, int],
     result = explore(cfg, max_states=max_states)
     stuck_desc = []
     for s in result.stuck:
-        residual = {a.name: "done" if a.done else "blocked"
+        # every live actor of a stuck configuration is Blocked or Stuck
+        residual = {a.name: "done" if a.done else
+                    step_expr(a.expr, s.heap, a.name, s.venv).reason
                     for a in s.actors}
         stuck_desc.append({"actors": residual,
                            "buffers": s.heap.buffer_sizes()})

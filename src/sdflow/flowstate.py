@@ -5,8 +5,9 @@ A comprehension `ev<it1, .., itk, g1, .., gm>` describes a communication
 repeated under loop iterators and filtered by guards.  The analysis reduces
 each comprehension to a per-channel multiplicity by folding guards into
 iterator bounds and multiplying iterator extents.  Folding a divisibility
-guard uses the closed form only when the iterator starts at 1, where it is
-exact; numeric ranges with other lower bounds fall back to direct counting.
+guard uses the symbolic closed form only when the iterator starts at 1,
+where it is exact; numeric ranges with other lower bounds are counted by
+`count_in_range`, the range counter the conformance harness also uses.
 """
 
 from __future__ import annotations
@@ -235,20 +236,35 @@ def _fold_onto_iterator(it: Iterator, guards: list[Guard]) -> Iterator:
         raise FlowstateError(Diagnostic(
             "FS Comp", f"cannot fold several symbolic divisors on {it.var}"))
     if numeric:
-        count = _count_satisfying(lo.value, hi.value,
-                                  [normalize_size(g.divisor).value for g in divides])
-        return Iterator(it.var, Num(1), Num(count))
+        return Iterator(it.var, Num(1), Num(count_in_range(lo, hi, divides)))
     raise FlowstateError(Diagnostic(
         "FS Comp",
         f"cannot fold divisibility over symbolic range not starting at 1 ({it.var})"))
 
 
-def _count_satisfying(lo: int, hi: int, divisors: list[int]) -> int:
-    count = 0
-    for t in range(lo, hi + 1):
-        if all(d != 0 and t % d == 0 for d in divisors):
-            count += 1
-    return count
+def count_in_range(lo: SizeExpr, hi: SizeExpr, guards: list[Guard]
+                   ) -> Optional[int]:
+    """How many k in lo..hi pass every guard on k, in closed form: `AtMost`
+    clamps hi and `Divides` keeps the multiples of the divisors' lcm, where
+    `0 | k` holds only for k == 0 as at run time.  None when a bound or
+    divisor stays symbolic, unless the numeric ones already leave no k."""
+    lo = normalize_size(lo)
+    if not isinstance(lo, Num):
+        return None
+    his = [normalize_size(b) for b in
+           [hi] + [g.bound for g in guards if isinstance(g, AtMost)]]
+    divisors = [normalize_size(g.divisor) for g in guards
+                if isinstance(g, Divides)]
+    top = min((b.value for b in his if isinstance(b, Num)), default=None)
+    l = math.lcm(*(d.value for d in divisors if isinstance(d, Num)))
+    if l == 0:
+        count = int(lo.value == 0)  # only k == 0 passes, and hi >= 0
+    elif top is None:
+        return None
+    else:
+        count = max(0, top // l - (lo.value - 1) // l)
+    exact = all(isinstance(x, Num) for x in his + divisors)
+    return count if exact or count == 0 else None
 
 
 def fold_guards(fs: ActorFlow) -> ActorFlow:

@@ -4,6 +4,9 @@ import sys
 from pathlib import Path
 
 from conftest import CORPUS, ROOT
+from test_conformance import CAPACITY_CYCLE
+
+from sdflow.cli import EXIT_CONFORMANCE
 
 
 def sdflow(*args):
@@ -85,6 +88,17 @@ def test_conform_ok():
     payload = json.loads(out.stdout)
     assert payload["preservation"]["violations"] == []
     assert payload["progress"]["complete"] is True
+
+
+def test_conform_violation_exits_4_with_reasons(tmp_path):
+    prog = tmp_path / "capacity_cycle.sdf"
+    prog.write_text(CAPACITY_CYCLE)
+    out = sdflow("conform", str(prog))
+    assert out.returncode == EXIT_CONFORMANCE, out.stderr
+    assert "Traceback" not in out.stderr
+    assert ("violation at step 5 (run): expected complete execution, got "
+            "deadlock") in out.stderr
+    assert "buffer c0 is full" in out.stderr
 
 
 def test_usage_error_exits_64():

@@ -202,3 +202,14 @@ def test_capacity_blind_acceptance_is_caught_dynamically():
     assert not prog.ok and prog.stuck
     pres = check_preservation(net, {})
     assert any(v.clause == "run" for v in pres.violations)
+
+
+def test_stuck_states_say_what_each_actor_waits_for():
+    net = parse_program_or_raise(CAPACITY_CYCLE)
+    prog = check_progress_theorem(net, {})
+    assert [s["actors"] for s in prog.stuck] == [
+        {"a0": "buffer c0 is full", "a1": "buffer c1 is full"}]
+    undelayed = _net("undelayed_cycle.sdf", kind="rejected")
+    for s in check_progress_theorem(undelayed, {"n": 2}).stuck:
+        assert all(r == "done" or r.startswith("buffer ")
+                   for r in s["actors"].values()), s
