@@ -63,9 +63,6 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--max-states", type=int, default=300_000,
                        help="state budget for the exhaustive scheduler")
-    p_run.add_argument("--firings", type=int, default=1,
-                       help="replay the firing this many times, carrying "
-                            "buffers over (experimental)")
 
     p_conf = sub.add_parser("conform",
                             help="co-simulate and verify the preservation "
@@ -172,27 +169,17 @@ def main(argv=None) -> int:
             if not ex.all_complete:
                 raise SystemExit(EXIT_DEADLOCK)
             return EXIT_OK
-        trace = []
-        status = "done"
-        for firing in range(args.firings):
-            out = run(cfg, scheduler=args.scheduler, seed=args.seed + firing)
-            trace.extend(s.to_json() for s in out.trace)
-            if out.status != "done":
-                status = out.status
-                if args.format == "json":
-                    print(json.dumps({"status": status, "trace": trace,
-                                      "blocked": out.blocked}, sort_keys=True))
-                else:
-                    print(f"{status}: {out.blocked}", file=sys.stderr)
-                raise SystemExit(EXIT_DEADLOCK)
-            if firing + 1 < args.firings:
-                fresh = instantiate(net, sizes)
-                fresh.heap = out.config.heap  # carry buffers across firings
-                cfg = fresh
+        out = run(cfg, scheduler=args.scheduler, seed=args.seed)
+        trace = [s.to_json() for s in out.trace]
+        if out.status != "done":
+            if args.format == "json":
+                print(json.dumps({"status": out.status, "trace": trace,
+                                  "blocked": out.blocked}, sort_keys=True))
             else:
-                cfg = out.config
+                print(f"{out.status}: {out.blocked}", file=sys.stderr)
+            raise SystemExit(EXIT_DEADLOCK)
         if args.format == "json":
-            print(json.dumps({"status": status, "trace": trace},
+            print(json.dumps({"status": "done", "trace": trace},
                              sort_keys=True))
         else:
             print(f"done in {len(trace)} steps")

@@ -4,10 +4,11 @@ summaries and decidable equivalence.
 A comprehension `ev<it1, .., itk, g1, .., gm>` describes a communication
 repeated under loop iterators and filtered by guards.  The analysis reduces
 each comprehension to a per-channel multiplicity by folding guards into
-iterator bounds and multiplying iterator extents.  Folding a divisibility
-guard uses the symbolic closed form only when the iterator starts at 1,
-where it is exact; numeric ranges with other lower bounds are counted by
-`count_in_range`, the range counter the conformance harness also uses.
+iterator bounds and multiplying iterator extents.  Divisibility guards are
+counted by `count_in_range`, the range counter the conformance harness also
+uses; only a symbolic bound or divisor falls back to the closed form
+`hi / d`, for a single divisor on an iterator starting at 1, where it is
+exact.
 """
 
 from __future__ import annotations
@@ -222,21 +223,15 @@ def _fold_onto_iterator(it: Iterator, guards: list[Guard]) -> Iterator:
         hi = normalize_size(SMin(g.bound, hi))
     if not divides:
         return Iterator(it.var, lo, hi)
-    numeric = (isinstance(lo, Num) and isinstance(hi, Num)
-               and all(isinstance(normalize_size(g.divisor), Num) for g in divides))
-    if isinstance(lo, Num) and lo.value == 1:
+    count = count_in_range(lo, hi, divides)
+    if count is not None:
+        return Iterator(it.var, Num(1), Num(count))
+    if lo == Num(1):
         if len(divides) == 1:
             d = normalize_size(divides[0].divisor)
             return Iterator(it.var, Num(1), normalize_size(Div(hi, d)))
-        if numeric:
-            l = 1
-            for g in divides:
-                l = math.lcm(l, normalize_size(g.divisor).value)
-            return Iterator(it.var, Num(1), normalize_size(Div(hi, Num(l))))
         raise FlowstateError(Diagnostic(
             "FS Comp", f"cannot fold several symbolic divisors on {it.var}"))
-    if numeric:
-        return Iterator(it.var, Num(1), Num(count_in_range(lo, hi, divides)))
     raise FlowstateError(Diagnostic(
         "FS Comp",
         f"cannot fold divisibility over symbolic range not starting at 1 ({it.var})"))

@@ -1,29 +1,51 @@
 """Global network checks: determinism (single writer and reader per
-channel) and progress (a deadlock-free firing order exists).
+channel) and progress (a deadlock-free firing order exists).  Both walk the
+flat component list of the network flowstate once.
 
-Progress is decided by searching for a derivation that drives every actor
-flowstate to empty.  A producer event (send on an undelayed channel, or
-receive on a delayed one) can always fire and leaves a record; a consumer
-event fires only against a matching record left by another actor.  Within
-one actor, comprehensions fire in program order: the analysis does not
-track causality inside an actor, so its inputs are conservatively treated
-as preconditions of its outputs.  Numeric comprehensions are expanded to
-token counts so partial consumption works; symbolic comprehensions are
-matched whole, up to renaming and bound normalization.
+Determinism computes each component's channel reads and writes once and
+compares them only with the earlier uses of the same channel.
+
+Progress fires the lowest-numbered enabled actor until none is enabled.  A
+producer event (send on an undelayed channel, or receive on a delayed one)
+is always enabled and leaves a record; a consumer event is enabled only
+against a matching record left by another actor.  Within one actor,
+comprehensions fire in program order: the analysis does not track causality
+inside an actor, so its inputs are conservatively treated as preconditions
+of its outputs.  Numeric comprehensions are expanded to token counts so
+partial consumption works; symbolic comprehensions are matched whole, up to
+renaming and bound normalization.  The network is accepted when every actor
+finishes and no record is left over: production that no actor consumes
+would stay in a buffer after the firing.
+
+The greedy loop is complete, provided `check_determinism` has passed.  Each
+channel then has one writer and one reader, so a record can only be taken by
+the one consumer it was left for, and firing an enabled event never disables
+another one: the system is persistent (Keller, *A fundamental theorem of
+asynchronous parallel computation*, 1975).  Every maximal firing order thus
+reaches the same positions, and a runnable-first scheduler finds a complete
+schedule whenever one exists (Lee & Messerschmitt, *Static scheduling of
+synchronous data flow programs*, IEEE TC 1987).  Without determinism that
+argument fails, so `check_network` runs progress only after determinism.
+A blocked actor is re-examined only after a producer fires on the channel
+it waits on, so one firing costs O(log actors).
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .flowstate import FlowstateError, fold_guards_comp, _comp_target, extent
+from .flowstate import (
+    FlowstateError, distribute_iterator, fold_guards_comp, _comp_target,
+    extent,
+)
 from .kinding import normalize_size, size_leq
 from .printer import print_comp, print_size
 from .syntax import (
     Add, ChannelArrayKind, ChannelKind, Comp, Diagnostic, Event, Infinity,
-    Iterator, Num, PActor, PArray, PPar, ProcFlow, SizeExpr, Sub, SVar,
+    Iterator, Mul, Num, PActor, PArray, ProcFlow, SizeExpr, Sub, SVar,
     TypeEnv, flow_comps, subst_flow, proc_flow_components,
 )
 
@@ -85,7 +107,6 @@ def _flow_uses(fs: ProcFlow, want_send: bool) -> set:
                 for comp in flow_comps(flow):
                     uses |= _comp_uses(comp, want_send)
             case PArray(var, lo, hi, body):
-                from .flowstate import distribute_iterator
                 distributed = distribute_iterator(body, Iterator(var, lo, hi))
                 for comp in flow_comps(distributed):
                     uses |= _comp_uses(comp, want_send)
@@ -119,56 +140,68 @@ def _uses_overlap(env: TypeEnv, a, b) -> bool:
     return not (before is True or after is True)
 
 
+def _use_order(u) -> tuple:
+    """Sort key of a use: range bounds, which do not compare, go by text."""
+    return u[:2] + (print_size(u[2]), print_size(u[3])) if u[0] == "range" else u
+
+
 def _overlapping_pairs(env: TypeEnv, left: set, right: set) -> list:
-    return [(a, b) for a in sorted(left) for b in sorted(right)
+    return [(a, b) for a in sorted(left, key=_use_order)
+            for b in sorted(right, key=_use_order)
             if _uses_overlap(env, a, b)]
 
 
+def _describe(u) -> str:
+    if u[0] == "chan":
+        return u[1]
+    if u[0] == "elem":
+        return f"{u[1]}[{u[2]}]"
+    return f"{u[1]}[{print_size(u[2])}..{print_size(u[3])}]"
+
+
+def _array_diags(tenv: TypeEnv, part: PArray) -> list[Diagnostic]:
+    """Elements of an actor array wider than one must each use their own
+    channel-array element, indexed by the array variable."""
+    if size_leq(tenv, part.hi, part.lo) is True:
+        return []  # at most one element
+    diags = []
+    for comp in flow_comps(part.body):
+        ev = comp.event
+        if ev.index is None:
+            diags.append(Diagnostic(
+                "FS Det Par",
+                f"every element of the actor array uses channel {ev.chan}"))
+        elif not (isinstance(ev.index, SVar) and ev.index.name == part.var):
+            diags.append(Diagnostic(
+                "FS Det Par",
+                f"actor-array elements share {ev.chan}[..]; the index must "
+                f"be the array variable {part.var}"))
+    return diags
+
+
 def check_determinism(tenv: TypeEnv, fs: ProcFlow) -> list[Diagnostic]:
+    """Each channel (element) is read by at most one component and written
+    by at most one.  Every component's uses are compared with the earlier
+    uses of the same channel, in sorted order; an error computing the uses
+    is reported once and ends the check."""
     diags: list[Diagnostic] = []
-
-    def describe(u) -> str:
-        if u[0] == "chan":
-            return u[1]
-        if u[0] == "elem":
-            return f"{u[1]}[{u[2]}]"
-        return f"{u[1]}[{print_size(u[2])}..{print_size(u[3])}]"
-
-    def rec(f: ProcFlow):
-        match f:
-            case PPar(a, b):
-                rec(a)
-                rec(b)
-                try:
-                    for label, use in (("reads", inchans), ("writes", outchans)):
-                        for ua, ub in _overlapping_pairs(tenv, use(a), use(b)):
-                            diags.append(Diagnostic(
-                                "FS Det Par",
-                                f"{label} on {describe(ua)} and {describe(ub)} "
-                                f"are not confined to a single actor"))
-                except FlowstateError as exc:
-                    diags.append(exc.diag)
-            case PArray(var, lo, hi, body):
-                if size_leq(tenv, hi, lo) is True:
-                    return  # at most one element
-                for comp in flow_comps(body):
-                    ev = comp.event
-                    if ev.index is None:
-                        diags.append(Diagnostic(
-                            "FS Det Par",
-                            f"every element of the actor array uses channel "
-                            f"{ev.chan}"))
-                    elif not (isinstance(ev.index, SVar)
-                              and ev.index.name == var):
-                        diags.append(Diagnostic(
-                            "FS Det Par",
-                            f"actor-array elements share {ev.chan}[..]; the "
-                            f"index must be the array variable {var}"))
-            case _:
-                pass
-
+    seen: dict[str, dict[str, set]] = {"reads": {}, "writes": {}}
     try:
-        rec(fs)
+        for part in proc_flow_components(fs):
+            if isinstance(part, PArray):
+                diags.extend(_array_diags(tenv, part))
+            for label, use in (("reads", inchans), ("writes", outchans)):
+                uses = use(part)
+                by_chan = seen[label]
+                earlier = set().union(*(by_chan.get(c, ())
+                                        for c in {u[1] for u in uses}))
+                for ua, ub in _overlapping_pairs(tenv, earlier, uses):
+                    diags.append(Diagnostic(
+                        "FS Det Par",
+                        f"{label} on {_describe(ua)} and {_describe(ub)} "
+                        f"are not confined to a single actor"))
+                for u in uses:
+                    by_chan.setdefault(u[1], set()).add(u)
     except FlowstateError as exc:
         diags.append(exc.diag)
     return diags
@@ -180,8 +213,10 @@ def check_determinism(tenv: TypeEnv, fs: ProcFlow) -> list[Diagnostic]:
 
 @dataclass(frozen=True)
 class _CanonComp:
-    """Comprehension in matching form: event plus renamed iterators."""
+    """Comprehension in matching form: event plus renamed iterators.  The
+    comprehension it came from is kept only to describe it."""
     key: tuple
+    comp: Comp = field(compare=False, repr=False)
 
     def __str__(self):
         return self.key.__str__()
@@ -216,7 +251,7 @@ def canonical_comp(comp: Comp) -> _CanonComp:
         idx_key = ("bound", renaming[ev.index.name])
     else:
         idx_key = ("free", _size_key(ev.index))
-    return _CanonComp((ev.chan, ev.is_send, idx_key, iters))
+    return _CanonComp((ev.chan, ev.is_send, idx_key, iters), comp)
 
 
 def comp_concrete(comp: Comp) -> Optional[Counter]:
@@ -277,24 +312,11 @@ class Record:
     arrays per element when numeric and as whole comprehensions when
     symbolic."""
 
-    def __init__(self, env: Optional[TypeEnv] = None):
-        self.env = env if env is not None else TypeEnv()
+    def __init__(self, env: TypeEnv):
+        self.env = env
         self.plain: dict = {}            # (chan, is_send, producer) -> SizeExpr
         self.numeric: Counter = Counter()  # (chan, is_send, elem, producer) -> int
         self.symbolic: Counter = Counter()  # (canonical comp, producer) -> int
-
-    def key(self):
-        return (tuple(sorted((k, print_size(v))
-                             for k, v in self.plain.items())),
-                tuple(sorted(self.numeric.items())),
-                tuple(sorted(self.symbolic.items(), key=lambda kv: str(kv[0]))))
-
-    def copy(self) -> "Record":
-        out = Record(self.env)
-        out.plain = dict(self.plain)
-        out.numeric = Counter(self.numeric)
-        out.symbolic = Counter(self.symbolic)
-        return out
 
     def add(self, comp: Comp, producer: int) -> None:
         ev = comp.event
@@ -311,7 +333,9 @@ class Record:
         else:
             self.symbolic[(canonical_comp(comp), producer)] += 1
 
-    def try_consume(self, comp: Comp, consumer: int) -> Optional["Record"]:
+    def consume(self, comp: Comp, consumer: int) -> bool:
+        """Take the records that discharge `comp`, left by an actor other
+        than `consumer`.  False, with the record unchanged, if none do."""
         ev = comp.event
         if ev.index is None:
             _, need = _comp_target(comp)
@@ -323,14 +347,13 @@ class Record:
                 have = self.plain[key]
                 if size_leq(self.env, need, have) is not True:
                     continue
-                out = self.copy()
                 left = normalize_size(Sub(have, need))
                 if left == Num(0):
-                    out.plain.pop(key)
+                    del self.plain[key]
                 else:
-                    out.plain[key] = left
-                return out
-            return None
+                    self.plain[key] = left
+                return True
+            return False
         counts = comp_concrete(comp)
         if counts is not None:
             want = _complement_counts(counts)
@@ -338,20 +361,38 @@ class Record:
             for producer in producers:
                 tagged = {k + (producer,): v for k, v in want.items()}
                 if all(self.numeric.get(k, 0) >= v for k, v in tagged.items()):
-                    out = self.copy()
-                    out.numeric.subtract(tagged)
-                    out.numeric = +out.numeric
-                    return out
-            return None
+                    _take(self.numeric, tagged)
+                    return True
+            return False
         want_canon = _complement_canon(comp)
         for (canon, producer), n in sorted(self.symbolic.items(),
                                            key=lambda kv: str(kv[0])):
             if canon == want_canon and producer != consumer and n > 0:
-                out = self.copy()
-                out.symbolic[(canon, producer)] -= 1
-                out.symbolic = +out.symbolic
-                return out
-        return None
+                _take(self.symbolic, {(canon, producer): 1})
+                return True
+        return False
+
+    def leftover(self) -> list[str]:
+        """Production never consumed, as "multiplicity on channel"."""
+        out = [f"{print_size(v)} on {chan}"
+               for (chan, _, _), v in sorted(self.plain.items(), key=str)]
+        out += [f"{v} on {chan}[{elem}]"
+                for (chan, _, elem, _), v in sorted(self.numeric.items())]
+        for (canon, _), n in sorted(self.symbolic.items(),
+                                    key=lambda kv: str(kv[0])):
+            total = Num(n)
+            for it in canon.comp.iterators:
+                total = normalize_size(Mul(total, extent(it)))
+            out.append(f"{print_size(total)} on {canon.comp.event.chan} "
+                       f"({print_comp(canon.comp)})")
+        return out
+
+
+def _take(counts: Counter, taken: dict) -> None:
+    for k, v in taken.items():
+        counts[k] -= v
+        if not counts[k]:
+            del counts[k]
 
 
 @dataclass
@@ -366,10 +407,9 @@ class ScheduleStep:
                 "event": self.event, "multiplicity": self.multiplicity}
 
 
-def _progress_entries(tenv: TypeEnv, fs: ProcFlow):
+def _progress_entries(fs: ProcFlow):
     """Per-actor ordered comprehension lists, actor arrays unrolled when
     numeric and kept comprehension-level otherwise."""
-    from .flowstate import distribute_iterator
     entries: list[tuple[str, list[Comp]]] = []
     for i, part in enumerate(proc_flow_components(fs)):
         match part:
@@ -402,105 +442,57 @@ def _fold_comps(comps: list[Comp]) -> list[Comp]:
     return out
 
 
-def _record_from_flow(tenv: TypeEnv, initial: Optional[ProcFlow]) -> Record:
-    record = Record(tenv)
-    if initial is None:
-        return record
-    for part in proc_flow_components(initial):
-        if isinstance(part, PActor):
-            for comp in _fold_comps(flow_comps(part.flow)):
-                record.add(comp, -1)
-    return record
-
-
-def check_progress(tenv: TypeEnv, fs: ProcFlow,
-                   initial: Optional[ProcFlow] = None
+def check_progress(tenv: TypeEnv, fs: ProcFlow
                    ) -> Union[list[ScheduleStep], list[Diagnostic]]:
-    """Searches for a firing order that discharges every actor flowstate.
-    Returns the witnessing schedule, or diagnostics describing the cycle."""
+    """Fires the lowest-numbered enabled actor until none is enabled.
+    Returns that firing order when it discharges every actor flowstate and
+    leaves no record, else diagnostics naming the leftover production or
+    the cycle the stuck actors form.  Complete only once
+    `check_determinism` has passed (see the module docstring)."""
+    record = Record(tenv)
+    schedule: list[ScheduleStep] = []
+    waiting: dict[str, list[int]] = {}   # channel -> actors blocked on it
     try:
-        entries = _progress_entries(tenv, fs)
-    except FlowstateError as exc:
-        return [exc.diag]
-    record0 = _record_from_flow(tenv, initial)
-    n = len(entries)
-    failed: set = set()
-
-    def state_key(positions, record: Record):
-        return (positions, record.key())
-
-    def dfs(positions: tuple, record: Record) -> Optional[list[ScheduleStep]]:
-        if all(positions[i] >= len(entries[i][1]) for i in range(n)):
-            return []
-        key = state_key(positions, record)
-        if key in failed:
-            return None
-        for i in range(n):
-            pos = positions[i]
+        entries = _progress_entries(fs)
+        positions = [0] * len(entries)
+        ready = list(range(len(entries)))  # heap of actors not known blocked
+        while ready:
+            i = heapq.heappop(ready)
             name, comps = entries[i]
-            if pos >= len(comps):
-                continue
-            comp = comps[pos]
-            try:
-                role = classify_event(tenv, comp.event)
-            except FlowstateError as exc:
-                raise exc
-            target, mult = _comp_target(comp)
-            step = ScheduleStep(name,
-                                "produce" if role == PRODUCER else "consume",
-                                print_comp(comp), print_size(mult))
-            next_positions = positions[:i] + (pos + 1,) + positions[i + 1:]
-            if role == PRODUCER:
-                rec2 = record.copy()
-                rec2.add(comp, i)
-                rest = dfs(next_positions, rec2)
-            else:
-                rec2 = record.try_consume(comp, i)
-                if rec2 is None:
-                    continue
-                rest = dfs(next_positions, rec2)
-            if rest is not None:
-                return [step] + rest
-        failed.add(key)
-        return None
-
-    try:
-        schedule = dfs(tuple(0 for _ in range(n)), record0)
-    except FlowstateError as exc:
-        return [exc.diag]
-    except RecursionError:
-        return [Diagnostic("FS Prog Par", "progress search exhausted")]
-    if schedule is not None:
-        return schedule
-    return _cycle_diagnostics(tenv, entries, record0)
-
-
-def _cycle_diagnostics(tenv: TypeEnv, entries, record0: Record) -> list[Diagnostic]:
-    """Greedy replay to a stuck frontier, then report the dependency cycle."""
-    positions = [0] * len(entries)
-    record = record0.copy()
-    progressed = True
-    while progressed:
-        progressed = False
-        for i, (name, comps) in enumerate(entries):
-            if positions[i] >= len(comps):
+            if positions[i] == len(comps):
                 continue
             comp = comps[positions[i]]
             if classify_event(tenv, comp.event) == PRODUCER:
                 record.add(comp, i)
-                positions[i] += 1
-                progressed = True
+                for j in waiting.pop(comp.event.chan, ()):
+                    heapq.heappush(ready, j)
+                action = "produce"
+            elif record.consume(comp, i):
+                action = "consume"
             else:
-                rec2 = record.try_consume(comp, i)
-                if rec2 is not None:
-                    record = rec2
-                    positions[i] += 1
-                    progressed = True
+                waiting.setdefault(comp.event.chan, []).append(i)
+                continue
+            _, mult = _comp_target(comp)
+            schedule.append(ScheduleStep(name, action, print_comp(comp),
+                                         print_size(mult)))
+            positions[i] += 1
+            heapq.heappush(ready, i)
+    except FlowstateError as exc:
+        return [exc.diag]
+    if waiting:
+        return _cycle_diagnostics(entries, positions)
+    leftover = record.leftover()
+    if leftover:
+        return [Diagnostic("FS Prog Cons", "production is never consumed: "
+                           + "; ".join(leftover))]
+    return schedule
+
+
+def _cycle_diagnostics(entries, positions: list[int]) -> list[Diagnostic]:
+    """Report the dependency cycle among the actors stuck at `positions`."""
     blocked = [(i, entries[i][0], entries[i][1][positions[i]])
                for i in range(len(entries))
                if positions[i] < len(entries[i][1])]
-    if not blocked:
-        return [Diagnostic("FS Prog Cons", "no firing order discharges the network")]
 
     # wait-for edges: a blocked actor waits on whoever still holds the
     # complementary event of its head comprehension

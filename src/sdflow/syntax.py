@@ -337,17 +337,20 @@ def par_flow(*parts: ProcFlow) -> ProcFlow:
 
 
 def proc_flow_components(fs: ProcFlow) -> list[ProcFlow]:
-    """Flatten parallel structure, dropping empty components."""
-    match fs:
-        case PEmpty():
-            return []
-        case PActor(flow) if isinstance(flow, FEmpty):
-            return []
-        case PActor() | PArray():
-            return [fs]
-        case PPar(a, b):
-            return proc_flow_components(a) + proc_flow_components(b)
-    raise TypeError(f"not a process flowstate: {fs!r}")
+    """Flatten parallel structure left to right, dropping empty components."""
+    out: list[ProcFlow] = []
+    stack = [fs]
+    while stack:
+        match stack.pop():
+            case PPar(a, b):
+                stack += (b, a)
+            case PEmpty() | PActor(FEmpty()):
+                pass
+            case PActor() | PArray() as part:
+                out.append(part)
+            case other:
+                raise TypeError(f"not a process flowstate: {other!r}")
+    return out
 
 
 # --- flowstate variable handling -------------------------------------------
@@ -482,27 +485,6 @@ def subst_flow(fs: ActorFlow, var: str, repl: SizeExpr) -> ActorFlow:
         case FSeq(a, b):
             return FSeq(subst_flow(a, var, repl), subst_flow(b, var, repl))
     raise TypeError(f"not an actor flowstate: {fs!r}")
-
-
-def subst_proc_flow(fs: ProcFlow, var: str, repl: SizeExpr) -> ProcFlow:
-    match fs:
-        case PEmpty():
-            return fs
-        case PActor(flow):
-            return PActor(subst_flow(flow, var, repl))
-        case PArray(v, lo, hi, body):
-            lo2 = subst_size(lo, var, repl)
-            hi2 = subst_size(hi, var, repl)
-            if v == var:
-                return PArray(v, lo2, hi2, body)
-            if v in free_size_vars(repl):
-                new = fresh_var(v, free_size_vars(repl) | {var})
-                body = subst_flow(body, v, SVar(new))
-                v = new
-            return PArray(v, lo2, hi2, subst_flow(body, var, repl))
-        case PPar(a, b):
-            return PPar(subst_proc_flow(a, var, repl), subst_proc_flow(b, var, repl))
-    raise TypeError(f"not a process flowstate: {fs!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -745,11 +727,16 @@ class Network:
 
 
 def proc_components(p: Proc) -> list[Proc]:
-    match p:
-        case Par(a, b):
-            return proc_components(a) + proc_components(b)
-        case _:
-            return [p]
+    """Flatten parallel composition left to right."""
+    out: list[Proc] = []
+    stack = [p]
+    while stack:
+        match stack.pop():
+            case Par(a, b):
+                stack += (b, a)
+            case q:
+                out.append(q)
+    return out
 
 
 # --- value-level substitution ----------------------------------------------

@@ -25,10 +25,10 @@ from .syntax import (
     ChanArrayType, ChanType, Comp, Deref, Diagnostic, Divides, Event, Expr,
     FEmpty, For, FromIndex, FromSize, If, IndexType, IntLit, IntType,
     Iterator, Lam, Let, LocRef, MkIndex, MkSize, Network, NewRef, Num,
-    PActor, Par, PArray, PEmpty, PPar, Proc, ProcFlow, ProcType, Recv,
+    PActor, Par, PArray, PEmpty, Proc, ProcFlow, ProcType, Recv,
     RefType, Send, SeqE, SizeArithmeticError, SizeKind, SizeType, Stop,
     SVar, TypeEnv, TypeKind, ValueEnv, Var, When, ActorFlow, EMPTY_FLOW,
-    seq_flow,
+    par_flow, proc_components, proc_flow_components, seq_flow,
 )
 
 ARITH_OPS = {"+", "-", "*", "/"}
@@ -371,9 +371,9 @@ class Checker:
                 venv2 = venv.extend(var, IndexType(SVar(tvar)))
                 _, flow = self.infer(tenv2, venv2, body)
                 return PArray(tvar, Num(lo), ht.witness, flow)
-            case Par(a, b):
-                return PPar(self.check_proc(tenv, venv, a),
-                            self.check_proc(tenv, venv, b))
+            case Par():
+                return par_flow(*(self.check_proc(tenv, venv, q)
+                                  for q in proc_components(p)))
         raise TypeError(f"not a process: {p!r}")
 
 
@@ -444,25 +444,23 @@ def check_network(net: Network) -> NetworkCheckResult:
 
 def _check_declared_flow(tenv: TypeEnv, flow: ProcFlow) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    match flow:
-        case PEmpty():
-            pass
-        case PActor(f):
-            diags.extend(check_flowstate(tenv, f))
-        case PArray(var, lo, hi, body):
-            for bound in (lo, hi):
-                k = kind_of(tenv, bound)
-                if isinstance(k, Diagnostic):
-                    diags.append(k)
-                elif not isinstance(k, SizeKind):
-                    diags.append(Diagnostic("FS Comp",
-                                            "actor-array bounds must be sizes"))
-            if var in tenv:
-                diags.append(Diagnostic(
-                    "FS Comp", f"actor-array variable {var} shadows a declaration"))
-            else:
-                diags.extend(check_flowstate(tenv.extend(var, SizeKind(hi)), body))
-        case PPar(a, b):
-            diags.extend(_check_declared_flow(tenv, a))
-            diags.extend(_check_declared_flow(tenv, b))
+    for part in proc_flow_components(flow):
+        match part:
+            case PActor(f):
+                diags.extend(check_flowstate(tenv, f))
+            case PArray(var, lo, hi, body):
+                for bound in (lo, hi):
+                    k = kind_of(tenv, bound)
+                    if isinstance(k, Diagnostic):
+                        diags.append(k)
+                    elif not isinstance(k, SizeKind):
+                        diags.append(Diagnostic(
+                            "FS Comp", "actor-array bounds must be sizes"))
+                if var in tenv:
+                    diags.append(Diagnostic(
+                        "FS Comp",
+                        f"actor-array variable {var} shadows a declaration"))
+                else:
+                    diags.extend(check_flowstate(tenv.extend(var, SizeKind(hi)),
+                                                 body))
     return diags

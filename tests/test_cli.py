@@ -72,16 +72,6 @@ def test_run_json_reproducible_with_seed():
     assert a.stdout == b.stdout
 
 
-def test_run_multiple_firings_carry_buffers():
-    out = sdflow("run", GOOD, "--size", "s=4", "--firings", "3",
-                 "--format", "json")
-    assert out.returncode == 0
-    payload = json.loads(out.stdout)
-    recvs = [t for t in payload["trace"]
-             if t["label"]["kind"] == "recv" and t["label"]["channel"] == "i"]
-    assert len(recvs) == 12
-
-
 def test_conform_ok():
     out = sdflow("conform", GOOD, "--size", "s=4", "--format", "json")
     assert out.returncode == 0, out.stderr

@@ -132,22 +132,24 @@ ZERO_DIVISOR = """
 chan c : Channel(0, 4);
 val w : Chan(-, c, Integer);
 val r : Chan(+, c, Integer);
-flow c!<t in 0..3, 0 | t> || c?<u in 1..%d>;
-network {
-  actor { for (t, x in 0..size(3)) when (size(0) | x) send w 1 }
+flow c!<t in {lo}..3, 0 | t> || c?<u in 1..{n}>;
+network {{
+  actor {{ for (t, x in {lo}..size(3)) when (size(0) | x) send w 1 }}
   ||
-  actor { for (u, y in 1..size(%d)) recv r }
-}
+  actor {{ for (u, y in 1..size({n})) recv r }}
+}}
 """
 
 
 def test_checker_counts_zero_divisor_like_the_runtime():
-    # `0 | x` fires once, at x = 0, so the network balances with one receive
-    net = parse_program_or_raise(ZERO_DIVISOR % (1, 1))
-    result = check_network(net)
-    assert result.ok, result.diagnostics
-    assert proc_rate_summary(net.tenv, result.flow)[("c", "send")] == Num(1)
-    assert check_preservation(net, {}).ok
+    # `0 | x` fires once, at x = 0: one send from 0..3, none from 1..3
+    for lo, sends in ((0, 1), (1, 0)):
+        net = parse_program_or_raise(ZERO_DIVISOR.format(lo=lo, n=sends))
+        result = check_network(net)
+        assert result.ok, result.diagnostics
+        rates = proc_rate_summary(net.tenv, result.flow)
+        assert rates.get(("c", "send"), Num(0)) == Num(sends)
+        assert check_preservation(net, {}).ok
 
 
 # --- the harness's own counts ------------------------------------------------------

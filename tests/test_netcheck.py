@@ -1,5 +1,8 @@
+import sys
+
 from conftest import comp, ev, it, load, seq, tenv
 
+from sdflow import netcheck
 from sdflow.netcheck import (
     CONSUMER, PRODUCER, check_determinism, check_progress, classify_event,
     complement_event, inchans, outchans, schedule_to_json,
@@ -7,7 +10,7 @@ from sdflow.netcheck import (
 from sdflow.parser import parse_program_or_raise
 from sdflow.syntax import (
     ChannelArrayKind, ChannelKind, Event, Num, PActor, PArray, PPar,
-    SizeKind, SVar, INF,
+    SizeKind, SVar, INF, par_flow,
 )
 from sdflow.typecheck import check_network
 
@@ -91,6 +94,17 @@ def test_determinism_symbolic_range_vs_element_conservative():
     b = PActor(comp(ev("i?", 2)))
     diags = check_determinism(ENV, PPar(a, b))
     assert diags and diags[0].rule == "FS Det Par"
+
+
+def test_determinism_orders_several_symbolic_ranges_without_crashing():
+    env = tenv(s=SizeKind(INF), m=SizeKind(SVar("s")),
+               i=ChannelArrayKind(0, Num(2), SVar("s")))
+    a = PActor(seq(comp(ev("i?", "t"), it("t", 1, "m")),
+                   comp(ev("i?", "t"), it("t", 1, "s"))))
+    b = PActor(comp(ev("i?", "t"), it("t", 1, "s")))
+    assert [d.message for d in check_determinism(env, PPar(a, b))] == [
+        "reads on i[1..m] and i[1..s] are not confined to a single actor",
+        "reads on i[1..s] and i[1..s] are not confined to a single actor"]
 
 
 def test_determinism_array_elements_disjoint():
@@ -186,6 +200,91 @@ def test_rejected_corpus_names_cycles():
     res = check_network(net)
     assert any(d.rule == "FS Prog Cons" and "cycle" in d.message
                for d in res.diagnostics)
+
+
+UNCONSUMED = """
+chan c : Channel(0, 4);
+val w : Chan(-, c, Integer);
+val r : Chan(+, c, Integer);
+flow c!<t in 1..2> || c?<u in 1..1>;
+network {
+  actor { for (t, x in 1..size(2)) send w 1 }
+  ||
+  actor { for (u, y in 1..size(1)) recv r }
+}
+"""
+
+
+def test_unconsumed_production_is_rejected():
+    # the run would end with one item left in c
+    res = check_network(parse_program_or_raise(UNCONSUMED))
+    assert [str(d) for d in res.diagnostics] == \
+        ["[FS Prog Cons] production is never consumed: 1 on c"]
+
+
+def test_unconsumed_symbolic_array_production_names_the_comprehension():
+    fs = PPar(PActor(seq(comp(ev("i!", "t"), it("t", 1, "s")),
+                         comp(ev("i!", "t"), it("t", 1, "s")))),
+              PActor(comp(ev("i?", "t"), it("t", 1, "s"))))
+    out = check_progress(ENV, fs)
+    assert [d.message for d in out] == \
+        ["production is never consumed: s on i (i[t]!<t in 1..s>)"]
+
+
+# --- scaling -----------------------------------------------------------------------
+
+def pipeline_source(n: int) -> str:
+    """n actors chained by n-1 channels, each link carrying s items."""
+    decls = ["size s : Size(inf);", "val sz : Size(s);"]
+    for k in range(1, n):
+        decls += [f"chan c{k} : Channel(0, 2);",
+                  f"val w{k} : Chan(-, c{k}, Integer);",
+                  f"val r{k} : Chan(+, c{k}, Integer);"]
+    flows = ["c1!<t in 1..s>"]
+    flows += [f"c{k}?<t in 1..s> ; c{k + 1}!<t in 1..s>" for k in range(1, n - 1)]
+    flows.append(f"c{n - 1}?<t in 1..s>")
+    actors = ["actor { for (t, x in 1..sz) send w1 fromIndex(x) }"]
+    actors += [f"actor {{ for (t, x in 1..sz) {{ let v = recv r{k}; "
+               f"send w{k + 1} v }} }}" for k in range(1, n - 1)]
+    actors.append(f"actor {{ for (t, x in 1..sz) recv r{n - 1} }}")
+    return ("\n".join(decls) + "\nflow " + " || ".join(flows) + ";\n"
+            + "network { " + " || ".join(actors) + " }\n")
+
+
+def test_pipeline_600_is_accepted():
+    assert sys.getrecursionlimit() <= 1000
+    res = check_network(parse_program_or_raise(pipeline_source(600)))
+    assert res.ok, res.diagnostics
+    assert len(res.schedule) == 2 * 599
+
+
+def test_2000_actor_network_checks_without_recursion_error():
+    assert sys.getrecursionlimit() <= 1000
+    res = check_network(parse_program_or_raise(pipeline_source(2000)))
+    assert res.ok, res.diagnostics
+
+
+def test_determinism_computes_each_components_uses_once(monkeypatch):
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return comp_uses(*args)
+
+    comp_uses = netcheck._comp_uses
+    monkeypatch.setattr(netcheck, "_comp_uses", counting)
+    per_size = {}
+    for n in (100, 400):
+        env = tenv(s=SizeKind(INF),
+                   **{f"c{k}": ChannelKind(0, Num(2)) for k in range(n + 1)})
+        fs = par_flow(*(PActor(seq(comp(ev(f"c{k}?"), it("t", 1, "s")),
+                                   comp(ev(f"c{k + 1}!"), it("t", 1, "s"))))
+                        for k in range(n)))
+        calls = 0
+        assert check_determinism(env, fs) == []
+        per_size[n] = calls
+    assert per_size[400] <= 5 * per_size[100], per_size
 
 
 def test_inchans_match_runtime_channel_usage():
