@@ -26,14 +26,15 @@ from .netcheck import PRODUCER, classify_event
 from .kinding import normalize_size
 from .printer import print_comp
 from .runtime import (
-    Configuration, Fault, Heap, Label, explore, instantiate, run, step_expr,
+    Configuration, Fault, Heap, Label, buffer_name, channel_payloads, explore,
+    instantiate, run, step_expr,
 )
 from .syntax import (
-    ActorComp, ActorE, BoolLit, BoolType, ChanArrayType, ChannelArrayKind,
-    ChannelKind, ChanType, Comp, Diagnostic, Event, IntLit, IntType,
-    Iterator, Network, Num, NumGuard, PActor, Par, PArray, ProcFlow,
-    SizeType, Stop, TypeEnv, ValueEnv, flow_comps, par_flow,
-    proc_components, seq_flow, subst_comp, subst_flow, MkSize, MkIndex,
+    ActorComp, ActorE, BoolLit, BoolType, ChannelArrayKind, ChannelKind, Comp,
+    Diagnostic, Event, IntLit, IntType, Iterator, Network, Num, NumGuard,
+    PActor, Par, PArray, ProcFlow, SizeType, Stop, TypeEnv, ValueEnv,
+    flow_comps, par_flow, proc_components, proc_flow_components, seq_flow,
+    subst_comp, subst_flow, subst_size, MkSize, MkIndex,
 )
 from .typecheck import Checker
 
@@ -61,29 +62,21 @@ def _value_has_type(value, ty) -> bool:
 def heap_flow_counts(tenv: TypeEnv, heap: Heap) -> Counter:
     """Pending communications recorded by the heap, as concrete counts."""
     counts: Counter = Counter()
-    for name, buf in heap.chans.items():
-        kind = tenv.lookup(name)
-        if not isinstance(kind, ChannelKind):
+    kinds: dict = {}
+    for (chan, idx), buf in heap.bufs.items():
+        if chan not in kinds:
+            kinds[chan] = tenv.lookup(chan)
+        kind = kinds[chan]
+        if not isinstance(kind, (ChannelKind, ChannelArrayKind)):
             continue
+        element = () if idx is None else (idx,)
         if kind.delay == 0:
             if buf:
-                counts[(name, True)] = len(buf)
+                counts[(chan, True) + element] = len(buf)
         else:
-            free = heap.caps[name] - len(buf)
+            free = heap.caps[chan] - len(buf)
             if free:
-                counts[(name, False)] = free
-    for name, elems in heap.arrays.items():
-        kind = tenv.lookup(name)
-        if not isinstance(kind, ChannelArrayKind):
-            continue
-        for idx, buf in elems.items():
-            if kind.delay == 0:
-                if buf:
-                    counts[(name, True, idx)] = len(buf)
-            else:
-                free = heap.arr_caps[name] - len(buf)
-                if free:
-                    counts[(name, False, idx)] = free
+                counts[(chan, False) + element] = free
     return counts
 
 
@@ -91,26 +84,15 @@ def heap_flowstate(tenv: TypeEnv, venv: ValueEnv, heap: Heap
                    ) -> tuple[ProcFlow, list[Diagnostic]]:
     """The heap's flowstate, plus diagnostics for ill-typed buffer contents."""
     diags: list[Diagnostic] = []
-    payload: dict[str, object] = {}
-    for _, ty in venv.items:
-        if isinstance(ty, (ChanType, ChanArrayType)):
-            payload[ty.name] = ty.payload
-    for name, buf in heap.chans.items():
-        want = payload.get(name)
-        if want is not None:
-            for v in buf:
-                if not _value_has_type(v, want):
-                    diags.append(Diagnostic(
-                        "Heap", f"buffer {name} holds a value of the wrong type"))
-    for name, elems in heap.arrays.items():
-        want = payload.get(name)
-        if want is not None:
-            for idx, buf in elems.items():
-                for v in buf:
-                    if not _value_has_type(v, want):
-                        diags.append(Diagnostic(
-                            "Heap",
-                            f"buffer {name}[{idx}] holds a value of the wrong type"))
+    payload = channel_payloads(venv)
+    for key, buf in heap.bufs.items():
+        want = payload.get(key[0])
+        if want is None:
+            continue
+        for v in buf:
+            if not _value_has_type(v, want):
+                diags.append(Diagnostic("Heap", f"buffer {buffer_name(key)} "
+                                        "holds a value of the wrong type"))
     comps = []
     for key, n in sorted(heap_flow_counts(tenv, heap).items(),
                          key=lambda kv: str(kv[0])):
@@ -253,7 +235,6 @@ def step_flowstate(tenv: TypeEnv, fs: ProcFlow, label: Label
                    ) -> Optional[ProcFlow]:
     """One labeled reduction of a process flowstate, or None when no
     component can emit the label."""
-    from .syntax import proc_flow_components
     parts = proc_flow_components(fs)
     for i, part in enumerate(parts):
         if not isinstance(part, PActor):
@@ -304,7 +285,6 @@ def actor_flows(net: Network, sizes: dict[str, int]) -> list[list[Comp]]:
 
 
 def _ground_size(e, sizes: dict[str, int]):
-    from .syntax import subst_size
     for name, value in sizes.items():
         e = subst_size(e, name, Num(value))
     return e
@@ -351,9 +331,8 @@ def _counts_str(counts: Counter) -> str:
         return "eps"
     parts = []
     for key in sorted(counts, key=str):
-        chan, is_send = key[0], key[1]
-        idx = f"[{key[2]}]" if len(key) == 3 else ""
-        parts.append(f"<{counts[key]}>{chan}{idx}{'!' if is_send else '?'}")
+        name = buffer_name((key[0], key[2] if len(key) == 3 else None))
+        parts.append(f"<{counts[key]}>{name}{'!' if key[1] else '?'}")
     return " ; ".join(parts)
 
 
@@ -391,13 +370,10 @@ def check_preservation(net: Network, sizes: dict[str, int],
             flows[i] = residual
         old = state["heap_counts"]
         new = heap_flow_counts(net.tenv, after.heap)
-        key = (label.chan, label.is_send) if label.index is None else \
-            (label.chan, label.is_send, label.index)
-        comp_key = (key[0], not key[1]) + key[2:]
-        event = Event(label.chan, label.is_send,
-                      Num(label.index) if label.index is not None else None)
-        role = classify_event(net.tenv, event)
-        if role == PRODUCER:
+        element = () if label.index is None else (label.index,)
+        key = (label.chan, label.is_send) + element
+        comp_key = (label.chan, not label.is_send) + element
+        if classify_event(net.tenv, Event(label.chan, label.is_send)) == PRODUCER:
             want = Counter(old)
             want[key] += 1
             if new != want:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional, Union
 
+from .printer import print_type
 from .syntax import (
     Add, BoolType, ChanArrayType, ChannelArrayKind, ChannelKind, ChanType,
     Diagnostic, Div, IndexType, Infinity, IntType, Kind, Mul, Num, ProcType,
@@ -592,6 +593,7 @@ def check_type_env(env: TypeEnv) -> list[Diagnostic]:
 def check_value_env(tenv: TypeEnv, venv: ValueEnv) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     seen: set[str] = set()
+    first: dict[str, tuple[str, ValueType]] = {}  # channel -> (binding, payload)
     for name, ty in venv.items:
         if name in seen:
             diags.append(Diagnostic("ValEnv Extend Name", f"duplicate binding {name}"))
@@ -602,6 +604,13 @@ def check_value_env(tenv: TypeEnv, venv: ValueEnv) -> list[Diagnostic]:
         elif not isinstance(k, TypeKind):
             diags.append(Diagnostic(
                 "ValEnv Extend Var", f"binding {name} must have an ordinary type"))
+        elif isinstance(ty, (ChanType, ChanArrayType)):
+            other, payload = first.setdefault(ty.name, (name, ty.payload))
+            if not types_equal(payload, ty.payload):
+                diags.append(Diagnostic(
+                    "ValEnv Chan Payload",
+                    f"{name} carries {print_type(ty.payload)} on {ty.name}, "
+                    f"but {other} carries {print_type(payload)}"))
     return diags
 
 

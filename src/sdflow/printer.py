@@ -9,9 +9,10 @@ from .syntax import (
     ChanArrayType, ChannelArrayKind, ChannelKind, ChanType, Comp, Deref, Div,
     Divides, Event, Expr, FEmpty, For, FromIndex, FromSize, FSeq, Guard, If,
     IndexType, Infinity, IntLit, IntType, Lam, Let, LocRef, MkIndex, MkSize,
-    Mul, Network, NewRef, Num, NumGuard, PActor, Par, PArray, PEmpty, PPar,
+    Mul, Network, NewRef, Num, NumGuard, PActor, PArray, PEmpty, PPar,
     Proc, ProcFlow, ProcType, Recv, RefType, Send, SeqE, SizeExpr, SizeKind,
-    SizeType, SMin, Stop, Sub, SVar, Var, When, ActorFlow, seq_flow,
+    SizeType, SMin, Stop, Sub, SVar, Var, When, ActorFlow, proc_components,
+    seq_flow,
 )
 
 # precedence levels for size expressions
@@ -107,17 +108,22 @@ def print_flow(fs: ActorFlow, normalized: bool = False) -> str:
 
 
 def print_proc_flow(fs: ProcFlow) -> str:
-    match fs:
-        case PEmpty():
-            return "eps"
-        case PActor(flow):
-            return print_flow(flow)
-        case PArray(var, lo, hi, body):
-            return (f"[ {print_flow(body)} | {var} in "
-                    f"{print_size(lo)}..{print_size(hi)} ]")
-        case PPar(a, b):
-            return f"{print_proc_flow(a)} || {print_proc_flow(b)}"
-    raise TypeError(f"not a process flowstate: {fs!r}")
+    parts = []
+    stack = [fs]
+    while stack:  # explicit stack: networks may be wider than the recursion limit
+        match stack.pop():
+            case PPar(a, b):
+                stack += (b, a)
+            case PEmpty():
+                parts.append("eps")
+            case PActor(flow):
+                parts.append(print_flow(flow))
+            case PArray(var, lo, hi, body):
+                parts.append(f"[ {print_flow(body)} | {var} in "
+                             f"{print_size(lo)}..{print_size(hi)} ]")
+            case other:
+                raise TypeError(f"not a process flowstate: {other!r}")
+    return " || ".join(parts)
 
 
 # --- expressions -------------------------------------------------------------
@@ -232,17 +238,19 @@ def print_block(e: Expr, indent: int = 0) -> str:
 
 def print_proc(p: Proc, indent: int = 0) -> str:
     pad = "  " * indent
-    match p:
-        case Stop():
-            return f"{pad}stop"
-        case ActorE(expr):
-            return f"{pad}actor {print_block(expr, indent)}"
-        case ActorComp(tvar, var, lo, hi, body):
-            return (f"{pad}actors ({tvar}, {var} in {lo}.."
-                    f"{print_expr(hi)}) {print_block(body, indent)}")
-        case Par(a, b):
-            return f"{print_proc(a, indent)}\n{pad}||\n{print_proc(b, indent)}"
-    raise TypeError(f"not a process: {p!r}")
+    parts = []
+    for q in proc_components(p):
+        match q:
+            case Stop():
+                parts.append(f"{pad}stop")
+            case ActorE(expr):
+                parts.append(f"{pad}actor {print_block(expr, indent)}")
+            case ActorComp(tvar, var, lo, hi, body):
+                parts.append(f"{pad}actors ({tvar}, {var} in {lo}.."
+                             f"{print_expr(hi)}) {print_block(body, indent)}")
+            case _:
+                raise TypeError(f"not a process: {q!r}")
+    return f"\n{pad}||\n".join(parts)
 
 
 def print_program(net: Network) -> str:

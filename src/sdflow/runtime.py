@@ -1,18 +1,19 @@
 """Heap-based small-step execution of instantiated networks.
 
-Channels live on a shared heap as bounded FIFO buffers keyed by their
-type-level names; channel arrays are 1-indexed families of buffers, matching
-the 1-based iteration ranges that produce their indices.  Actors take turns
-under a scheduler; a send on a full buffer or a receive on an empty one is
-simply not enabled, and a configuration where no actor can step while some
-are unfinished is a deadlock.
+Channels live on a shared heap as bounded FIFO buffers in one map keyed by
+`(channel, index)`: a plain channel is the buffer with index None, and a
+channel array is a 1-indexed family of buffers, matching the 1-based
+iteration ranges that produce their indices.  Capacities are per channel.
+Actors take turns under a scheduler; a send on a full buffer or a receive on
+an empty one is simply not enabled, and a configuration where no actor can
+step while some are unfinished is a deadlock.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 from .kinding import eval_size, is_inf
@@ -23,6 +24,13 @@ from .syntax import (
     MkSize, Network, NewRef, Recv, Send, SeqE, SizeKind, SizeType, Stop,
     TypeEnv, ValueEnv, When, is_value, proc_components, subst_expr,
 )
+
+BufferKey = tuple  # (type-level channel name, element index or None)
+
+
+def buffer_name(key: BufferKey) -> str:
+    chan, index = key
+    return chan if index is None else f"{chan}[{index}]"
 
 
 class InstantiationError(Exception):
@@ -39,42 +47,30 @@ class Label:
     index: Optional[int] = None  # numeric element for channel arrays
 
     def __str__(self):
-        idx = f"[{self.index}]" if self.index is not None else ""
-        return f"{self.chan}{idx}{'!' if self.is_send else '?'}"
+        mark = "!" if self.is_send else "?"
+        return f"{buffer_name((self.chan, self.index))}{mark}"
 
 
 @dataclass
 class Heap:
     locs: dict = field(default_factory=dict)        # (actor, slot) -> value
-    chans: dict = field(default_factory=dict)       # name -> tuple(values)
-    caps: dict = field(default_factory=dict)        # name -> capacity
-    arrays: dict = field(default_factory=dict)      # name -> {index -> tuple}
-    arr_caps: dict = field(default_factory=dict)    # name -> capacity
+    bufs: dict = field(default_factory=dict)        # BufferKey -> tuple(values)
+    caps: dict = field(default_factory=dict)        # channel name -> capacity
     next_slot: dict = field(default_factory=dict)   # actor -> counter
 
     def copy(self) -> "Heap":
-        return Heap(dict(self.locs), dict(self.chans), self.caps,
-                    {k: dict(v) for k, v in self.arrays.items()},
-                    self.arr_caps, dict(self.next_slot))
+        return Heap(dict(self.locs), dict(self.bufs), self.caps,
+                    dict(self.next_slot))
 
-    def push(self, chan: str, value) -> None:
-        buf = self.chans[chan]
-        assert len(buf) < self.caps[chan], f"buffer overflow on {chan}"
-        self.chans[chan] = buf + (value,)
+    def push(self, key: BufferKey, value) -> None:
+        buf = self.bufs[key]
+        assert len(buf) < self.caps[key[0]], \
+            f"buffer overflow on {buffer_name(key)}"
+        self.bufs[key] = buf + (value,)
 
-    def pop(self, chan: str):
-        buf = self.chans[chan]
-        self.chans[chan] = buf[1:]
-        return buf[0]
-
-    def push_elem(self, chan: str, idx: int, value) -> None:
-        buf = self.arrays[chan][idx]
-        assert len(buf) < self.arr_caps[chan], f"buffer overflow on {chan}[{idx}]"
-        self.arrays[chan][idx] = buf + (value,)
-
-    def pop_elem(self, chan: str, idx: int):
-        buf = self.arrays[chan][idx]
-        self.arrays[chan][idx] = buf[1:]
+    def pop(self, key: BufferKey):
+        buf = self.bufs[key]
+        self.bufs[key] = buf[1:]
         return buf[0]
 
     def alloc(self, actor: str, value) -> LocRef:
@@ -84,17 +80,17 @@ class Heap:
         return LocRef(actor, slot)
 
     def freeze(self) -> tuple:
-        return (
-            tuple(sorted(self.locs.items())),
-            tuple(sorted(self.chans.items())),
-            tuple(sorted((n, tuple(sorted(d.items())))
-                         for n, d in self.arrays.items())),
-        )
+        # every heap of one run has the same buffer keys in the same order
+        return tuple(sorted(self.locs.items())), tuple(self.bufs.values())
 
     def buffer_sizes(self) -> dict:
-        out = {n: len(b) for n, b in self.chans.items()}
-        for n, d in self.arrays.items():
-            out[n] = [len(d[k]) for k in sorted(d)]
+        """Fill of each plain channel, and a list per channel array."""
+        out: dict = {chan: [] for chan in self.caps}
+        for (chan, index), buf in self.bufs.items():
+            if index is None:
+                out[chan] = len(buf)
+            else:
+                out[chan].append(len(buf))
         return out
 
 
@@ -137,11 +133,13 @@ def _default_value(ty) -> Expr:
     return IntLit(0)
 
 
-def _payload_type(venv: ValueEnv, tname: str):
+def channel_payloads(venv: ValueEnv) -> dict:
+    """Payload type of each type-level channel, from its first binding."""
+    out: dict = {}
     for _, ty in venv.items:
-        if isinstance(ty, (ChanType, ChanArrayType)) and ty.name == tname:
-            return ty.payload
-    return IntType()
+        if isinstance(ty, (ChanType, ChanArrayType)):
+            out.setdefault(ty.name, ty.payload)
+    return out
 
 
 def _eval_quantity(e, sizes: dict, what: str) -> int:
@@ -164,28 +162,26 @@ def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
             raise InstantiationError(Diagnostic(
                 "Kind Size", f"size parameter {name} must be positive"))
 
+    payloads = channel_payloads(net.venv)
     heap = Heap()
     for name, kind in net.tenv.items:
-        if isinstance(kind, ChannelKind):
-            cap = _eval_quantity(kind.limit, sizes, f"capacity of {name}")
-            if cap < 1:
-                raise InstantiationError(Diagnostic(
-                    "Kind Chan", f"channel {name} has zero capacity"))
-            fill = cap if kind.delay else 0
-            default = _default_value(_payload_type(net.venv, name))
-            heap.chans[name] = tuple(default for _ in range(fill))
-            heap.caps[name] = cap
-        elif isinstance(kind, ChannelArrayKind):
-            cap = _eval_quantity(kind.limit, sizes, f"capacity of {name}")
+        if not isinstance(kind, (ChannelKind, ChannelArrayKind)):
+            continue
+        cap = _eval_quantity(kind.limit, sizes, f"capacity of {name}")
+        if isinstance(kind, ChannelArrayKind):
             bound = _eval_quantity(kind.bound, sizes, f"bound of {name}")
-            if cap < 1:
-                raise InstantiationError(Diagnostic(
-                    "Kind Chan Array", f"channel array {name} has zero capacity"))
-            fill = cap if kind.delay else 0
-            default = _default_value(_payload_type(net.venv, name))
-            heap.arrays[name] = {k: tuple(default for _ in range(fill))
-                                 for k in range(1, bound + 1)}
-            heap.arr_caps[name] = cap
+            rule, what, indices = ("Kind Chan Array", "channel array",
+                                   range(1, bound + 1))
+        else:
+            rule, what, indices = "Kind Chan", "channel", (None,)
+        if cap < 1:
+            raise InstantiationError(Diagnostic(
+                rule, f"{what} {name} has zero capacity"))
+        default = _default_value(payloads.get(name, IntType()))
+        fill = (default,) * (cap if kind.delay else 0)
+        heap.caps[name] = cap
+        for index in indices:
+            heap.bufs[(name, index)] = fill
 
     # instantiations must respect declared upper bounds
     for name, kind in net.tenv.items:
@@ -407,10 +403,8 @@ def step_expr(e: Expr, heap: Heap, actor: str, venv: ValueEnv
             if op == "<":
                 return Stepped(BoolLit(a < b))
             return Stuck(f"unknown operator {op}")
-        case Send(chan, index, payload):
-            return _step_send(e, heap, actor, venv)
-        case Recv(chan, index):
-            return _step_recv(e, heap, actor, venv)
+        case Send() | Recv():
+            return _step_comm(e, heap, actor, venv)
     raise TypeError(f"cannot step {e!r}")
 
 
@@ -422,67 +416,38 @@ def _in_context(inner: Expr, heap: Heap, actor: str, venv: ValueEnv,
     return out
 
 
-def _step_send(e: Send, heap: Heap, actor: str, venv: ValueEnv):
-    ty = venv.lookup(e.chan)
+def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: ValueEnv):
+    """A send or receive: the index, then a send's payload, evaluate first."""
     if e.index is not None and not is_value(e.index):
         return _in_context(e.index, heap, actor, venv,
-                           lambda i: Send(e.chan, i, e.payload))
-    if not is_value(e.payload):
+                           lambda i: replace(e, index=i))
+    is_send = isinstance(e, Send)
+    if is_send and not is_value(e.payload):
+        # polled on every step: the constructor is cheaper than `replace`
         return _in_context(e.payload, heap, actor, venv,
                            lambda p: Send(e.chan, e.index, p))
-    if isinstance(ty, ChanType):
-        tname = ty.name
-        if len(heap.chans[tname]) >= heap.caps[tname]:
-            return Blocked(f"buffer {tname} is full")
-
-        def effect(h: Heap, payload=e.payload):
-            h.push(tname, payload)
-        return Stepped(IntLit(0), Label(tname, True), effect)
-    if isinstance(ty, ChanArrayType):
-        tname = ty.name
-        idx = _as_int(e.index)
-        if idx is None:
-            return Stuck("array index is not an index value")
-        if idx not in heap.arrays[tname]:
-            return Stuck(f"index {idx} outside channel array {tname}")
-        if len(heap.arrays[tname][idx]) >= heap.arr_caps[tname]:
-            return Blocked(f"buffer {tname}[{idx}] is full")
-
-        def effect(h: Heap, payload=e.payload, idx=idx):
-            h.push_elem(tname, idx, payload)
-        return Stepped(IntLit(0), Label(tname, True, idx), effect)
-    return Stuck(f"{e.chan} is not bound to a channel")
-
-
-def _step_recv(e: Recv, heap: Heap, actor: str, venv: ValueEnv):
     ty = venv.lookup(e.chan)
-    if e.index is not None and not is_value(e.index):
-        return _in_context(e.index, heap, actor, venv,
-                           lambda i: Recv(e.chan, i))
     if isinstance(ty, ChanType):
-        tname = ty.name
-        if not heap.chans[tname]:
-            return Blocked(f"buffer {tname} is empty")
-        value = heap.chans[tname][0]
-
-        def effect(h: Heap):
-            h.pop(tname)
-        return Stepped(value, Label(tname, False), effect)
-    if isinstance(ty, ChanArrayType):
-        tname = ty.name
+        key = (ty.name, None)
+    elif isinstance(ty, ChanArrayType):
         idx = _as_int(e.index)
         if idx is None:
             return Stuck("array index is not an index value")
-        if idx not in heap.arrays[tname]:
-            return Stuck(f"index {idx} outside channel array {tname}")
-        if not heap.arrays[tname][idx]:
-            return Blocked(f"buffer {tname}[{idx}] is empty")
-        value = heap.arrays[tname][idx][0]
-
-        def effect(h: Heap, idx=idx):
-            h.pop_elem(tname, idx)
-        return Stepped(value, Label(tname, False, idx), effect)
-    return Stuck(f"{e.chan} is not bound to a channel")
+        key = (ty.name, idx)
+        if key not in heap.bufs:
+            return Stuck(f"index {idx} outside channel array {ty.name}")
+    else:
+        return Stuck(f"{e.chan} is not bound to a channel")
+    buf = heap.bufs[key]
+    if is_send:
+        if len(buf) >= heap.caps[ty.name]:
+            return Blocked(f"buffer {buffer_name(key)} is full")
+        return Stepped(IntLit(0), Label(ty.name, True, key[1]),
+                       lambda h: h.push(key, e.payload))
+    if not buf:
+        return Blocked(f"buffer {buffer_name(key)} is empty")
+    return Stepped(buf[0], Label(ty.name, False, key[1]),
+                   lambda h: h.pop(key))
 
 
 # ---------------------------------------------------------------------------

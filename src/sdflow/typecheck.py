@@ -162,10 +162,8 @@ class Checker:
                     self.error("Val Assign", "assigned value has the wrong type",
                                e.loc)
                 return t2, seq_flow(f1, f2)
-            case Recv():
-                return self._infer_recv(tenv, venv, e)
-            case Send():
-                return self._infer_send(tenv, venv, e)
+            case Recv() | Send():
+                return self._infer_comm(tenv, venv, e)
             case BinOp(op, lhs, rhs):
                 lt, lf = self.infer(tenv, venv, lhs)
                 rt, rf = self.infer(tenv, venv, rhs)
@@ -260,89 +258,50 @@ class Checker:
                                         Iterator(e.tvar, Num(e.lo), witness))
         return IntType(), seq_flow(bf0, loop_flow)
 
-    def _infer_recv(self, tenv: TypeEnv, venv: ValueEnv, e: Recv):
+    def _infer_comm(self, tenv: TypeEnv, venv: ValueEnv, e: Recv | Send):
+        """A send or receive on a plain channel or on a channel-array element:
+        the index is inferred before a send's payload, and a plain channel's
+        index is reported but not inferred."""
+        is_send = isinstance(e, Send)
+        rule = "Val Send" if is_send else "Val Receive"
         ty = venv.lookup(e.chan)
-        if ty is None:
-            self.error("Val Receive", f"unknown channel {e.chan}", e.loc)
+        if not isinstance(ty, (ChanType, ChanArrayType)):
+            self.error(rule, f"unknown channel {e.chan}" if ty is None
+                       else f"{e.chan} is not a channel", e.loc)
             return None, EMPTY_FLOW
-        if isinstance(ty, ChanType):
-            if e.index is not None:
-                self.error("Val Receive", f"{e.chan} is not a channel array",
-                           e.loc)
-            if ty.polarity not in ("+", "+-"):
-                self.error("Val Receive",
-                           f"receive on send-only channel {e.chan}", e.loc)
-            return ty.payload, Comp(Event(ty.name, False))
-        if isinstance(ty, ChanArrayType):
+        is_array = isinstance(ty, ChanArrayType)
+        if is_array:
+            rule = "Val Send Array" if is_send else "Val Recv Array"
             if e.index is None:
-                self.error("Val Recv Array",
+                self.error(rule,
                            f"{e.chan} is a channel array and needs an index",
                            e.loc)
                 return ty.payload, EMPTY_FLOW
-            if ty.polarity not in ("+", "+-"):
-                self.error("Val Recv Array",
-                           f"receive on send-only channel array {e.chan}", e.loc)
+        elif e.index is not None:
+            self.error(rule, f"{e.chan} is not a channel array", e.loc)
+        if ty.polarity not in ("+-", "-" if is_send else "+"):
+            act = "send on receive" if is_send else "receive on send"
+            what = "channel array" if is_array else "channel"
+            self.error(rule, f"{act}-only {what} {e.chan}", e.loc)
+        witness, idx_flow = None, EMPTY_FLOW
+        if is_array:
             it, idx_flow = self.infer(tenv, venv, e.index)
-            witness = None
             if not isinstance(it, IndexType):
-                self.error("Val Recv Array", "array index must be a loop index",
-                           e.loc)
+                self.error(rule, "array index must be a loop index", e.loc)
             else:
                 witness = it.witness
                 if size_leq(tenv, witness, ty.bound) is not True:
-                    self.error("Val Recv Array",
-                               f"index may exceed the bound of {e.chan}", e.loc)
-            if witness is None:
-                return ty.payload, idx_flow
-            return ty.payload, seq_flow(idx_flow,
-                                        Comp(Event(ty.name, False, witness)))
-        self.error("Val Receive", f"{e.chan} is not a channel", e.loc)
-        return None, EMPTY_FLOW
-
-    def _infer_send(self, tenv: TypeEnv, venv: ValueEnv, e: Send):
-        ty = venv.lookup(e.chan)
-        if ty is None:
-            self.error("Val Send", f"unknown channel {e.chan}", e.loc)
-            return None, EMPTY_FLOW
-        if isinstance(ty, ChanType):
-            if e.index is not None:
-                self.error("Val Send", f"{e.chan} is not a channel array", e.loc)
-            if ty.polarity not in ("-", "+-"):
-                self.error("Val Send", f"send on receive-only channel {e.chan}",
-                           e.loc)
+                    self.error(rule, f"index may exceed the bound of {e.chan}",
+                               e.loc)
+        pf = EMPTY_FLOW
+        if is_send:
             pt, pf = self.infer(tenv, venv, e.payload)
             if pt is not None and not types_equal(pt, ty.payload):
-                self.error("Val Send", f"payload type mismatch on {e.chan}", e.loc)
-            return ty.payload, seq_flow(pf, Comp(Event(ty.name, True)))
-        if isinstance(ty, ChanArrayType):
-            if e.index is None:
-                self.error("Val Send Array",
-                           f"{e.chan} is a channel array and needs an index",
-                           e.loc)
-                return ty.payload, EMPTY_FLOW
-            if ty.polarity not in ("-", "+-"):
-                self.error("Val Send Array",
-                           f"send on receive-only channel array {e.chan}", e.loc)
-            it, idx_flow = self.infer(tenv, venv, e.index)
-            witness = None
-            if not isinstance(it, IndexType):
-                self.error("Val Send Array", "array index must be a loop index",
-                           e.loc)
-            else:
-                witness = it.witness
-                if size_leq(tenv, witness, ty.bound) is not True:
-                    self.error("Val Send Array",
-                               f"index may exceed the bound of {e.chan}", e.loc)
-            pt, pf = self.infer(tenv, venv, e.payload)
-            if pt is not None and not types_equal(pt, ty.payload):
-                self.error("Val Send Array", f"payload type mismatch on {e.chan}",
-                           e.loc)
-            if witness is None:
-                return ty.payload, seq_flow(idx_flow, pf)
-            return ty.payload, seq_flow(idx_flow, pf,
-                                        Comp(Event(ty.name, True, witness)))
-        self.error("Val Send", f"{e.chan} is not a channel", e.loc)
-        return None, EMPTY_FLOW
+                self.error(rule, f"payload type mismatch on {e.chan}", e.loc)
+        if is_array and witness is None:
+            return ty.payload, seq_flow(idx_flow, pf)
+        return ty.payload, seq_flow(idx_flow, pf,
+                                    Comp(Event(ty.name, is_send, witness)))
 
     # --- processes -----------------------------------------------------------
 

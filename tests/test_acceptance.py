@@ -160,8 +160,9 @@ def test_criterion_6_safety_invariants():
     for name, net in _good_nets():
         result = run(instantiate(net, sizes_for(net, 4)))
         assert result.status == "done", name
-        for chan, cap in result.config.heap.caps.items():
-            assert len(result.config.heap.chans[chan]) <= cap
+        heap = result.config.heap
+        for (chan, _), buf in heap.bufs.items():
+            assert len(buf) <= heap.caps[chan]
     rejected = 0
     for f in corpus_files("negative"):
         out = parse_program(f.read_text())

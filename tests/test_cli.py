@@ -99,3 +99,20 @@ def test_usage_error_exits_64():
 def test_bad_size_exits_64():
     out = sdflow("run", GOOD, "--size", "s=zero")
     assert out.returncode == 64
+
+
+def test_run_json_buffer_sizes_list_array_elements():
+    # one list per channel array, one int per plain channel
+    sizes = {}
+    for name in ("fanin_array.sdf", "downsampler_array.sdf"):
+        out = sdflow("run", str(CORPUS / "good" / name), "--size", "s=2",
+                     "--format", "json")
+        assert out.returncode == 0, out.stderr
+        sizes[name] = [t["bufferSizes"] for t in json.loads(out.stdout)["trace"]]
+    assert sizes["fanin_array.sdf"] == [{"a": a} for a in (
+        [0, 0], [0, 0], [0, 0], [1, 0], [1, 1], [0, 1], [0, 1], [0, 1],
+        [0, 0], [0, 0], [0, 0])]
+    assert sizes["downsampler_array.sdf"]
+    for step in sizes["downsampler_array.sdf"]:
+        assert step.keys() == {"i", "o"}
+        assert isinstance(step["o"], int) and len(step["i"]) == 2

@@ -1,6 +1,7 @@
 from collections import Counter
 
 from conftest import comp, corpus_files, ev, it, load, sizes_for, tenv
+from test_runtime import array_config
 
 from sdflow.conformance import (
     check_preservation, check_progress_theorem, comp_occurrence_count,
@@ -8,10 +9,11 @@ from sdflow.conformance import (
     step_flowstate_internal, try_consume_comp,
 )
 from sdflow.parser import parse_program_or_raise
-from sdflow.runtime import Fault, Label, instantiate, run
+from sdflow.printer import print_proc_flow
+from sdflow.runtime import Fault, Label, instantiate, run, step_expr
 from sdflow.syntax import (
-    ChannelKind, Divides, IntLit, Iterator, Num, NumGuard, PActor, SizeKind,
-    ValueEnv, INF,
+    BoolLit, ChannelKind, Divides, IntLit, Iterator, MkIndex, Num, NumGuard,
+    PActor, Recv, Send, SizeKind, ValueEnv, INF,
 )
 
 ENV = tenv(c=ChannelKind(0, Num(4)), d=ChannelKind(1, Num(2)))
@@ -32,7 +34,7 @@ def test_empty_undelayed_buffer_types_empty():
 def test_buffered_items_record_pending_sends():
     net = _net("pipeline2.sdf")
     cfg = instantiate(net, {"n": 2})
-    cfg.heap.chans["c"] = (IntLit(7), IntLit(9))
+    cfg.heap.bufs[("c", None)] = (IntLit(7), IntLit(9))
     assert heap_flow_counts(net.tenv, cfg.heap) == Counter({("c", True): 2})
 
 
@@ -40,17 +42,38 @@ def test_delay_channel_prefill_types_empty_then_tracks_reads():
     net = _net("delayed_pipeline.sdf")
     cfg = instantiate(net, {})
     assert heap_flow_counts(net.tenv, cfg.heap) == Counter()
-    cfg.heap.pop("c")
+    cfg.heap.pop(("c", None))
     assert heap_flow_counts(net.tenv, cfg.heap) == Counter({("c", False): 1})
 
 
 def test_heap_flowstate_reports_ill_typed_contents():
     net = _net("pipeline2.sdf")
     cfg = instantiate(net, {"n": 2})
-    from sdflow.syntax import BoolLit
-    cfg.heap.chans["c"] = (BoolLit(True),)
+    cfg.heap.bufs[("c", None)] = (BoolLit(True),)
     _, diags = heap_flowstate(net.tenv, net.venv, cfg.heap)
     assert diags and "wrong type" in diags[0].message
+
+
+def test_delayed_array_counts_freed_slots_per_element():
+    net, cfg = array_config()
+    assert heap_flow_counts(net.tenv, cfg.heap) == Counter()
+    for e in (Recv("dr", MkIndex(IntLit(2))), Send("aw", MkIndex(IntLit(3)),
+                                                   IntLit(1))):
+        step_expr(e, cfg.heap, "a0", cfg.venv).effect(cfg.heap)
+    assert heap_flow_counts(net.tenv, cfg.heap) == Counter(
+        {("d", False, 2): 1, ("a", True, 3): 1})
+
+
+def test_each_ill_typed_array_value_gets_a_diagnostic():
+    net, cfg = array_config()
+    out = step_expr(Send("aw", MkIndex(IntLit(2)), BoolLit(True)),
+                    cfg.heap, "a0", cfg.venv)
+    out.effect(cfg.heap)
+    out.effect(cfg.heap)
+    flow, diags = heap_flowstate(net.tenv, net.venv, cfg.heap)
+    assert [(d.rule, d.message) for d in diags] == 2 * [
+        ("Heap", "buffer a[2] holds a value of the wrong type")]
+    assert print_proc_flow(flow) == "a[2]!<t in 1..2>"
 
 
 # --- flowstate reduction -----------------------------------------------------------

@@ -6,11 +6,11 @@ from sdflow.flowstate import proc_rate_summary
 from sdflow.kinding import eval_size
 from sdflow.parser import parse_program_or_raise
 from sdflow.runtime import (
-    Blocked, Configuration, Fault, InstantiationError, Stepped, explore,
+    Blocked, Configuration, Fault, InstantiationError, Stepped, Stuck, explore,
     instantiate, run, step_expr,
 )
 from sdflow.syntax import (
-    ActorE, FromSize, IntLit, MkSize, Send, Var, proc_components,
+    ActorE, FromSize, IntLit, MkIndex, MkSize, Recv, Send, Var, proc_components,
 )
 from sdflow.typecheck import check_proc
 
@@ -24,7 +24,7 @@ def _net(name, kind="good"):
 def test_instantiate_downsampler_buffers():
     net = _net("downsampler.sdf")
     cfg = instantiate(net, {"s": 8})
-    assert cfg.heap.chans == {"i": (), "o": ()}
+    assert cfg.heap.bufs == {("i", None): (), ("o", None): ()}
     assert cfg.heap.caps == {"i": 4, "o": 4}
     assert len(cfg.actors) == 3
 
@@ -32,7 +32,7 @@ def test_instantiate_downsampler_buffers():
 def test_instantiate_prefills_delay_channel():
     net = _net("delayed_pipeline.sdf")
     cfg = instantiate(net, {})
-    assert cfg.heap.chans["c"] == (IntLit(0), IntLit(0))
+    assert cfg.heap.bufs[("c", None)] == (IntLit(0), IntLit(0))
 
 
 def test_instantiate_unrolls_actor_comprehension():
@@ -40,7 +40,7 @@ def test_instantiate_unrolls_actor_comprehension():
     cfg = instantiate(net, {"s": 3})
     names = [a.name for a in cfg.actors]
     assert names == ["a0[1]", "a0[2]", "a0[3]", "a1"]
-    assert set(cfg.heap.arrays["a"].keys()) == {1, 2, 3}
+    assert set(cfg.heap.bufs) == {("a", 1), ("a", 2), ("a", 3)}
 
 
 def test_instantiate_requires_all_sizes():
@@ -69,24 +69,24 @@ def test_send_appends_and_labels():
     assert out.expr == IntLit(0)
     assert out.label is not None and out.label.chan == "c" and out.label.is_send
     out.effect(cfg.heap)
-    assert cfg.heap.chans["c"] == (IntLit(7),)
+    assert cfg.heap.bufs[("c", None)] == (IntLit(7),)
 
 
 def test_recv_pops_fifo_head():
     from sdflow.syntax import Recv
     net, cfg = _solo_config()
-    cfg.heap.chans["c"] = (IntLit(7), IntLit(9))
+    cfg.heap.bufs[("c", None)] = (IntLit(7), IntLit(9))
     out = step_expr(Recv("cr"), cfg.heap, "a1", cfg.venv)
     assert isinstance(out, Stepped)
     assert out.expr == IntLit(7)
     assert not out.label.is_send
     out.effect(cfg.heap)
-    assert cfg.heap.chans["c"] == (IntLit(9),)
+    assert cfg.heap.bufs[("c", None)] == (IntLit(9),)
 
 
 def test_send_blocks_on_full_buffer():
     net, cfg = _solo_config()
-    cfg.heap.chans["c"] = (IntLit(1), IntLit(2))  # capacity 2
+    cfg.heap.bufs[("c", None)] = (IntLit(1), IntLit(2))  # capacity 2
     out = step_expr(Send("cw", None, IntLit(3)), cfg.heap, "a0", cfg.venv)
     assert isinstance(out, Blocked)
 
@@ -99,9 +99,9 @@ def test_from_size_projects():
 
 def test_buffer_push_asserts_capacity():
     net, cfg = _solo_config()
-    cfg.heap.chans["c"] = (IntLit(1), IntLit(2))
+    cfg.heap.bufs[("c", None)] = (IntLit(1), IntLit(2))
     with pytest.raises(AssertionError):
-        cfg.heap.push("c", IntLit(3))
+        cfg.heap.push(("c", None), IntLit(3))
 
 
 # --- whole runs ------------------------------------------------------------------
@@ -185,3 +185,89 @@ def test_accumulator_sums_stream():
     assert result.status == "done"
     final = [a.expr for a in result.config.actors]
     assert final[2] == IntLit(1 + 2 + 3 + 4)
+
+
+# --- channel arrays and plain channels on one heap ------------------------------
+
+ARRAY_NET = """
+chan c : Channel(0, 1);
+chanarray a : ChannelArray(0, 2, 3);
+chanarray d : ChannelArray(1, 2, 2);
+chanarray e : ChannelArray(0, 1, 0);
+val w : Chan(-, c, Integer);
+val r : Chan(+, c, Integer);
+val aw : ChanArray(-, a, Integer, 3);
+val ar : ChanArray(+, a, Integer, 3);
+val dr : ChanArray(+, d, Integer, 2);
+flow eps;
+network { stop }
+"""
+
+
+def array_config():
+    net = parse_program_or_raise(ARRAY_NET)
+    return net, instantiate(net, {})
+
+
+def _step(cfg, e):
+    return step_expr(e, cfg.heap, "a0", cfg.venv)
+
+
+def test_array_element_blocks_when_full_and_when_empty():
+    _, cfg = array_config()
+    assert _step(cfg, Recv("ar", MkIndex(IntLit(2)))) == \
+        Blocked("buffer a[2] is empty")
+    for v in (5, 6):
+        out = _step(cfg, Send("aw", MkIndex(IntLit(2)), IntLit(v)))
+        assert isinstance(out, Stepped) and str(out.label) == "a[2]!"
+        out.effect(cfg.heap)
+    assert _step(cfg, Send("aw", MkIndex(IntLit(2)), IntLit(7))) == \
+        Blocked("buffer a[2] is full")
+    out = _step(cfg, Recv("ar", MkIndex(IntLit(2))))
+    assert isinstance(out, Stepped) and str(out.label) == "a[2]?"
+    assert out.expr == IntLit(5)
+    assert cfg.heap.buffer_sizes() == {"c": 0, "a": [0, 2, 0], "d": [2, 2],
+                                       "e": []}
+
+
+def test_plain_channel_blocks_when_full_and_when_empty():
+    _, cfg = array_config()
+    assert _step(cfg, Recv("r")) == Blocked("buffer c is empty")
+    out = _step(cfg, Send("w", None, IntLit(1)))
+    assert str(out.label) == "c!"
+    out.effect(cfg.heap)
+    assert _step(cfg, Send("w", None, IntLit(2))) == Blocked("buffer c is full")
+    with pytest.raises(AssertionError, match=r"buffer overflow on c$"):
+        out.effect(cfg.heap)
+
+
+def test_array_index_outside_bound_is_stuck():
+    _, cfg = array_config()
+    want = Stuck("index 4 outside channel array a")
+    assert _step(cfg, Send("aw", MkIndex(IntLit(4)), IntLit(1))) == want
+    assert _step(cfg, Recv("ar", MkIndex(IntLit(4)))) == want
+
+
+def test_array_element_push_asserts_capacity():
+    _, cfg = array_config()
+    out = _step(cfg, Send("aw", MkIndex(IntLit(3)), IntLit(1)))
+    out.effect(cfg.heap)
+    out.effect(cfg.heap)
+    with pytest.raises(AssertionError, match=r"buffer overflow on a\[3\]"):
+        out.effect(cfg.heap)
+
+
+@pytest.mark.parametrize("decl, rule, message", [
+    ("chan z : Channel(0, 0);", "Kind Chan", "channel z has zero capacity"),
+    ("chanarray z : ChannelArray(0, 0, 2);", "Kind Chan Array",
+     "channel array z has zero capacity"),
+    ("chanarray z : ChannelArray(0, inf, 0);", "Kind Chan",
+     "capacity of z is unbounded and cannot be instantiated"),
+    ("chanarray z : ChannelArray(0, 0, inf);", "Kind Chan",
+     "bound of z is unbounded and cannot be instantiated"),
+])
+def test_channel_instantiation_errors(decl, rule, message):
+    net = parse_program_or_raise(f"{decl}\nflow eps;\nnetwork {{ stop }}")
+    with pytest.raises(InstantiationError) as info:
+        instantiate(net, {})
+    assert (info.value.diag.rule, info.value.diag.message) == (rule, message)

@@ -103,3 +103,22 @@ def test_roundtrip_corpus():
     for f in corpus_files("good"):
         net = parse_program_or_raise(f.read_text())
         assert parse_program_or_raise(print_program(net)) == net, f.name
+
+
+def test_printers_walk_wide_networks_without_recursion():
+    from sdflow.printer import print_proc_flow
+    from sdflow.syntax import Event, PActor, par_flow
+    width = 3000
+    text = ("chan c : Channel(0, 1);\nflow "
+            + " || ".join(["eps"] * width) + ";\nnetwork {\n"
+            + "\n||\n".join(["  actor { 0 }"] * width) + "\n}\n")
+    net = parse_program_or_raise(text)
+    printed = print_program(net)
+    assert printed.count("actor { 0 }") == width
+    assert print_program(parse_program_or_raise(printed)) == printed
+    flow = par_flow(*(PActor(comp(Event(f"c{i}", True))) for i in range(2000)))
+    assert print_proc_flow(flow) == " || ".join(f"c{i}!" for i in range(2000))
+    net = parse_program_or_raise("chan c : Channel(0, 1);\n"
+                                 "val w : Chan(-, c, Integer);\n"
+                                 "flow eps || c!;\nnetwork { stop }")
+    assert print_proc_flow(net.flow) == "eps || c!"

@@ -1,7 +1,10 @@
+import pytest
+
 from conftest import comp, ev, it, load, seq
 
 from sdflow.flowstate import flowstates_equivalent, rate_summary
 from sdflow.parser import parse_program_or_raise
+from sdflow.printer import print_flow
 from sdflow.syntax import (
     ActorE, Divides, IntType, Num, PActor, PArray, PEmpty, SVar,
     flow_free_vars, proc_components,
@@ -176,3 +179,93 @@ network {
 """
     net = parse_program_or_raise(src)
     assert check_network(net).ok
+
+
+COMM_DECLS = """size s : Size(inf);
+chan c : Channel(0, 1);
+chanarray a : ChannelArray(0, 1, 2);
+val w : Chan(-, c, Integer);
+val r : Chan(+, c, Integer);
+val aw : ChanArray(-, a, Integer, 2);
+val ar : ChanArray(+, a, Integer, 2);
+val n : Integer;
+val sz : Size(s);
+flow eps;
+"""
+
+LOOP = "for (t, x in 1..size(2)) "
+SEND, RECV = "Val Send", "Val Receive"
+SEND_A, RECV_A = "Val Send Array", "Val Recv Array"
+INDEX = "array index must be a loop index"
+
+
+@pytest.mark.parametrize("body, diags, flow", [
+    ("send w 1", [], "c!"),
+    ("recv r", [], "c?"),
+    (LOOP + "send aw[x] 1", [], "a[t]!<t in 1..2>"),
+    (LOOP + "recv ar[x]", [], "a[t]?<t in 1..2>"),
+    ("send q 1", [(SEND, "unknown channel q")], "eps"),
+    ("recv q", [(RECV, "unknown channel q")], "eps"),
+    ("send n 1", [(SEND, "n is not a channel")], "eps"),
+    ("recv n", [(RECV, "n is not a channel")], "eps"),
+    (LOOP + "send w[x] 1", [(SEND, "w is not a channel array")], "c!<t in 1..2>"),
+    (LOOP + "recv r[x]", [(RECV, "r is not a channel array")], "c?<t in 1..2>"),
+    # the index of a plain channel is not inferred
+    ("send w[q] 1", [(SEND, "w is not a channel array")], "c!"),
+    ("recv r[q]", [(RECV, "r is not a channel array")], "c?"),
+    # an array access without an index stops before the payload
+    ("send aw q", [(SEND_A, "aw is a channel array and needs an index")], "eps"),
+    ("recv ar", [(RECV_A, "ar is a channel array and needs an index")], "eps"),
+    ("send r 1", [(SEND, "send on receive-only channel r")], "c!"),
+    ("recv w", [(RECV, "receive on send-only channel w")], "c?"),
+    (LOOP + "send ar[x] 1", [(SEND_A, "send on receive-only channel array ar")],
+     "a[t]!<t in 1..2>"),
+    (LOOP + "recv aw[x]", [(RECV_A, "receive on send-only channel array aw")],
+     "a[t]?<t in 1..2>"),
+    ("send aw[1] 1", [(SEND_A, INDEX)], "eps"),
+    ("recv ar[1]", [(RECV_A, INDEX)], "eps"),
+    ("for (t, x in 1..sz) send aw[x] 1",
+     [(SEND_A, "index may exceed the bound of aw")], "a[t]!<t in 1..s>"),
+    ("for (t, x in 1..sz) recv ar[x]",
+     [(RECV_A, "index may exceed the bound of ar")], "a[t]?<t in 1..s>"),
+    ("send w true", [(SEND, "payload type mismatch on w")], "c!"),
+    (LOOP + "send aw[x] true", [(SEND_A, "payload type mismatch on aw")],
+     "a[t]!<t in 1..2>"),
+    # rule order: index, polarity, then payload; the index before the payload
+    ("send r[q] true", [(SEND, "r is not a channel array"),
+                        (SEND, "send on receive-only channel r"),
+                        (SEND, "payload type mismatch on r")], "c!"),
+    ("send ar[q] p", [(SEND_A, "send on receive-only channel array ar"),
+                      ("Val Var", "unknown name q"), (SEND_A, INDEX),
+                      ("Val Var", "unknown name p")], "eps"),
+    ("recv ar[q]", [("Val Var", "unknown name q"), (RECV_A, INDEX)], "eps"),
+])
+def test_send_and_receive_rules(body, diags, flow):
+    net = parse_program_or_raise(COMM_DECLS + f"network {{ actor {{ {body} }} }}")
+    res = infer_expr(net.tenv, net.venv, _actor_expr(net, 0))
+    assert [(d.rule, d.message) for d in res.diagnostics] == diags
+    assert print_flow(res.flow) == flow
+
+
+def test_channel_bindings_must_agree_on_payload():
+    # the reader would otherwise receive the prefilled `false` as an integer
+    # and get stuck on `v + 1`
+    net = parse_program_or_raise("""
+chan c : Channel(1, 1);
+val w : Chan(-, c, Boolean);
+val r : Chan(+, c, Integer);
+flow c! || c?;
+network {
+  actor { let v = recv r; v + 1 }
+  ||
+  actor { send w true }
+}
+""")
+    res = check_network(net)
+    assert [(d.rule, d.message) for d in res.diagnostics] == [
+        ("ValEnv Chan Payload", "r carries Integer on c, but w carries Boolean")]
+    arrays = COMM_DECLS.replace("val ar : ChanArray(+, a, Integer, 2);",
+                                "val ar : ChanArray(+, a, Boolean, 2);")
+    res = check_network(parse_program_or_raise(arrays + "network { stop }"))
+    assert [d.rule for d in res.diagnostics] == ["ValEnv Chan Payload"]
+    assert "ar" in res.diagnostics[0].message and "aw" in res.diagnostics[0].message
