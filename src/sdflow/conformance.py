@@ -355,7 +355,7 @@ def check_preservation(net: Network, sizes: dict[str, int],
             f"initial heap flowstate {_counts_str(heap_before)}"))
     state = {"heap_counts": heap_before}
 
-    def observer(entry, before: Configuration, after: Configuration):
+    def observer(entry, after: Configuration):
         label = entry.label
         if label is None:
             return

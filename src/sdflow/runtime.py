@@ -7,11 +7,20 @@ iteration ranges that produce their indices.  Capacities are per channel.
 Actors take turns under a scheduler; a send on a full buffer or a receive on
 an empty one is simply not enabled, and a configuration where no actor can
 step while some are unfinished is a deadlock.
+
+`run` mutates its own copy of the configuration and re-polls only woken
+actors: the one that moved and those whose last outcome read the buffer the
+step pushed or popped (a step that writes a heap cell wakes everyone), so
+polls per step do not grow with the number of actors; each communication
+still copies the trace's buffer-size snapshot.  Its observer is called as
+`observer(entry, cfg)` after each commit.  `explore` copies a configuration
+before committing into it, so copy-on-write lives only in exploration.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
@@ -233,12 +242,13 @@ def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
 class Stepped:
     expr: Expr
     label: Optional[Label] = None
-    effect: Optional[Callable] = None  # applied to a heap copy when committed
+    effect: Optional[Callable] = None  # applied to the heap when committed
 
 
 @dataclass
 class Blocked:
     reason: str
+    key: Optional[BufferKey] = field(default=None, compare=False)  # waited on
 
 
 @dataclass
@@ -441,11 +451,11 @@ def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: ValueEnv):
     buf = heap.bufs[key]
     if is_send:
         if len(buf) >= heap.caps[ty.name]:
-            return Blocked(f"buffer {buffer_name(key)} is full")
+            return Blocked(f"buffer {buffer_name(key)} is full", key)
         return Stepped(IntLit(0), Label(ty.name, True, key[1]),
                        lambda h: h.push(key, e.payload))
     if not buf:
-        return Blocked(f"buffer {buffer_name(key)} is empty")
+        return Blocked(f"buffer {buffer_name(key)} is empty", key)
     return Stepped(buf[0], Label(ty.name, False, key[1]),
                    lambda h: h.pop(key))
 
@@ -493,12 +503,11 @@ def _actor_outcome(cfg: Configuration, i: int):
 
 
 def commit(cfg: Configuration, i: int, out: Stepped,
-           drop_effect: bool = False) -> Configuration:
-    new = cfg.copy()
-    new.actors[i] = Actor(cfg.actors[i].name, out.expr)
+           drop_effect: bool = False) -> None:
+    """Apply actor i's polled step to `cfg` in place."""
+    cfg.actors[i].expr = out.expr
     if out.effect is not None and not drop_effect:
-        out.effect(new.heap)
-    return new
+        out.effect(cfg.heap)
 
 
 @dataclass
@@ -510,49 +519,86 @@ class Fault:
 def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
         max_steps: int = 500_000, observer: Optional[Callable] = None,
         fault: Optional[Fault] = None) -> RunResult:
+    """Execute one schedule on a copy of `cfg`, committing in place and
+    re-polling only woken actors (see the module docstring).  Enabled actors
+    stay in index order, so both schedulers choose exactly as if every actor
+    were polled every step."""
     cfg = cfg.copy()
+    actors, heap = cfg.actors, cfg.heap
+    outcomes: list = [None] * len(actors)
+    waits: list = [None] * len(actors)   # buffer key each outcome read
+    readers: dict = {key: set() for key in heap.bufs}
+    enabled: list[int] = []              # actors with a Stepped outcome
+
+    def poll(j: int) -> None:
+        if isinstance(outcomes[j], Stepped):
+            del enabled[bisect_left(enabled, j)]
+        if waits[j] is not None:
+            readers[waits[j]].discard(j)
+        outcomes[j] = out = _actor_outcome(cfg, j)
+        key = None
+        if isinstance(out, Stepped):
+            insort(enabled, j)
+            if out.label is not None:
+                key = (out.label.chan, out.label.index)
+        elif isinstance(out, Blocked):
+            key = out.key
+        waits[j] = key
+        if key is not None:
+            readers[key].add(j)
+
+    for j in range(len(actors)):
+        poll(j)
+    live = sum(not a.done for a in actors)
+    sizes = heap.buffer_sizes()  # snapshots are shared by trace entries
     trace: list[TraceStep] = []
     counts: Counter = Counter()
     rng = random.Random(seed)
     rr = 0
     sends_seen = 0
-    for step_no in range(max_steps):
-        if cfg.done():
+    for _ in range(max_steps):
+        if not live:
             return RunResult("done", trace, cfg, comm_counts=counts)
-        candidates = []
-        blocked: dict = {}
-        for i in range(len(cfg.actors)):
-            out = _actor_outcome(cfg, i)
-            if isinstance(out, Stepped):
-                candidates.append((i, out))
-            elif isinstance(out, (Blocked, Stuck)):
-                blocked[cfg.actors[i].name] = out.reason
-        if not candidates:
+        if not enabled:
+            blocked = {a.name: out.reason for a, out in zip(actors, outcomes)
+                       if isinstance(out, (Blocked, Stuck))}
             return RunResult("deadlock", trace, cfg, blocked, counts)
         if scheduler == "roundRobin":
-            chosen = next((c for c in candidates if c[0] >= rr),
-                          candidates[0])
-            rr = (chosen[0] + 1) % len(cfg.actors)
+            k = bisect_left(enabled, rr)
+            i = enabled[k] if k < len(enabled) else enabled[0]
+            rr = (i + 1) % len(actors)
         elif scheduler == "random":
-            chosen = candidates[rng.randrange(len(candidates))]
+            i = enabled[rng.randrange(len(enabled))]
         else:
             raise ValueError(f"unknown scheduler {scheduler}")
-        i, out = chosen
+        out = outcomes[i]
+        label = out.label
         drop = False
-        if out.label is not None and out.label.is_send:
+        if label is not None and label.is_send:
             sends_seen += 1
-            if fault is not None and sends_seen == fault.drop_send:
-                drop = True
-        before = cfg
-        cfg = commit(cfg, i, out, drop_effect=drop)
-        if out.label is not None:
-            key = (out.label.chan, "send" if out.label.is_send else "recv")
-            counts[key] += 1
-        entry = TraceStep(len(trace), before.actors[i].name, out.label,
-                          cfg.heap.buffer_sizes())
+            drop = fault is not None and sends_seen == fault.drop_send
+        commit(cfg, i, out, drop_effect=drop)
+        if actors[i].done:
+            live -= 1
+        if label is None:
+            wake = (i,) if out.effect is None else range(len(actors))
+        else:
+            counts[(label.chan, "send" if label.is_send else "recv")] += 1
+            key = (label.chan, label.index)
+            fill = len(heap.bufs[key])
+            sizes = dict(sizes)
+            if label.index is None:
+                sizes[label.chan] = fill
+            else:
+                sizes[label.chan] = fills = list(sizes[label.chan])
+                fills[label.index - 1] = fill
+            wake = tuple(readers[key])  # actor i among them
+        for j in wake:
+            poll(j)
+        entry = TraceStep(len(trace), actors[i].name, label, sizes)
         trace.append(entry)
         if observer is not None:
-            observer(entry, before, cfg)
+            observer(entry, cfg)
     return RunResult("error", trace, cfg,
                      {"*": f"exceeded {max_steps} steps"}, counts)
 
@@ -614,7 +660,8 @@ def explore(cfg: Configuration, max_states: int = 300_000,
                     stuck.append(current)
             continue
         for i, out in outs:
-            nxt = commit(current, i, out)
+            nxt = current.copy()
+            commit(nxt, i, out)
             nc = Counter(counts)
             if out.label is not None:
                 nc[(out.label.chan,

@@ -9,6 +9,7 @@ structural equality so that parse/print round-trips compare clean.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -495,11 +496,12 @@ def subst_flow(fs: ActorFlow, var: str, repl: SizeExpr) -> ActorFlow:
 class TypeEnv:
     items: tuple[tuple[str, Kind], ...] = ()
 
+    @functools.cached_property
+    def _index(self) -> dict:
+        return dict(self.items)  # later bindings shadow earlier ones
+
     def lookup(self, name: str) -> Optional[Kind]:
-        for n, k in reversed(self.items):
-            if n == name:
-                return k
-        return None
+        return self._index.get(name)
 
     def extend(self, name: str, kind: Kind) -> "TypeEnv":
         return TypeEnv(self.items + ((name, kind),))
@@ -515,11 +517,12 @@ class TypeEnv:
 class ValueEnv:
     items: tuple[tuple[str, ValueType], ...] = ()
 
+    @functools.cached_property
+    def _index(self) -> dict:
+        return dict(self.items)  # later bindings shadow earlier ones
+
     def lookup(self, name: str) -> Optional[ValueType]:
-        for n, t in reversed(self.items):
-            if n == name:
-                return t
-        return None
+        return self._index.get(name)
 
     def extend(self, name: str, ty: ValueType) -> "ValueEnv":
         return ValueEnv(self.items + ((name, ty),))

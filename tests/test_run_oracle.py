@@ -1,0 +1,170 @@
+"""`runtime.run` against the step machine it replaced.
+
+`polling_run` polls every actor on every step and commits into a fresh copy
+of the configuration.  The wake-on-buffer machine in `sdflow.runtime` must
+give the same trace, status, blocked reasons (in order), communication
+counts, final configuration and observer calls on every network, scheduler,
+seed and fault.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+from conftest import corpus_files, sizes_for
+from hypothesis import given, settings, strategies as st
+from test_runtime import (
+    RACY_REF, REF_OVER_CHANNEL, STUCK_BESIDE_BLOCKED, TWO_WRITERS,
+)
+
+from sdflow import conformance
+from sdflow.parser import parse_program_or_raise
+from sdflow.runtime import (
+    Actor, Blocked, Fault, InstantiationError, RunResult, Stepped, Stuck,
+    TraceStep, instantiate, run, step_expr,
+)
+
+
+# --- the replaced implementation --------------------------------------------
+
+def polling_run(cfg, scheduler="roundRobin", seed=0, max_steps=500_000,
+                observer=None, fault=None):
+    cfg = cfg.copy()
+    trace = []
+    counts = Counter()
+    rng = random.Random(seed)
+    rr = 0
+    sends_seen = 0
+    for _ in range(max_steps):
+        if cfg.done():
+            return RunResult("done", trace, cfg, comm_counts=counts)
+        candidates = []
+        blocked = {}
+        for i, actor in enumerate(cfg.actors):
+            out = None if actor.done else \
+                step_expr(actor.expr, cfg.heap, actor.name, cfg.venv)
+            if isinstance(out, Stepped):
+                candidates.append((i, out))
+            elif isinstance(out, (Blocked, Stuck)):
+                blocked[actor.name] = out.reason
+        if not candidates:
+            return RunResult("deadlock", trace, cfg, blocked, counts)
+        if scheduler == "roundRobin":
+            chosen = next((c for c in candidates if c[0] >= rr),
+                          candidates[0])
+            rr = (chosen[0] + 1) % len(cfg.actors)
+        elif scheduler == "random":
+            chosen = candidates[rng.randrange(len(candidates))]
+        else:
+            raise ValueError(f"unknown scheduler {scheduler}")
+        i, out = chosen
+        drop = False
+        if out.label is not None and out.label.is_send:
+            sends_seen += 1
+            if fault is not None and sends_seen == fault.drop_send:
+                drop = True
+        before = cfg
+        cfg = cfg.copy()
+        cfg.actors[i] = Actor(before.actors[i].name, out.expr)
+        if out.effect is not None and not drop:
+            out.effect(cfg.heap)
+        if out.label is not None:
+            key = (out.label.chan, "send" if out.label.is_send else "recv")
+            counts[key] += 1
+        entry = TraceStep(len(trace), before.actors[i].name, out.label,
+                          cfg.heap.buffer_sizes())
+        trace.append(entry)
+        if observer is not None:
+            observer(entry, cfg)
+    return RunResult("error", trace, cfg,
+                     {"*": f"exceeded {max_steps} steps"}, counts)
+
+
+# --- comparison -------------------------------------------------------------
+
+def _outcome(runner, net, sizes, **kwargs):
+    seen = []
+
+    def observer(entry, cfg):
+        seen.append((entry.to_json(), [a.expr for a in cfg.actors],
+                     cfg.heap.freeze()))
+    result = runner(instantiate(net, sizes), observer=observer, **kwargs)
+    return {"status": result.status,
+            "trace": [t.to_json() for t in result.trace],
+            "blocked": list(result.blocked.items()),
+            "counts": sorted(result.comm_counts.items()),
+            "actors": [(a.name, a.expr) for a in result.config.actors],
+            "heap": (result.config.heap.locs, result.config.heap.bufs,
+                     result.config.heap.next_slot),
+            "observed": seen}
+
+
+def assert_same_run(net, sizes, **kwargs):
+    assert _outcome(run, net, sizes, **kwargs) == \
+        _outcome(polling_run, net, sizes, **kwargs)
+
+
+SCHEDULES = ([{"scheduler": "roundRobin"}]
+             + [{"scheduler": "random", "seed": s} for s in range(6)]
+             + [{"fault": Fault(drop_send=n)} for n in (1, 2, 3)])
+
+HAND_WRITTEN = {"two_writers": (TWO_WRITERS, {}),
+                "racy_ref": (RACY_REF, {}),
+                "ref_over_channel": (REF_OVER_CHANNEL, {}),
+                "stuck_beside_blocked": (STUCK_BESIDE_BLOCKED,
+                                         {"s": 2, "k": 3})}
+
+CORPUS_NETS = [(f"{kind}/{p.name}", parse_program_or_raise(p.read_text()))
+               for kind in ("good", "rejected") for p in corpus_files(kind)]
+
+
+@pytest.mark.parametrize("name, net", CORPUS_NETS,
+                         ids=[name for name, _ in CORPUS_NETS])
+def test_run_matches_polling_run_on_corpus(name, net):
+    for v in (1, 2, 3, 5):
+        sizes = sizes_for(net, v)
+        try:
+            instantiate(net, sizes)
+        except InstantiationError:
+            continue
+        for kwargs in SCHEDULES:
+            assert_same_run(net, sizes, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+def test_run_matches_polling_run_on_hand_written_networks(name):
+    source, sizes = HAND_WRITTEN[name]
+    net = parse_program_or_raise(source)
+    for kwargs in SCHEDULES + [{"max_steps": k} for k in (0, 1, 5, 19, 20)]:
+        assert_same_run(net, sizes, **kwargs)
+
+
+def test_preservation_report_matches_polling_run(monkeypatch):
+    reports = {}
+    for runner in (run, polling_run):
+        monkeypatch.setattr(conformance, "run", runner)
+        reports[runner] = [
+            conformance.check_preservation(net, sizes_for(net, 3),
+                                           **kwargs).to_json()
+            for _, net in CORPUS_NETS
+            for kwargs in ({"scheduler": "random", "seed": 4},
+                           {"fault": Fault(drop_send=2)})]
+    assert reports[run] == reports[polling_run]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CORPUS_NETS), st.integers(1, 6),
+       st.sampled_from(["roundRobin", "random"]), st.integers(0, 2**31),
+       st.one_of(st.none(), st.integers(1, 6)),
+       st.one_of(st.just(500_000), st.integers(0, 60)))
+def test_run_matches_polling_run_on_random_sizes_and_seeds(
+        named, v, scheduler, seed, drop, max_steps):
+    _, net = named
+    sizes = sizes_for(net, v)
+    try:
+        instantiate(net, sizes)
+    except InstantiationError:
+        return
+    assert_same_run(net, sizes, scheduler=scheduler, seed=seed,
+                    max_steps=max_steps,
+                    fault=None if drop is None else Fault(drop))

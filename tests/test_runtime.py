@@ -2,6 +2,7 @@ import pytest
 
 from conftest import load, sizes_for
 
+from sdflow import runtime
 from sdflow.flowstate import proc_rate_summary
 from sdflow.kinding import eval_size
 from sdflow.parser import parse_program_or_raise
@@ -12,7 +13,7 @@ from sdflow.runtime import (
 from sdflow.syntax import (
     ActorE, FromSize, IntLit, MkIndex, MkSize, Recv, Send, Var, proc_components,
 )
-from sdflow.typecheck import check_proc
+from sdflow.typecheck import check_network, check_proc
 
 
 def _net(name, kind="good"):
@@ -271,3 +272,141 @@ def test_channel_instantiation_errors(decl, rule, message):
     with pytest.raises(InstantiationError) as info:
         instantiate(net, {})
     assert (info.value.diag.rule, info.value.diag.message) == (rule, message)
+
+
+# --- runs through rarely taken paths ----------------------------------------
+
+TWO_WRITERS = """
+chan c : Channel(0, 2);
+val cw1 : Chan(-, c, Integer);
+val cw2 : Chan(-, c, Integer);
+val cr : Chan(+, c, Integer);
+flow c!<t in 1..2> || c!<t in 1..2> || c?<t in 1..4>;
+network {
+  actor { send cw1 1; send cw1 2 }
+  ||
+  actor { send cw2 3; send cw2 4 }
+  ||
+  actor { let a = recv cr; let b = recv cr; let c = recv cr; let d = recv cr;
+          a * 1000 + b * 100 + c * 10 + d }
+}
+"""
+
+REF_OVER_CHANNEL = """
+chan c : Channel(0, 1);
+chan d : Channel(0, 1);
+val cw : Chan(-, c, Ref(Integer));
+val cr : Chan(+, c, Ref(Integer));
+val dw : Chan(-, d, Integer);
+val dr : Chan(+, d, Integer);
+flow c! ; d? || c? ; d!;
+network {
+  actor { let r = ref 5; send cw r; recv dr; !r }
+  ||
+  actor { let q = recv cr; q := !q + 37; send dw 0 }
+}
+"""
+
+# the receiver assigns the sender's cell while the sender may be reading it
+RACY_REF = """
+chan c : Channel(0, 1);
+val cw : Chan(-, c, Ref(Integer));
+val cr : Chan(+, c, Ref(Integer));
+flow c! || c?;
+network {
+  actor { let r = ref 5; send cw r; !r + !r }
+  ||
+  actor { let q = recv cr; q := 37 }
+}
+"""
+
+STUCK_BESIDE_BLOCKED = """
+size s : Size(inf);
+size k : Size(inf);
+chanarray a : ChannelArray(0, 2, s);
+chan b : Channel(0, 1);
+val kk : Size(k);
+val aw : ChanArray(-, a, Integer, s);
+val ar : ChanArray(+, a, Integer, s);
+val br : Chan(+, b, Integer);
+flow eps;
+network {
+  actor { for (t, x in 1..kk) send aw[x] 1 }
+  ||
+  actor { recv ar[index(1)]; recv ar[index(2)] }
+  ||
+  actor { recv br }
+}
+"""
+
+
+def test_two_writers_on_one_channel_interleave():
+    net = parse_program_or_raise(TWO_WRITERS)
+    assert not check_network(net).ok
+    result = run(instantiate(net, {}))
+    assert result.status == "done"
+    assert result.config.actors[2].expr == IntLit(1324)
+    assert dict(result.comm_counts) == {("c", "send"): 4, ("c", "recv"): 4}
+    assert len(result.trace) == 20
+
+
+def test_ref_sent_over_channel_is_assigned_by_receiver():
+    net = parse_program_or_raise(REF_OVER_CHANNEL)
+    assert check_network(net).ok
+    for scheduler, seed in (("roundRobin", 0), ("random", 3)):
+        result = run(instantiate(net, {}), scheduler=scheduler, seed=seed)
+        assert result.status == "done"
+        assert result.config.actors[0].expr == IntLit(42)
+        assert result.config.heap.locs == {("a0", 0): IntLit(42)}
+
+
+def test_assignment_is_seen_by_an_actor_about_to_dereference():
+    net = parse_program_or_raise(RACY_REF)
+    result = run(instantiate(net, {}))
+    assert result.config.actors[0].expr == IntLit(5 + 37)
+    finals = {run(instantiate(net, {}), scheduler="random", seed=seed)
+              .config.actors[0].expr.value for seed in range(12)}
+    assert finals == {5 + 5, 5 + 37, 37 + 37}
+
+
+def test_stuck_actor_is_reported_beside_blocked_one():
+    net = parse_program_or_raise(STUCK_BESIDE_BLOCKED)
+    result = run(instantiate(net, {"s": 2, "k": 3}))
+    assert result.status == "deadlock"
+    assert result.blocked == {"a0": "index 3 outside channel array a",
+                              "a2": "buffer b is empty"}
+    assert result.config.actors[1].done
+    assert result.config.heap.buffer_sizes() == {"a": [0, 0], "b": 0}
+
+
+def test_max_steps_exhaustion_is_an_error():
+    net = _net("pipeline2.sdf")
+    result = run(instantiate(net, {"n": 4}), max_steps=5)
+    assert result.status == "error"
+    assert result.blocked == {"*": "exceeded 5 steps"}
+    assert len(result.trace) == 5
+
+
+def test_run_polls_only_woken_actors(monkeypatch):
+    # the pipeline perfbench's run-scale workload grows in actor count
+    from test_netcheck import pipeline_source
+    polls = depth = 0
+
+    def counting(*args):
+        nonlocal polls, depth
+        polls += depth == 0  # step_expr recurses through its module global
+        depth += 1
+        try:
+            return step_expr(*args)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(runtime, "step_expr", counting)
+    per_step = {}
+    for n in (16, 64):
+        polls = 0
+        result = run(instantiate(parse_program_or_raise(pipeline_source(n)),
+                                 {"s": 4}))
+        assert result.status == "done"
+        per_step[n] = polls / len(result.trace)
+    assert max(per_step.values()) <= 2, per_step

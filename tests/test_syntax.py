@@ -122,3 +122,15 @@ def test_printers_walk_wide_networks_without_recursion():
                                  "val w : Chan(-, c, Integer);\n"
                                  "flow eps || c!;\nnetwork { stop }")
     assert print_proc_flow(net.flow) == "eps || c!"
+
+
+def test_env_lookup_index_shadows_like_a_reversed_scan():
+    from sdflow.syntax import IntType, BoolType, SizeKind, TypeEnv, ValueEnv
+    venv = ValueEnv((("x", IntType()), ("y", IntType()))).extend("x", BoolType())
+    assert venv.lookup("x") == BoolType() and venv.lookup("y") == IntType()
+    assert venv.lookup("z") is None and "y" in venv and "z" not in venv
+    tenv = TypeEnv((("s", SizeKind(Num(1))), ("s", SizeKind(Num(2)))))
+    assert tenv.lookup("s") == SizeKind(Num(2))
+    # the cached index is not part of equality or hashing
+    fresh = TypeEnv(tenv.items)
+    assert fresh == tenv and hash(fresh) == hash(tenv)
