@@ -1,30 +1,33 @@
-"""Sessional dataflow kernel: parser, checker, scheduler and interpreter."""
+"""Sessional dataflow kernel: parser, checker, scheduler and interpreter.
 
-from .conformance import (
-    check_preservation, check_progress_theorem, heap_flowstate,
-    step_flowstate, step_flowstate_internal,
-)
-from .flowstate import (
-    distribute_guard, distribute_iterator, flowstates_equivalent, fold_guards,
-    rate_summary,
-)
-from .kinding import eval_size, kind_of, normalize_size, size_leq
-from .netcheck import (
-    check_determinism, check_progress, classify_event, complement_event,
-    inchans, outchans,
-)
-from .parser import parse_program, parse_program_or_raise
-from .printer import print_flow, print_proc_flow, print_program
-from .runtime import Fault, explore, instantiate, run
-from .typecheck import check_network, check_proc, infer_expr
+Public names are imported on first access, so `sdflow check` never loads
+the runtime or the conformance harness."""
 
-__all__ = [
-    "parse_program", "parse_program_or_raise", "print_program", "print_flow",
-    "print_proc_flow", "eval_size", "normalize_size", "size_leq", "kind_of",
-    "fold_guards", "distribute_iterator", "distribute_guard", "rate_summary",
-    "flowstates_equivalent", "infer_expr", "check_proc", "check_network",
-    "classify_event", "complement_event", "inchans", "outchans",
-    "check_determinism", "check_progress", "instantiate", "run", "explore",
-    "Fault", "heap_flowstate", "step_flowstate", "step_flowstate_internal",
-    "check_preservation", "check_progress_theorem",
-]
+import importlib
+
+_EXPORTS = {
+    "conformance": ["check_preservation", "check_progress_theorem",
+                    "heap_flowstate", "step_flowstate",
+                    "step_flowstate_internal"],
+    "flowstate": ["distribute_guard", "distribute_iterator",
+                  "flowstates_equivalent", "fold_guards", "rate_summary"],
+    "kinding": ["eval_size", "kind_of", "normalize_size", "size_leq"],
+    "netcheck": ["check_determinism", "check_progress", "classify_event",
+                 "complement_event", "inchans", "outchans"],
+    "parser": ["parse_program", "parse_program_or_raise"],
+    "printer": ["print_flow", "print_proc_flow", "print_program"],
+    "runtime": ["Fault", "explore", "instantiate", "run"],
+    "typecheck": ["check_network", "check_proc", "infer_expr"],
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value

@@ -12,10 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-from .conformance import check_preservation, check_progress_theorem
 from .netcheck import schedule_to_json
 from .parser import parse_program
-from .runtime import instantiate, run, InstantiationError
 from .syntax import Diagnostic, Network
 from .typecheck import check_network
 
@@ -147,13 +145,13 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "run":
+        from .runtime import InstantiationError, explore, instantiate, run
         try:
             cfg = instantiate(net, sizes)
         except InstantiationError as exc:
             _report([exc.diag])
             raise SystemExit(EXIT_CHECK)
         if args.scheduler == "exhaustive":
-            from .runtime import explore
             ex = explore(cfg, max_states=args.max_states)
             payload = {"status": "done" if ex.all_complete else "deadlock",
                        "states": ex.states,
@@ -186,6 +184,8 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "conform":
+        from .conformance import check_preservation, check_progress_theorem
+        from .runtime import InstantiationError
         try:
             pres = check_preservation(net, sizes, scheduler=args.scheduler,
                                       seed=args.seed, name=args.input)

@@ -18,7 +18,6 @@ two independent views.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
 from .flowstate import count_in_range
@@ -34,7 +33,7 @@ from .syntax import (
     Diagnostic, Event, IntLit, IntType, Iterator, Network, Num, NumGuard,
     PActor, Par, PArray, ProcFlow, SizeType, Stop, TypeEnv, ValueEnv,
     flow_comps, par_flow, proc_components, proc_flow_components, seq_flow,
-    subst_comp, subst_flow, subst_size, MkSize, MkIndex,
+    subst_comp, subst_flow, subst_size, MkSize, MkIndex, record,
 )
 from .typecheck import Checker
 
@@ -294,7 +293,7 @@ def _ground_size(e, sizes: dict[str, int]):
 # Theorem checking
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class Violation:
     step: int
     clause: str    # "flow-reduction" | "clause-1" | "clause-2" | "final" | "run"
@@ -306,7 +305,7 @@ class Violation:
                 "expected": self.expected, "actual": self.actual}
 
 
-@dataclass
+@record
 class ConformanceReport:
     network: str
     sizes: dict
@@ -412,7 +411,7 @@ def check_preservation(net: Network, sizes: dict[str, int],
                              len(result.trace), violations)
 
 
-@dataclass
+@record
 class ProgressReport:
     network: str
     sizes: dict

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .kinding import (
@@ -27,7 +26,7 @@ from .syntax import (
     Divides, Event, FEmpty, FSeq, Guard, Iterator, Mul, Num, NumGuard,
     PActor, PArray, ProcFlow, SizeArithmeticError, SizeExpr, SizeKind, SMin,
     Sub, SVar, TypeEnv, flow_comps, flow_free_vars, free_size_vars,
-    fresh_var, subst_flow, proc_flow_components,
+    fresh_var, subst_flow, proc_flow_components, record,
 )
 
 
@@ -277,12 +276,12 @@ def fold_guards(fs: ActorFlow) -> ActorFlow:
 # Rate summaries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SingleIndex:
     index: SizeExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RangeIndex:
     lo: SizeExpr
     hi: SizeExpr

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .flowstate import (
@@ -46,7 +45,7 @@ from .printer import print_comp, print_size
 from .syntax import (
     Add, ChannelArrayKind, ChannelKind, Comp, Diagnostic, Event, Infinity,
     Iterator, Mul, Num, PActor, PArray, ProcFlow, SizeExpr, Sub, SVar,
-    TypeEnv, flow_comps, subst_flow, proc_flow_components,
+    TypeEnv, field, flow_comps, subst_flow, proc_flow_components, record,
 )
 
 PRODUCER = "producer"
@@ -211,7 +210,7 @@ def check_determinism(tenv: TypeEnv, fs: ProcFlow) -> list[Diagnostic]:
 # Progress
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _CanonComp:
     """Comprehension in matching form: event plus renamed iterators.  The
     comprehension it came from is kept only to describe it."""
@@ -356,14 +355,18 @@ class Record:
             return False
         counts = comp_concrete(comp)
         if counts is not None:
-            want = _complement_counts(counts)
-            producers = sorted({k[-1] for k in self.numeric if k[-1] != consumer})
-            for producer in producers:
-                tagged = {k + (producer,): v for k, v in want.items()}
-                if all(self.numeric.get(k, 0) >= v for k, v in tagged.items()):
-                    _take(self.numeric, tagged)
-                    return True
-            return False
+            # elements may come from different producers, as from the
+            # unrolled members of a literal-width actor array
+            left = _complement_counts(counts)
+            taken = {}
+            for k, have in self.numeric.items():
+                if k[-1] != consumer and left.get(k[:-1], 0) > 0:
+                    taken[k] = min(have, left[k[:-1]])
+                    left[k[:-1]] -= taken[k]
+            if any(left.values()):
+                return False
+            _take(self.numeric, taken)
+            return True
         want_canon = _complement_canon(comp)
         for (canon, producer), n in sorted(self.symbolic.items(),
                                            key=lambda kv: str(kv[0])):
@@ -395,7 +398,7 @@ def _take(counts: Counter, taken: dict) -> None:
             del counts[k]
 
 
-@dataclass
+@record
 class ScheduleStep:
     actor: str
     action: str  # "produce" | "consume"

@@ -7,7 +7,6 @@ column, never as exceptions escaping `parse_program`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .syntax import (
@@ -18,7 +17,7 @@ from .syntax import (
     MkSize, Mul, Network, NewRef, Num, PActor, Par, PArray, PEmpty, PPar,
     Proc, ProcFlow, ProcType, Recv, RefType, Send, SeqE, SizeExpr, SizeKind,
     SizeType, SMin, Stop, Sub, SVar, TypeEnv, ValueEnv, Var, When,
-    ActorFlow, INF, Loc,
+    ActorFlow, INF, Loc, record,
 )
 
 KEYWORDS = {
@@ -38,7 +37,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     kind: str  # "num" | "ident" | "kw" | "op" | "eof"
     text: str

@@ -22,7 +22,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 from .kinding import eval_size, is_inf
@@ -31,7 +30,8 @@ from .syntax import (
     ChannelArrayKind, ChannelKind, ChanType, Deref, Diagnostic, Expr, For,
     FromIndex, FromSize, If, IntLit, IntType, Lam, Let, LocRef, MkIndex,
     MkSize, Network, NewRef, Recv, Send, SeqE, SizeKind, SizeType, Stop,
-    TypeEnv, ValueEnv, When, is_value, proc_components, subst_expr,
+    TypeEnv, ValueEnv, When, field, is_value, proc_components, record,
+    replace, subst_expr,
 )
 
 BufferKey = tuple  # (type-level channel name, element index or None)
@@ -48,7 +48,7 @@ class InstantiationError(Exception):
         self.diag = diag
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Label:
     """Communication label; internal steps carry no label."""
     chan: str            # type-level channel name
@@ -60,7 +60,7 @@ class Label:
         return f"{buffer_name((self.chan, self.index))}{mark}"
 
 
-@dataclass
+@record
 class Heap:
     locs: dict = field(default_factory=dict)        # (actor, slot) -> value
     bufs: dict = field(default_factory=dict)        # BufferKey -> tuple(values)
@@ -103,7 +103,7 @@ class Heap:
         return out
 
 
-@dataclass
+@record
 class Actor:
     name: str
     expr: Union[Expr, None]  # None encodes `stop`
@@ -113,7 +113,7 @@ class Actor:
         return self.expr is None or is_value(self.expr)
 
 
-@dataclass
+@record
 class Configuration:
     actors: list[Actor]
     heap: Heap
@@ -238,20 +238,20 @@ def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
 # Small-step reduction
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class Stepped:
     expr: Expr
     label: Optional[Label] = None
     effect: Optional[Callable] = None  # applied to the heap when committed
 
 
-@dataclass
+@record
 class Blocked:
     reason: str
     key: Optional[BufferKey] = field(default=None, compare=False)  # waited on
 
 
-@dataclass
+@record
 class Stuck:
     reason: str
 
@@ -464,7 +464,7 @@ def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: ValueEnv):
 # Running configurations
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class TraceStep:
     step: int
     actor: str
@@ -482,7 +482,7 @@ class TraceStep:
                 "bufferSizes": self.buffer_sizes}
 
 
-@dataclass
+@record
 class RunResult:
     status: str                      # "done" | "deadlock" | "error"
     trace: list[TraceStep]
@@ -510,7 +510,7 @@ def commit(cfg: Configuration, i: int, out: Stepped,
         out.effect(cfg.heap)
 
 
-@dataclass
+@record
 class Fault:
     """Fault injection: skip the heap effect of the n-th send (1-based)."""
     drop_send: int
@@ -556,9 +556,10 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
     rng = random.Random(seed)
     rr = 0
     sends_seen = 0
-    for _ in range(max_steps):
-        if not live:
-            return RunResult("done", trace, cfg, comm_counts=counts)
+    while live:
+        if len(trace) == max_steps:
+            return RunResult("error", trace, cfg,
+                             {"*": f"exceeded {max_steps} steps"}, counts)
         if not enabled:
             blocked = {a.name: out.reason for a, out in zip(actors, outcomes)
                        if isinstance(out, (Blocked, Stuck))}
@@ -599,15 +600,14 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
         trace.append(entry)
         if observer is not None:
             observer(entry, cfg)
-    return RunResult("error", trace, cfg,
-                     {"*": f"exceeded {max_steps} steps"}, counts)
+    return RunResult("done", trace, cfg, comm_counts=counts)
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive interleaving exploration
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class ExploreResult:
     any_complete: bool
     all_complete: bool

@@ -5,16 +5,124 @@ channel types, flowstates), value-level syntax (expressions, processes,
 networks), and the environments that bind them.  All nodes are immutable;
 source locations are carried on value-level nodes but excluded from
 structural equality so that parse/print round-trips compare clean.
+
+Record classes, here and in the other modules, are built by `record`, which
+gives what `dataclasses.dataclass` gives them (same `__init__`, `__repr__`,
+`__eq__`, `__hash__`, `__match_args__` and frozen errors) without importing
+`dataclasses` or `inspect`, so the command line starts cheaply.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 Loc = tuple[int, int]  # (line, column), 1-based
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen record."""
+
+
+_MISSING = object()
+
+
+class field:
+    """A record field's spec, as `dataclasses.field`."""
+    __slots__ = ("name", "default", "default_factory", "compare", "repr")
+
+    def __init__(self, *, default=_MISSING, default_factory=_MISSING,
+                 compare=True, repr=True):
+        self.name = None
+        self.default, self.default_factory = default, default_factory
+        self.compare, self.repr = compare, repr
+
+
+def _record_repr(self):
+    args = ", ".join([f"{f.name}={getattr(self, f.name)!r}"
+                      for f in self.__record_fields__ if f.repr])
+    return f"{self.__class__.__qualname__}({args})"
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def record(cls=None, /, *, frozen: bool = False):
+    """`@record` or `@record(frozen=True)`: `dataclasses.dataclass` for the
+    features used here.  `__init__`, `__eq__` and `__hash__` are generated
+    from source in one `exec` per class, with the bodies `dataclasses`
+    generates, so instances cost what dataclass instances cost."""
+    if cls is None:
+        return lambda c: record(c, frozen=frozen)
+    fields = []
+    env: dict = {"_setattr": object.__setattr__, "_FACTORY": _MISSING}
+    params, body = [], []
+    for name in cls.__dict__.get("__annotations__", {}):
+        f = cls.__dict__.get(name, _MISSING)
+        f = f if isinstance(f, field) else field(default=f)
+        f.name, value = name, name
+        if f.default_factory is not _MISSING:
+            env[f"_factory_{name}"] = f.default_factory
+            params.append(f"{name}=_FACTORY")
+            value = f"_factory_{name}() if {name} is _FACTORY else {name}"
+            delattr(cls, name)
+        elif f.default is not _MISSING:
+            env[f"_default_{name}"] = f.default
+            params.append(f"{name}=_default_{name}")
+            setattr(cls, name, f.default)
+        else:
+            params.append(name)
+        body.append(f"_setattr(self, {name!r}, {value})" if frozen
+                    else f"self.{name} = {value}")
+        fields.append(f)
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    compared = "".join(f"{{0}}.{f.name}," for f in fields if f.compare)
+    namespace: dict = {}
+    exec(f"def create({', '.join(env)}):\n"
+         f" def __init__(self, {', '.join(params)}):\n"
+         f"  {'; '.join(body) or 'pass'}\n"
+         " def __eq__(self, other):\n"
+         "  if other.__class__ is self.__class__:\n"
+         f"   return ({compared.format('self')}) == "
+         f"({compared.format('other')})\n"
+         "  return NotImplemented\n"
+         " def __hash__(self):\n"
+         f"  return hash(({compared.format('self')}))\n"
+         " return __init__, __eq__, __hash__\n", {}, namespace)
+    methods = dict(zip(("__init__", "__eq__", "__hash__"),
+                       namespace["create"](**env)))
+    for name, fn in methods.items():
+        fn.__qualname__ = f"{cls.__qualname__}.{name}"
+    methods.update(__repr__=_record_repr,
+                   __match_args__=tuple(f.name for f in fields))
+    if frozen:
+        methods.update(__setattr__=_frozen_setattr,
+                       __delattr__=_frozen_delattr)
+    else:
+        methods["__hash__"] = None
+    for name, value in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, value)
+    cls.__record_fields__ = tuple(fields)
+    return cls
+
+
+def replace(obj, /, **changes):
+    """A copy of record `obj` with the given fields changed."""
+    for f in obj.__record_fields__:
+        changes.setdefault(f.name, getattr(obj, f.name))
+    return obj.__class__(**changes)
 
 
 def _loc_field():
@@ -25,7 +133,7 @@ def _loc_field():
 # Size expressions (type-level numeric quantities)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Num:
     value: int
 
@@ -34,41 +142,41 @@ class Num:
             raise ValueError("size constants are nonnegative")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Infinity:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SVar:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Add:
     left: "SizeExpr"
     right: "SizeExpr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Sub:
     left: "SizeExpr"
     right: "SizeExpr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Mul:
     left: "SizeExpr"
     right: "SizeExpr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Div:
     left: "SizeExpr"
     right: "SizeExpr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SMin:
     left: "SizeExpr"
     right: "SizeExpr"
@@ -115,17 +223,17 @@ def subst_size(e: SizeExpr, var: str, repl: SizeExpr) -> SizeExpr:
 # Kinds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TypeKind:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SizeKind:
     bound: SizeExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChannelKind:
     delay: int  # 0 or 1
     limit: SizeExpr
@@ -135,7 +243,7 @@ class ChannelKind:
             raise ValueError("channel delay flag is 0 or 1")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChannelArrayKind:
     delay: int
     limit: SizeExpr
@@ -153,32 +261,32 @@ Kind = Union[TypeKind, SizeKind, ChannelKind, ChannelArrayKind]
 # Simple types and channel value types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolType:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntType:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SizeType:
     witness: SizeExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IndexType:
     witness: SizeExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RefType:
     payload: "SimpleType"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProcType:
     params: tuple["SimpleType", ...]
     latent: "ActorFlow"   # communications performed by the body
@@ -192,7 +300,7 @@ SimpleType = Union[BoolType, IntType, SizeType, IndexType, RefType, ProcType]
 POLARITIES = ("+", "-", "+-")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChanType:
     polarity: str
     name: str            # type-level channel name
@@ -203,7 +311,7 @@ class ChanType:
             raise ValueError(f"bad polarity {self.polarity!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChanArrayType:
     polarity: str
     name: str
@@ -222,7 +330,7 @@ ValueType = Union[SimpleType, ChanType, ChanArrayType]
 # Events, iterators, guards, flowstates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Event:
     chan: str
     is_send: bool
@@ -232,20 +340,20 @@ class Event:
         return Event(self.chan, not self.is_send, self.index)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Iterator:
     var: str
     lo: SizeExpr
     hi: SizeExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Divides:
     divisor: SizeExpr
     var: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AtMost:
     var: str
     bound: SizeExpr
@@ -254,19 +362,19 @@ class AtMost:
 Guard = Union[Divides, AtMost]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FEmpty:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Comp:
     event: Event
     iterators: tuple[Iterator, ...] = ()
     guards: tuple[Guard, ...] = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FSeq:
     left: "ActorFlow"
     right: "ActorFlow"
@@ -300,17 +408,17 @@ def flow_comps(fs: ActorFlow) -> list[Comp]:
     raise TypeError(f"not an actor flowstate: {fs!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PEmpty:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PActor:
     flow: ActorFlow
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PArray:
     var: str
     lo: SizeExpr
@@ -318,7 +426,7 @@ class PArray:
     body: ActorFlow
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PPar:
     left: "ProcFlow"
     right: "ProcFlow"
@@ -419,7 +527,7 @@ def _subst_guard(g: Guard, var: str, repl: SizeExpr) -> Guard:
     raise TypeError(f"not a guard: {g!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NumGuard:
     """Guard whose variable slot has been instantiated to a number.
 
@@ -492,7 +600,7 @@ def subst_flow(fs: ActorFlow, var: str, repl: SizeExpr) -> ActorFlow:
 # Environments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TypeEnv:
     items: tuple[tuple[str, Kind], ...] = ()
 
@@ -513,7 +621,7 @@ class TypeEnv:
         return [n for n, _ in self.items]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ValueEnv:
     items: tuple[tuple[str, ValueType], ...] = ()
 
@@ -535,49 +643,49 @@ class ValueEnv:
 # Expressions, processes, networks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntLit:
     value: int
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolLit:
     value: bool
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     name: str
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MkSize:
     arg: "Expr"
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FromSize:
     arg: "Expr"
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MkIndex:
     arg: "Expr"
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FromIndex:
     arg: "Expr"
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Lam:
     params: tuple[tuple[str, SimpleType], ...]
     latent: ActorFlow
@@ -586,14 +694,14 @@ class Lam:
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class App:
     fn: "Expr"
     args: tuple["Expr", ...]
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Let:
     var: str
     bound: "Expr"
@@ -601,14 +709,14 @@ class Let:
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SeqE:
     first: "Expr"
     second: "Expr"
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class If:
     cond: "Expr"
     then: "Expr"
@@ -616,7 +724,7 @@ class If:
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class When:
     lhs: "Expr"
     op: str  # "|" or "<="
@@ -625,7 +733,7 @@ class When:
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class For:
     tvar: str        # type-level witness for the loop index
     var: str         # value-level loop index
@@ -635,33 +743,33 @@ class For:
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NewRef:
     init: "Expr"
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Deref:
     target: "Expr"
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assign:
     target: "Expr"
     value: "Expr"
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Recv:
     chan: str
     index: Optional["Expr"] = None
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Send:
     chan: str
     index: Optional["Expr"]
@@ -669,7 +777,7 @@ class Send:
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BinOp:
     op: str  # + - * / == <= <
     lhs: "Expr"
@@ -677,7 +785,7 @@ class BinOp:
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LocRef:
     """Heap location; appears only during evaluation, never in source."""
     actor: str
@@ -690,18 +798,18 @@ Expr = Union[IntLit, BoolLit, Var, MkSize, FromSize, MkIndex, FromIndex, Lam,
              BinOp, LocRef]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Stop:
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ActorE:
     expr: Expr
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ActorComp:
     tvar: str
     var: str
@@ -711,7 +819,7 @@ class ActorComp:
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Par:
     left: "Proc"
     right: "Proc"
@@ -721,7 +829,7 @@ class Par:
 Proc = Union[Stop, ActorE, ActorComp, Par]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Network:
     tenv: TypeEnv
     venv: ValueEnv
@@ -863,7 +971,7 @@ def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     rule: str
     message: str

@@ -8,7 +8,6 @@ of the responsible rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import netcheck
@@ -28,14 +27,15 @@ from .syntax import (
     PActor, Par, PArray, PEmpty, Proc, ProcFlow, ProcType, Recv,
     RefType, Send, SeqE, SizeArithmeticError, SizeKind, SizeType, Stop,
     SVar, TypeEnv, TypeKind, ValueEnv, Var, When, ActorFlow, EMPTY_FLOW,
-    par_flow, proc_components, proc_flow_components, seq_flow,
+    field, par_flow, proc_components, proc_flow_components, record,
+    seq_flow,
 )
 
 ARITH_OPS = {"+", "-", "*", "/"}
 COMPARE_OPS = {"==", "<=", "<"}
 
 
-@dataclass
+@record
 class TypingResult:
     type: Optional[object]
     flow: ActorFlow
@@ -336,7 +336,7 @@ class Checker:
         raise TypeError(f"not a process: {p!r}")
 
 
-@dataclass
+@record
 class NetworkCheckResult:
     diagnostics: list[Diagnostic]
     flow: Optional[ProcFlow] = None          # synthesized flowstate

@@ -302,3 +302,25 @@ def test_inchans_match_runtime_channel_usage():
                    if t.label and t.label.is_send}
     assert seen_reads == static_reads
     assert seen_writes == static_writes
+
+
+def test_progress_accepts_literal_width_actor_array():
+    # each unrolled worker produces one element of `b`; the collector's
+    # comprehension is discharged by all of them together
+    import re
+    from sdflow.runtime import explore, instantiate
+    source = re.sub(r"\bs\b", "2",
+                    load("good", "worker_array_pipeline.sdf")
+                    .replace("size s : Size(inf);\n", ""))
+    net = parse_program_or_raise(source)
+    result = check_network(net)
+    assert result.ok, [str(d) for d in result.diagnostics]
+    ex = explore(instantiate(net, {}))
+    assert ex.all_complete and len(ex.terminals) == 1
+
+
+def test_progress_consumer_cannot_use_elements_it_produced_itself():
+    env = tenv(a=ChannelArrayKind(0, Num(2), Num(2)))
+    fs = PActor(seq(comp(ev("a!", 1)), comp(ev("a?", 1), it("t", 1, 1))))
+    out = check_progress(env, fs)
+    assert [d.rule for d in out] == ["FS Prog Cons"]

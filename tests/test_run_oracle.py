@@ -35,9 +35,10 @@ def polling_run(cfg, scheduler="roundRobin", seed=0, max_steps=500_000,
     rng = random.Random(seed)
     rr = 0
     sends_seen = 0
-    for _ in range(max_steps):
-        if cfg.done():
-            return RunResult("done", trace, cfg, comm_counts=counts)
+    while not cfg.done():
+        if len(trace) == max_steps:
+            return RunResult("error", trace, cfg,
+                             {"*": f"exceeded {max_steps} steps"}, counts)
         candidates = []
         blocked = {}
         for i, actor in enumerate(cfg.actors):
@@ -76,8 +77,7 @@ def polling_run(cfg, scheduler="roundRobin", seed=0, max_steps=500_000,
         trace.append(entry)
         if observer is not None:
             observer(entry, cfg)
-    return RunResult("error", trace, cfg,
-                     {"*": f"exceeded {max_steps} steps"}, counts)
+    return RunResult("done", trace, cfg, comm_counts=counts)
 
 
 # --- comparison -------------------------------------------------------------

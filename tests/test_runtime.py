@@ -159,6 +159,16 @@ def test_deterministic_outcome_across_interleavings():
     assert len(ex.terminals) == 1  # same final cells and counts on every path
 
 
+def test_run_that_finishes_on_its_last_allowed_step_is_done():
+    cfg = instantiate(_net("pipeline2.sdf"), {"n": 2})
+    steps = len(run(cfg).trace)
+    assert steps == 16
+    assert run(cfg, max_steps=steps).status == "done"
+    short = run(cfg, max_steps=steps - 1)
+    assert short.status == "error"
+    assert short.blocked == {"*": f"exceeded {steps - 1} steps"}
+
+
 def test_round_robin_trace_reproducible():
     net = _net("downsampler.sdf")
     r1 = run(instantiate(net, {"s": 4}))
