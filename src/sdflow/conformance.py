@@ -30,8 +30,8 @@ from .runtime import (
 )
 from .syntax import (
     ActorComp, ActorE, BoolLit, BoolType, ChannelArrayKind, ChannelKind, Comp,
-    Diagnostic, Event, IntLit, IntType, Iterator, Network, Num, NumGuard,
-    PActor, Par, PArray, ProcFlow, SizeType, Stop, TypeEnv, ValueEnv,
+    Diagnostic, Event, IntLit, IntType, Iterator, Network, Num, PActor, Par,
+    PArray, ProcFlow, SizeType, Stop, SVar, TypeEnv, ValueEnv,
     flow_comps, par_flow, proc_components, proc_flow_components, seq_flow,
     subst_comp, subst_flow, subst_size, MkSize, MkIndex, record,
 )
@@ -107,11 +107,13 @@ def heap_flowstate(tenv: TypeEnv, venv: ValueEnv, heap: Heap
 # ---------------------------------------------------------------------------
 
 def _silent_normalize(comp: Comp) -> Optional[Comp]:
-    """Discharge numeric guards and empty iterator ranges.  Returns None when
-    the comprehension reduces silently to the empty flowstate."""
+    """Discharge decided guards (whose operand reduction has made a number)
+    and empty iterator ranges.  Returns None when the comprehension reduces
+    silently to the empty flowstate."""
     guards = list(comp.guards)
-    while guards and isinstance(guards[-1], NumGuard):
-        holds = _num_guard_holds(guards[-1])
+    while guards and not isinstance(guards[-1].operand, SVar):
+        k = guards[-1].operand
+        holds = count_in_range(k, k, guards[-1:])
         if holds is None:
             break
         if not holds:
@@ -170,35 +172,25 @@ def try_consume_comp(comp: Comp, label: Label) -> Optional[list[Comp]]:
         return pending + residual
 
 
-def _num_guard_holds(g: NumGuard) -> Optional[bool]:
-    """Truth of a numeric guard (`0 | k` only for k == 0, as at run time);
-    None while an operand stays symbolic."""
-    lv, rv = normalize_size(g.left), normalize_size(g.right)
-    if not (isinstance(lv, Num) and isinstance(rv, Num)):
-        return None
-    if g.op == "|":
-        return rv.value % lv.value == 0 if lv.value else rv.value == 0
-    return lv.value <= rv.value
-
-
 def comp_occurrence_count(comp: Comp) -> Optional[int]:
     """Number of events a comprehension will emit, in closed form: the
     product over its iterators of the values that pass that iterator's
-    guards.  0 when a numeric guard fails or some factor is empty; None when
+    guards.  0 when a decided guard fails or some factor is empty; None when
     a bound or guard stays symbolic and no factor is provably 0."""
     by_var: dict[str, list] = {it.var: [] for it in comp.iterators}
     total: Optional[int] = 1
     for g in comp.guards:
-        if isinstance(g, NumGuard):
-            holds = _num_guard_holds(g)
-            if holds is False:
-                return 0
-            if holds is None:
-                total = None
-        elif g.var in by_var:
-            by_var[g.var].append(g)
-        else:
-            total = None  # guard on a variable no iterator binds
+        k = g.operand
+        if isinstance(k, SVar) and k.name in by_var:
+            by_var[k.name].append(g)
+            continue
+        # a decided guard holds once or never; one on a name no iterator
+        # binds stays undecided
+        holds = count_in_range(k, k, [g])
+        if holds == 0:
+            return 0
+        if holds is None:
+            total = None
     for it in comp.iterators:
         n = count_in_range(it.lo, it.hi, by_var[it.var])
         if n == 0:
@@ -252,7 +244,7 @@ def step_flowstate(tenv: TypeEnv, fs: ProcFlow, label: Label
 # ---------------------------------------------------------------------------
 
 def actor_flows(net: Network, sizes: dict[str, int]) -> list[list[Comp]]:
-    checker = Checker(net.tenv)
+    checker = Checker()
     flows: list[list[Comp]] = []
 
     def ground(flow) -> list[Comp]:

@@ -9,25 +9,34 @@ counted by `count_in_range`, the range counter the conformance harness also
 uses; only a symbolic bound or divisor falls back to the closed form
 `hi / d`, for a single divisor on an iterator starting at 1, where it is
 exact.
+
+A summary entry is grounded into per-element event counts by one function,
+`ground_target`, which the equivalence probes and the progress check's
+record of channel-array production share.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Optional, Union
+from collections import Counter
+from typing import Optional
 
 from .kinding import (
     eval_size, is_inf, kind_of, normalize_size, size_leq, sizes_equal,
-    Quantity,
 )
 from .syntax import (
-    ActorFlow, AtMost, ChannelArrayKind, ChannelKind, Comp, Diagnostic, Div,
-    Divides, Event, FEmpty, FSeq, Guard, Iterator, Mul, Num, NumGuard,
-    PActor, PArray, ProcFlow, SizeArithmeticError, SizeExpr, SizeKind, SMin,
-    Sub, SVar, TypeEnv, flow_comps, flow_free_vars, free_size_vars,
-    fresh_var, subst_flow, proc_flow_components, record,
+    ActorFlow, Add, AtMost, ChannelArrayKind, ChannelKind, Comp, Diagnostic,
+    Div, Divides, Event, FEmpty, FSeq, Guard, Iterator, Mul, Num, PActor,
+    PArray, ProcFlow, SizeArithmeticError, SizeExpr, SizeKind, SMin, Sub,
+    SVar, TypeEnv, flow_comps, free_size_vars, rename_binder, subst_flow,
+    proc_flow_components, record,
 )
+
+
+# random valuations tried before symbolic summaries that differ are left
+# undecided
+PROBES = 24
 
 
 class FlowstateError(Exception):
@@ -97,25 +106,18 @@ def _check_event(env: TypeEnv, ev: Event) -> list[Diagnostic]:
 
 def _check_guard(env: TypeEnv, g: Guard) -> list[Diagnostic]:
     match g:
-        case Divides(divisor, var):
-            out = []
-            k = kind_of(env, divisor)
-            if isinstance(k, Diagnostic) or not isinstance(k, SizeKind):
-                out.append(Diagnostic("FS Gd Div", "divisor must be a size"))
-            if env.lookup(var) is None:
-                out.append(Diagnostic("FS Gd Div", f"unbound guard variable {var}"))
-            return out
-        case AtMost(var, bound):
-            out = []
-            k = kind_of(env, bound)
-            if isinstance(k, Diagnostic) or not isinstance(k, SizeKind):
-                out.append(Diagnostic("FS Gd Bnd", "bound must be a size"))
-            if env.lookup(var) is None:
-                out.append(Diagnostic("FS Gd Bnd", f"unbound guard variable {var}"))
-            return out
-        case NumGuard():
-            return []
-    raise TypeError(f"not a guard: {g!r}")
+        case Divides(size, _):
+            rule, what = "FS Gd Div", "divisor"
+        case AtMost(_, size):
+            rule, what = "FS Gd Bnd", "bound"
+        case _:
+            raise TypeError(f"not a guard: {g!r}")
+    out = []
+    if not isinstance(kind_of(env, size), SizeKind):
+        out.append(Diagnostic(rule, f"{what} must be a size"))
+    if isinstance(g.operand, SVar) and env.lookup(g.operand.name) is None:
+        out.append(Diagnostic(rule, f"unbound guard variable {g.operand.name}"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +132,7 @@ def distribute_iterator(fs: ActorFlow, it: Iterator) -> ActorFlow:
         case FSeq(a, b):
             return FSeq(distribute_iterator(a, it), distribute_iterator(b, it))
         case Comp() as comp:
-            comp = _avoid_binder(comp, it.var)
+            comp = rename_binder(comp, it.var, set())
             return Comp(comp.event, comp.iterators + (it,), comp.guards)
     raise TypeError(f"not an actor flowstate: {fs!r}")
 
@@ -142,33 +144,10 @@ def distribute_guard(fs: ActorFlow, g: Guard) -> ActorFlow:
         case FSeq(a, b):
             return FSeq(distribute_guard(a, g), distribute_guard(b, g))
         case Comp() as comp:
-            gvar = g.var if isinstance(g, (Divides, AtMost)) else None
-            if gvar is not None:
-                comp = _avoid_binder(comp, gvar)
+            if isinstance(g.operand, SVar):
+                comp = rename_binder(comp, g.operand.name, set())
             return Comp(comp.event, comp.iterators, comp.guards + (g,))
     raise TypeError(f"not an actor flowstate: {fs!r}")
-
-
-def _avoid_binder(comp: Comp, var: str) -> Comp:
-    """Rename a comprehension binder that collides with `var`."""
-    from .syntax import subst_size, _subst_guard
-    pos = next((i for i, it in enumerate(comp.iterators) if it.var == var), None)
-    if pos is None:
-        return comp
-    taken = {it.var for it in comp.iterators} | flow_free_vars(comp) | {var}
-    new = fresh_var(var, taken)
-    event = comp.event
-    if event.index is not None:
-        event = Event(event.chan, event.is_send,
-                      subst_size(event.index, var, SVar(new)))
-    iters = list(comp.iterators)
-    iters[pos] = Iterator(new, iters[pos].lo, iters[pos].hi)
-    for j in range(pos + 1, len(iters)):
-        iters[j] = Iterator(iters[j].var,
-                            subst_size(iters[j].lo, var, SVar(new)),
-                            subst_size(iters[j].hi, var, SVar(new)))
-    guards = tuple(_subst_guard(g, var, SVar(new)) for g in comp.guards)
-    return Comp(event, tuple(iters), guards)
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +169,13 @@ def fold_guards_comp(comp: Comp) -> Comp:
     by_var: dict[str, list[Guard]] = {}
     order: list[str] = []
     for g in comp.guards:
-        if isinstance(g, NumGuard):
+        if not isinstance(g.operand, SVar):
             raise FlowstateError(Diagnostic(
                 "FS Comp", "numeric guard outside flowstate reduction"))
-        if g.var not in by_var:
-            order.append(g.var)
-        by_var.setdefault(g.var, []).append(g)
+        var = g.operand.name
+        if var not in by_var:
+            order.append(var)
+        by_var.setdefault(var, []).append(g)
     iters = list(comp.iterators)
     for var in order:
         guards = by_var[var]
@@ -297,7 +277,6 @@ def rate_summary(env: TypeEnv, fs: ActorFlow) -> dict[CommTarget, SizeExpr]:
         comp = fold_guards_comp(comp)
         key, mult = _comp_target(comp)
         if key in summary:
-            from .syntax import Add
             summary[key] = normalize_size(Add(summary[key], mult))
         else:
             summary[key] = mult
@@ -323,7 +302,6 @@ def _comp_target(comp: Comp) -> tuple[CommTarget, SizeExpr]:
 
 
 def proc_rate_summary(env: TypeEnv, fs: ProcFlow) -> dict[CommTarget, SizeExpr]:
-    from .syntax import Add
     summary: dict[CommTarget, SizeExpr] = {}
 
     def merge(other: dict[CommTarget, SizeExpr]):
@@ -346,37 +324,40 @@ def proc_rate_summary(env: TypeEnv, fs: ProcFlow) -> dict[CommTarget, SizeExpr]:
 # Equivalence
 # ---------------------------------------------------------------------------
 
-def _concrete_summary(summary: dict[CommTarget, SizeExpr],
-                      valuation: dict[str, int]) -> Optional[dict]:
-    """Ground a symbolic summary: ranges expand to per-element counts."""
-    out: dict = {}
-
-    def add(key, n: Quantity):
-        if is_inf(n):
-            return None
-        if n:
-            out[key] = out.get(key, 0) + n
-        return True
-
-    for key, mult in summary.items():
+def ground_target(key: CommTarget, mult: SizeExpr, valuation: dict[str, int]
+                  ) -> Optional[dict]:
+    """One summary entry as event counts under `valuation`, keyed
+    (chan, dir), or (chan, dir, element) on a channel array, one key per
+    element of a range; zero counts are left out.  None when a quantity is
+    infinite or stays symbolic."""
+    try:
         n = eval_size(mult, valuation)
-        if is_inf(n):
-            return None
-        if len(key) == 2:
-            if add(key, n) is None:
-                return None
-        else:
-            chan, direction, idx = key
-            if isinstance(idx, SingleIndex):
-                i = eval_size(idx.index, valuation)
-                add((chan, direction, i), n)
-            else:
-                lo = eval_size(idx.lo, valuation)
-                hi = eval_size(idx.hi, valuation)
+        match key:
+            case (_, _):
+                elements = [()]
+            case (_, _, SingleIndex(index)):
+                elements = [(eval_size(index, valuation),)]
+            case (_, _, RangeIndex(lo, hi)):
+                lo, hi = eval_size(lo, valuation), eval_size(hi, valuation)
                 if is_inf(lo) or is_inf(hi):
                     return None
-                for i in range(lo, hi + 1):
-                    add((chan, direction, i), n)
+                elements = [(i,) for i in range(lo, hi + 1)]
+    except SizeArithmeticError:
+        return None
+    if is_inf(n):
+        return None
+    return {key[:2] + e: n for e in elements} if n else {}
+
+
+def _concrete_summary(summary: dict[CommTarget, SizeExpr],
+                      valuation: dict[str, int]) -> Optional[Counter]:
+    """Ground a symbolic summary into per-element event counts."""
+    out: Counter = Counter()
+    for key, mult in summary.items():
+        counts = ground_target(key, mult, valuation)
+        if counts is None:
+            return None
+        out.update(counts)
     return out
 
 
@@ -393,8 +374,8 @@ def _summary_vars(summary: dict[CommTarget, SizeExpr]) -> set[str]:
     return out
 
 
-def flowstates_equivalent(env: TypeEnv, a: ActorFlow, b: ActorFlow,
-                          probes: int = 24) -> Optional[bool]:
+def flowstates_equivalent(env: TypeEnv, a: ActorFlow, b: ActorFlow
+                          ) -> Optional[bool]:
     """True when rate summaries agree exactly; False when refuted by a
     concrete instantiation; None when symbolic forms differ but no refuting
     valuation was found."""
@@ -403,21 +384,18 @@ def flowstates_equivalent(env: TypeEnv, a: ActorFlow, b: ActorFlow,
         sb = rate_summary(env, b)
     except (FlowstateError, SizeArithmeticError):
         return None
-    return summaries_equivalent(sa, sb, probes)
+    return summaries_equivalent(sa, sb)
 
 
-def summaries_equivalent(sa: dict, sb: dict, probes: int = 24) -> Optional[bool]:
+def summaries_equivalent(sa: dict, sb: dict) -> Optional[bool]:
     if sa == sb:
         return True
     names = sorted(_summary_vars(sa) | _summary_vars(sb))
     rng = random.Random(7)
-    for trial in range(probes):
+    for trial in range(PROBES):
         valuation = {n: rng.randint(1, 64) for n in names}
-        try:
-            ca = _concrete_summary(sa, valuation)
-            cb = _concrete_summary(sb, valuation)
-        except SizeArithmeticError:
-            return None
+        ca = _concrete_summary(sa, valuation)
+        cb = _concrete_summary(sb, valuation)
         if ca is None or cb is None:
             return None
         if ca != cb:

@@ -67,14 +67,6 @@ def q_min(a: Quantity, b: Quantity) -> Quantity:
     return min(a, b)
 
 
-def q_leq(a: Quantity, b: Quantity) -> bool:
-    if is_inf(b):
-        return True
-    if is_inf(a):
-        return False
-    return a <= b
-
-
 def eval_size(e: SizeExpr, valuation: dict[str, int]) -> Quantity:
     match e:
         case Num(n):
@@ -212,8 +204,6 @@ def _to_linform(e: SizeExpr) -> LinForm:
             ca, ta = _to_linform(a)
             cb, tb = _to_linform(b)
             out: Counter = Counter()
-            if ca and cb:
-                pass  # constant*constant handled below
             for mono_a, coef_a in ta.items():
                 for mono_b, coef_b in tb.items():
                     out[_mono_mul(mono_a, mono_b)] += coef_a * coef_b
@@ -232,9 +222,6 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
     for key, power in a + b:
         merged[key] = merged.get(key, 0) + power
     return tuple(sorted(merged.items()))
-
-
-_ATOM_CACHE: dict = {}
 
 
 def _mono_lower_bound(mono: tuple) -> int:

@@ -11,11 +11,12 @@ is always enabled and leaves a record; a consumer event is enabled only
 against a matching record left by another actor.  Within one actor,
 comprehensions fire in program order: the analysis does not track causality
 inside an actor, so its inputs are conservatively treated as preconditions
-of its outputs.  Numeric comprehensions are expanded to token counts so
-partial consumption works; symbolic comprehensions are matched whole, up to
-renaming and bound normalization.  The network is accepted when every actor
-finishes and no record is left over: production that no actor consumes
-would stay in a buffer after the firing.
+of its outputs.  Numeric comprehensions on channel arrays are counted per
+element by `flowstate.ground_target`, at any rate, so partial consumption
+works; symbolic ones are matched whole, up to renaming and bound
+normalization.  The network is accepted when every actor finishes and no
+record is left over: production that no actor consumes would stay in a
+buffer after the firing.
 
 The greedy loop is complete, provided `check_determinism` has passed.  Each
 channel then has one writer and one reader, so a record can only be taken by
@@ -37,8 +38,8 @@ from collections import Counter
 from typing import Optional, Union
 
 from .flowstate import (
-    FlowstateError, distribute_iterator, fold_guards_comp, _comp_target,
-    extent,
+    FlowstateError, distribute_iterator, fold_guards_comp, ground_target,
+    _comp_target, extent,
 )
 from .kinding import normalize_size, size_leq
 from .printer import print_comp, print_size
@@ -50,8 +51,6 @@ from .syntax import (
 
 PRODUCER = "producer"
 CONSUMER = "consumer"
-
-_EXPAND_LIMIT = 1 << 16
 
 
 def classify_event(tenv: TypeEnv, ev: Event) -> str:
@@ -253,57 +252,6 @@ def canonical_comp(comp: Comp) -> _CanonComp:
     return _CanonComp((ev.chan, ev.is_send, idx_key, iters), comp)
 
 
-def comp_concrete(comp: Comp) -> Optional[Counter]:
-    """Expand a fully numeric comprehension into concrete event counts.
-    Keys: (chan, is_send) or (chan, is_send, element)."""
-    bounds = []
-    total = 1
-    for it in comp.iterators:
-        lo = normalize_size(it.lo)
-        hi = normalize_size(it.hi)
-        if not (isinstance(lo, Num) and isinstance(hi, Num)):
-            return None
-        n = max(0, hi.value - lo.value + 1)
-        total *= n
-        if total > _EXPAND_LIMIT:
-            return None
-        bounds.append((it.var, lo.value, hi.value))
-    ev = comp.event
-    if ev.index is None:
-        return Counter({(ev.chan, ev.is_send): total}) if total else Counter()
-    if isinstance(ev.index, Num):
-        return Counter({(ev.chan, ev.is_send, ev.index.value): total}) \
-            if total else Counter()
-    if isinstance(ev.index, SVar):
-        pos = next((i for i, (v, _, _) in enumerate(bounds)
-                    if v == ev.index.name), None)
-        if pos is not None:
-            var, lo, hi = bounds[pos]
-            per = 1
-            for i, (_, l, h) in enumerate(bounds):
-                if i != pos:
-                    per *= max(0, h - l + 1)
-            out: Counter = Counter()
-            if per:
-                for k in range(lo, hi + 1):
-                    out[(ev.chan, ev.is_send, k)] = per
-            return out
-    idx = normalize_size(ev.index)
-    if isinstance(idx, Num):
-        return Counter({(ev.chan, ev.is_send, idx.value): total}) \
-            if total else Counter()
-    return None
-
-
-def _complement_counts(counts: Counter) -> Counter:
-    return Counter({(k[0], not k[1]) + k[2:]: v for k, v in counts.items()})
-
-
-def _complement_canon(comp: Comp) -> _CanonComp:
-    return canonical_comp(Comp(comp.event.complement(), comp.iterators,
-                               comp.guards))
-
-
 class Record:
     """Producer events already fired, tagged with the producing actor so a
     comprehension can never discharge its own precondition.  Plain channels
@@ -314,7 +262,7 @@ class Record:
     def __init__(self, env: TypeEnv):
         self.env = env
         self.plain: dict = {}            # (chan, is_send, producer) -> SizeExpr
-        self.numeric: Counter = Counter()  # (chan, is_send, elem, producer) -> int
+        self.numeric: Counter = Counter()  # (chan, dir, elem, producer) -> int
         self.symbolic: Counter = Counter()  # (canonical comp, producer) -> int
 
     def add(self, comp: Comp, producer: int) -> None:
@@ -325,7 +273,7 @@ class Record:
             have = self.plain.get(key, Num(0))
             self.plain[key] = normalize_size(Add(have, mult))
             return
-        counts = comp_concrete(comp)
+        counts = ground_target(*_comp_target(comp), {})
         if counts is not None:
             for k, v in counts.items():
                 self.numeric[k + (producer,)] += v
@@ -353,11 +301,11 @@ class Record:
                     self.plain[key] = left
                 return True
             return False
-        counts = comp_concrete(comp)
-        if counts is not None:
+        want = Comp(ev.complement(), comp.iterators, comp.guards)
+        left = ground_target(*_comp_target(want), {})
+        if left is not None:
             # elements may come from different producers, as from the
             # unrolled members of a literal-width actor array
-            left = _complement_counts(counts)
             taken = {}
             for k, have in self.numeric.items():
                 if k[-1] != consumer and left.get(k[:-1], 0) > 0:
@@ -367,7 +315,7 @@ class Record:
                 return False
             _take(self.numeric, taken)
             return True
-        want_canon = _complement_canon(comp)
+        want_canon = canonical_comp(want)
         for (canon, producer), n in sorted(self.symbolic.items(),
                                            key=lambda kv: str(kv[0])):
             if canon == want_canon and producer != consumer and n > 0:

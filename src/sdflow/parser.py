@@ -323,13 +323,13 @@ class Parser:
             return iterators, guards
         if self.accept("op", "|"):
             var = self.ident("guarded variable")
-            guards = guards + [Divides(left, var)]
+            guards = guards + [Divides(left, SVar(var))]
             return iterators, guards
         if self.accept("op", "<="):
             if not isinstance(left, SVar):
                 raise ParseError("bounded variable must be a name", tok.loc)
             bound = self.size_expr()
-            guards = guards + [AtMost(left.name, bound)]
+            guards = guards + [AtMost(left, bound)]
             return iterators, guards
         raise ParseError(
             f"expected 'in', '|' or '<=' in comprehension, found {tok.text!r}",

@@ -9,7 +9,7 @@ from .syntax import (
     ChanArrayType, ChannelArrayKind, ChannelKind, ChanType, Comp, Deref, Div,
     Divides, Event, Expr, FEmpty, For, FromIndex, FromSize, FSeq, Guard, If,
     IndexType, Infinity, IntLit, IntType, Lam, Let, LocRef, MkIndex, MkSize,
-    Mul, Network, NewRef, Num, NumGuard, PActor, PArray, PEmpty, PPar,
+    Mul, Network, NewRef, Num, PActor, PArray, PEmpty, PPar,
     Proc, ProcFlow, ProcType, Recv, RefType, Send, SeqE, SizeExpr, SizeKind,
     SizeType, SMin, Stop, Sub, SVar, Var, When, ActorFlow, proc_components,
     seq_flow,
@@ -75,12 +75,10 @@ def print_event(ev: Event) -> str:
 
 def print_guard(g: Guard) -> str:
     match g:
-        case Divides(divisor, var):
-            return f"{print_size(divisor)} | {var}"
-        case AtMost(var, bound):
-            return f"{var} <= {print_size(bound)}"
-        case NumGuard(op, left, right):
-            return f"{print_size(left)} {op} {print_size(right)}"
+        case Divides(divisor, operand):
+            return f"{print_size(divisor)} | {print_size(operand)}"
+        case AtMost(operand, bound):
+            return f"{print_size(operand)} <= {print_size(bound)}"
     raise TypeError(f"not a guard: {g!r}")
 
 

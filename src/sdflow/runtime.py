@@ -621,12 +621,18 @@ class ExploreResult:
         return len(self.terminals) <= 1
 
 
+# stuck configurations `explore` keeps as samples
+STUCK_LIMIT = 8
+
+
 def _signature(cfg: Configuration, counts: tuple) -> tuple:
-    return (tuple(sorted(cfg.heap.locs.items())), counts)
+    """A terminal's outcome: heap cells, communication counts and the
+    values the actors finished with."""
+    return (tuple(sorted(cfg.heap.locs.items())), counts,
+            tuple(a.expr for a in cfg.actors))
 
 
-def explore(cfg: Configuration, max_states: int = 300_000,
-            stuck_limit: int = 8) -> ExploreResult:
+def explore(cfg: Configuration, max_states: int = 300_000) -> ExploreResult:
     """Visit every reachable interleaving, memoized on configuration plus
     per-channel communication counts."""
     visited: set = set()
@@ -656,7 +662,7 @@ def explore(cfg: Configuration, max_states: int = 300_000,
                 terminals.add(_signature(current, tuple(sorted(counts.items()))))
             else:
                 all_complete = False
-                if len(stuck) < stuck_limit:
+                if len(stuck) < STUCK_LIMIT:
                     stuck.append(current)
             continue
         for i, out in outs:

@@ -6,6 +6,12 @@ networks), and the environments that bind them.  All nodes are immutable;
 source locations are carried on value-level nodes but excluded from
 structural equality so that parse/print round-trips compare clean.
 
+A comprehension's guards, `Divides(d, x)` and `AtMost(x, b)`, take a size
+operand `x`: a loop variable (`SVar`) in source and in synthesized
+flowstates, and a number once reduction substitutes one, which makes the
+guard decided.  Substitution and distribution rename colliding binders with
+one function, `rename_binder`.
+
 Record classes, here and in the other modules, are built by `record`, which
 gives what `dataclasses.dataclass` gives them (same `__init__`, `__repr__`,
 `__eq__`, `__hash__`, `__match_args__` and frozen errors) without importing
@@ -350,12 +356,12 @@ class Iterator:
 @record(frozen=True)
 class Divides:
     divisor: SizeExpr
-    var: str
+    operand: SizeExpr  # an SVar, or a Num once reduction substitutes one
 
 
 @record(frozen=True)
 class AtMost:
-    var: str
+    operand: SizeExpr  # an SVar, or a Num once reduction substitutes one
     bound: SizeExpr
 
 
@@ -478,14 +484,8 @@ def flow_free_vars(fs: ActorFlow) -> set[str]:
             out |= free_size_vars(comp.event.index) - bound
         for g in comp.guards:
             match g:
-                case Divides(divisor, var):
-                    out |= free_size_vars(divisor) - bound
-                    if var not in bound:
-                        out.add(var)
-                case AtMost(var, b):
-                    out |= free_size_vars(b) - bound
-                    if var not in bound:
-                        out.add(var)
+                case Divides(a, b) | AtMost(a, b):
+                    out |= (free_size_vars(a) | free_size_vars(b)) - bound
     return out
 
 
@@ -503,40 +503,9 @@ def fresh_var(base: str, avoid: set[str]) -> str:
 
 def _subst_guard(g: Guard, var: str, repl: SizeExpr) -> Guard:
     match g:
-        case Divides(divisor, v):
-            d = subst_size(divisor, var, repl)
-            if v == var:
-                if isinstance(repl, SVar):
-                    return Divides(d, repl.name)
-                if isinstance(repl, Num):
-                    # numeric guard operand, kept as a degenerate divisor pair
-                    return NumGuard("|", d, repl)
-                raise ValueError("guard variable replaced by compound size")
-            return Divides(d, v)
-        case AtMost(v, bound):
-            b = subst_size(bound, var, repl)
-            if v == var:
-                if isinstance(repl, SVar):
-                    return AtMost(repl.name, b)
-                if isinstance(repl, Num):
-                    return NumGuard("<=", repl, b)
-                raise ValueError("guard variable replaced by compound size")
-            return AtMost(v, b)
-        case NumGuard(op, l, r):
-            return NumGuard(op, subst_size(l, var, repl), subst_size(r, var, repl))
+        case Divides(a, b) | AtMost(a, b):
+            return g.__class__(subst_size(a, var, repl), subst_size(b, var, repl))
     raise TypeError(f"not a guard: {g!r}")
-
-
-@record(frozen=True)
-class NumGuard:
-    """Guard whose variable slot has been instantiated to a number.
-
-    Arises only during flowstate reduction, when a comprehension iterator is
-    unrolled and its variable is substituted into the guards.
-    """
-    op: str  # "|" or "<="
-    left: SizeExpr
-    right: SizeExpr
 
 
 def subst_comp(comp: Comp, var: str, repl: SizeExpr) -> Comp:
@@ -556,33 +525,34 @@ def subst_comp(comp: Comp, var: str, repl: SizeExpr) -> Comp:
                 shadowed = True
         return Comp(comp.event, tuple(new_iters), comp.guards)
     avoid = free_size_vars(repl) | {var}
-    event, iterators, guards = comp.event, list(comp.iterators), list(comp.guards)
-    for i, it in enumerate(iterators):
-        if it.var in avoid:
-            new_name = fresh_var(it.var, avoid | {x.var for x in iterators})
-            ev2, iters2, guards2 = _rename_binder(event, iterators, guards, i, new_name)
-            event, iterators, guards = ev2, iters2, guards2
+    for name in binders:
+        if name in avoid:
+            comp = rename_binder(comp, name, avoid)
+    event = comp.event
     new_iters = tuple(Iterator(it.var, subst_size(it.lo, var, repl),
-                               subst_size(it.hi, var, repl)) for it in iterators)
+                               subst_size(it.hi, var, repl))
+                      for it in comp.iterators)
     new_event = Event(event.chan, event.is_send,
                       None if event.index is None else subst_size(event.index, var, repl))
-    new_guards = tuple(_subst_guard(g, var, repl) for g in guards)
+    new_guards = tuple(_subst_guard(g, var, repl) for g in comp.guards)
     return Comp(new_event, new_iters, new_guards)
 
 
-def _rename_binder(event, iterators, guards, idx, new_name):
-    old = iterators[idx].var
-    new_iters = list(iterators)
-    new_iters[idx] = Iterator(new_name, iterators[idx].lo, iterators[idx].hi)
-    for j in range(idx + 1, len(new_iters)):
-        it = new_iters[j]
-        new_iters[j] = Iterator(it.var, subst_size(it.lo, old, SVar(new_name)),
-                                subst_size(it.hi, old, SVar(new_name)))
-    new_event = Event(event.chan, event.is_send,
-                      None if event.index is None
-                      else subst_size(event.index, old, SVar(new_name)))
-    new_guards = [_subst_guard(g, old, SVar(new_name)) for g in guards]
-    return new_event, new_iters, new_guards
+def rename_binder(comp: Comp, old: str, avoid: set[str]) -> Comp:
+    """Rename the binder `old` of a comprehension, if it has one, to a name
+    outside `avoid`, the comprehension's binders and its free names."""
+    binders = [it.var for it in comp.iterators]
+    if old not in binders:
+        return comp
+    new = fresh_var(old, avoid | set(binders) | flow_free_vars(comp))
+    pos = binders.index(old)
+    it = comp.iterators[pos]
+    # what follows the binder is its scope
+    scope = subst_comp(Comp(comp.event, comp.iterators[pos + 1:], comp.guards),
+                       old, SVar(new))
+    return Comp(scope.event,
+                comp.iterators[:pos] + (Iterator(new, it.lo, it.hi),)
+                + scope.iterators, scope.guards)
 
 
 def subst_flow(fs: ActorFlow, var: str, repl: SizeExpr) -> ActorFlow:
@@ -863,48 +833,6 @@ def is_value(e: Expr) -> bool:
             return is_value(arg)
         case _:
             return False
-
-
-def expr_free_vars(e: Expr) -> set[str]:
-    match e:
-        case IntLit() | BoolLit() | LocRef():
-            return set()
-        case Var(name):
-            return {name}
-        case MkSize(a) | FromSize(a) | MkIndex(a) | FromIndex(a) | NewRef(a) | Deref(a):
-            return expr_free_vars(a)
-        case Lam(params, _, _, body):
-            return expr_free_vars(body) - {p for p, _ in params}
-        case App(fn, args):
-            out = expr_free_vars(fn)
-            for a in args:
-                out |= expr_free_vars(a)
-            return out
-        case Let(var, bound, body):
-            return expr_free_vars(bound) | (expr_free_vars(body) - {var})
-        case SeqE(a, b):
-            return expr_free_vars(a) | expr_free_vars(b)
-        case If(c, t, f):
-            return expr_free_vars(c) | expr_free_vars(t) | expr_free_vars(f)
-        case When(l, _, r, body):
-            return expr_free_vars(l) | expr_free_vars(r) | expr_free_vars(body)
-        case For(_, var, _, bound, body):
-            return expr_free_vars(bound) | (expr_free_vars(body) - {var})
-        case Assign(t, v):
-            return expr_free_vars(t) | expr_free_vars(v)
-        case Recv(chan, index):
-            out = {chan}
-            if index is not None:
-                out |= expr_free_vars(index)
-            return out
-        case Send(chan, index, payload):
-            out = {chan} | expr_free_vars(payload)
-            if index is not None:
-                out |= expr_free_vars(index)
-            return out
-        case BinOp(_, l, r):
-            return expr_free_vars(l) | expr_free_vars(r)
-    raise TypeError(f"not an expression: {e!r}")
 
 
 def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:

@@ -43,8 +43,7 @@ class TypingResult:
 
 
 class Checker:
-    def __init__(self, tenv: TypeEnv):
-        self.tenv = tenv
+    def __init__(self):
         self.diags: list[Diagnostic] = []
 
     def error(self, rule: str, message: str, loc=None) -> None:
@@ -216,7 +215,7 @@ class Checker:
                 self.error("wfguard", "guarded index must be a loop variable",
                            e.loc)
             else:
-                guard = Divides(lt.witness, rt.witness.name)
+                guard = Divides(lt.witness, rt.witness)
         elif e.op == "<=":
             if not (isinstance(lt, IndexType) and isinstance(rt, SizeType)):
                 self.error("wfguard",
@@ -226,7 +225,7 @@ class Checker:
                 self.error("wfguard", "guarded index must be a loop variable",
                            e.loc)
             else:
-                guard = AtMost(lt.witness.name, rt.witness)
+                guard = AtMost(lt.witness, rt.witness)
         else:
             self.error("wfguard", f"unsupported guard operator {e.op}", e.loc)
         bt, bf = self.infer(tenv, venv, e.body)
@@ -348,13 +347,13 @@ class NetworkCheckResult:
 
 
 def infer_expr(tenv: TypeEnv, venv: ValueEnv, e: Expr) -> TypingResult:
-    checker = Checker(tenv)
+    checker = Checker()
     ty, flow = checker.infer(tenv, venv, e)
     return TypingResult(ty, flow, checker.diags)
 
 
 def check_proc(tenv: TypeEnv, venv: ValueEnv, p: Proc):
-    checker = Checker(tenv)
+    checker = Checker()
     flow = checker.check_proc(tenv, venv, p)
     return flow, checker.diags
 
@@ -365,7 +364,7 @@ def check_network(net: Network) -> NetworkCheckResult:
     if diags:
         return NetworkCheckResult(diags)
 
-    checker = Checker(net.tenv)
+    checker = Checker()
     synthesized = checker.check_proc(net.tenv, net.venv, net.body)
     diags.extend(checker.diags)
     diags.extend(_check_declared_flow(net.tenv, net.flow))

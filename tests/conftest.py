@@ -181,9 +181,9 @@ class ProgramGen:
             if rng.random() < 0.7:
                 items.append(it("t", 1, rng.choice((4, self.sizes[0]))))
             if rng.random() < 0.4:
-                items.append(Divides(Num(rng.randint(1, 4)), "t"))
+                items.append(Divides(Num(rng.randint(1, 4)), SVar("t")))
             if rng.random() < 0.2:
-                items.append(AtMost("t", Num(rng.randint(1, 8))))
+                items.append(AtMost(SVar("t"), Num(rng.randint(1, 8))))
             kind = rng.choice(("c!", "c?", "d!", "d?"))
             comps.append(comp(ev(kind), *items))
         return seq(*comps)

@@ -66,14 +66,14 @@ def test_criterion_2_guard_folding_oracle():
     mismatches = 0
     for d in range(1, 9):
         for n in range(1, 65):
-            c = comp(ev("c!"), it("t", 1, n), Divides(Num(d), "t"))
+            c = comp(ev("c!"), it("t", 1, n), Divides(Num(d), SVar("t")))
             folded = fold_guards_comp(c)
             got = eval_size(folded.iterators[0].hi, {})
             want = sum(1 for t in range(1, n + 1) if t % d == 0)
             mismatches += got != want
     for b in range(0, 65):
         for n in range(1, 65):
-            c = comp(ev("c!"), it("t", 1, n), AtMost("t", Num(b)))
+            c = comp(ev("c!"), it("t", 1, n), AtMost(SVar("t"), Num(b)))
             folded = fold_guards_comp(c)
             got = eval_size(folded.iterators[0].hi, {})
             want = sum(1 for t in range(1, n + 1) if t <= b)

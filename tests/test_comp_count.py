@@ -18,7 +18,7 @@ from sdflow.kinding import normalize_size
 from sdflow.parser import parse_program_or_raise
 from sdflow.runtime import _rel_holds
 from sdflow.syntax import (
-    AtMost, Comp, Divides, Iterator, Num, NumGuard, SVar, subst_comp,
+    AtMost, Comp, Divides, Iterator, Num, SVar, subst_comp,
 )
 from sdflow.typecheck import check_network
 
@@ -63,18 +63,19 @@ def comprehensions(draw, symbolic: bool):
         size = st.one_of(size, st.just(SYM))
     names = VARS[:draw(st.integers(1, 3))]
     iters = tuple(Iterator(v, draw(size), draw(size)) for v in names)
-    gvar = st.sampled_from(names + (("x",) if symbolic else ()))
+    gvar = st.sampled_from(names + (("x",) if symbolic else ())).map(SVar)
     guard = st.one_of(
         st.builds(Divides, size, gvar),
         st.builds(AtMost, gvar, size),
-        st.builds(NumGuard, st.sampled_from(("|", "<=")), size, size),
+        st.builds(Divides, size, size),
+        st.builds(AtMost, size, size),
     )
     return comp(ev("c!"), *iters, *draw(st.lists(guard, max_size=4)))
 
 
 @settings(max_examples=400, deadline=None)
 @given(comprehensions(symbolic=False))
-@example(comp(ev("c!"), it("t0", 0, 4), Divides(Num(0), "t0")))
+@example(comp(ev("c!"), it("t0", 0, 4), Divides(Num(0), SVar("t0"))))
 @example(comp(ev("c!"), it("t0", 3, 3), it("t1", 2, 1)))
 def test_closed_form_equals_unrolling_on_numeric_comprehensions(c):
     want = unrolled_count(c)
@@ -84,7 +85,8 @@ def test_closed_form_equals_unrolling_on_numeric_comprehensions(c):
 
 @settings(max_examples=400, deadline=None)
 @given(comprehensions(symbolic=True))
-@example(comp(ev("c!"), it("t0", 1, 1), Divides(SYM, "t0"), Divides(Num(2), "t0")))
+@example(comp(ev("c!"), it("t0", 1, 1), Divides(SYM, SVar("t0")),
+              Divides(Num(2), SVar("t0"))))
 def test_closed_form_never_contradicts_unrolling(c):
     # Where unrolling reaches an answer the closed form gives the same one,
     # and the closed form gives up only where unrolling does too.  (It may
@@ -99,9 +101,9 @@ def test_closed_form_never_contradicts_unrolling(c):
 def test_symbolic_bound_returns_none():
     for c in (comp(ev("c!"), it("t", 1, "s")),
               comp(ev("c!"), it("t", 1, 3), it("u", 1, "s")),
-              comp(ev("c!"), it("t", 1, 3), Divides(SYM, "t")),
-              comp(ev("c!"), it("t", 1, 3), AtMost("t", SYM)),
-              comp(ev("c!"), it("t", 1, 3), NumGuard("<=", Num(1), SYM))):
+              comp(ev("c!"), it("t", 1, 3), Divides(SYM, SVar("t"))),
+              comp(ev("c!"), it("t", 1, 3), AtMost(SVar("t"), SYM)),
+              comp(ev("c!"), it("t", 1, 3), AtMost(Num(1), SYM))):
         assert comp_occurrence_count(c) is None
         assert unrolled_count(c) is None
 
@@ -113,8 +115,8 @@ def test_symbolic_bound_returns_none():
        st.lists(st.integers(0, 6), max_size=3),
        st.lists(st.integers(0, 14), max_size=2))
 def test_range_counter_matches_brute_force(lo, hi, divisors, bounds):
-    guards = ([Divides(Num(d), "k") for d in divisors]
-              + [AtMost("k", Num(b)) for b in bounds])
+    guards = ([Divides(Num(d), SVar("k")) for d in divisors]
+              + [AtMost(SVar("k"), Num(b)) for b in bounds])
     want = sum(1 for k in range(lo, hi + 1)
                if all(_rel_holds("|", d, k) for d in divisors)
                and all(_rel_holds("<=", k, b) for b in bounds))
@@ -122,7 +124,7 @@ def test_range_counter_matches_brute_force(lo, hi, divisors, bounds):
 
 
 def test_zero_divisor_holds_only_at_zero():
-    zero = [Divides(Num(0), "k")]
+    zero = [Divides(Num(0), SVar("k"))]
     assert count_in_range(Num(0), Num(5), zero) == 1
     assert count_in_range(Num(1), Num(5), zero) == 0
     assert count_in_range(Num(1), SYM, zero) == 0

@@ -4,16 +4,16 @@ from conftest import comp, corpus_files, ev, it, load, sizes_for, tenv
 from test_runtime import array_config
 
 from sdflow.conformance import (
-    check_preservation, check_progress_theorem, comp_occurrence_count,
-    consume_actor_flow, heap_flow_counts, heap_flowstate, step_flowstate,
-    step_flowstate_internal, try_consume_comp,
+    _silent_normalize, check_preservation, check_progress_theorem,
+    comp_occurrence_count, consume_actor_flow, heap_flow_counts,
+    heap_flowstate, step_flowstate, step_flowstate_internal, try_consume_comp,
 )
 from sdflow.parser import parse_program_or_raise
-from sdflow.printer import print_proc_flow
+from sdflow.printer import print_guard, print_proc_flow
 from sdflow.runtime import Fault, Label, instantiate, run, step_expr
 from sdflow.syntax import (
-    BoolLit, ChannelKind, Divides, IntLit, Iterator, MkIndex, Num, NumGuard,
-    PActor, Recv, Send, SizeKind, ValueEnv, INF,
+    BoolLit, ChannelKind, Comp, Divides, IntLit, Iterator, MkIndex, Num, SVar,
+    PActor, Recv, Send, SizeKind, ValueEnv, INF, subst_comp,
 )
 
 ENV = tenv(c=ChannelKind(0, Num(4)), d=ChannelKind(1, Num(2)))
@@ -85,18 +85,29 @@ def test_unroll_then_consume_head():
 
 
 def test_numeric_guard_discharges_silently():
-    c = comp(ev("c!"), NumGuard("|", Num(2), Num(4)))
+    c = comp(ev("c!"), Divides(Num(2), Num(4)))
     assert step_flowstate_internal(PActor(c).flow) == [comp(ev("c!"))]
 
 
 def test_false_guard_collapses_to_empty():
-    c = comp(ev("c!"), NumGuard("|", Num(2), Num(3)))
+    c = comp(ev("c!"), Divides(Num(2), Num(3)))
     assert step_flowstate_internal(PActor(c).flow) == []
+
+
+def test_reduced_head_carries_its_guard_with_a_numeric_operand():
+    # the head of c!<t in 1..4, 2 | t> at t = k is c!<2 | k>
+    c = comp(ev("c!"), it("t", 1, 4), Divides(Num(2), SVar("t")))
+    head = Comp(c.event, (), c.guards)
+    at_3 = subst_comp(head, "t", Num(3))
+    assert at_3.guards == (Divides(Num(2), Num(3)),)
+    assert print_guard(at_3.guards[0]) == "2 | 3"
+    assert _silent_normalize(at_3) is None
+    assert _silent_normalize(subst_comp(head, "t", Num(4))) == comp(ev("c!"))
 
 
 def test_guarded_comprehension_consumes_only_matching_iterations():
     # events fire at t = 2 and t = 4 only
-    c = comp(ev("c!"), it("t", 1, 4), Divides(Num(2), "t"))
+    c = comp(ev("c!"), it("t", 1, 4), Divides(Num(2), SVar("t")))
     assert comp_occurrence_count(c) == 2
     after = try_consume_comp(c, Label("c", True))
     assert after is not None

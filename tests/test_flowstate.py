@@ -94,30 +94,30 @@ def test_distribute_iterator_renames_colliding_binder():
 
 def test_distribute_guard_over_sequence():
     body = seq(comp(ev("c!")), comp(ev("d!")))
-    g = Divides(Num(2), "t")
+    g = Divides(Num(2), SVar("t"))
     out = distribute_guard(body, g)
     assert out == seq(comp(ev("c!"), g), comp(ev("d!"), g))
 
 
 def test_distribute_guard_over_empty():
-    assert distribute_guard(FEmpty(), Divides(Num(2), "t")) == FEmpty()
+    assert distribute_guard(FEmpty(), Divides(Num(2), SVar("t"))) == FEmpty()
 
 
 def test_distribute_guard_appends():
     body = comp(ev("c!"), it("u", 1, "s"))
-    g = AtMost("t", Num(4))
+    g = AtMost(SVar("t"), Num(4))
     assert distribute_guard(body, g) == comp(ev("c!"), it("u", 1, "s"), g)
 
 
 # --- guard folding ---------------------------------------------------------------
 
 def test_fold_divisibility_on_unit_lower_bound():
-    fs = comp(ev("o!"), it("t", 1, "s"), Divides(Num(2), "t"))
+    fs = comp(ev("o!"), it("t", 1, "s"), Divides(Num(2), SVar("t")))
     assert fold_guards(fs) == comp(ev("o!"), it("t", 1, Div(SVar("s"), Num(2))))
 
 
 def test_fold_bound_guard_uses_min():
-    fs = comp(ev("c!"), it("t", 1, 8), AtMost("t", Num(5)))
+    fs = comp(ev("c!"), it("t", 1, 8), AtMost(SVar("t"), Num(5)))
     assert fold_guards(fs) == comp(ev("c!"), it("t", 1, 5))
 
 
@@ -127,7 +127,7 @@ def test_fold_no_guards_is_identity():
 
 
 def test_fold_rejects_array_guards():
-    fs = comp(ev("a!", "t"), it("t", 1, "s"), Divides(Num(2), "t"))
+    fs = comp(ev("a!", "t"), it("t", 1, "s"), Divides(Num(2), SVar("t")))
     with pytest.raises(FlowstateError):
         fold_guards(fs)
 
@@ -136,7 +136,7 @@ def test_fold_divisibility_matches_brute_force():
     # the folded multiplicity equals a direct count of satisfying iterations
     for d in range(1, 9):
         for n in range(1, 65):
-            fs = comp(ev("c!"), it("t", 1, n), Divides(Num(d), "t"))
+            fs = comp(ev("c!"), it("t", 1, n), Divides(Num(d), SVar("t")))
             folded = fold_guards_comp(fs)
             got = normalize_size(folded.iterators[0].hi)
             assert got == Num(brute_count(1, n, divisors=(d,))), (d, n)
@@ -145,7 +145,7 @@ def test_fold_divisibility_matches_brute_force():
 def test_fold_bound_matches_brute_force():
     for b in range(0, 65):
         for n in range(1, 65, 7):
-            fs = comp(ev("c!"), it("t", 1, n), AtMost("t", Num(b)))
+            fs = comp(ev("c!"), it("t", 1, n), AtMost(SVar("t"), Num(b)))
             folded = fold_guards_comp(fs)
             got = eval_size(folded.iterators[0].hi, {})
             assert got == brute_count(1, n, at_most=b), (b, n)
@@ -154,14 +154,15 @@ def test_fold_bound_matches_brute_force():
 def test_fold_nonunit_numeric_lower_bound_counts_directly():
     for lo in range(2, 6):
         for n in range(lo, 20):
-            fs = comp(ev("c!"), it("t", lo, n), Divides(Num(3), "t"))
+            fs = comp(ev("c!"), it("t", lo, n), Divides(Num(3), SVar("t")))
             folded = fold_guards_comp(fs)
             lo2, hi2 = folded.iterators[0].lo, folded.iterators[0].hi
             assert (lo2, hi2) == (Num(1), Num(brute_count(lo, n, divisors=(3,))))
 
 
 def test_fold_two_divisors_uses_lcm():
-    fs = comp(ev("c!"), it("t", 1, 48), Divides(Num(4), "t"), Divides(Num(6), "t"))
+    fs = comp(ev("c!"), it("t", 1, 48), Divides(Num(4), SVar("t")),
+              Divides(Num(6), SVar("t")))
     folded = fold_guards_comp(fs)
     assert normalize_size(folded.iterators[0].hi) == Num(brute_count(1, 48, (4, 6)))
 
@@ -169,7 +170,7 @@ def test_fold_two_divisors_uses_lcm():
 def test_fold_stacked_guards_exact():
     for m in range(0, 20, 3):
         fs = comp(ev("c!"), it("t", 1, 16),
-                  AtMost("t", Num(m)), Divides(Num(2), "t"))
+                  AtMost(SVar("t"), Num(m)), Divides(Num(2), SVar("t")))
         folded = fold_guards_comp(fs)
         got = eval_size(folded.iterators[0].hi, {})
         assert got == brute_count(1, 16, divisors=(2,), at_most=m), m
@@ -179,7 +180,7 @@ def test_fold_stacked_guards_exact():
 
 def test_rate_summary_intro_example():
     fs = seq(comp(ev("i?"), it("t", 1, "s")),
-             comp(ev("o!"), it("t", 1, "s"), Divides(Num(2), "t")))
+             comp(ev("o!"), it("t", 1, "s"), Divides(Num(2), SVar("t"))))
     assert rate_summary(ENV, fs) == {
         ("i", "recv"): SVar("s"),
         ("o", "send"): Div(SVar("s"), Num(2)),
@@ -192,7 +193,7 @@ def test_rate_summary_empty():
 
 def test_rate_summary_matches_enumeration_at_8():
     fs = seq(comp(ev("i?"), it("t", 1, 8)),
-             comp(ev("o!"), it("t", 1, 8), Divides(Num(2), "t")))
+             comp(ev("o!"), it("t", 1, 8), Divides(Num(2), SVar("t"))))
     summary = rate_summary(ENV, fs)
     assert summary[("i", "recv")] == Num(8)
     assert summary[("o", "send")] == Num(brute_count(1, 8, divisors=(2,)))
@@ -276,8 +277,8 @@ from hypothesis import given, settings, strategies as st
        st.integers(1, 64))
 def test_folded_count_is_exact_for_any_guard_stack(n, d, b, lo_hint):
     # counting soundness over both guard forms together
-    fs = comp(ev("c!"), it("t", 1, n), AtMost("t", Num(b)),
-              Divides(Num(d), "t"))
+    fs = comp(ev("c!"), it("t", 1, n), AtMost(SVar("t"), Num(b)),
+              Divides(Num(d), SVar("t")))
     folded = fold_guards_comp(fs)
     got = eval_size(folded.iterators[0].hi, {})
     assert got == brute_count(1, n, divisors=(d,), at_most=b)

@@ -187,6 +187,17 @@ def test_progress_partial_consumption_splits_counts():
     assert len(schedule) == 3
 
 
+def test_progress_counts_numeric_array_comprehensions_of_any_size():
+    # one producer of 2n tokens per element feeds two consumers of n each
+    env = tenv(a=ChannelArrayKind(0, Num(1), Num(2)))
+    for n in (2000, 20000):
+        recv = PActor(comp(ev("a?", "t"), it("u", 1, n), it("t", 1, 2)))
+        fs = par_flow(PActor(comp(ev("a!", "t"), it("u", 1, 2 * n),
+                                  it("t", 1, 2))), recv, recv)
+        out = check_progress(env, fs)
+        assert [s.action for s in out] == ["produce", "consume", "consume"]
+
+
 def test_progress_schedule_serializes():
     fs = PPar(PActor(comp(ev("c!"), it("t", 1, "s"))),
               PActor(comp(ev("c?"), it("t", 1, "s"))))

@@ -175,7 +175,7 @@ def _env(delays):
 def _plain_comp(chan, is_send, rate):
     e = ev(chan + ("!" if is_send else "?"))
     if rate == "s/2":
-        return comp(e, it("t", 1, "s"), Divides(Num(2), "t"))
+        return comp(e, it("t", 1, "s"), Divides(Num(2), SVar("t")))
     return comp(e, it("t", 1, rate))
 
 

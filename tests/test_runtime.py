@@ -379,6 +379,14 @@ def test_assignment_is_seen_by_an_actor_about_to_dereference():
     assert finals == {5 + 5, 5 + 37, 37 + 37}
 
 
+def test_exploration_tells_terminals_apart_by_actor_results():
+    # the heap and the communication counts agree on all three outcomes
+    result = explore(instantiate(parse_program_or_raise(RACY_REF), {}))
+    assert result.all_complete
+    assert len(result.terminals) == 3
+    assert not result.deterministic_outcome
+
+
 def test_stuck_actor_is_reported_beside_blocked_one():
     net = parse_program_or_raise(STUCK_BESIDE_BLOCKED)
     result = run(instantiate(net, {"s": 2, "k": 3}))

@@ -2,11 +2,12 @@ import random
 
 from conftest import ProgramGen, comp, ev, it, seq
 
+from sdflow.conformance import comp_occurrence_count
 from sdflow.parser import parse_program, parse_program_or_raise
 from sdflow.printer import print_flow, print_proc, print_program
 from sdflow.syntax import (
     Comp, Divides, Event, FEmpty, FSeq, Iterator, Num, Stop, SVar,
-    flow_free_vars, subst_comp, subst_flow,
+    flow_free_vars, rename_binder, subst_comp, subst_flow,
 )
 
 
@@ -47,6 +48,19 @@ def test_subst_avoids_capture():
     assert binder != "t"
     assert out.iterators[0].hi == SVar("t")
     assert out.event.index == SVar(binder)
+    # so the result emits t events
+    assert comp_occurrence_count(subst_comp(out, "t", Num(5))) == 5
+
+
+def test_rename_binder_renames_its_scope_to_a_fresh_name():
+    c = comp(ev("a!", "t"), it("t", 1, "s"), it("u", 1, "t"),
+             Divides(Num(2), SVar("t")))
+    out = rename_binder(c, "t", {"v"})
+    new = out.iterators[0].var
+    assert new not in {"t", "u", "s", "a", "v"}
+    assert out == comp(ev("a!", new), it(new, 1, "s"), it("u", 1, new),
+                       Divides(Num(2), SVar(new)))
+    assert rename_binder(c, "w", {"v"}) == c
 
 
 def test_print_stop():

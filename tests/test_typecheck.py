@@ -28,7 +28,7 @@ def test_downsampler_actor_flow_matches_golden():
     assert not result.diagnostics
     assert result.type == IntType()
     want = seq(comp(ev("i?"), it("t", 1, "s")),
-               comp(ev("o!"), it("t", 1, "s"), Divides(Num(2), "t")))
+               comp(ev("o!"), it("t", 1, "s"), Divides(Num(2), SVar("t"))))
     assert flowstates_equivalent(net.tenv, result.flow, want) is True
 
 
