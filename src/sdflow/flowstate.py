@@ -23,7 +23,8 @@ from collections import Counter
 from typing import Optional
 
 from .kinding import (
-    eval_size, is_inf, kind_of, normalize_size, size_leq, sizes_equal,
+    eval_size, is_inf, kind_of, normalize_size, size_leq, size_lower_bound,
+    sizes_equal,
 )
 from .syntax import (
     ActorFlow, Add, AtMost, ChannelArrayKind, ChannelKind, Comp, Diagnostic,
@@ -155,8 +156,14 @@ def distribute_guard(fs: ActorFlow, g: Guard) -> ActorFlow:
 # ---------------------------------------------------------------------------
 
 def extent(it: Iterator) -> SizeExpr:
-    """Number of iterations of lo..hi as a clamped size expression."""
-    return normalize_size(Sub(it.hi, Sub(it.lo, Num(1))))
+    """Number of iterations of lo..hi, max(0, hi - lo + 1), as a size
+    expression.  When lo is provably >= 1, lo - 1 does not clamp and
+    hi - (lo - 1) keeps the canonical form of the range shifted to start at 1
+    (3..s and 1..s-2 both give s - 2); a lo that may be 0 adds the 1 to hi."""
+    lo_min = size_lower_bound(it.lo)
+    if is_inf(lo_min) or lo_min >= 1:
+        return normalize_size(Sub(it.hi, Sub(it.lo, Num(1))))
+    return normalize_size(Sub(Add(it.hi, Num(1)), it.lo))
 
 
 def fold_guards_comp(comp: Comp) -> Comp:

@@ -285,8 +285,9 @@ def test_folded_count_is_exact_for_any_guard_stack(n, d, b, lo_hint):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 12))
-def test_comprehension_extent_times_body(n, m):
-    body = comp(ev("c!"), it("u", 1, m))
-    out = distribute_iterator(body, it("t", 1, n))
-    assert rate_summary(ENV, out)[("c", "send")] == Num(n * m)
+@given(st.integers(0, 2), st.integers(1, 12), st.integers(1, 12))
+def test_comprehension_extent_times_body(lo, n, m):
+    body = comp(ev("c!"), it("u", lo, m))
+    out = distribute_iterator(body, it("t", lo, n))
+    want = max(0, n - lo + 1) * max(0, m - lo + 1)
+    assert rate_summary(ENV, out).get(("c", "send"), Num(0)) == Num(want)

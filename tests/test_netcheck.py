@@ -196,6 +196,17 @@ def test_progress_counts_numeric_array_comprehensions_of_any_size():
                                   it("t", 1, 2))), recv, recv)
         out = check_progress(env, fs)
         assert [s.action for s in out] == ["produce", "consume", "consume"]
+    # a range from 0 has hi + 1 values: against 1..3 one token per element
+    # is left over, against 1..4 none is; the same on a plain channel
+    env = tenv(a=ChannelArrayKind(0, Num(1), Num(2)), c=ChannelKind(0, Num(4)))
+    for index, elems in (("t", (it("t", 1, 2),)), (None, ())):
+        for hi, accepted in ((3, False), (4, True)):
+            fs = PPar(PActor(comp(ev("a!" if index else "c!", index),
+                                  it("u", 0, 3), *elems)),
+                      PActor(comp(ev("a?" if index else "c?", index),
+                                  it("u", 1, hi), *elems)))
+            out = check_progress(env, fs)
+            assert out and (not hasattr(out[0], "rule")) == accepted
 
 
 def test_progress_schedule_serializes():
