@@ -38,7 +38,7 @@ def _build_parser() -> _Parser:
                                  "networks with flowstate types.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_sizes=False):
+    def common(p):
         p.add_argument("input", help="path to a .sdf program")
         p.add_argument("--size", action="append", default=[],
                        metavar="NAME=VALUE",
@@ -73,20 +73,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _usage(message: str):
+    print(f"sdflow: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def _parse_sizes(pairs: list[str]) -> dict[str, int]:
     sizes: dict[str, int] = {}
     for pair in pairs:
         name, _, value = pair.partition("=")
         if not name or not value:
-            raise SystemExit(EXIT_USAGE)
+            _usage(f"--size expects NAME=VALUE, got {pair!r}")
+        if name in sizes:
+            _usage(f"--size {name} given more than once")
         try:
             n = int(value)
         except ValueError:
-            print(f"sdflow: size {name} must be an integer", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            _usage(f"size {name} must be an integer")
         if n < 1:
-            print(f"sdflow: size {name} must be positive", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            _usage(f"size {name} must be positive")
         sizes[name] = n
     return sizes
 
@@ -100,8 +105,7 @@ def _load(path: str) -> Network:
     try:
         source = Path(path).read_text()
     except OSError as exc:
-        print(f"sdflow: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage(f"cannot read {path}: {exc}")
     result = parse_program(source)
     if isinstance(result, list):
         _report(result)
@@ -112,6 +116,8 @@ def _load(path: str) -> Network:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     sizes = _parse_sizes(args.size)
+    if args.command in ("run", "conform") and args.max_states < 1:
+        _usage("--max-states must be positive")
     net = _load(args.input)
     result = check_network(net)
     if not result.ok:
@@ -120,11 +126,9 @@ def main(argv=None) -> int:
                             for d in result.diagnostics)
         if args.command == "schedule" and network_level:
             raise SystemExit(EXIT_CYCLE)
-        if args.command == "run" and network_level:
-            # a well-typed but unschedulable network still runs, so the
-            # deadlock itself can be demonstrated
-            pass
-        else:
+        # a well-typed but unschedulable network still runs, so the
+        # deadlock itself can be demonstrated
+        if not (args.command == "run" and network_level):
             raise SystemExit(EXIT_CHECK)
 
     if args.command == "check":
@@ -161,6 +165,8 @@ def main(argv=None) -> int:
                        "truncated": ex.truncated}
             if args.format == "json":
                 print(json.dumps(payload, sort_keys=True))
+            elif ex.truncated:
+                print(f"truncated after {ex.states} states")
             else:
                 print(f"{payload['status']}: {ex.states} states, "
                       f"{len(ex.terminals)} outcome(s)")
@@ -202,8 +208,11 @@ def main(argv=None) -> int:
         else:
             print(f"preservation: {len(pres.violations)} violations over "
                   f"{pres.steps} steps")
-            print(f"progress: {prog.states} states, "
-                  f"{'complete' if prog.complete else 'stuck states found'}")
+            outcome = "complete" if prog.complete else "stuck states found"
+            if prog.truncated:
+                print(f"progress: truncated after {prog.states} states")
+            else:
+                print(f"progress: {prog.states} states, {outcome}")
         if not pres.ok or not prog.ok:
             for v in pres.violations:
                 print(f"violation at step {v.step} ({v.clause}): expected "

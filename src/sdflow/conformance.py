@@ -30,10 +30,10 @@ from .runtime import (
 )
 from .syntax import (
     ActorComp, ActorE, BoolLit, BoolType, ChannelArrayKind, ChannelKind, Comp,
-    Diagnostic, Event, IntLit, IntType, Iterator, Network, Num, PActor, Par,
-    PArray, ProcFlow, SizeType, Stop, SVar, TypeEnv, ValueEnv,
-    flow_comps, par_flow, proc_components, proc_flow_components, seq_flow,
-    subst_comp, subst_flow, subst_size, MkSize, MkIndex, record,
+    Diagnostic, Env, Event, IntLit, IntType, Iterator, Network, Num, PActor,
+    Par, PArray, ProcFlow, SizeType, Stop, SVar, flow_comps, par_flow,
+    proc_components, proc_flow_components, seq_flow, subst_comp, subst_flow,
+    subst_size, MkSize, MkIndex, record,
 )
 from .typecheck import Checker
 
@@ -58,7 +58,7 @@ def _value_has_type(value, ty) -> bool:
             return True
 
 
-def heap_flow_counts(tenv: TypeEnv, heap: Heap) -> Counter:
+def heap_flow_counts(tenv: Env, heap: Heap) -> Counter:
     """Pending communications recorded by the heap, as concrete counts."""
     counts: Counter = Counter()
     kinds: dict = {}
@@ -79,7 +79,7 @@ def heap_flow_counts(tenv: TypeEnv, heap: Heap) -> Counter:
     return counts
 
 
-def heap_flowstate(tenv: TypeEnv, venv: ValueEnv, heap: Heap
+def heap_flowstate(tenv: Env, venv: Env, heap: Heap
                    ) -> tuple[ProcFlow, list[Diagnostic]]:
     """The heap's flowstate, plus diagnostics for ill-typed buffer contents."""
     diags: list[Diagnostic] = []
@@ -222,7 +222,7 @@ def step_flowstate_internal(fs) -> list[Comp]:
     return out
 
 
-def step_flowstate(tenv: TypeEnv, fs: ProcFlow, label: Label
+def step_flowstate(tenv: Env, fs: ProcFlow, label: Label
                    ) -> Optional[ProcFlow]:
     """One labeled reduction of a process flowstate, or None when no
     component can emit the label."""

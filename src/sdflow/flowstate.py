@@ -28,9 +28,9 @@ from .kinding import (
 )
 from .syntax import (
     ActorFlow, Add, AtMost, ChannelArrayKind, ChannelKind, Comp, Diagnostic,
-    Div, Divides, Event, FEmpty, FSeq, Guard, Iterator, Mul, Num, PActor,
+    Div, Divides, Env, Event, FEmpty, FSeq, Guard, Iterator, Mul, Num, PActor,
     PArray, ProcFlow, SizeArithmeticError, SizeExpr, SizeKind, SMin, Sub,
-    SVar, TypeEnv, flow_comps, free_size_vars, rename_binder, subst_flow,
+    SVar, flow_comps, free_size_vars, rename_binder, subst_flow,
     proc_flow_components, record,
 )
 
@@ -50,14 +50,14 @@ class FlowstateError(Exception):
 # Formation
 # ---------------------------------------------------------------------------
 
-def check_flowstate(env: TypeEnv, fs: ActorFlow) -> list[Diagnostic]:
+def check_flowstate(env: Env, fs: ActorFlow) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for comp in flow_comps(fs):
         diags.extend(_check_comp(env, comp))
     return diags
 
 
-def _check_comp(env: TypeEnv, comp: Comp) -> list[Diagnostic]:
+def _check_comp(env: Env, comp: Comp) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     seen_vars: set[str] = set()
     for it in comp.iterators:
@@ -81,7 +81,7 @@ def _check_comp(env: TypeEnv, comp: Comp) -> list[Diagnostic]:
     return diags
 
 
-def _check_event(env: TypeEnv, ev: Event) -> list[Diagnostic]:
+def _check_event(env: Env, ev: Event) -> list[Diagnostic]:
     kind = env.lookup(ev.chan)
     rule = ("FS Send" if ev.is_send else "FS Recv") if ev.index is None else \
            ("FS Array Send" if ev.is_send else "FS Array Recv")
@@ -105,7 +105,7 @@ def _check_event(env: TypeEnv, ev: Event) -> list[Diagnostic]:
     return []
 
 
-def _check_guard(env: TypeEnv, g: Guard) -> list[Diagnostic]:
+def _check_guard(env: Env, g: Guard) -> list[Diagnostic]:
     match g:
         case Divides(size, _):
             rule, what = "FS Gd Div", "divisor"
@@ -277,7 +277,7 @@ class RangeIndex:
 CommTarget = tuple  # (chan, "send"|"recv") or (chan, dir, SingleIndex|RangeIndex)
 
 
-def rate_summary(env: TypeEnv, fs: ActorFlow) -> dict[CommTarget, SizeExpr]:
+def rate_summary(env: Env, fs: ActorFlow) -> dict[CommTarget, SizeExpr]:
     """Per-channel multiplicities of a flowstate, after guard folding."""
     summary: dict[CommTarget, SizeExpr] = {}
     for comp in flow_comps(fs):
@@ -308,7 +308,7 @@ def _comp_target(comp: Comp) -> tuple[CommTarget, SizeExpr]:
     return (ev.chan, direction, SingleIndex(normalize_size(ev.index))), mult
 
 
-def proc_rate_summary(env: TypeEnv, fs: ProcFlow) -> dict[CommTarget, SizeExpr]:
+def proc_rate_summary(env: Env, fs: ProcFlow) -> dict[CommTarget, SizeExpr]:
     summary: dict[CommTarget, SizeExpr] = {}
 
     def merge(other: dict[CommTarget, SizeExpr]):
@@ -381,7 +381,7 @@ def _summary_vars(summary: dict[CommTarget, SizeExpr]) -> set[str]:
     return out
 
 
-def flowstates_equivalent(env: TypeEnv, a: ActorFlow, b: ActorFlow
+def flowstates_equivalent(env: Env, a: ActorFlow, b: ActorFlow
                           ) -> Optional[bool]:
     """True when rate summaries agree exactly; False when refuted by a
     concrete instantiation; None when symbolic forms differ but no refuting
@@ -410,7 +410,7 @@ def summaries_equivalent(sa: dict, sb: dict) -> Optional[bool]:
     return None
 
 
-def _live_components(env: TypeEnv, fs: ProcFlow) -> list[ProcFlow]:
+def _live_components(env: Env, fs: ProcFlow) -> list[ProcFlow]:
     """Parallel components that can communicate at all; components whose rate
     summary is empty behave as the empty flowstate."""
     out = []
@@ -425,7 +425,7 @@ def _live_components(env: TypeEnv, fs: ProcFlow) -> list[ProcFlow]:
     return out
 
 
-def proc_flows_equivalent(env: TypeEnv, a: ProcFlow, b: ProcFlow) -> Optional[bool]:
+def proc_flows_equivalent(env: Env, a: ProcFlow, b: ProcFlow) -> Optional[bool]:
     """Componentwise equivalence: parallel components match in order, actor
     arrays match on bounds and bodies (up to renaming the array index)."""
     pa = _live_components(env, a)
@@ -441,8 +441,7 @@ def proc_flows_equivalent(env: TypeEnv, a: ProcFlow, b: ProcFlow) -> Optional[bo
                 if not (sizes_equal(lox, loy) and sizes_equal(hix, hiy)):
                     return False
                 by_renamed = subst_flow(by, vy, SVar(vx)) if vy != vx else by
-                env2 = env.extend(vx, SizeKind(hix))
-                sub = flowstates_equivalent(env2, bx, by_renamed)
+                sub = flowstates_equivalent(env, bx, by_renamed)
             case _:
                 return False
         if sub is False:

@@ -15,9 +15,9 @@ from typing import Optional, Union
 from .printer import print_type
 from .syntax import (
     Add, BoolType, ChanArrayType, ChannelArrayKind, ChannelKind, ChanType,
-    Diagnostic, Div, IndexType, Infinity, IntType, Kind, Mul, Num, ProcType,
-    RefType, SMin, SVar, SizeArithmeticError, SizeExpr, SizeKind, SizeType,
-    Sub, TypeEnv, TypeKind, ValueEnv, ValueType, INF,
+    Diagnostic, Div, Env, IndexType, Infinity, IntType, Kind, Mul, Num,
+    ProcType, RefType, SMin, SVar, SizeArithmeticError, SizeExpr, SizeKind,
+    SizeType, Sub, TypeKind, ValueType, INF,
 )
 
 Quantity = Union[int, Infinity]
@@ -382,7 +382,7 @@ def sizes_equal(a: SizeExpr, b: SizeExpr) -> bool:
 # Size ordering (three-valued)
 # ---------------------------------------------------------------------------
 
-def size_leq(env: TypeEnv, a: SizeExpr, b: SizeExpr) -> Optional[bool]:
+def size_leq(env: Env, a: SizeExpr, b: SizeExpr) -> Optional[bool]:
     """Sound decision for a <= b under every instantiation respecting the
     declared bounds in env.  Returns None when undecided."""
     try:
@@ -397,7 +397,7 @@ def _lb_at_least(e: SizeExpr, n: int) -> bool:
     return True if is_inf(lb) else lb >= n
 
 
-def _leq(env: TypeEnv, a: SizeExpr, b: SizeExpr, depth: int) -> Optional[bool]:
+def _leq(env: Env, a: SizeExpr, b: SizeExpr, depth: int) -> Optional[bool]:
     if depth > 32:
         return None
     if isinstance(b, Infinity):
@@ -456,7 +456,7 @@ def is_size_expr(ty) -> bool:
     return isinstance(ty, _SIZE_NODES)
 
 
-def kind_of(env: TypeEnv, ty) -> Union[Kind, Diagnostic]:
+def kind_of(env: Env, ty) -> Union[Kind, Diagnostic]:
     """Kind of a size expression, simple type, or channel value type."""
     if is_size_expr(ty):
         return _kind_of_size(env, ty)
@@ -515,7 +515,7 @@ def kind_of(env: TypeEnv, ty) -> Union[Kind, Diagnostic]:
     return Diagnostic("Ty Var", f"unrecognized type {ty!r}")
 
 
-def _kind_of_size(env: TypeEnv, ty: SizeExpr) -> Union[Kind, Diagnostic]:
+def _kind_of_size(env: Env, ty: SizeExpr) -> Union[Kind, Diagnostic]:
     match ty:
         case Num(n):
             return SizeKind(Num(n))
@@ -541,7 +541,7 @@ def _kind_of_size(env: TypeEnv, ty: SizeExpr) -> Union[Kind, Diagnostic]:
     raise TypeError(f"not a size expression: {ty!r}")
 
 
-def check_kind(env: TypeEnv, kind: Kind) -> list[Diagnostic]:
+def check_kind(env: Env, kind: Kind) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
     def expect_size(e: SizeExpr, rule: str):
@@ -564,10 +564,10 @@ def check_kind(env: TypeEnv, kind: Kind) -> list[Diagnostic]:
     return diags
 
 
-def check_type_env(env: TypeEnv) -> list[Diagnostic]:
+def check_type_env(env: Env) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     seen: set[str] = set()
-    prefix = TypeEnv()
+    prefix = Env()
     for name, kind in env.items:
         if name in seen:
             diags.append(Diagnostic("TyEnv Extend", f"duplicate binding {name}"))
@@ -577,7 +577,7 @@ def check_type_env(env: TypeEnv) -> list[Diagnostic]:
     return diags
 
 
-def check_value_env(tenv: TypeEnv, venv: ValueEnv) -> list[Diagnostic]:
+def check_value_env(tenv: Env, venv: Env) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     seen: set[str] = set()
     first: dict[str, tuple[str, ValueType]] = {}  # channel -> (binding, payload)

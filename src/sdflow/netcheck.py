@@ -44,16 +44,16 @@ from .flowstate import (
 from .kinding import normalize_size, size_leq
 from .printer import print_comp, print_size
 from .syntax import (
-    Add, ChannelArrayKind, ChannelKind, Comp, Diagnostic, Event, Infinity,
+    Add, ChannelArrayKind, ChannelKind, Comp, Diagnostic, Env, Event, Infinity,
     Iterator, Mul, Num, PActor, PArray, ProcFlow, SizeExpr, Sub, SVar,
-    TypeEnv, field, flow_comps, subst_flow, proc_flow_components, record,
+    field, flow_comps, subst_flow, proc_flow_components, record,
 )
 
 PRODUCER = "producer"
 CONSUMER = "consumer"
 
 
-def classify_event(tenv: TypeEnv, ev: Event) -> str:
+def classify_event(tenv: Env, ev: Event) -> str:
     kind = tenv.lookup(ev.chan)
     if isinstance(kind, ChannelKind) or isinstance(kind, ChannelArrayKind):
         if ev.is_send:
@@ -119,7 +119,7 @@ def outchans(fs: ProcFlow) -> set:
     return _flow_uses(fs, want_send=True)
 
 
-def _uses_overlap(env: TypeEnv, a, b) -> bool:
+def _uses_overlap(env: Env, a, b) -> bool:
     """Conservative: overlapping unless provably disjoint."""
     if a[1] != b[1]:
         return False
@@ -143,7 +143,7 @@ def _use_order(u) -> tuple:
     return u[:2] + (print_size(u[2]), print_size(u[3])) if u[0] == "range" else u
 
 
-def _overlapping_pairs(env: TypeEnv, left: set, right: set) -> list:
+def _overlapping_pairs(env: Env, left: set, right: set) -> list:
     return [(a, b) for a in sorted(left, key=_use_order)
             for b in sorted(right, key=_use_order)
             if _uses_overlap(env, a, b)]
@@ -157,7 +157,7 @@ def _describe(u) -> str:
     return f"{u[1]}[{print_size(u[2])}..{print_size(u[3])}]"
 
 
-def _array_diags(tenv: TypeEnv, part: PArray) -> list[Diagnostic]:
+def _array_diags(tenv: Env, part: PArray) -> list[Diagnostic]:
     """Elements of an actor array wider than one must each use their own
     channel-array element, indexed by the array variable."""
     if size_leq(tenv, part.hi, part.lo) is True:
@@ -177,7 +177,7 @@ def _array_diags(tenv: TypeEnv, part: PArray) -> list[Diagnostic]:
     return diags
 
 
-def check_determinism(tenv: TypeEnv, fs: ProcFlow) -> list[Diagnostic]:
+def check_determinism(tenv: Env, fs: ProcFlow) -> list[Diagnostic]:
     """Each channel (element) is read by at most one component and written
     by at most one.  Every component's uses are compared with the earlier
     uses of the same channel, in sorted order; an error computing the uses
@@ -259,7 +259,7 @@ class Record:
     arrays per element when numeric and as whole comprehensions when
     symbolic."""
 
-    def __init__(self, env: TypeEnv):
+    def __init__(self, env: Env):
         self.env = env
         self.plain: dict = {}            # (chan, is_send, producer) -> SizeExpr
         self.numeric: Counter = Counter()  # (chan, dir, elem, producer) -> int
@@ -393,7 +393,7 @@ def _fold_comps(comps: list[Comp]) -> list[Comp]:
     return out
 
 
-def check_progress(tenv: TypeEnv, fs: ProcFlow
+def check_progress(tenv: Env, fs: ProcFlow
                    ) -> Union[list[ScheduleStep], list[Diagnostic]]:
     """Fires the lowest-numbered enabled actor until none is enabled.
     Returns that firing order when it discharges every actor flowstate and

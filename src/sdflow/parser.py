@@ -12,12 +12,12 @@ from typing import Optional, Union
 from .syntax import (
     ActorComp, ActorE, Add, App, Assign, AtMost, BinOp, BoolLit, BoolType,
     ChanArrayType, ChannelArrayKind, ChannelKind, ChanType, Comp, Deref,
-    Diagnostic, Div, Divides, Event, Expr, FEmpty, For, FromIndex, FromSize,
-    FSeq, If, IndexType, IntLit, IntType, Iterator, Lam, Let, MkIndex,
-    MkSize, Mul, Network, NewRef, Num, PActor, Par, PArray, PEmpty, PPar,
-    Proc, ProcFlow, ProcType, Recv, RefType, Send, SeqE, SizeExpr, SizeKind,
-    SizeType, SMin, Stop, Sub, SVar, TypeEnv, ValueEnv, Var, When,
-    ActorFlow, INF, Loc, record,
+    Diagnostic, Div, Divides, Env, Event, Expr, FEmpty, For, FromIndex,
+    FromSize, FSeq, If, IndexType, IntLit, IntType, Iterator, Lam, Let,
+    MkIndex, MkSize, Mul, Network, NewRef, Num, PActor, Par, PArray, PEmpty,
+    PPar, Proc, ProcFlow, ProcType, Recv, RefType, Send, SeqE, SizeExpr,
+    SizeKind, SizeType, SMin, Stop, Sub, SVar, Var, When, ActorFlow, INF, Loc,
+    record,
 )
 
 KEYWORDS = {
@@ -673,7 +673,7 @@ class Parser:
         body = self.proc()
         self.expect("op", "}")
         self.expect("eof")
-        return Network(TypeEnv(tuple(tenv_items)), ValueEnv(tuple(venv_items)),
+        return Network(Env(tuple(tenv_items)), Env(tuple(venv_items)),
                        flow, body)
 
     def _delay_flag(self) -> int:

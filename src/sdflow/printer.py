@@ -12,7 +12,6 @@ from .syntax import (
     Mul, Network, NewRef, Num, PActor, PArray, PEmpty, PPar,
     Proc, ProcFlow, ProcType, Recv, RefType, Send, SeqE, SizeExpr, SizeKind,
     SizeType, SMin, Stop, Sub, SVar, Var, When, ActorFlow, proc_components,
-    seq_flow,
 )
 
 # precedence levels for size expressions
@@ -91,10 +90,7 @@ def print_comp(c: Comp) -> str:
     return f"{print_event(c.event)}<{', '.join(items)}>"
 
 
-def print_flow(fs: ActorFlow, normalized: bool = False) -> str:
-    if normalized:
-        from .syntax import flow_comps
-        fs = seq_flow(*flow_comps(fs))
+def print_flow(fs: ActorFlow) -> str:
     match fs:
         case FEmpty():
             return "eps"

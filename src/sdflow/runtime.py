@@ -27,10 +27,10 @@ from typing import Callable, Optional, Union
 from .kinding import eval_size, is_inf
 from .syntax import (
     ActorComp, ActorE, App, Assign, BinOp, BoolLit, BoolType, ChanArrayType,
-    ChannelArrayKind, ChannelKind, ChanType, Deref, Diagnostic, Expr, For,
+    ChannelArrayKind, ChannelKind, ChanType, Deref, Diagnostic, Env, Expr, For,
     FromIndex, FromSize, If, IntLit, IntType, Lam, Let, LocRef, MkIndex,
     MkSize, Network, NewRef, Recv, Send, SeqE, SizeKind, SizeType, Stop,
-    TypeEnv, ValueEnv, When, field, is_value, proc_components, record,
+    When, field, is_value, proc_components, record,
     replace, subst_expr,
 )
 
@@ -117,8 +117,8 @@ class Actor:
 class Configuration:
     actors: list[Actor]
     heap: Heap
-    venv: ValueEnv
-    tenv: TypeEnv
+    venv: Env
+    tenv: Env
     sizes: dict
 
     def done(self) -> bool:
@@ -142,7 +142,7 @@ def _default_value(ty) -> Expr:
     return IntLit(0)
 
 
-def channel_payloads(venv: ValueEnv) -> dict:
+def channel_payloads(venv: Env) -> dict:
     """Payload type of each type-level channel, from its first binding."""
     out: dict = {}
     for _, ty in venv.items:
@@ -162,11 +162,16 @@ def _eval_quantity(e, sizes: dict, what: str) -> int:
 def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
     """Build the initial configuration: one buffer per channel, delay
     channels prefilled to capacity, actor comprehensions unrolled."""
-    for name, kind in net.tenv.items:
-        if isinstance(kind, SizeKind) and name not in sizes:
+    declared = [name for name, kind in net.tenv.items
+                if isinstance(kind, SizeKind)]
+    for name in declared:
+        if name not in sizes:
             raise InstantiationError(Diagnostic(
                 "Kind Size", f"missing size parameter {name}"))
     for name, value in sizes.items():
+        if name not in declared:
+            raise InstantiationError(Diagnostic(
+                "Kind Size", f"unknown size parameter {name}"))
         if value < 1:
             raise InstantiationError(Diagnostic(
                 "Kind Size", f"size parameter {name} must be positive"))
@@ -194,7 +199,7 @@ def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
 
     # instantiations must respect declared upper bounds
     for name, kind in net.tenv.items:
-        if isinstance(kind, SizeKind) and name in sizes:
+        if isinstance(kind, SizeKind):
             bound = eval_size(kind.bound, sizes)
             if not is_inf(bound) and sizes[name] > bound:
                 raise InstantiationError(Diagnostic(
@@ -274,7 +279,7 @@ def _rel_holds(op: str, a: int, b: int) -> bool:
     raise ValueError(f"unknown guard operator {op}")
 
 
-def step_expr(e: Expr, heap: Heap, actor: str, venv: ValueEnv
+def step_expr(e: Expr, heap: Heap, actor: str, venv: Env
               ) -> Union[Stepped, Blocked, Stuck, None]:
     """One reduction of `e`, or None when `e` is a value.  Heap changes are
     returned as an effect thunk so schedulers can probe without committing."""
@@ -418,7 +423,7 @@ def step_expr(e: Expr, heap: Heap, actor: str, venv: ValueEnv
     raise TypeError(f"cannot step {e!r}")
 
 
-def _in_context(inner: Expr, heap: Heap, actor: str, venv: ValueEnv,
+def _in_context(inner: Expr, heap: Heap, actor: str, venv: Env,
                 rebuild: Callable[[Expr], Expr]):
     out = step_expr(inner, heap, actor, venv)
     if isinstance(out, Stepped):
@@ -426,7 +431,7 @@ def _in_context(inner: Expr, heap: Heap, actor: str, venv: ValueEnv,
     return out
 
 
-def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: ValueEnv):
+def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: Env):
     """A send or receive: the index, then a send's payload, evaluate first."""
     if e.index is not None and not is_value(e.index):
         return _in_context(e.index, heap, actor, venv,

@@ -2,9 +2,11 @@
 
 Three layers share this module: type-level syntax (size expressions, kinds,
 channel types, flowstates), value-level syntax (expressions, processes,
-networks), and the environments that bind them.  All nodes are immutable;
-source locations are carried on value-level nodes but excluded from
-structural equality so that parse/print round-trips compare clean.
+networks), and the environment that binds them: one `Env` class, used once
+for kinds and once for value types, whose `extend` adds a frame that shares
+its parent.  All nodes are immutable; source locations are carried on
+value-level nodes but excluded from structural equality so that
+parse/print round-trips compare clean.
 
 A comprehension's guards, `Divides(d, x)` and `AtMost(x, b)`, take a size
 operand `x`: a loop variable (`SVar`) in source and in synthesized
@@ -571,39 +573,28 @@ def subst_flow(fs: ActorFlow, var: str, repl: SizeExpr) -> ActorFlow:
 # ---------------------------------------------------------------------------
 
 @record(frozen=True)
-class TypeEnv:
-    items: tuple[tuple[str, Kind], ...] = ()
+class Env:
+    """Names bound to kinds (type level) or to value types (value level).
+    `items` holds this frame's bindings in declaration order; `extend` adds
+    a one-binding frame that shares its parent instead of copying it."""
+    items: tuple = ()
+    parent: Optional["Env"] = None
 
     @functools.cached_property
     def _index(self) -> dict:
         return dict(self.items)  # later bindings shadow earlier ones
 
-    def lookup(self, name: str) -> Optional[Kind]:
-        return self._index.get(name)
+    def lookup(self, name: str):
+        env = self
+        while env is not None:
+            found = env._index.get(name)
+            if found is not None:
+                return found
+            env = env.parent
+        return None
 
-    def extend(self, name: str, kind: Kind) -> "TypeEnv":
-        return TypeEnv(self.items + ((name, kind),))
-
-    def __contains__(self, name: str) -> bool:
-        return self.lookup(name) is not None
-
-    def names(self) -> list[str]:
-        return [n for n, _ in self.items]
-
-
-@record(frozen=True)
-class ValueEnv:
-    items: tuple[tuple[str, ValueType], ...] = ()
-
-    @functools.cached_property
-    def _index(self) -> dict:
-        return dict(self.items)  # later bindings shadow earlier ones
-
-    def lookup(self, name: str) -> Optional[ValueType]:
-        return self._index.get(name)
-
-    def extend(self, name: str, ty: ValueType) -> "ValueEnv":
-        return ValueEnv(self.items + ((name, ty),))
+    def extend(self, name: str, value) -> "Env":
+        return Env(((name, value),), self)
 
     def __contains__(self, name: str) -> bool:
         return self.lookup(name) is not None
@@ -801,8 +792,8 @@ Proc = Union[Stop, ActorE, ActorComp, Par]
 
 @record(frozen=True)
 class Network:
-    tenv: TypeEnv
-    venv: ValueEnv
+    tenv: Env
+    venv: Env
     flow: ProcFlow
     body: Proc
 

@@ -21,14 +21,13 @@ from .kinding import (
 )
 from .syntax import (
     ActorComp, ActorE, App, Assign, AtMost, BinOp, BoolLit, BoolType,
-    ChanArrayType, ChanType, Comp, Deref, Diagnostic, Divides, Event, Expr,
-    FEmpty, For, FromIndex, FromSize, If, IndexType, IntLit, IntType,
-    Iterator, Lam, Let, LocRef, MkIndex, MkSize, Network, NewRef, Num,
-    PActor, Par, PArray, PEmpty, Proc, ProcFlow, ProcType, Recv,
-    RefType, Send, SeqE, SizeArithmeticError, SizeKind, SizeType, Stop,
-    SVar, TypeEnv, TypeKind, ValueEnv, Var, When, ActorFlow, EMPTY_FLOW,
-    field, par_flow, proc_components, proc_flow_components, record,
-    seq_flow,
+    ChanArrayType, ChanType, Comp, Deref, Diagnostic, Divides, Env, Event,
+    Expr, FEmpty, For, FromIndex, FromSize, If, IndexType, IntLit, IntType,
+    Iterator, Lam, Let, LocRef, MkIndex, MkSize, Network, NewRef, Num, PActor,
+    Par, PArray, PEmpty, Proc, ProcFlow, ProcType, Recv, RefType, Send, SeqE,
+    SizeArithmeticError, SizeKind, SizeType, Stop, SVar, TypeKind, Var, When,
+    ActorFlow, EMPTY_FLOW, field, par_flow, proc_components,
+    proc_flow_components, record, seq_flow,
 )
 
 ARITH_OPS = {"+", "-", "*", "/"}
@@ -51,7 +50,7 @@ class Checker:
 
     # --- expressions --------------------------------------------------------
 
-    def infer(self, tenv: TypeEnv, venv: ValueEnv, e: Expr):
+    def infer(self, tenv: Env, venv: Env, e: Expr):
         """Returns (type or None, flowstate)."""
         match e:
             case IntLit():
@@ -179,7 +178,7 @@ class Checker:
                 return None, EMPTY_FLOW
         raise TypeError(f"not an expression: {e!r}")
 
-    def _infer_lam(self, tenv: TypeEnv, venv: ValueEnv, e: Lam):
+    def _infer_lam(self, tenv: Env, venv: Env, e: Lam):
         for _, ty in e.params:
             k = kind_of(tenv, ty)
             if isinstance(k, Diagnostic):
@@ -202,7 +201,7 @@ class Checker:
         return ProcType(tuple(t for _, t in e.params), e.latent, e.rest, bt), \
             EMPTY_FLOW
 
-    def _infer_when(self, tenv: TypeEnv, venv: ValueEnv, e: When):
+    def _infer_when(self, tenv: Env, venv: Env, e: When):
         lt, lf = self.infer(tenv, venv, e.lhs)
         rt, rf = self.infer(tenv, venv, e.rhs)
         guard = None
@@ -235,7 +234,7 @@ class Checker:
             return IntType(), seq_flow(lf, rf, bf)
         return IntType(), seq_flow(lf, rf, distribute_guard(bf, guard))
 
-    def _infer_for(self, tenv: TypeEnv, venv: ValueEnv, e: For):
+    def _infer_for(self, tenv: Env, venv: Env, e: For):
         bt, bf0 = self.infer(tenv, venv, e.bound)
         witness = None
         if isinstance(bt, IndexType):
@@ -257,7 +256,7 @@ class Checker:
                                         Iterator(e.tvar, Num(e.lo), witness))
         return IntType(), seq_flow(bf0, loop_flow)
 
-    def _infer_comm(self, tenv: TypeEnv, venv: ValueEnv, e: Recv | Send):
+    def _infer_comm(self, tenv: Env, venv: Env, e: Recv | Send):
         """A send or receive on a plain channel or on a channel-array element:
         the index is inferred before a send's payload, and a plain channel's
         index is reported but not inferred."""
@@ -304,7 +303,7 @@ class Checker:
 
     # --- processes -----------------------------------------------------------
 
-    def check_proc(self, tenv: TypeEnv, venv: ValueEnv, p: Proc) -> ProcFlow:
+    def check_proc(self, tenv: Env, venv: Env, p: Proc) -> ProcFlow:
         match p:
             case Stop():
                 return PEmpty()
@@ -346,13 +345,13 @@ class NetworkCheckResult:
         return not self.diagnostics
 
 
-def infer_expr(tenv: TypeEnv, venv: ValueEnv, e: Expr) -> TypingResult:
+def infer_expr(tenv: Env, venv: Env, e: Expr) -> TypingResult:
     checker = Checker()
     ty, flow = checker.infer(tenv, venv, e)
     return TypingResult(ty, flow, checker.diags)
 
 
-def check_proc(tenv: TypeEnv, venv: ValueEnv, p: Proc):
+def check_proc(tenv: Env, venv: Env, p: Proc):
     checker = Checker()
     flow = checker.check_proc(tenv, venv, p)
     return flow, checker.diags
@@ -400,7 +399,7 @@ def check_network(net: Network) -> NetworkCheckResult:
     return NetworkCheckResult(diags, synthesized, schedule)
 
 
-def _check_declared_flow(tenv: TypeEnv, flow: ProcFlow) -> list[Diagnostic]:
+def _check_declared_flow(tenv: Env, flow: ProcFlow) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for part in proc_flow_components(flow):
         match part:

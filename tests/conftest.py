@@ -6,7 +6,7 @@ import pytest
 from sdflow.syntax import (
     Add, AtMost, BoolLit, BoolType, Comp, Div, Divides, Event, FSeq, IntLit,
     IntType, Iterator, MkIndex, MkSize, Mul, Num, SMin, Sub, SVar, SizeKind,
-    TypeEnv, Var, INF,
+    Env, Var, INF,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,7 +67,7 @@ def seq(*flows):
 
 
 def tenv(**kinds):
-    return TypeEnv(tuple(kinds.items()))
+    return Env(tuple(kinds.items()))
 
 
 # --- size expression generator ----------------------------------------------
@@ -112,7 +112,7 @@ class ProgramGen:
         from sdflow.syntax import (
             ActorComp, ActorE, ChanArrayType, ChannelArrayKind, ChannelKind,
             ChanType, Network, PActor, Par, PArray, PEmpty, PPar, SizeType,
-            Stop, ValueEnv,
+            Stop,
         )
         rng = self.rng
         tenv_items = []
@@ -155,7 +155,7 @@ class ProgramGen:
         for a in actors[1:]:
             body = Par(body, a)
         flow = self.proc_flow()
-        return Network(TypeEnv(tuple(tenv_items)), ValueEnv(tuple(venv_items)),
+        return Network(Env(tuple(tenv_items)), Env(tuple(venv_items)),
                        flow, body)
 
     def proc_flow(self):

@@ -19,7 +19,7 @@ from sdflow.printer import print_program
 from sdflow.runtime import Fault, explore, instantiate, run
 from sdflow.syntax import (
     ActorE, AtMost, ChannelKind, Div, Divides, Network, Num, SVar,
-    SizeArithmeticError, SizeKind, TypeEnv, proc_components,
+    SizeArithmeticError, SizeKind, Env, proc_components,
 )
 from sdflow.typecheck import check_network, infer_expr
 
@@ -135,7 +135,7 @@ def test_criterion_4_progress_at_desk_scale():
         (n, ChannelKind(1, k.limit))
         if n == "d" and isinstance(k, ChannelKind) else (n, k)
         for n, k in net.tenv.items)
-    flipped = Network(TypeEnv(flipped_items), net.venv, net.flow, net.body)
+    flipped = Network(Env(flipped_items), net.venv, net.flow, net.body)
     assert check_network(flipped).ok
     ex = explore(instantiate(flipped, {"n": 4}))
     assert ex.any_complete and ex.all_complete

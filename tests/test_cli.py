@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from conftest import CORPUS, ROOT
 from test_conformance import CAPACITY_CYCLE
@@ -10,8 +13,10 @@ from sdflow.cli import EXIT_CONFORMANCE
 
 
 def sdflow(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, "-m", "sdflow.cli", *args],
-                          capture_output=True, text=True, cwd=ROOT)
+                          capture_output=True, text=True, cwd=ROOT, env=env)
 
 
 GOOD = str(CORPUS / "good" / "downsampler.sdf")
@@ -99,6 +104,49 @@ def test_usage_error_exits_64():
 def test_bad_size_exits_64():
     out = sdflow("run", GOOD, "--size", "s=zero")
     assert out.returncode == 64
+
+
+@pytest.mark.parametrize("pair", ["=3", "s", "s="])
+def test_malformed_size_is_named(pair):
+    out = sdflow("check", GOOD, "--size", pair)
+    assert out.returncode == 64
+    assert out.stderr == f"sdflow: --size expects NAME=VALUE, got '{pair}'\n"
+
+
+def test_repeated_size_is_a_usage_error():
+    out = sdflow("run", GOOD, "--size", "s=2", "--size", "s=3")
+    assert out.returncode == 64
+    assert out.stderr == "sdflow: --size s given more than once\n"
+
+
+@pytest.mark.parametrize("command", ["run", "conform"])
+def test_undeclared_size_fails_the_check(command):
+    out = sdflow(command, GOOD, "--size", "s=2", "--size", "typo=4")
+    assert out.returncode == 1
+    assert out.stderr == "[Kind Size] unknown size parameter typo\n"
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["run", "conform"])
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_nonpositive_state_budget_is_a_usage_error(command, budget):
+    out = sdflow(command, GOOD, "--size", "s=2", "--max-states", budget)
+    assert out.returncode == 64
+    assert out.stderr == "sdflow: --max-states must be positive\n"
+
+
+def test_truncated_exploration_says_so():
+    out = sdflow("run", GOOD, "--size", "s=2", "--scheduler", "exhaustive",
+                 "--max-states", "1")
+    assert out.returncode == 3
+    assert out.stdout == "truncated after 2 states\n"
+    out = sdflow("run", GOOD, "--size", "s=2", "--scheduler", "exhaustive",
+                 "--max-states", "1", "--format", "json")
+    assert out.returncode == 3
+    assert json.loads(out.stdout)["truncated"] is True
+    out = sdflow("conform", GOOD, "--size", "s=2", "--max-states", "1")
+    assert out.returncode == EXIT_CONFORMANCE
+    assert out.stdout.splitlines()[-1] == "progress: truncated after 2 states"
 
 
 def test_run_json_buffer_sizes_list_array_elements():

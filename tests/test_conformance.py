@@ -13,7 +13,7 @@ from sdflow.printer import print_guard, print_proc_flow
 from sdflow.runtime import Fault, Label, instantiate, run, step_expr
 from sdflow.syntax import (
     BoolLit, ChannelKind, Comp, Divides, IntLit, Iterator, MkIndex, Num, SVar,
-    PActor, Recv, Send, SizeKind, ValueEnv, INF, subst_comp,
+    PActor, Recv, Send, SizeKind, Env, INF, subst_comp,
 )
 
 ENV = tenv(c=ChannelKind(0, Num(4)), d=ChannelKind(1, Num(2)))

@@ -12,7 +12,7 @@ from sdflow.kinding import (
 from sdflow.syntax import (
     Add, BoolType, ChannelKind, ChanType, Diagnostic, Div, IndexType,
     Infinity, IntType, Mul, Num, ProcType, RefType, SizeArithmeticError,
-    SizeKind, SMin, Sub, SVar, SizeType, TypeEnv, TypeKind, ValueEnv, INF,
+    SizeKind, SMin, Sub, SVar, SizeType, Env, TypeKind, INF,
     EMPTY_FLOW,
 )
 
@@ -181,7 +181,7 @@ def test_kind_mismatch_reported():
 
 
 def test_check_type_env_empty_ok():
-    assert check_type_env(TypeEnv()) == []
+    assert check_type_env(Env()) == []
 
 
 def test_check_type_env_declaration_order():
@@ -194,8 +194,8 @@ def test_check_type_env_declaration_order():
 
 def test_check_value_env():
     env = tenv(s=SizeKind(INF), i=ChannelKind(0, SVar("s")))
-    venv = ValueEnv((("sz", SizeType(SVar("s"))),
+    venv = Env((("sz", SizeType(SVar("s"))),
                      ("inp", ChanType("+", "i", IntType()))))
     assert check_value_env(env, venv) == []
-    dup = ValueEnv((("x", IntType()), ("x", IntType())))
+    dup = Env((("x", IntType()), ("x", IntType())))
     assert any("duplicate" in d.message for d in check_value_env(env, dup))

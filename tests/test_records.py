@@ -77,7 +77,7 @@ def _raised(action):
 
 def test_records_were_found():
     names = {cls.__name__ for cls in RECORDS}
-    assert {"Num", "IntLit", "Comp", "TypeEnv", "Diagnostic", "Token",
+    assert {"Num", "IntLit", "Comp", "Env", "Diagnostic", "Token",
             "_CanonComp", "Heap", "Configuration", "RunResult",
             "TypingResult", "ConformanceReport"} <= names
     assert len(RECORDS) >= 80

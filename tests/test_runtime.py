@@ -11,7 +11,8 @@ from sdflow.runtime import (
     instantiate, run, step_expr,
 )
 from sdflow.syntax import (
-    ActorE, FromSize, IntLit, MkIndex, MkSize, Recv, Send, Var, proc_components,
+    ActorE, Diagnostic, FromSize, IntLit, MkIndex, MkSize, Recv, Send, Var,
+    proc_components,
 )
 from sdflow.typecheck import check_network, check_proc
 
@@ -48,6 +49,14 @@ def test_instantiate_requires_all_sizes():
     net = _net("downsampler.sdf")
     with pytest.raises(InstantiationError):
         instantiate(net, {})
+
+
+def test_instantiate_rejects_unknown_sizes():
+    net = _net("downsampler.sdf")
+    with pytest.raises(InstantiationError) as info:
+        instantiate(net, {"s": 2, "typo": 4})
+    assert info.value.diag == Diagnostic("Kind Size",
+                                         "unknown size parameter typo")
 
 
 def test_instantiate_rejects_nonpositive_sizes():

@@ -4,9 +4,9 @@ from conftest import ProgramGen, comp, ev, it, seq
 
 from sdflow.conformance import comp_occurrence_count
 from sdflow.parser import parse_program, parse_program_or_raise
-from sdflow.printer import print_flow, print_proc, print_program
+from sdflow.printer import print_proc, print_program
 from sdflow.syntax import (
-    Comp, Divides, Event, FEmpty, FSeq, Iterator, Num, Stop, SVar,
+    Comp, Divides, Event, Iterator, Num, Stop, SVar,
     flow_free_vars, rename_binder, subst_comp, subst_flow,
 )
 
@@ -65,11 +65,6 @@ def test_rename_binder_renames_its_scope_to_a_fresh_name():
 
 def test_print_stop():
     assert print_proc(Stop()).strip() == "stop"
-
-
-def test_print_flow_normalized_drops_empty():
-    c = comp(ev("c!"), it("t", 1, 4))
-    assert print_flow(FSeq(FEmpty(), c), normalized=True) == print_flow(c)
 
 
 def test_downsampler_prints_intro_guard():
@@ -139,12 +134,20 @@ def test_printers_walk_wide_networks_without_recursion():
 
 
 def test_env_lookup_index_shadows_like_a_reversed_scan():
-    from sdflow.syntax import IntType, BoolType, SizeKind, TypeEnv, ValueEnv
-    venv = ValueEnv((("x", IntType()), ("y", IntType()))).extend("x", BoolType())
+    from sdflow.syntax import IntType, BoolType, SizeKind, Env
+    venv = Env((("x", IntType()), ("y", IntType()))).extend("x", BoolType())
     assert venv.lookup("x") == BoolType() and venv.lookup("y") == IntType()
     assert venv.lookup("z") is None and "y" in venv and "z" not in venv
-    tenv = TypeEnv((("s", SizeKind(Num(1))), ("s", SizeKind(Num(2)))))
+    tenv = Env((("s", SizeKind(Num(1))), ("s", SizeKind(Num(2)))))
     assert tenv.lookup("s") == SizeKind(Num(2))
+    # a two-frame chain: the newest frame wins, the root shows through
+    chain = tenv.extend("t", SizeKind(Num(3))).extend("s", SizeKind(Num(4)))
+    assert chain.items == (("s", SizeKind(Num(4))),)
+    assert chain.parent.parent is tenv
+    assert chain.lookup("s") == SizeKind(Num(4))
+    assert chain.lookup("t") == SizeKind(Num(3))
+    assert tenv.lookup("s") == SizeKind(Num(2)) and "t" not in tenv
+    assert "t" in chain and "u" not in chain
     # the cached index is not part of equality or hashing
-    fresh = TypeEnv(tenv.items)
+    fresh = Env(tenv.items)
     assert fresh == tenv and hash(fresh) == hash(tenv)

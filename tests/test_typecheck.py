@@ -61,7 +61,7 @@ def test_flowstate_variables_all_bound():
     # declared type variables remain free
     net = _downsampler()
     flow = infer_expr(net.tenv, net.venv, _actor_expr(net, 1)).flow
-    assert flow_free_vars(flow) <= set(net.tenv.names())
+    assert flow_free_vars(flow) <= {n for n, _ in net.tenv.items}
 
 
 def test_send_on_receive_polarity_rejected():
@@ -128,7 +128,7 @@ def test_actor_comprehension_flow_unrolls_consistently():
     net = parse_program_or_raise(load("good", "fanin_array.sdf"))
     flow, diags = check_proc(net.tenv, net.venv, net.body)
     assert not diags
-    from sdflow.syntax import (ChannelArrayKind, SizeKind, TypeEnv,
+    from sdflow.syntax import (ChannelArrayKind, SizeKind, Env,
                                proc_flow_components, subst_flow, subst_size)
     arr = next(p for p in proc_flow_components(flow) if isinstance(p, PArray))
     # unroll at bound 3: instantiate the size parameter in the environment
@@ -142,12 +142,45 @@ def test_actor_comprehension_flow_unrolls_consistently():
                 kind.delay, kind.limit, subst_size(kind.bound, "s", Num(3)))))
         else:
             items.append((name, kind))
-    env3 = TypeEnv(tuple(items))
+    env3 = Env(tuple(items))
     from sdflow.flowstate import check_flowstate
     for k in (1, 2, 3):
         element = subst_flow(subst_flow(arr.body, arr.var, Num(k)),
                              "s", Num(3))
         assert check_flowstate(env3, element) == []
+
+
+def test_check_network_copies_bindings_linearly(monkeypatch):
+    # every binding an environment stores, at construction or in its
+    # lookup index, is counted; a copying `extend` makes this quadratic
+    from functools import cached_property
+    from sdflow.syntax import Env
+    from test_netcheck import pipeline_source
+    stored = 0
+    init, index = Env.__init__, Env._index.func
+
+    def counting_init(self, items=(), parent=None):
+        nonlocal stored
+        stored += len(items)
+        init(self, items, parent)
+
+    def counting_index(self):
+        nonlocal stored
+        built = index(self)
+        stored += len(built)
+        return built
+
+    prop = cached_property(counting_index)
+    prop.__set_name__(Env, "_index")
+    monkeypatch.setattr(Env, "__init__", counting_init)
+    monkeypatch.setattr(Env, "_index", prop)
+    counts = {}
+    for n in (500, 2000):
+        net = parse_program_or_raise(pipeline_source(n))
+        stored = 0
+        assert check_network(net).ok
+        counts[n] = stored
+    assert counts[2000] / counts[500] <= 5, counts
 
 
 def test_network_flow_mismatch_names_rule():
