@@ -1,20 +1,22 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 check failure, 2 causal cycle, 3 deadlock,
-4 theorem violation, 64 usage error.  Diagnostics go to stderr; machine
-output (JSON) goes to stdout.
+4 theorem violation, 64 usage error, 141 standard output closed by its
+reader (the code a shell gives a process killed by SIGPIPE).  Diagnostics
+go to stderr; machine output (JSON) goes to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from .netcheck import schedule_to_json
 from .parser import parse_program
-from .syntax import Diagnostic, Network
+from .syntax import Diagnostic, Network, SizeKind
 from .typecheck import check_network
 
 EXIT_OK = 0
@@ -23,6 +25,7 @@ EXIT_CYCLE = 2
 EXIT_DEADLOCK = 3
 EXIT_CONFORMANCE = 4
 EXIT_USAGE = 64
+EXIT_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,6 +117,20 @@ def _load(path: str) -> Network:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A reader that closes stdout early, as in
+    `sdflow schedule f.sdf | head -2`, ends it quietly with EXIT_PIPE."""
+    try:
+        try:
+            return _command(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that succeed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(EXIT_PIPE)
+
+
+def _command(argv) -> int:
     args = _build_parser().parse_args(argv)
     sizes = _parse_sizes(args.size)
     if args.command in ("run", "conform") and args.max_states < 1:
@@ -130,6 +147,15 @@ def main(argv=None) -> int:
         # deadlock itself can be demonstrated
         if not (args.command == "run" and network_level):
             raise SystemExit(EXIT_CHECK)
+    # `run` and `conform` get the same diagnostic from `instantiate`
+    if args.command in ("check", "schedule"):
+        declared = {name for name, kind in net.tenv.items
+                    if isinstance(kind, SizeKind)}
+        for name in sizes:
+            if name not in declared:
+                _report([Diagnostic("Kind Size",
+                                    f"unknown size parameter {name}")])
+                raise SystemExit(EXIT_CHECK)
 
     if args.command == "check":
         if args.format == "json":

@@ -15,6 +15,13 @@ polls per step do not grow with the number of actors; each communication
 still copies the trace's buffer-size snapshot.  Its observer is called as
 `observer(entry, cfg)` after each commit.  `explore` copies a configuration
 before committing into it, so copy-on-write lives only in exploration.
+
+`explore` visits a reduced state space: at each state it expands one step
+that commutes with every step other actors can take first, when there is
+one (see `_persistent`), and every enabled step otherwise.  Terminals and
+stuck configurations are all still reached, so its verdicts are those of
+the full search; its `states`, and the `max_states` budget, count reduced
+states.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from collections import Counter
+from itertools import chain
 from typing import Callable, Optional, Union
 
 from .kinding import eval_size, is_inf
@@ -637,9 +645,113 @@ def _signature(cfg: Configuration, counts: tuple) -> tuple:
             tuple(a.expr for a in cfg.actors))
 
 
+def _redex(e: Expr) -> Expr:
+    """The subterm whose reduction is `e`'s next step, following the
+    evaluation order of `step_expr`."""
+    while True:
+        match e:
+            case (SeqE(a) | Let(bound=a) | If(a) | For(bound=a) | FromSize(a)
+                  | FromIndex(a) | MkSize(a) | MkIndex(a) | NewRef(a)
+                  | Deref(a)):
+                parts = (a,)
+            case When(a, _, b) | Assign(a, b) | BinOp(_, a, b):
+                parts = (a, b)
+            case App(fn, args):
+                parts = (fn, *args)
+            case Send(_, index, payload):
+                parts = (index, payload)
+            case Recv(_, index):
+                parts = (index,)
+            case _:
+                return e
+        inner = next((p for p in parts if p is not None and not is_value(p)),
+                     None)
+        if inner is None:
+            return e
+        e = inner
+
+
+def _comm_sites(e: Expr, venv: Env) -> frozenset:
+    """`(channel, is_send, index)` of every send and receive in `e`,
+    procedure bodies included.  The index is None for a plain channel and
+    for an index that is not yet a literal: such a site may use any buffer
+    of its channel."""
+    sites = set()
+    stack = [e]
+    while stack:
+        match stack.pop():
+            case Send() | Recv() as comm:
+                ty = venv.lookup(comm.chan)
+                if isinstance(ty, (ChanType, ChanArrayType)):
+                    index = (_as_int(comm.index)
+                             if isinstance(ty, ChanArrayType) else None)
+                    sites.add((ty.name, isinstance(comm, Send), index))
+                if comm.index is not None:
+                    stack.append(comm.index)
+                if isinstance(comm, Send):
+                    stack.append(comm.payload)
+            case (MkSize(a) | FromSize(a) | MkIndex(a) | FromIndex(a)
+                  | NewRef(a) | Deref(a) | Lam(body=a)):
+                stack.append(a)
+            case (SeqE(a, b) | Let(_, a, b) | For(bound=a, body=b)
+                  | Assign(a, b) | BinOp(_, a, b)):
+                stack += (a, b)
+            case If(a, b, c) | When(a, _, b, c):
+                stack += (a, b, c)
+            case App(fn, args):
+                stack.append(fn)
+                stack += args
+    return frozenset(sites)
+
+
+def _persistent(cfg: Configuration, outs: list, sites: Callable) -> list:
+    """The enabled steps `explore` expands at `cfg`: one step that commutes
+    with every step other actors can take before it, else all of `outs`.
+
+    Such a step is an internal step that reads and writes no heap cell, or
+    a send (receive) on a buffer that no other actor's remaining expression
+    and no procedure stored in a buffer or a cell can send to (receive
+    from).  With one writer and one reader per buffer, other actors can
+    only make it more enabled, and a push and a pop of one FIFO commute, so
+    the singleton is a persistent set and every deadlock and terminal is
+    still reached (Godefroid, LNCS 1032, Thm 4.3).  `sites(e)` is
+    `_comm_sites(e, cfg.venv)`, cached by the caller."""
+    stored = None
+    for i, out in outs:
+        label = out.label
+        if label is None:
+            if not isinstance(_redex(cfg.actors[i].expr), (Deref, Assign)):
+                return [(i, out)]
+            continue
+        clash = {(label.chan, label.is_send, label.index),
+                 (label.chan, label.is_send, None)}
+        if stored is None:
+            values = chain(cfg.heap.locs.values(), *cfg.heap.bufs.values())
+            stored = frozenset().union(
+                *(sites(v) for v in values if isinstance(v, Lam)))
+        if clash.isdisjoint(stored) and all(
+                clash.isdisjoint(sites(a.expr))
+                for j, a in enumerate(cfg.actors) if j != i and not a.done):
+            return [(i, out)]
+    return outs
+
+
 def explore(cfg: Configuration, max_states: int = 300_000) -> ExploreResult:
-    """Visit every reachable interleaving, memoized on configuration plus
-    per-channel communication counts."""
+    """Search the interleavings of `cfg`, memoized on configuration plus
+    per-channel communication counts, expanding a persistent set of the
+    enabled steps at each state (see `_persistent`).  The reduced search
+    reaches every terminal and every stuck configuration the full one does,
+    so `any_complete`, `all_complete` and `terminals` are exact; `states`
+    counts the reduced states visited, at most `max_states`."""
+    # id(e) -> (e, its sites); holding `e` keeps its id from being reused
+    cache: dict = {}
+
+    def sites(e: Expr) -> frozenset:
+        hit = cache.get(id(e))
+        if hit is None:
+            hit = cache[id(e)] = (e, _comm_sites(e, cfg.venv))
+        return hit[1]
+
     visited: set = set()
     terminals: set = set()
     stuck: list = []
@@ -652,10 +764,10 @@ def explore(cfg: Configuration, max_states: int = 300_000) -> ExploreResult:
         key = (current.state_key(), tuple(sorted(counts.items())))
         if key in visited:
             continue
-        visited.add(key)
-        if len(visited) > max_states:
+        if len(visited) == max_states:
             truncated = True
             break
+        visited.add(key)
         outs = []
         for i in range(len(current.actors)):
             out = _actor_outcome(current, i)
@@ -670,7 +782,7 @@ def explore(cfg: Configuration, max_states: int = 300_000) -> ExploreResult:
                 if len(stuck) < STUCK_LIMIT:
                     stuck.append(current)
             continue
-        for i, out in outs:
+        for i, out in _persistent(current, outs, sites):
             nxt = current.copy()
             commit(nxt, i, out)
             nc = Counter(counts)

@@ -9,14 +9,15 @@ import pytest
 from conftest import CORPUS, ROOT
 from test_conformance import CAPACITY_CYCLE
 
-from sdflow.cli import EXIT_CONFORMANCE
+from sdflow.cli import EXIT_CONFORMANCE, EXIT_PIPE
 
 
-def sdflow(*args):
+def sdflow(*args, stdout=subprocess.PIPE):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, "-m", "sdflow.cli", *args],
-                          capture_output=True, text=True, cwd=ROOT, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          cwd=ROOT, env=env)
 
 
 GOOD = str(CORPUS / "good" / "downsampler.sdf")
@@ -119,7 +120,7 @@ def test_repeated_size_is_a_usage_error():
     assert out.stderr == "sdflow: --size s given more than once\n"
 
 
-@pytest.mark.parametrize("command", ["run", "conform"])
+@pytest.mark.parametrize("command", ["check", "schedule", "run", "conform"])
 def test_undeclared_size_fails_the_check(command):
     out = sdflow(command, GOOD, "--size", "s=2", "--size", "typo=4")
     assert out.returncode == 1
@@ -139,14 +140,41 @@ def test_truncated_exploration_says_so():
     out = sdflow("run", GOOD, "--size", "s=2", "--scheduler", "exhaustive",
                  "--max-states", "1")
     assert out.returncode == 3
-    assert out.stdout == "truncated after 2 states\n"
+    assert out.stdout == "truncated after 1 states\n"
     out = sdflow("run", GOOD, "--size", "s=2", "--scheduler", "exhaustive",
                  "--max-states", "1", "--format", "json")
     assert out.returncode == 3
     assert json.loads(out.stdout)["truncated"] is True
     out = sdflow("conform", GOOD, "--size", "s=2", "--max-states", "1")
     assert out.returncode == EXIT_CONFORMANCE
-    assert out.stdout.splitlines()[-1] == "progress: truncated after 2 states"
+    assert out.stdout.splitlines()[-1] == "progress: truncated after 1 states"
+
+
+def test_explored_states_never_exceed_the_budget():
+    def exhaustive(budget):
+        out = sdflow("run", GOOD, "--size", "s=2", "--scheduler",
+                     "exhaustive", "--max-states", str(budget),
+                     "--format", "json")
+        return out.returncode, json.loads(out.stdout)
+
+    code, full = exhaustive(300_000)
+    assert code == 0 and not full["truncated"]
+    # a budget of exactly the states visited is enough; one less is not
+    assert exhaustive(full["states"]) == (0, full)
+    code, cut = exhaustive(full["states"] - 1)
+    assert code == 3 and cut["truncated"]
+    assert cut["states"] == full["states"] - 1
+
+
+def test_closed_stdout_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = sdflow("schedule", GOOD, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert out.returncode == EXIT_PIPE
+    assert out.stderr == ""
 
 
 def test_run_json_buffer_sizes_list_array_elements():
