@@ -13,7 +13,7 @@ _EXPORTS = {
                   "flowstates_equivalent", "fold_guards", "rate_summary"],
     "kinding": ["eval_size", "kind_of", "normalize_size", "size_leq"],
     "netcheck": ["check_determinism", "check_progress", "classify_event",
-                 "complement_event", "inchans", "outchans"],
+                 "inchans", "outchans"],
     "parser": ["parse_program", "parse_program_or_raise"],
     "printer": ["print_flow", "print_proc_flow", "print_program"],
     "runtime": ["Fault", "explore", "instantiate", "run"],

@@ -7,19 +7,22 @@ compares them only with the earlier uses of the same channel.
 
 Progress fires the lowest-numbered enabled actor until none is enabled.  A
 producer event (send on an undelayed channel, or receive on a delayed one)
-is always enabled and leaves a record; a consumer event is enabled only
-against a matching record left by another actor.  Within one actor,
+is always enabled and adds to a count; a consumer event is enabled only
+when counts left by other actors cover it.  Within one actor,
 comprehensions fire in program order: the analysis does not track causality
 inside an actor, so its inputs are conservatively treated as preconditions
-of its outputs.  Numeric comprehensions on channel arrays are counted per
-element by `flowstate.ground_target`, at any rate, so partial consumption
-works; symbolic ones are matched whole, up to renaming and bound
-normalization.  The network is accepted when every actor finishes and no
-record is left over: production that no actor consumes would stay in a
-buffer after the firing.
+of its outputs.  A count is kept per channel element, as SDF balance is a
+token count per channel, not a match on loop shape: per plain channel, per
+element when `flowstate.ground_target` grounds a channel-array
+comprehension (at any rate), and otherwise per symbolic index or range,
+counting the events on each of its elements.  Numeric needs may be split
+over producers and counts; a symbolic need is taken whole from one count
+that provably covers it.  The network is accepted when every actor finishes
+and no count is left over: production that no actor consumes would stay in
+a buffer after the firing.
 
 The greedy loop is complete, provided `check_determinism` has passed.  Each
-channel then has one writer and one reader, so a record can only be taken by
+channel then has one writer and one reader, so a count can only be taken by
 the one consumer it was left for, and firing an enabled event never disables
 another one: the system is persistent (Keller, *A fundamental theorem of
 asynchronous parallel computation*, 1975).  Every maximal firing order thus
@@ -34,19 +37,18 @@ it waits on, so one firing costs O(log actors).
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from typing import Optional, Union
 
 from .flowstate import (
-    FlowstateError, distribute_iterator, fold_guards_comp, ground_target,
-    _comp_target, extent,
+    FlowstateError, RangeIndex, SingleIndex, distribute_iterator,
+    fold_guards_comp, ground_target, _comp_target, extent,
 )
 from .kinding import normalize_size, size_leq
 from .printer import print_comp, print_size
 from .syntax import (
-    Add, ChannelArrayKind, ChannelKind, Comp, Diagnostic, Env, Event, Infinity,
-    Iterator, Mul, Num, PActor, PArray, ProcFlow, SizeExpr, Sub, SVar,
-    field, flow_comps, subst_flow, proc_flow_components, record,
+    Add, ChannelArrayKind, ChannelKind, Comp, Diagnostic, Env, Event,
+    Iterator, Num, PActor, PArray, ProcFlow, Sub, SVar, flow_comps,
+    subst_flow, proc_flow_components, record,
 )
 
 PRODUCER = "producer"
@@ -61,10 +63,6 @@ def classify_event(tenv: Env, ev: Event) -> str:
         return PRODUCER if kind.delay == 1 else CONSUMER
     raise FlowstateError(Diagnostic(
         "FS Prog Prod", f"unbound channel {ev.chan}"))
-
-
-def complement_event(ev: Event) -> Event:
-    return ev.complement()
 
 
 # ---------------------------------------------------------------------------
@@ -209,141 +207,97 @@ def check_determinism(tenv: Env, fs: ProcFlow) -> list[Diagnostic]:
 # Progress
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
-class _CanonComp:
-    """Comprehension in matching form: event plus renamed iterators.  The
-    comprehension it came from is kept only to describe it."""
-    key: tuple
-    comp: Comp = field(compare=False, repr=False)
-
-    def __str__(self):
-        return self.key.__str__()
-
-
-def _size_key(e: SizeExpr):
-    e = normalize_size(e)
-    match e:
-        case Num(n):
-            return ("n", n)
-        case Infinity():
-            return ("inf",)
-        case SVar(name):
-            return ("v", name)
-        case _:
-            from .kinding import _atom_key_any
-            return _atom_key_any(e)
+def _parts(comp: Comp) -> list[tuple]:
+    """The events of `comp` as (where, count) pairs: `where` is None on a
+    plain channel, an element when the comprehension grounds on a channel
+    array, and otherwise its `SingleIndex` or `RangeIndex` target, with the
+    count per element."""
+    target, mult = _comp_target(comp)
+    if comp.event.index is None:
+        return [(None, mult)]
+    counts = ground_target(target, mult, {})
+    if counts is None:
+        return [(target[2], mult)]
+    return [(k[2], Num(n)) for k, n in counts.items()]
 
 
-def canonical_comp(comp: Comp) -> _CanonComp:
-    """Renames iterator variables positionally and normalizes bounds so two
-    comprehensions equal up to alpha-renaming get the same key.  Guards must
-    have been folded away."""
-    renaming = {it.var: f".{i}" for i, it in enumerate(comp.iterators)}
-    iters = tuple(
-        (renaming[it.var], _size_key(it.lo), _size_key(it.hi))
-        for it in comp.iterators)
-    ev = comp.event
-    if ev.index is None:
-        idx_key = None
-    elif isinstance(ev.index, SVar) and ev.index.name in renaming:
-        idx_key = ("bound", renaming[ev.index.name])
-    else:
-        idx_key = ("free", _size_key(ev.index))
-    return _CanonComp((ev.chan, ev.is_send, idx_key, iters), comp)
+def _where_text(chan: str, where) -> str:
+    match where:
+        case None:
+            return chan
+        case SingleIndex(index):
+            return f"{chan}[{print_size(index)}]"
+        case RangeIndex(lo, hi):
+            return f"{chan}[{print_size(lo)}..{print_size(hi)}]"
+    return f"{chan}[{where}]"
 
 
 class Record:
-    """Producer events already fired, tagged with the producing actor so a
-    comprehension can never discharge its own precondition.  Plain channels
-    are tracked as a symbolic multiplicity per (channel, direction); channel
-    arrays per element when numeric and as whole comprehensions when
-    symbolic."""
+    """Producer events fired and not yet consumed, as one count map
+    (chan, is_send, where) -> {producer: count}, `where` as in `_parts`.
+    The producer is kept so a comprehension can never discharge its own
+    precondition."""
 
     def __init__(self, env: Env):
         self.env = env
-        self.plain: dict = {}            # (chan, is_send, producer) -> SizeExpr
-        self.numeric: Counter = Counter()  # (chan, dir, elem, producer) -> int
-        self.symbolic: Counter = Counter()  # (canonical comp, producer) -> int
+        self.counts: dict = {}
 
     def add(self, comp: Comp, producer: int) -> None:
         ev = comp.event
-        if ev.index is None:
-            _, mult = _comp_target(comp)
-            key = (ev.chan, ev.is_send, producer)
-            have = self.plain.get(key, Num(0))
-            self.plain[key] = normalize_size(Add(have, mult))
-            return
-        counts = ground_target(*_comp_target(comp), {})
-        if counts is not None:
-            for k, v in counts.items():
-                self.numeric[k + (producer,)] += v
-        else:
-            self.symbolic[(canonical_comp(comp), producer)] += 1
+        for where, n in _parts(comp):
+            by_producer = self.counts.setdefault((ev.chan, ev.is_send, where),
+                                                 {})
+            have = by_producer.get(producer, Num(0))
+            by_producer[producer] = normalize_size(Add(have, n))
 
     def consume(self, comp: Comp, consumer: int) -> bool:
-        """Take the records that discharge `comp`, left by an actor other
-        than `consumer`.  False, with the record unchanged, if none do."""
+        """Take what `comp` needs from the complementary counts left by
+        actors other than `consumer`: between numbers as much as each
+        producer has, a symbolic need whole from one producer that provably
+        has enough.  False, with the record unchanged, if anything is still
+        needed."""
         ev = comp.event
-        if ev.index is None:
-            _, need = _comp_target(comp)
-            for key in sorted(self.plain, key=str):
-                chan, is_send, producer = key
-                if chan != ev.chan or is_send == ev.is_send \
-                        or producer == consumer:
+        left = {}  # (key, producer) -> count left after the take
+        for where, need in _parts(comp):
+            key = (ev.chan, not ev.is_send, where)
+            for producer, have in self.counts.get(key, {}).items():
+                if need == Num(0):
+                    break
+                if producer == consumer:
                     continue
-                have = self.plain[key]
-                if size_leq(self.env, need, have) is not True:
-                    continue
-                left = normalize_size(Sub(have, need))
-                if left == Num(0):
-                    del self.plain[key]
-                else:
-                    self.plain[key] = left
-                return True
-            return False
-        want = Comp(ev.complement(), comp.iterators, comp.guards)
-        left = ground_target(*_comp_target(want), {})
-        if left is not None:
-            # elements may come from different producers, as from the
-            # unrolled members of a literal-width actor array
-            taken = {}
-            for k, have in self.numeric.items():
-                if k[-1] != consumer and left.get(k[:-1], 0) > 0:
-                    taken[k] = min(have, left[k[:-1]])
-                    left[k[:-1]] -= taken[k]
-            if any(left.values()):
+                if isinstance(need, Num) and isinstance(have, Num):
+                    n = min(need.value, have.value)
+                    left[key, producer] = Num(have.value - n)
+                    need = Num(need.value - n)
+                elif size_leq(self.env, need, have) is True:
+                    left[key, producer] = normalize_size(Sub(have, need))
+                    need = Num(0)
+            if need != Num(0):
                 return False
-            _take(self.numeric, taken)
-            return True
-        want_canon = canonical_comp(want)
-        for (canon, producer), n in sorted(self.symbolic.items(),
-                                           key=lambda kv: str(kv[0])):
-            if canon == want_canon and producer != consumer and n > 0:
-                _take(self.symbolic, {(canon, producer): 1})
-                return True
-        return False
+        for (key, producer), n in left.items():
+            if n != Num(0):
+                self.counts[key][producer] = n
+                continue
+            del self.counts[key][producer]
+            if not self.counts[key]:
+                del self.counts[key]
+        return True
 
     def leftover(self) -> list[str]:
-        """Production never consumed, as "multiplicity on channel"."""
-        out = [f"{print_size(v)} on {chan}"
-               for (chan, _, _), v in sorted(self.plain.items(), key=str)]
-        out += [f"{v} on {chan}[{elem}]"
-                for (chan, _, elem, _), v in sorted(self.numeric.items())]
-        for (canon, _), n in sorted(self.symbolic.items(),
-                                    key=lambda kv: str(kv[0])):
-            total = Num(n)
-            for it in canon.comp.iterators:
-                total = normalize_size(Mul(total, extent(it)))
-            out.append(f"{print_size(total)} on {canon.comp.event.chan} "
-                       f"({print_comp(canon.comp)})")
-        return out
-
-
-def _take(counts: Counter, taken: dict) -> None:
-    for k, v in taken.items():
-        counts[k] -= v
-        if not counts[k]:
-            del counts[k]
+        """Production never consumed, as "count on target": plain channels,
+        then array elements, then symbolic targets, each sorted."""
+        rows = []
+        for (chan, is_send, where), by_producer in self.counts.items():
+            for producer, n in by_producer.items():
+                text = f"{print_size(n)} on {_where_text(chan, where)}"
+                if where is None:
+                    order = (0, str((chan, is_send, producer)))
+                elif isinstance(where, int):
+                    order = (1, (chan, is_send, where, producer))
+                else:
+                    order = (2, text)
+                rows.append((order, text))
+        return [text for _, text in sorted(rows)]
 
 
 @record

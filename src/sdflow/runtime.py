@@ -37,9 +37,9 @@ from .syntax import (
     ActorComp, ActorE, App, Assign, BinOp, BoolLit, BoolType, ChanArrayType,
     ChannelArrayKind, ChannelKind, ChanType, Deref, Diagnostic, Env, Expr, For,
     FromIndex, FromSize, If, IntLit, IntType, Lam, Let, LocRef, MkIndex,
-    MkSize, Network, NewRef, Recv, Send, SeqE, SizeKind, SizeType, Stop,
-    When, field, is_value, proc_components, record,
-    replace, subst_expr,
+    MkSize, Network, NewRef, Recv, Send, SeqE, SizeArithmeticError, SizeKind,
+    SizeType, Stop, When, field, is_value, proc_components, record, replace,
+    subst_expr,
 )
 
 BufferKey = tuple  # (type-level channel name, element index or None)
@@ -159,8 +159,13 @@ def channel_payloads(venv: Env) -> dict:
     return out
 
 
-def _eval_quantity(e, sizes: dict, what: str) -> int:
-    v = eval_size(e, sizes)
+def _eval_quantity(e, sizes: dict, rule: str, what: str) -> int:
+    """`e` under `sizes`; a size missing from them is reported under
+    `rule`."""
+    try:
+        v = eval_size(e, sizes)
+    except SizeArithmeticError as exc:
+        raise InstantiationError(Diagnostic(rule, f"{what}: {exc}")) from None
     if is_inf(v):
         raise InstantiationError(Diagnostic(
             "Kind Chan", f"{what} is unbounded and cannot be instantiated"))
@@ -189,13 +194,14 @@ def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
     for name, kind in net.tenv.items:
         if not isinstance(kind, (ChannelKind, ChannelArrayKind)):
             continue
-        cap = _eval_quantity(kind.limit, sizes, f"capacity of {name}")
+        rule = "Kind Chan Array" if isinstance(kind, ChannelArrayKind) \
+            else "Kind Chan"
+        cap = _eval_quantity(kind.limit, sizes, rule, f"capacity of {name}")
         if isinstance(kind, ChannelArrayKind):
-            bound = _eval_quantity(kind.bound, sizes, f"bound of {name}")
-            rule, what, indices = ("Kind Chan Array", "channel array",
-                                   range(1, bound + 1))
+            bound = _eval_quantity(kind.bound, sizes, rule, f"bound of {name}")
+            what, indices = "channel array", range(1, bound + 1)
         else:
-            rule, what, indices = "Kind Chan", "channel", (None,)
+            what, indices = "channel", (None,)
         if cap < 1:
             raise InstantiationError(Diagnostic(
                 rule, f"{what} {name} has zero capacity"))
@@ -220,7 +226,7 @@ def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
     for name, ty in net.venv.items:
         if isinstance(ty, SizeType):
             params[name] = MkSize(IntLit(_eval_quantity(
-                ty.witness, sizes, f"value of {name}")))
+                ty.witness, sizes, "Ty Size", f"value of {name}")))
 
     actors: list[Actor] = []
     for i, part in enumerate(proc_components(net.body)):

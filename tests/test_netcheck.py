@@ -1,11 +1,12 @@
 import sys
 
+import pytest
 from conftest import comp, ev, it, load, seq, tenv
 
 from sdflow import netcheck
 from sdflow.netcheck import (
     CONSUMER, PRODUCER, check_determinism, check_progress, classify_event,
-    complement_event, inchans, outchans, schedule_to_json,
+    inchans, outchans, schedule_to_json,
 )
 from sdflow.parser import parse_program_or_raise
 from sdflow.syntax import (
@@ -43,16 +44,16 @@ def test_classify_array_events_follow_their_flag():
 
 
 def test_complement_swaps_direction():
-    assert complement_event(Event("c", True)) == Event("c", False)
-    assert complement_event(Event("i", False, SVar("t"))) == \
+    assert Event("c", True).complement() == Event("c", False)
+    assert Event("i", False, SVar("t")).complement() == \
         Event("i", True, SVar("t"))
 
 
 def test_complement_is_involution():
     for evn in (Event("c", True), Event("d", False), Event("i", True, Num(3))):
-        assert complement_event(complement_event(evn)) == evn
+        assert evn.complement().complement() == evn
         a = classify_event(ENV, evn)
-        b = classify_event(ENV, complement_event(evn))
+        b = classify_event(ENV, evn.complement())
         assert {a, b} == {PRODUCER, CONSUMER}
 
 
@@ -250,8 +251,43 @@ def test_unconsumed_symbolic_array_production_names_the_comprehension():
               PActor(comp(ev("i?", "t"), it("t", 1, "s"))))
     out = check_progress(ENV, fs)
     assert [d.message for d in out] == \
-        ["production is never consumed: s on i (i[t]!<t in 1..s>)"]
+        ["production is never consumed: 1 on i[1..s]"]
 
+
+
+TWICE_DRAINED = """
+size s : Size(inf);
+chanarray a : ChannelArray(0, 2, {w});
+val n : Size({w});
+val dist : ChanArray(-, a, Integer, {w});
+val coll : ChanArray(+, a, Integer, {w});
+flow a[t]!<t in 1..{w}, u in 1..2> || a[t]?<t in 1..{w}> ; a[t]?<t in 1..{w}>;
+network {{
+  actor {{ for (t, x in 1..n) for (u, y in 1..size(2)) send dist[x] fromIndex(y) }}
+  ||
+  actor {{ for (t, x in 1..n) recv coll[x]; for (t, x in 1..n) recv coll[x] }}
+}}
+"""
+
+
+@pytest.mark.parametrize("width", ["s", "2"])
+def test_twice_drained_array_is_accepted_at_any_width(width):
+    # the distributor sends each element twice, the collector drains the
+    # whole array twice: balanced per element whatever the loop shapes
+    from sdflow.runtime import explore, instantiate
+    net = parse_program_or_raise(TWICE_DRAINED.format(w=width))
+    res = check_network(net)
+    assert res.ok, [str(d) for d in res.diagnostics]
+    for k in (1, 2, 3):
+        ex = explore(instantiate(net, {"s": k}))
+        assert ex.all_complete and len(ex.terminals) == 1
+
+
+def test_symbolic_array_counts_ignore_iterator_order():
+    fs = PPar(PActor(comp(ev("i!", "t"), it("u", 1, 2), it("t", 1, "s"))),
+              PActor(comp(ev("i?", "t"), it("t", 1, "s"), it("u", 1, 2))))
+    assert [s.action for s in check_progress(ENV, fs)] == \
+        ["produce", "consume"]
 
 # --- scaling -----------------------------------------------------------------------
 

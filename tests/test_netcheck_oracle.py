@@ -4,29 +4,171 @@
 `recursive_check_determinism` the walk of the `PPar` tree that compares the
 uses of each left subtree with those of its right sibling.  Both are kept
 here as reference oracles for the greedy progress loop and the single-pass
-determinism check in `sdflow.netcheck`.
+determinism check in `sdflow.netcheck`.  The search keeps its production in
+the record the progress check used before its single count map: plain
+channels as a symbolic multiplicity, numeric channel-array comprehensions
+per element, symbolic ones as whole comprehensions matched up to renaming.
 """
+
+from collections import Counter
 
 from conftest import CORPUS, comp, ev, it, seq, tenv
 from hypothesis import given, settings, strategies as st
 
-from sdflow.flowstate import FlowstateError, _comp_target
-from sdflow.kinding import size_leq
+from sdflow.flowstate import FlowstateError, _comp_target, ground_target, extent
+from sdflow.kinding import _atom_key_any, normalize_size, size_leq
 from sdflow.netcheck import (
-    PRODUCER, Record, ScheduleStep, _cycle_diagnostics, _overlapping_pairs,
+    PRODUCER, ScheduleStep, _cycle_diagnostics, _overlapping_pairs,
     _progress_entries, check_determinism, check_progress, classify_event,
     inchans, outchans,
 )
 from sdflow.parser import parse_program
 from sdflow.printer import print_comp, print_size
 from sdflow.syntax import (
-    ChannelArrayKind, ChannelKind, Diagnostic, Divides, FEmpty, Num, PActor,
-    PArray, PPar, SizeKind, SVar, INF, flow_comps, par_flow,
+    Add, ChannelArrayKind, ChannelKind, Comp, Diagnostic, Divides, Env,
+    FEmpty, Infinity, Mul, Num, PActor, PArray, PPar, SizeExpr, SizeKind, Sub,
+    SVar, INF, field, flow_comps, par_flow, record,
 )
 from sdflow.typecheck import check_proc
 
 
 # --- the replaced implementations -------------------------------------------
+
+@record(frozen=True)
+class _CanonComp:
+    """Comprehension in matching form: event plus renamed iterators.  The
+    comprehension it came from is kept only to describe it."""
+    key: tuple
+    comp: Comp = field(compare=False, repr=False)
+
+    def __str__(self):
+        return self.key.__str__()
+
+
+def _size_key(e: SizeExpr):
+    e = normalize_size(e)
+    match e:
+        case Num(n):
+            return ("n", n)
+        case Infinity():
+            return ("inf",)
+        case SVar(name):
+            return ("v", name)
+        case _:
+            return _atom_key_any(e)
+
+
+def canonical_comp(comp: Comp) -> _CanonComp:
+    """Renames iterator variables positionally and normalizes bounds so two
+    comprehensions equal up to alpha-renaming get the same key.  Guards must
+    have been folded away."""
+    renaming = {it.var: f".{i}" for i, it in enumerate(comp.iterators)}
+    iters = tuple(
+        (renaming[it.var], _size_key(it.lo), _size_key(it.hi))
+        for it in comp.iterators)
+    ev = comp.event
+    if ev.index is None:
+        idx_key = None
+    elif isinstance(ev.index, SVar) and ev.index.name in renaming:
+        idx_key = ("bound", renaming[ev.index.name])
+    else:
+        idx_key = ("free", _size_key(ev.index))
+    return _CanonComp((ev.chan, ev.is_send, idx_key, iters), comp)
+
+
+class Record:
+    """Producer events already fired, tagged with the producing actor so a
+    comprehension can never discharge its own precondition.  Plain channels
+    are tracked as a symbolic multiplicity per (channel, direction); channel
+    arrays per element when numeric and as whole comprehensions when
+    symbolic."""
+
+    def __init__(self, env: Env):
+        self.env = env
+        self.plain: dict = {}            # (chan, is_send, producer) -> SizeExpr
+        self.numeric: Counter = Counter()  # (chan, dir, elem, producer) -> int
+        self.symbolic: Counter = Counter()  # (canonical comp, producer) -> int
+
+    def add(self, comp: Comp, producer: int) -> None:
+        ev = comp.event
+        if ev.index is None:
+            _, mult = _comp_target(comp)
+            key = (ev.chan, ev.is_send, producer)
+            have = self.plain.get(key, Num(0))
+            self.plain[key] = normalize_size(Add(have, mult))
+            return
+        counts = ground_target(*_comp_target(comp), {})
+        if counts is not None:
+            for k, v in counts.items():
+                self.numeric[k + (producer,)] += v
+        else:
+            self.symbolic[(canonical_comp(comp), producer)] += 1
+
+    def consume(self, comp: Comp, consumer: int) -> bool:
+        """Take the records that discharge `comp`, left by an actor other
+        than `consumer`.  False, with the record unchanged, if none do."""
+        ev = comp.event
+        if ev.index is None:
+            _, need = _comp_target(comp)
+            for key in sorted(self.plain, key=str):
+                chan, is_send, producer = key
+                if chan != ev.chan or is_send == ev.is_send \
+                        or producer == consumer:
+                    continue
+                have = self.plain[key]
+                if size_leq(self.env, need, have) is not True:
+                    continue
+                left = normalize_size(Sub(have, need))
+                if left == Num(0):
+                    del self.plain[key]
+                else:
+                    self.plain[key] = left
+                return True
+            return False
+        want = Comp(ev.complement(), comp.iterators, comp.guards)
+        left = ground_target(*_comp_target(want), {})
+        if left is not None:
+            # elements may come from different producers, as from the
+            # unrolled members of a literal-width actor array
+            taken = {}
+            for k, have in self.numeric.items():
+                if k[-1] != consumer and left.get(k[:-1], 0) > 0:
+                    taken[k] = min(have, left[k[:-1]])
+                    left[k[:-1]] -= taken[k]
+            if any(left.values()):
+                return False
+            _take(self.numeric, taken)
+            return True
+        want_canon = canonical_comp(want)
+        for (canon, producer), n in sorted(self.symbolic.items(),
+                                           key=lambda kv: str(kv[0])):
+            if canon == want_canon and producer != consumer and n > 0:
+                _take(self.symbolic, {(canon, producer): 1})
+                return True
+        return False
+
+    def leftover(self) -> list[str]:
+        """Production never consumed, as "multiplicity on channel"."""
+        out = [f"{print_size(v)} on {chan}"
+               for (chan, _, _), v in sorted(self.plain.items(), key=str)]
+        out += [f"{v} on {chan}[{elem}]"
+                for (chan, _, elem, _), v in sorted(self.numeric.items())]
+        for (canon, _), n in sorted(self.symbolic.items(),
+                                    key=lambda kv: str(kv[0])):
+            total = Num(n)
+            for it in canon.comp.iterators:
+                total = normalize_size(Mul(total, extent(it)))
+            out.append(f"{print_size(total)} on {canon.comp.event.chan} "
+                       f"({print_comp(canon.comp)})")
+        return out
+
+
+def _take(counts: Counter, taken: dict) -> None:
+    for k, v in taken.items():
+        counts[k] -= v
+        if not counts[k]:
+            del counts[k]
+
 
 def _copy(record: Record) -> Record:
     out = Record(record.env)

@@ -293,6 +293,29 @@ def test_channel_instantiation_errors(decl, rule, message):
     assert (info.value.diag.rule, info.value.diag.message) == (rule, message)
 
 
+@pytest.mark.parametrize("decl, rule, message", [
+    ("chan z : Channel(0, k);", "Kind Chan",
+     "capacity of z: unbound size parameter k"),
+    ("chanarray z : ChannelArray(0, 1, k);", "Kind Chan Array",
+     "bound of z: unbound size parameter k"),
+])
+def test_unbound_size_in_a_channel_kind_is_an_instantiation_error(
+        decl, rule, message):
+    net = parse_program_or_raise(f"{decl}\nflow eps;\nnetwork {{ stop }}")
+    with pytest.raises(InstantiationError) as info:
+        instantiate(net, {})
+    assert (info.value.diag.rule, info.value.diag.message) == (rule, message)
+
+
+def test_negative_program_with_unbound_capacity_fails_to_instantiate():
+    net = parse_program_or_raise(load("negative",
+                                      "n11_unbound_size_in_kind.sdf"))
+    with pytest.raises(InstantiationError) as info:
+        instantiate(net, {})
+    assert str(info.value.diag) == \
+        "[Kind Chan] capacity of c: unbound size parameter missing"
+
+
 # --- runs through rarely taken paths ----------------------------------------
 
 TWO_WRITERS = """
