@@ -6,7 +6,8 @@ channel array is a 1-indexed family of buffers, matching the 1-based
 iteration ranges that produce their indices.  Capacities are per channel.
 Actors take turns under a scheduler; a send on a full buffer or a receive on
 an empty one is simply not enabled, and a configuration where no actor can
-step while some are unfinished is a deadlock.
+step while some are unfinished is a deadlock.  A step is one lookup of the
+expression's class in `_STEP`, and `is_value` is a class test.
 
 `run` mutates its own copy of the configuration and re-polls only woken
 actors: the one that moved and those whose last outcome read the buffer the
@@ -160,15 +161,15 @@ def channel_payloads(venv: Env) -> dict:
 
 
 def _eval_quantity(e, sizes: dict, rule: str, what: str) -> int:
-    """`e` under `sizes`; a size missing from them is reported under
-    `rule`."""
+    """`e` under `sizes`; a size missing from them, or an unbounded `e`, is
+    reported under `rule`."""
     try:
         v = eval_size(e, sizes)
     except SizeArithmeticError as exc:
         raise InstantiationError(Diagnostic(rule, f"{what}: {exc}")) from None
     if is_inf(v):
         raise InstantiationError(Diagnostic(
-            "Kind Chan", f"{what} is unbounded and cannot be instantiated"))
+            rule, f"{what} is unbounded and cannot be instantiated"))
     return v
 
 
@@ -276,13 +277,9 @@ class Stuck:
 
 
 def _as_int(v: Expr) -> Optional[int]:
-    match v:
-        case IntLit(n):
-            return n
-        case MkSize(IntLit(n)) | MkIndex(IntLit(n)):
-            return n
-        case _:
-            return None
+    if v.__class__ is MkSize or v.__class__ is MkIndex:
+        v = v.arg
+    return v.value if v.__class__ is IntLit else None
 
 
 def _rel_holds(op: str, a: int, b: int) -> bool:
@@ -299,149 +296,181 @@ def step_expr(e: Expr, heap: Heap, actor: str, venv: Env
     returned as an effect thunk so schedulers can probe without committing."""
     if is_value(e):
         return None
-    match e:
-        case SeqE(first, second):
-            if is_value(first):
-                return Stepped(second)
-            return _in_context(first, heap, actor, venv,
-                               lambda f: SeqE(f, second))
-        case Let(var, bound, body):
-            if is_value(bound):
-                return Stepped(subst_expr(body, {var: bound}))
-            return _in_context(bound, heap, actor, venv,
-                               lambda b: Let(var, b, body))
-        case App(fn, args):
-            if not is_value(fn):
-                return _in_context(fn, heap, actor, venv,
-                                   lambda f: App(f, args))
-            for i, a in enumerate(args):
-                if not is_value(a):
-                    return _in_context(
-                        a, heap, actor, venv,
-                        lambda x, i=i: App(fn, args[:i] + (x,) + args[i + 1:]))
-            if not isinstance(fn, Lam) or len(fn.params) != len(args):
-                return Stuck("calling a non-procedure")
-            mapping = {name: arg for (name, _), arg in zip(fn.params, args)}
-            return Stepped(subst_expr(fn.body, mapping))
-        case If(cond, then, els):
-            if not is_value(cond):
-                return _in_context(cond, heap, actor, venv,
-                                   lambda c: If(c, then, els))
-            match cond:
-                case BoolLit(True):
-                    return Stepped(then)
-                case BoolLit(False):
-                    return Stepped(els)
-                case _:
-                    return Stuck("condition did not evaluate to a Boolean")
-        case When(lhs, op, rhs, body):
-            if not is_value(lhs):
-                return _in_context(lhs, heap, actor, venv,
-                                   lambda l: When(l, op, rhs, body))
-            if not is_value(rhs):
-                return _in_context(rhs, heap, actor, venv,
-                                   lambda r: When(lhs, op, r, body))
-            a, b = _as_int(lhs), _as_int(rhs)
-            if a is None or b is None:
-                return Stuck("guard operands are not numeric")
-            return Stepped(body if _rel_holds(op, a, b) else IntLit(0))
-        case For(tvar, var, lo, bound, body):
-            if not is_value(bound):
-                return _in_context(bound, heap, actor, venv,
-                                   lambda b: For(tvar, var, lo, b, body))
-            n = _as_int(bound)
-            if n is None:
-                return Stuck("loop bound is not a size value")
-            if lo > n:
-                return Stepped(IntLit(0))
-            unrolled = SeqE(subst_expr(body, {var: MkIndex(IntLit(lo))}),
-                            For(tvar, var, lo + 1, bound, body))
-            return Stepped(unrolled)
-        case FromSize(arg):
-            if not is_value(arg):
-                return _in_context(arg, heap, actor, venv, FromSize)
-            match arg:
-                case MkSize(IntLit(n)):
-                    return Stepped(IntLit(n))
-                case _:
-                    return Stuck("fromSize of a non-size value")
-        case FromIndex(arg):
-            if not is_value(arg):
-                return _in_context(arg, heap, actor, venv, FromIndex)
-            match arg:
-                case MkIndex(IntLit(n)):
-                    return Stepped(IntLit(n))
-                case _:
-                    return Stuck("fromIndex of a non-index value")
-        case MkSize(arg):
-            return _in_context(arg, heap, actor, venv, MkSize)
-        case MkIndex(arg):
-            return _in_context(arg, heap, actor, venv, MkIndex)
-        case NewRef(init):
-            if not is_value(init):
-                return _in_context(init, heap, actor, venv, NewRef)
-            slot = heap.next_slot.get(actor, 0)
-            ref = LocRef(actor, slot)
+    try:
+        step = _STEP[e.__class__]
+    except KeyError:
+        raise TypeError(f"cannot step {e!r}") from None
+    return step(e, heap, actor, venv)
 
-            def effect(h: Heap, init=init):
-                h.alloc(actor, init)
-            return Stepped(ref, effect=effect)
-        case Deref(target):
-            if not is_value(target):
-                return _in_context(target, heap, actor, venv, Deref)
-            if not isinstance(target, LocRef):
-                return Stuck("dereferencing a non-reference")
-            return Stepped(heap.locs[(target.actor, target.slot)])
-        case Assign(target, value):
-            if not is_value(target):
-                return _in_context(target, heap, actor, venv,
-                                   lambda t: Assign(t, value))
-            if not is_value(value):
-                return _in_context(value, heap, actor, venv,
-                                   lambda v: Assign(target, v))
-            if not isinstance(target, LocRef):
-                return Stuck("assignment to a non-reference")
 
-            def effect(h: Heap, target=target, value=value):
-                h.locs[(target.actor, target.slot)] = value
-            return Stepped(value, effect=effect)
-        case BinOp(op, lhs, rhs):
-            if not is_value(lhs):
-                return _in_context(lhs, heap, actor, venv,
-                                   lambda l: BinOp(op, l, rhs))
-            if not is_value(rhs):
-                return _in_context(rhs, heap, actor, venv,
-                                   lambda r: BinOp(op, lhs, r))
-            a, b = _as_int(lhs), _as_int(rhs)
-            if a is None or b is None:
-                return Stuck(f"operator {op} on non-integers")
-            if op == "+":
-                return Stepped(IntLit(a + b))
-            if op == "-":
-                return Stepped(IntLit(a - b))
-            if op == "*":
-                return Stepped(IntLit(a * b))
-            if op == "/":
-                if b == 0:
-                    return Stuck("division by zero")
-                return Stepped(IntLit(a // b))
-            if op == "==":
-                return Stepped(BoolLit(a == b))
-            if op == "<=":
-                return Stepped(BoolLit(a <= b))
-            if op == "<":
-                return Stepped(BoolLit(a < b))
-            return Stuck(f"unknown operator {op}")
-        case Send() | Recv():
-            return _step_comm(e, heap, actor, venv)
-    raise TypeError(f"cannot step {e!r}")
+def _step_seq(e: SeqE, heap: Heap, actor: str, venv: Env):
+    first, second = e.first, e.second
+    if is_value(first):
+        return Stepped(second)
+    return _in_context(first, heap, actor, venv, lambda f: SeqE(f, second))
+
+
+def _step_let(e: Let, heap: Heap, actor: str, venv: Env):
+    var, bound, body = e.var, e.bound, e.body
+    if is_value(bound):
+        return Stepped(subst_expr(body, {var: bound}))
+    return _in_context(bound, heap, actor, venv,
+                       lambda b: Let(var, b, body))
+
+
+def _step_app(e: App, heap: Heap, actor: str, venv: Env):
+    fn, args = e.fn, e.args
+    if not is_value(fn):
+        return _in_context(fn, heap, actor, venv,
+                           lambda f: App(f, args))
+    for i, a in enumerate(args):
+        if not is_value(a):
+            return _in_context(
+                a, heap, actor, venv,
+                lambda x, i=i: App(fn, args[:i] + (x,) + args[i + 1:]))
+    if not isinstance(fn, Lam) or len(fn.params) != len(args):
+        return Stuck("calling a non-procedure")
+    mapping = {name: arg for (name, _), arg in zip(fn.params, args)}
+    return Stepped(subst_expr(fn.body, mapping))
+
+
+def _step_if(e: If, heap: Heap, actor: str, venv: Env):
+    cond, then, els = e.cond, e.then, e.els
+    if not is_value(cond):
+        return _in_context(cond, heap, actor, venv,
+                           lambda c: If(c, then, els))
+    match cond:
+        case BoolLit(True):
+            return Stepped(then)
+        case BoolLit(False):
+            return Stepped(els)
+        case _:
+            return Stuck("condition did not evaluate to a Boolean")
+
+
+def _step_when(e: When, heap: Heap, actor: str, venv: Env):
+    lhs, op, rhs, body = e.lhs, e.op, e.rhs, e.body
+    if not is_value(lhs):
+        return _in_context(lhs, heap, actor, venv,
+                           lambda l: When(l, op, rhs, body))
+    if not is_value(rhs):
+        return _in_context(rhs, heap, actor, venv,
+                           lambda r: When(lhs, op, r, body))
+    a, b = _as_int(lhs), _as_int(rhs)
+    if a is None or b is None:
+        return Stuck("guard operands are not numeric")
+    return Stepped(body if _rel_holds(op, a, b) else IntLit(0))
+
+
+def _step_for(e: For, heap: Heap, actor: str, venv: Env):
+    tvar, var, lo, bound, body = e.tvar, e.var, e.lo, e.bound, e.body
+    if not is_value(bound):
+        return _in_context(bound, heap, actor, venv,
+                           lambda b: For(tvar, var, lo, b, body))
+    n = _as_int(bound)
+    if n is None:
+        return Stuck("loop bound is not a size value")
+    if lo > n:
+        return Stepped(IntLit(0))
+    unrolled = SeqE(subst_expr(body, {var: MkIndex(IntLit(lo))}),
+                    For(tvar, var, lo + 1, bound, body))
+    return Stepped(unrolled)
+
+
+def _step_from_size(e: FromSize, heap: Heap, actor: str, venv: Env):
+    arg = e.arg
+    if not is_value(arg):
+        return _in_context(arg, heap, actor, venv, FromSize)
+    match arg:
+        case MkSize(IntLit(n)):
+            return Stepped(IntLit(n))
+        case _:
+            return Stuck("fromSize of a non-size value")
+
+
+def _step_from_index(e: FromIndex, heap: Heap, actor: str, venv: Env):
+    arg = e.arg
+    if not is_value(arg):
+        return _in_context(arg, heap, actor, venv, FromIndex)
+    match arg:
+        case MkIndex(IntLit(n)):
+            return Stepped(IntLit(n))
+        case _:
+            return Stuck("fromIndex of a non-index value")
+
+
+def _step_new_ref(e: NewRef, heap: Heap, actor: str, venv: Env):
+    init = e.init
+    if not is_value(init):
+        return _in_context(init, heap, actor, venv, NewRef)
+    slot = heap.next_slot.get(actor, 0)
+    ref = LocRef(actor, slot)
+
+    def effect(h: Heap, init=init):
+        h.alloc(actor, init)
+    return Stepped(ref, effect=effect)
+
+
+def _step_deref(e: Deref, heap: Heap, actor: str, venv: Env):
+    target = e.target
+    if not is_value(target):
+        return _in_context(target, heap, actor, venv, Deref)
+    if not isinstance(target, LocRef):
+        return Stuck("dereferencing a non-reference")
+    return Stepped(heap.locs[(target.actor, target.slot)])
+
+
+def _step_assign(e: Assign, heap: Heap, actor: str, venv: Env):
+    target, value = e.target, e.value
+    if not is_value(target):
+        return _in_context(target, heap, actor, venv,
+                           lambda t: Assign(t, value))
+    if not is_value(value):
+        return _in_context(value, heap, actor, venv,
+                           lambda v: Assign(target, v))
+    if not isinstance(target, LocRef):
+        return Stuck("assignment to a non-reference")
+
+    def effect(h: Heap, target=target, value=value):
+        h.locs[(target.actor, target.slot)] = value
+    return Stepped(value, effect=effect)
+
+
+def _step_bin_op(e: BinOp, heap: Heap, actor: str, venv: Env):
+    op, lhs, rhs = e.op, e.lhs, e.rhs
+    if not is_value(lhs):
+        return _in_context(lhs, heap, actor, venv,
+                           lambda l: BinOp(op, l, rhs))
+    if not is_value(rhs):
+        return _in_context(rhs, heap, actor, venv,
+                           lambda r: BinOp(op, lhs, r))
+    a, b = _as_int(lhs), _as_int(rhs)
+    if a is None or b is None:
+        return Stuck(f"operator {op} on non-integers")
+    if op == "+":
+        return Stepped(IntLit(a + b))
+    if op == "-":
+        return Stepped(IntLit(a - b))
+    if op == "*":
+        return Stepped(IntLit(a * b))
+    if op == "/":
+        if b == 0:
+            return Stuck("division by zero")
+        return Stepped(IntLit(a // b))
+    if op == "==":
+        return Stepped(BoolLit(a == b))
+    if op == "<=":
+        return Stepped(BoolLit(a <= b))
+    if op == "<":
+        return Stepped(BoolLit(a < b))
+    return Stuck(f"unknown operator {op}")
 
 
 def _in_context(inner: Expr, heap: Heap, actor: str, venv: Env,
                 rebuild: Callable[[Expr], Expr]):
     out = step_expr(inner, heap, actor, venv)
-    if isinstance(out, Stepped):
-        return Stepped(rebuild(out.expr), out.label, out.effect)
+    if out.__class__ is Stepped:
+        out.expr = rebuild(out.expr)  # `out` is fresh and ours alone
     return out
 
 
@@ -477,6 +506,18 @@ def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: Env):
         return Blocked(f"buffer {buffer_name(key)} is empty", key)
     return Stepped(buf[0], Label(ty.name, False, key[1]),
                    lambda h: h.pop(key))
+
+
+# expression class -> its step; a value's class never gets here
+_STEP = {
+    SeqE: _step_seq, Let: _step_let, App: _step_app, If: _step_if,
+    When: _step_when, For: _step_for, FromSize: _step_from_size,
+    FromIndex: _step_from_index,
+    MkSize: lambda e, h, a, v: _in_context(e.arg, h, a, v, MkSize),
+    MkIndex: lambda e, h, a, v: _in_context(e.arg, h, a, v, MkIndex),
+    NewRef: _step_new_ref, Deref: _step_deref, Assign: _step_assign,
+    BinOp: _step_bin_op, Send: _step_comm, Recv: _step_comm,
+}
 
 
 # ---------------------------------------------------------------------------

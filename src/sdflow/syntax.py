@@ -813,17 +813,14 @@ def proc_components(p: Proc) -> list[Proc]:
 
 # --- value-level substitution ----------------------------------------------
 
+# surviving free names (`Var`) denote channels, which are atomic values
+_VALUE_CLASSES = frozenset({IntLit, BoolLit, Lam, LocRef, Var})
+
+
 def is_value(e: Expr) -> bool:
-    match e:
-        case IntLit() | BoolLit() | Lam() | LocRef():
-            return True
-        case Var():
-            # surviving free names denote channels, which are atomic values
-            return True
-        case MkSize(arg) | MkIndex(arg):
-            return is_value(arg)
-        case _:
-            return False
+    while e.__class__ is MkSize or e.__class__ is MkIndex:
+        e = e.arg
+    return e.__class__ in _VALUE_CLASSES
 
 
 def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
@@ -835,55 +832,75 @@ def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
     """
     if not mapping:
         return e
-    match e:
-        case IntLit() | BoolLit() | LocRef():
-            return e
-        case Var(name):
-            return mapping.get(name, e)
-        case MkSize(a):
-            return MkSize(subst_expr(a, mapping))
-        case FromSize(a):
-            return FromSize(subst_expr(a, mapping))
-        case MkIndex(a):
-            return MkIndex(subst_expr(a, mapping))
-        case FromIndex(a):
-            return FromIndex(subst_expr(a, mapping))
-        case Lam(params, latent, rest, body):
-            inner = {k: v for k, v in mapping.items()
-                     if k not in {p for p, _ in params}}
-            return Lam(params, latent, rest, subst_expr(body, inner))
-        case App(fn, args):
-            return App(subst_expr(fn, mapping),
-                       tuple(subst_expr(a, mapping) for a in args))
-        case Let(var, bound, body):
-            inner = {k: v for k, v in mapping.items() if k != var}
-            return Let(var, subst_expr(bound, mapping), subst_expr(body, inner))
-        case SeqE(a, b):
-            return SeqE(subst_expr(a, mapping), subst_expr(b, mapping))
-        case If(c, t, f):
-            return If(subst_expr(c, mapping), subst_expr(t, mapping),
-                      subst_expr(f, mapping))
-        case When(l, op, r, body):
-            return When(subst_expr(l, mapping), op, subst_expr(r, mapping),
-                        subst_expr(body, mapping))
-        case For(tvar, var, lo, bound, body):
-            inner = {k: v for k, v in mapping.items() if k != var}
-            return For(tvar, var, lo, subst_expr(bound, mapping),
-                       subst_expr(body, inner))
-        case NewRef(a):
-            return NewRef(subst_expr(a, mapping))
-        case Deref(a):
-            return Deref(subst_expr(a, mapping))
-        case Assign(t, v):
-            return Assign(subst_expr(t, mapping), subst_expr(v, mapping))
-        case Recv(chan, index):
-            return Recv(chan, None if index is None else subst_expr(index, mapping))
-        case Send(chan, index, payload):
-            return Send(chan, None if index is None else subst_expr(index, mapping),
-                        subst_expr(payload, mapping))
-        case BinOp(op, l, r):
-            return BinOp(op, subst_expr(l, mapping), subst_expr(r, mapping))
-    raise TypeError(f"not an expression: {e!r}")
+    try:
+        subst = _SUBST[e.__class__]
+    except KeyError:
+        raise TypeError(f"not an expression: {e!r}") from None
+    return subst(e, mapping)
+
+
+def _subst_spine(e: Union[SeqE, Let], mapping: dict[str, Expr]) -> Expr:
+    """A right-nested chain of `SeqE`s and `Let`s, walked in a loop so that
+    a long actor does not recurse once per statement."""
+    heads = []
+    while mapping and (e.__class__ is SeqE or e.__class__ is Let):
+        if e.__class__ is SeqE:
+            heads.append((None, subst_expr(e.first, mapping)))
+            e = e.second
+        else:
+            heads.append((e.var, subst_expr(e.bound, mapping)))
+            mapping = {k: v for k, v in mapping.items() if k != e.var}
+            e = e.body
+    out = subst_expr(e, mapping)
+    for var, head in reversed(heads):
+        out = SeqE(head, out) if var is None else Let(var, head, out)
+    return out
+
+
+def _subst_lam(e: Lam, mapping: dict[str, Expr]) -> Lam:
+    inner = {k: v for k, v in mapping.items()
+             if k not in {p for p, _ in e.params}}
+    return Lam(e.params, e.latent, e.rest, subst_expr(e.body, inner))
+
+
+def _subst_for(e: For, mapping: dict[str, Expr]) -> For:
+    inner = {k: v for k, v in mapping.items() if k != e.var}
+    return For(e.tvar, e.var, e.lo, subst_expr(e.bound, mapping),
+               subst_expr(e.body, inner))
+
+
+# expression class -> its substitution, given a non-empty mapping `m`
+_SUBST = {
+    IntLit: lambda e, m: e,
+    BoolLit: lambda e, m: e,
+    LocRef: lambda e, m: e,
+    Var: lambda e, m: m.get(e.name, e),
+    MkSize: lambda e, m: MkSize(subst_expr(e.arg, m)),
+    FromSize: lambda e, m: FromSize(subst_expr(e.arg, m)),
+    MkIndex: lambda e, m: MkIndex(subst_expr(e.arg, m)),
+    FromIndex: lambda e, m: FromIndex(subst_expr(e.arg, m)),
+    Lam: _subst_lam,
+    App: lambda e, m: App(subst_expr(e.fn, m),
+                          tuple(subst_expr(a, m) for a in e.args)),
+    Let: _subst_spine,
+    SeqE: _subst_spine,
+    If: lambda e, m: If(subst_expr(e.cond, m), subst_expr(e.then, m),
+                        subst_expr(e.els, m)),
+    When: lambda e, m: When(subst_expr(e.lhs, m), e.op, subst_expr(e.rhs, m),
+                            subst_expr(e.body, m)),
+    For: _subst_for,
+    NewRef: lambda e, m: NewRef(subst_expr(e.init, m)),
+    Deref: lambda e, m: Deref(subst_expr(e.target, m)),
+    Assign: lambda e, m: Assign(subst_expr(e.target, m),
+                                subst_expr(e.value, m)),
+    Recv: lambda e, m: Recv(
+        e.chan, None if e.index is None else subst_expr(e.index, m)),
+    Send: lambda e, m: Send(
+        e.chan, None if e.index is None else subst_expr(e.index, m),
+        subst_expr(e.payload, m)),
+    BinOp: lambda e, m: BinOp(e.op, subst_expr(e.lhs, m),
+                              subst_expr(e.rhs, m)),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -281,10 +281,12 @@ def test_array_element_push_asserts_capacity():
     ("chan z : Channel(0, 0);", "Kind Chan", "channel z has zero capacity"),
     ("chanarray z : ChannelArray(0, 0, 2);", "Kind Chan Array",
      "channel array z has zero capacity"),
-    ("chanarray z : ChannelArray(0, inf, 0);", "Kind Chan",
+    ("chanarray z : ChannelArray(0, inf, 0);", "Kind Chan Array",
      "capacity of z is unbounded and cannot be instantiated"),
-    ("chanarray z : ChannelArray(0, 0, inf);", "Kind Chan",
+    ("chanarray z : ChannelArray(0, 0, inf);", "Kind Chan Array",
      "bound of z is unbounded and cannot be instantiated"),
+    ("val v : Size(inf);", "Ty Size",
+     "value of v is unbounded and cannot be instantiated"),
 ])
 def test_channel_instantiation_errors(decl, rule, message):
     net = parse_program_or_raise(f"{decl}\nflow eps;\nnetwork {{ stop }}")
@@ -460,3 +462,20 @@ def test_run_polls_only_woken_actors(monkeypatch):
         assert result.status == "done"
         per_step[n] = polls / len(result.trace)
     assert max(per_step.values()) <= 2, per_step
+
+
+def test_long_straight_line_actor_instantiates_and_runs():
+    # instantiation substitutes `kk` down a 5000-link SeqE spine
+    k = 5000
+    sends = "; ".join(f"send cw {i}" for i in range(1, k + 1))
+    net = parse_program_or_raise(
+        "chan c : Channel(0, 2);\n"
+        f"val kk : Size({k});\n"
+        "val cw : Chan(-, c, Integer);\n"
+        "val cr : Chan(+, c, Integer);\n"
+        f"flow c!<t in 1..{k}> || c?<t in 1..{k}>;\n"
+        f"network {{ actor {{ {sends} }}\n"
+        "  || actor { for (t, x in 1..kk) recv cr } }\n")
+    result = run(instantiate(net, {}))
+    assert result.status == "done"
+    assert result.comm_counts == {("c", "send"): k, ("c", "recv"): k}
