@@ -564,16 +564,20 @@ def check_kind(env: Env, kind: Kind) -> list[Diagnostic]:
     return diags
 
 
+class _Prefix(dict):
+    """The declarations checked so far, looked up like an `Env`: a later
+    binding of a name replaces an earlier one."""
+    lookup = dict.get
+
+
 def check_type_env(env: Env) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    seen: set[str] = set()
-    prefix = Env()
+    prefix = _Prefix()
     for name, kind in env.items:
-        if name in seen:
+        if name in prefix:
             diags.append(Diagnostic("TyEnv Extend", f"duplicate binding {name}"))
-        seen.add(name)
         diags.extend(check_kind(prefix, kind))
-        prefix = prefix.extend(name, kind)
+        prefix[name] = kind
     return diags
 
 

@@ -11,11 +11,21 @@ from .syntax import (
     IndexType, Infinity, IntLit, IntType, Lam, Let, LocRef, MkIndex, MkSize,
     Mul, Network, NewRef, Num, PActor, PArray, PEmpty, PPar,
     Proc, ProcFlow, ProcType, Recv, RefType, Send, SeqE, SizeExpr, SizeKind,
-    SizeType, SMin, Stop, Sub, SVar, Var, When, ActorFlow, proc_components,
+    SizeType, SMin, Stop, Sub, SVar, Var, When, ActorFlow, COMPARE_LEVEL,
+    KEYWORD_FORMS, PRECEDENCE, SIZE_OPERATORS, proc_components,
 )
 
-# precedence levels for size expressions
-_SZ_ADD, _SZ_MUL, _SZ_ATOM = 1, 2, 3
+
+def _wrap(s: str, prec: int, level: int) -> str:
+    """`s`, of precedence `level`, where the context binds at `prec`."""
+    return f"({s})" if prec > level else s
+
+
+def _infix(op: str, lhs, rhs, prec: int, show) -> str:
+    """`lhs op rhs`, each operand shown by `show(operand, its context)`."""
+    level = PRECEDENCE[op]
+    left = show(lhs, level + (level == COMPARE_LEVEL))
+    return _wrap(f"{left} {op} {show(rhs, level + 1)}", prec, level)
 
 
 def print_size(e: SizeExpr, prec: int = 0) -> str:
@@ -26,18 +36,8 @@ def print_size(e: SizeExpr, prec: int = 0) -> str:
             return "inf"
         case SVar(name):
             return name
-        case Add(a, b):
-            s = f"{print_size(a, _SZ_ADD)} + {print_size(b, _SZ_MUL)}"
-            return f"({s})" if prec > _SZ_ADD else s
-        case Sub(a, b):
-            s = f"{print_size(a, _SZ_ADD)} - {print_size(b, _SZ_MUL)}"
-            return f"({s})" if prec > _SZ_ADD else s
-        case Mul(a, b):
-            s = f"{print_size(a, _SZ_MUL)} * {print_size(b, _SZ_ATOM)}"
-            return f"({s})" if prec > _SZ_MUL else s
-        case Div(a, b):
-            s = f"{print_size(a, _SZ_MUL)} / {print_size(b, _SZ_ATOM)}"
-            return f"({s})" if prec > _SZ_MUL else s
+        case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b):
+            return _infix(SIZE_OPERATORS[e.__class__], a, b, prec, print_size)
         case SMin(a, b):
             return f"min({print_size(a)}, {print_size(b)})"
     raise TypeError(f"not a size expression: {e!r}")
@@ -121,8 +121,8 @@ def print_proc_flow(fs: ProcFlow) -> str:
 
 
 # --- expressions -------------------------------------------------------------
-# precedence: 0 expr (when/for/if/fn/assign), 1 compare, 2 additive,
-# 3 multiplicative, 4 unary (!, ref, send, recv), 5 atoms
+# precedence: 0 expr (when/for/if/fn/assign), 1-3 the binary operators of
+# `PRECEDENCE`, 4 unary (!, ref, send, recv), 5 atoms
 
 def print_expr(e: Expr, prec: int = 0, indent: int = 0) -> str:
     match e:
@@ -134,60 +134,43 @@ def print_expr(e: Expr, prec: int = 0, indent: int = 0) -> str:
             return name
         case LocRef(actor, slot):
             return f"<loc {actor}.{slot}>"
-        case MkSize(a):
-            return f"size({print_expr(a)})"
-        case MkIndex(a):
-            return f"index({print_expr(a)})"
-        case FromSize(a):
-            return f"fromSize({print_expr(a)})"
-        case FromIndex(a):
-            return f"fromIndex({print_expr(a)})"
+        case MkSize(a) | MkIndex(a) | FromSize(a) | FromIndex(a):
+            return f"{KEYWORD_FORMS[e.__class__]}({print_expr(a)})"
         case Recv(chan, index):
             idx = f"[{print_expr(index)}]" if index is not None else ""
-            s = f"recv {chan}{idx}"
-            return f"({s})" if prec > 4 else s
+            return _wrap(f"recv {chan}{idx}", prec, 4)
         case Send(chan, index, payload):
             idx = f"[{print_expr(index)}]" if index is not None else ""
-            s = f"send {chan}{idx} {print_expr(payload, 5, indent)}"
-            return f"({s})" if prec > 4 else s
+            return _wrap(f"send {chan}{idx} {print_expr(payload, 5, indent)}",
+                         prec, 4)
         case NewRef(a):
-            s = f"ref {print_expr(a, 5, indent)}"
-            return f"({s})" if prec > 4 else s
+            return _wrap(f"ref {print_expr(a, 5, indent)}", prec, 4)
         case Deref(a):
-            s = f"!{print_expr(a, 5, indent)}"
-            return f"({s})" if prec > 4 else s
+            return _wrap(f"!{print_expr(a, 5, indent)}", prec, 4)
         case BinOp(op, l, r):
-            if op in ("==", "<=", "<"):
-                s = f"{print_expr(l, 2, indent)} {op} {print_expr(r, 2, indent)}"
-                return f"({s})" if prec > 1 else s
-            if op in ("+", "-"):
-                s = f"{print_expr(l, 2, indent)} {op} {print_expr(r, 3, indent)}"
-                return f"({s})" if prec > 2 else s
-            s = f"{print_expr(l, 3, indent)} {op} {print_expr(r, 4, indent)}"
-            return f"({s})" if prec > 3 else s
+            return _infix(op, l, r, prec, lambda x, p: print_expr(x, p, indent))
         case App(fn, args):
             inner = ", ".join(print_expr(a, 0, indent) for a in args)
             return f"{print_expr(fn, 5, indent)}({inner})"
         case Assign(t, v):
-            s = f"{print_expr(t, 1, indent)} := {print_expr(v, 0, indent)}"
-            return f"({s})" if prec > 0 else s
+            return _wrap(f"{print_expr(t, 1, indent)} := "
+                         f"{print_expr(v, 0, indent)}", prec, 0)
         case If(c, t, f):
-            s = (f"if {print_expr(c, 1, indent)} then {print_expr(t, 1, indent)} "
-                 f"else {print_expr(f, 1, indent)}")
-            return f"({s})" if prec > 0 else s
+            return _wrap(f"if {print_expr(c, 1, indent)} then "
+                         f"{print_expr(t, 1, indent)} "
+                         f"else {print_expr(f, 1, indent)}", prec, 0)
         case When(l, op, r, body):
-            s = (f"when ({_guard_operand(l)} {op} {_guard_operand(r)}) "
-                 f"{print_expr(body, 1, indent)}")
-            return f"({s})" if prec > 0 else s
+            return _wrap(f"when ({_guard_operand(l)} {op} {_guard_operand(r)}) "
+                         f"{print_expr(body, 1, indent)}", prec, 0)
         case For(tvar, var, lo, bound, body):
-            s = (f"for ({tvar}, {var} in {lo}..{print_expr(bound, 1, indent)}) "
-                 f"{print_block(body, indent)}")
-            return f"({s})" if prec > 0 else s
+            return _wrap(f"for ({tvar}, {var} in {lo}.."
+                         f"{print_expr(bound, 1, indent)}) "
+                         f"{print_block(body, indent)}", prec, 0)
         case Lam(params, latent, rest, body):
             ps = ", ".join(f"{n} : {print_type(t)}" for n, t in params)
-            s = (f"fn ({ps}) [{print_flow(latent)} => {print_flow(rest)}] "
-                 f"{print_expr(body, 1, indent)}")
-            return f"({s})" if prec > 0 else s
+            return _wrap(f"fn ({ps}) [{print_flow(latent)} => "
+                         f"{print_flow(rest)}] {print_expr(body, 1, indent)}",
+                         prec, 0)
         case Let() | SeqE():
             return print_block(e, indent)
     raise TypeError(f"not an expression: {e!r}")
@@ -202,32 +185,21 @@ def _guard_operand(e: Expr) -> str:
             return print_expr(e, 2)
 
 
-def _stmts(e: Expr) -> list:
-    match e:
-        case Let(var, bound, body):
-            return [("let", var, bound)] + _stmts(body)
-        case SeqE(a, b):
-            return [("expr", a)] + _stmts(b)
-        case _:
-            return [("expr", e)]
-
-
 def print_block(e: Expr, indent: int = 0) -> str:
-    pieces = _stmts(e)
-    if len(pieces) == 1 and pieces[0][0] == "expr" and not isinstance(e, (Let, SeqE)):
-        inner = e
-        if not isinstance(inner, (Let, SeqE)):
-            return f"{{ {print_expr(inner, 0, indent)} }}"
+    if not isinstance(e, (Let, SeqE)):
+        return f"{{ {print_expr(e, 0, indent)} }}"
     pad = "  " * (indent + 1)
     lines = []
-    for i, p in enumerate(pieces):
-        tail = ";" if i < len(pieces) - 1 else ""
-        if p[0] == "let":
-            lines.append(f"{pad}let {p[1]} = {print_expr(p[2], 0, indent + 1)}{tail}")
+    while isinstance(e, (Let, SeqE)):  # a long actor is a long chain
+        if isinstance(e, Let):
+            lines.append(f"{pad}let {e.var} = {print_expr(e.bound, 0, indent + 1)}")
+            e = e.body
         else:
-            lines.append(f"{pad}{print_expr(p[1], 0, indent + 1)}{tail}")
+            lines.append(pad + print_expr(e.first, 0, indent + 1))
+            e = e.second
+    lines.append(pad + print_expr(e, 0, indent + 1))
     close = "  " * indent
-    return "{\n" + "\n".join(lines) + f"\n{close}}}"
+    return "{\n" + ";\n".join(lines) + f"\n{close}}}"
 
 
 def print_proc(p: Proc, indent: int = 0) -> str:

@@ -196,6 +196,13 @@ INF = Infinity()
 ONE = Num(1)
 ZERO = Num(0)
 
+# The binary operators of size and value expressions by precedence level,
+# the parser's and the printer's one table: a higher level binds tighter.
+# Comparisons do not chain; the other levels associate to the left.
+PRECEDENCE = {"==": 1, "<=": 1, "<": 1, "+": 2, "-": 2, "*": 3, "/": 3}
+COMPARE_LEVEL = 1
+SIZE_OPERATORS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
 
 def free_size_vars(e: SizeExpr) -> set[str]:
     match e:
@@ -406,14 +413,19 @@ def seq_flow(*parts: ActorFlow) -> ActorFlow:
 
 def flow_comps(fs: ActorFlow) -> list[Comp]:
     """Flatten an actor flowstate into its sequence of comprehensions."""
-    match fs:
-        case FEmpty():
-            return []
-        case Comp():
-            return [fs]
-        case FSeq(a, b):
-            return flow_comps(a) + flow_comps(b)
-    raise TypeError(f"not an actor flowstate: {fs!r}")
+    comps = []
+    stack = [fs]
+    while stack:  # explicit stack: a long actor nests `FSeq` deeply
+        match stack.pop():
+            case FSeq(a, b):
+                stack += (b, a)
+            case Comp() as c:
+                comps.append(c)
+            case FEmpty():
+                pass
+            case other:
+                raise TypeError(f"not an actor flowstate: {other!r}")
+    return comps
 
 
 @record(frozen=True)
@@ -644,6 +656,11 @@ class MkIndex:
 class FromIndex:
     arg: "Expr"
     loc: Optional[Loc] = _loc_field()
+
+
+# the expressions written `keyword(argument)`
+KEYWORD_FORMS = {MkSize: "size", MkIndex: "index", FromSize: "fromSize",
+                 FromIndex: "fromIndex"}
 
 
 @record(frozen=True)

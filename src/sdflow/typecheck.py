@@ -111,15 +111,8 @@ class Checker:
                             self.error("Val App", "argument type mismatch", e.loc)
                 flows.append(ft.latent)
                 return ft.result, seq_flow(*flows)
-            case Let(var, bound, body):
-                bt, bf = self.infer(tenv, venv, bound)
-                venv2 = venv.extend(var, bt if bt is not None else IntType())
-                t2, f2 = self.infer(tenv, venv2, body)
-                return t2, seq_flow(bf, f2)
-            case SeqE(first, second):
-                _, f1 = self.infer(tenv, venv, first)
-                t2, f2 = self.infer(tenv, venv, second)
-                return t2, seq_flow(f1, f2)
+            case Let() | SeqE():
+                return self._infer_spine(tenv, venv, e)
             case If(cond, then, els):
                 ct, cf = self.infer(tenv, venv, cond)
                 if ct is not None and not isinstance(ct, BoolType):
@@ -177,6 +170,22 @@ class Checker:
                            e.loc)
                 return None, EMPTY_FLOW
         raise TypeError(f"not an expression: {e!r}")
+
+    def _infer_spine(self, tenv: Env, venv: Env, e: Let | SeqE):
+        """A right-nested chain of `Let`s and `SeqE`s, walked in a loop so
+        that a long actor does not recurse once per statement."""
+        flows = []
+        while isinstance(e, (Let, SeqE)):
+            if isinstance(e, Let):
+                bt, bf = self.infer(tenv, venv, e.bound)
+                venv = venv.extend(e.var, bt if bt is not None else IntType())
+                flows.append(bf)
+                e = e.body
+            else:
+                flows.append(self.infer(tenv, venv, e.first)[1])
+                e = e.second
+        t, f = self.infer(tenv, venv, e)
+        return t, seq_flow(*flows, f)
 
     def _infer_lam(self, tenv: Env, venv: Env, e: Lam):
         for _, ty in e.params:

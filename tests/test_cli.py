@@ -9,7 +9,7 @@ import pytest
 from conftest import CORPUS, ROOT
 from test_conformance import CAPACITY_CYCLE
 
-from sdflow.cli import EXIT_CONFORMANCE, EXIT_PIPE
+from sdflow.cli import EXIT_CONFORMANCE, EXIT_PIPE, main
 
 
 def sdflow(*args, stdout=subprocess.PIPE):
@@ -29,6 +29,20 @@ def test_check_accepts_downsampler():
     out = sdflow("check", GOOD)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("family, axis", [("deep_parens", 300),
+                                          ("long_actor", 2000)])
+def test_check_accepts_perfbench_deep_and_long_programs(
+        family, axis, tmp_path, capsys, monkeypatch):
+    # perfbench's check-cli workload counts both as known failures
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import gen
+    program = gen.FAMILIES[family](axis)
+    path = tmp_path / f"{program.name}.sdf"
+    path.write_text(program.source)
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
 
 
 def test_check_rejects_with_rule_on_stderr():

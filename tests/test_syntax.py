@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from conftest import ProgramGen, comp, ev, it, seq
 
 from sdflow.conformance import comp_occurrence_count
@@ -88,6 +89,24 @@ def test_parse_is_total_on_garbage():
     out = parse_program("network { actor { send } }")
     assert isinstance(out, list) and out[0].rule == "Parse"
     assert out[0].loc is not None
+
+
+@pytest.mark.parametrize("before, nest, after", [
+    ("network { actor { ", "!", "x } }"),
+    ("network { actor { ", "{", "0" + "}" * 2000 + " } }"),
+    ("network { ", "(", "actor { 0 }" + ")" * 2000 + " }"),
+    ("chan c : Channel(0, 1);\nflow ", "(", "c!" + ")" * 2000
+     + ";\nnetwork { stop }"),
+], ids=["derefs", "blocks", "process groups", "flow groups"])
+def test_parse_reports_deep_nesting_as_a_diagnostic(before, nest, after):
+    head = before + nest * 2000
+    out = parse_program(head + after)
+    assert isinstance(out, list), out
+    assert out[0].rule == "Parse" and out[0].message == "nested too deeply"
+    line, col = out[0].loc
+    last_line = head.splitlines()[-1]
+    assert line == head.count("\n") + 1
+    assert len(last_line) - 2000 < col <= len(last_line)
 
 
 def test_parse_reports_duplicate_declaration():

@@ -1,10 +1,12 @@
+import sys
+
 import pytest
 
 from conftest import comp, ev, it, load, seq
 
 from sdflow.flowstate import flowstates_equivalent, rate_summary
 from sdflow.parser import parse_program_or_raise
-from sdflow.printer import print_flow
+from sdflow.printer import print_flow, print_program
 from sdflow.syntax import (
     ActorE, Divides, IntType, Num, PActor, PArray, PEmpty, SVar,
     flow_free_vars, proc_components,
@@ -302,3 +304,25 @@ network {
     res = check_network(parse_program_or_raise(arrays + "network { stop }"))
     assert [d.rule for d in res.diagnostics] == ["ValEnv Chan Payload"]
     assert "ar" in res.diagnostics[0].message and "aw" in res.diagnostics[0].message
+
+
+def test_long_actor_checks_and_prints_under_the_default_recursion_limit():
+    # the actor body is one 5000-link Let/SeqE chain; its flowstate is one
+    # 4900-comprehension FSeq chain
+    assert sys.getrecursionlimit() <= 1000
+    stmts = ["let v = 0" if i % 50 == 0 else "send cw v" for i in range(5000)]
+    sends = stmts.count("send cw v")
+    net = parse_program_or_raise(
+        "chan c : Channel(0, 2);\n"
+        f"val kk : Size({sends});\n"
+        "val cw : Chan(-, c, Integer);\n"
+        "val cr : Chan(+, c, Integer);\n"
+        f"flow c!<t in 1..{sends}> || c?<t in 1..{sends}>;\n"
+        f"network {{ actor {{ {'; '.join(stmts)} }}\n"
+        "  || actor { for (t, x in 1..kk) recv cr } }\n")
+    result = check_network(net)
+    assert result.ok, result.diagnostics
+    printed = print_program(net)
+    assert printed.count("send cw v;\n") == sends - 1
+    # texts, not trees: record equality recurses down the chain
+    assert print_program(parse_program_or_raise(printed)) == printed
