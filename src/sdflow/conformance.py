@@ -8,32 +8,38 @@ channels record buffered items as pending sends; delayed channels record
 freed slots as pending receives, so a full delay buffer (the initial and
 steady state) contributes nothing.
 
-Cost model: each label unrolls only the head of the comprehension that emits
-it and counts every residual comprehension once, in closed form
-(`flowstate.count_in_range`), so a co-simulation is linear in the rate.  Heap
-counts are recomputed from the heap on every step, so both clauses compare
-two independent views.
+Cost model: each ground comprehension is compiled once into a plan of
+integers, and a residual comprehension is a piece: a plan, the values of its
+fixed outer iterators, where its outermost open range starts and how many
+guards are left.  A label unrolls only the head of the piece that emits it,
+by index arithmetic, and counts only the new residual pieces, in closed form
+(`flowstate.count_multiples`), so a step costs a small constant in the rate
+and in the length of the actor.  A piece becomes a comprehension again only
+for text and for `step_flowstate`.  On the heap side, `Heap.touched` names
+the buffers a step pushed or popped; only those are recounted, from the
+heap, so the two clauses still compare two independent views.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Optional
 
-from .flowstate import count_in_range
+from .flowstate import count_in_range, count_multiples
 from .netcheck import PRODUCER, classify_event
-from .kinding import normalize_size
+from .kinding import eval_size, normalize_size
 from .printer import print_comp
 from .runtime import (
     Configuration, Fault, Heap, Label, buffer_name, channel_payloads, explore,
     instantiate, run, step_expr,
 )
 from .syntax import (
-    ActorComp, ActorE, BoolLit, BoolType, ChannelArrayKind, ChannelKind, Comp,
-    Diagnostic, Env, Event, IntLit, IntType, Iterator, Network, Num, PActor,
-    Par, PArray, ProcFlow, SizeType, Stop, SVar, flow_comps, par_flow,
-    proc_components, proc_flow_components, seq_flow, subst_comp, subst_flow,
-    subst_size, MkSize, MkIndex, record,
+    ActorComp, ActorE, ActorFlow, BoolLit, BoolType, ChannelArrayKind,
+    ChannelKind, Comp, Diagnostic, Divides, Env, Event, IntLit, IntType,
+    Iterator, Network, Num, PActor, Par, PArray, ProcFlow, SizeType, Stop,
+    SVar, flow_comps, par_flow, proc_components, proc_flow_components,
+    seq_flow, subst_comp, subst_flow, subst_size, MkSize, MkIndex, record,
 )
 from .typecheck import Checker
 
@@ -62,21 +68,26 @@ def heap_flow_counts(tenv: Env, heap: Heap) -> Counter:
     """Pending communications recorded by the heap, as concrete counts."""
     counts: Counter = Counter()
     kinds: dict = {}
-    for (chan, idx), buf in heap.bufs.items():
+    for key in heap.bufs:
+        chan = key[0]
         if chan not in kinds:
             kinds[chan] = tenv.lookup(chan)
-        kind = kinds[chan]
-        if not isinstance(kind, (ChannelKind, ChannelArrayKind)):
-            continue
-        element = () if idx is None else (idx,)
-        if kind.delay == 0:
-            if buf:
-                counts[(chan, True) + element] = len(buf)
-        else:
-            free = heap.caps[chan] - len(buf)
-            if free:
-                counts[(chan, False) + element] = free
+        if isinstance(kinds[chan], (ChannelKind, ChannelArrayKind)):
+            count_key, n = _buffer_count(kinds[chan], heap, key)
+            if n:
+                counts[count_key] = n
     return counts
+
+
+def _buffer_count(kind, heap: Heap, key: tuple) -> tuple[CountKey, int]:
+    """The one count a buffer records, from its fill: buffered items of an
+    undelayed channel as sends, free slots of a delayed one as receives."""
+    chan, idx = key
+    element = () if idx is None else (idx,)
+    fill = len(heap.bufs[key])
+    if kind.delay == 0:
+        return (chan, True) + element, fill
+    return (chan, False) + element, heap.caps[chan] - fill
 
 
 def heap_flowstate(tenv: Env, venv: Env, heap: Heap
@@ -104,72 +115,148 @@ def heap_flowstate(tenv: Env, venv: Env, heap: Heap
 
 # ---------------------------------------------------------------------------
 # Flowstate reduction (concrete labels)
+#
+# A residual comprehension is a piece, `(plan, values, open, guards)`:
+# iterator i is fixed to `values[i]` when i >= open and otherwise ranges
+# from `values[i]` to its bound (only the outermost open one, open - 1,
+# moves), and the first `guards` guards are left.  Decided guards are
+# popped off the end only, as substitution decides them, and a guard whose
+# name an open iterator binds is undecided.
 # ---------------------------------------------------------------------------
 
-def _silent_normalize(comp: Comp) -> Optional[Comp]:
-    """Discharge decided guards (whose operand reduction has made a number)
-    and empty iterator ranges.  Returns None when the comprehension reduces
-    silently to the empty flowstate."""
-    guards = list(comp.guards)
-    while guards and not isinstance(guards[-1].operand, SVar):
-        k = guards[-1].operand
-        holds = count_in_range(k, k, guards[-1:])
-        if holds is None:
+class _Plan:
+    """A ground comprehension compiled to integers: each iterator as
+    `(var, lo, hi)` and each guard as `(divides, slot, parameter)`.  The
+    slot of an operand is the index of the first iterator of its name, the
+    one a substitution reaches; a numeric operand gets a slot after them,
+    holding its value in `start`, so it is decided from the outset."""
+
+    __slots__ = ("comp", "iters", "first", "guards", "start")
+
+    def __init__(self, comp: Comp):
+        self.comp = comp
+        self.iters = [(it.var, _ground(it.lo), _ground(it.hi))
+                      for it in comp.iterators]
+        self.first: dict = {}
+        for j, it in enumerate(comp.iterators):
+            self.first.setdefault(it.var, j)
+        start = [lo for _, lo, _ in self.iters]
+        self.guards = []
+        for g in comp.guards:
+            if isinstance(g.operand, SVar):
+                assert g.operand.name in self.first, f"unbound {g.operand}"
+                slot = self.first[g.operand.name]
+            else:
+                slot = len(start)
+                start.append(_ground(g.operand))
+            divides = isinstance(g, Divides)
+            self.guards.append(
+                (divides, slot, _ground(g.divisor if divides else g.bound)))
+        self.start = tuple(start)
+
+
+def _ground(e) -> int:
+    # the checker bounds loops by sizes, which grounding makes numbers
+    n = normalize_size(e)
+    assert isinstance(n, Num), f"{n} is not ground"
+    return n.value
+
+
+def _holds(divides: bool, value: int, param: int) -> bool:
+    if divides:
+        return value % param == 0 if param else value == 0
+    return value <= param
+
+
+def _settle(plan: _Plan, values: tuple, open: int, guards: int):
+    """Silent reduction: the piece with its decided guards popped, or None
+    when one fails or the outermost open range is empty."""
+    while guards:
+        divides, slot, param = plan.guards[guards - 1]
+        if slot < open:
             break
-        if not holds:
+        if not _holds(divides, values[slot], param):
             return None
-        guards.pop()
-    if comp.iterators:
-        it = comp.iterators[-1]
-        lo, hi = normalize_size(it.lo), normalize_size(it.hi)
-        if isinstance(lo, Num) and isinstance(hi, Num) and lo.value > hi.value:
-            # exhausted range: the event never fires
-            return None
-    return Comp(comp.event, comp.iterators, tuple(guards))
+        guards -= 1
+    if open and values[open - 1] > plan.iters[open - 1][2]:
+        return None
+    return plan, values, open, guards
 
 
-def _event_matches(ev: Event, label: Label) -> bool:
-    if ev.chan != label.chan or ev.is_send != label.is_send:
-        return False
-    if label.index is None:
-        return ev.index is None
-    idx = normalize_size(ev.index) if ev.index is not None else None
-    return isinstance(idx, Num) and idx.value == label.index
-
-
-def try_consume_comp(comp: Comp, label: Label) -> Optional[list[Comp]]:
-    """Residual comprehensions after `comp` emits `label` first, or None."""
-    pending: list[Comp] = []
-    current: Optional[Comp] = comp
-    while True:
-        current = _silent_normalize(current)
-        if current is None:
-            return None
-        if not current.iterators:
-            if current.guards:
-                return None  # symbolic guard cannot be discharged
-            if _event_matches(current.event, label):
-                return pending
-            return None
-        it = current.iterators[-1]
-        lo, hi = normalize_size(it.lo), normalize_size(it.hi)
-        if not (isinstance(lo, Num) and isinstance(hi, Num)):
-            return None
-        head = subst_comp(Comp(current.event, current.iterators[:-1],
-                               current.guards), it.var, lo)
-        rest = Comp(current.event,
-                    current.iterators[:-1] + (Iterator(it.var, Num(lo.value + 1), hi),),
-                    current.guards)
-        head_n = _silent_normalize(head)
-        if head_n is None:
-            current = rest
+def _consume(piece, label: Label) -> Optional[list]:
+    """Residual pieces after `piece` emits `label` first, or None: the
+    outermost open iterator splits into a head at its value and a rest after
+    it, a silently empty head is skipped, and the first head that is not is
+    reduced in turn."""
+    plan, values, open, guards = piece
+    rests = []
+    while open:
+        head = _settle(plan, values, open - 1, guards)
+        rest = _settle(plan, values[:open - 1] + (values[open - 1] + 1,)
+                       + values[open:], open, guards)
+        if head is None:
+            if rest is None:
+                return None
+            values = rest[1]
             continue
-        inner = try_consume_comp(head_n, label)
-        if inner is None:
-            return None
-        rest_n = _silent_normalize(rest)
-        residual = inner + ([rest_n] if rest_n is not None else [])
-        return pending + residual
+        if rest is not None:
+            rests.append(rest)
+        open, guards = head[2], head[3]
+    event = plan.comp.event
+    if guards or (event.chan, event.is_send) != (label.chan, label.is_send):
+        return None
+    if label.index is None:
+        matches = event.index is None
+    else:
+        matches = event.index is not None and \
+            _index(plan, values) == label.index
+    return rests[::-1] if matches else None  # innermost first
+
+
+def _index(plan: _Plan, values: tuple) -> Optional[int]:
+    e = plan.comp.event.index
+    if e.__class__ is SVar and e.name in plan.first:
+        return values[plan.first[e.name]]
+    for name, j in plan.first.items():
+        e = subst_size(e, name, Num(values[j]))
+    e = normalize_size(e)
+    return e.value if isinstance(e, Num) else None
+
+
+def _piece_count(piece) -> int:
+    """Events a piece will emit, as `comp_occurrence_count` counts its
+    comprehension: 0 when a decided guard fails, else the product over open
+    iterators of the values that pass the guards on the iterator's name."""
+    plan, values, open, guards = piece
+    on: dict = {}  # name -> (lcm of its divisors, least bound)
+    for divides, slot, param in plan.guards[:guards]:
+        if slot >= open:
+            if not _holds(divides, values[slot], param):
+                return 0
+            continue
+        d, top = on.get(plan.iters[slot][0], (1, math.inf))
+        on[plan.iters[slot][0]] = (math.lcm(d, param), top) if divides \
+            else (d, min(top, param))
+    total = 1
+    for i, (var, _, hi) in enumerate(plan.iters[:open]):
+        d, top = on.get(var, (1, hi))
+        total *= count_multiples(values[i], min(top, hi), d)
+    return total
+
+
+def _piece_comp(piece) -> Comp:
+    """The comprehension a piece stands for, built as reduction on
+    comprehensions builds it: one `subst_comp` per fixed iterator."""
+    plan, values, open, guards = piece
+    comp = plan.comp
+    for j in range(len(plan.iters) - 1, open - 1, -1):
+        comp = subst_comp(Comp(comp.event, comp.iterators[:j], comp.guards),
+                          plan.iters[j][0], Num(values[j]))
+    iters = comp.iterators
+    if open and values[open - 1] != plan.start[open - 1]:
+        iters = iters[:-1] + (Iterator(iters[-1].var, Num(values[open - 1]),
+                                       iters[-1].hi),)
+    return Comp(comp.event, iters, comp.guards[:guards])
 
 
 def comp_occurrence_count(comp: Comp) -> Optional[int]:
@@ -199,42 +286,51 @@ def comp_occurrence_count(comp: Comp) -> Optional[int]:
     return total
 
 
-def consume_actor_flow(comps: list[Comp], label: Label) -> Optional[list[Comp]]:
-    """Consume one labeled event anywhere in the actor's comprehension list
-    (sequencing inside an actor is reorderable)."""
-    for i, comp in enumerate(comps):
-        residual = try_consume_comp(comp, label)
-        if residual is not None:
-            rest = comps[:i] + residual + comps[i + 1:]
-            return [c for c in rest if comp_occurrence_count(c) != 0]
-    return None
+def _consume_actor(pieces: list, label: Label) -> bool:
+    """Consume one labeled event, in place, from the first of an actor's
+    pieces that can emit it first (sequencing inside an actor is
+    reorderable); False when none can.  Pieces already in the list have a
+    nonzero count, so only new ones are counted."""
+    for i, piece in enumerate(pieces):
+        event = piece[0].comp.event
+        if event.chan == label.chan and event.is_send == label.is_send:
+            residual = _consume(piece, label)
+            if residual is not None:
+                pieces[i:i + 1] = [r for r in residual if _piece_count(r)]
+                return True
+    return False
 
 
-def step_flowstate_internal(fs) -> list[Comp]:
-    """Silent closure of an actor flowstate: numeric guards discharged,
-    exhausted iterators dropped, comprehensions that provably emit nothing
-    removed."""
+def _silent_pieces(fs: ActorFlow) -> list:
+    """The pieces of a ground actor flowstate that can still emit."""
     out = []
     for comp in flow_comps(fs):
-        c = _silent_normalize(comp)
-        if c is not None and comp_occurrence_count(c) != 0:
-            out.append(c)
+        plan = _Plan(comp)
+        piece = _settle(plan, plan.start, len(plan.iters), len(plan.guards))
+        if piece and _piece_count(piece):
+            out.append(piece)
     return out
+
+
+def step_flowstate_internal(fs: ActorFlow) -> list[Comp]:
+    """Silent closure of a ground actor flowstate: numeric guards
+    discharged, exhausted iterators dropped, comprehensions that provably
+    emit nothing removed."""
+    return [_piece_comp(p) for p in _silent_pieces(fs)]
 
 
 def step_flowstate(tenv: Env, fs: ProcFlow, label: Label
                    ) -> Optional[ProcFlow]:
-    """One labeled reduction of a process flowstate, or None when no
+    """One labeled reduction of a ground process flowstate, or None when no
     component can emit the label."""
     parts = proc_flow_components(fs)
     for i, part in enumerate(parts):
         if not isinstance(part, PActor):
             continue
-        comps = step_flowstate_internal(part.flow)
-        residual = consume_actor_flow(comps, label)
-        if residual is not None:
+        pieces = _silent_pieces(part.flow)
+        if _consume_actor(pieces, label):
             new_parts = list(parts)
-            new_parts[i] = PActor(seq_flow(*residual))
+            new_parts[i] = PActor(seq_flow(*map(_piece_comp, pieces)))
             return par_flow(*new_parts)
     return None
 
@@ -243,14 +339,16 @@ def step_flowstate(tenv: Env, fs: ProcFlow, label: Label
 # Per-actor concrete flows aligned with the instantiated configuration
 # ---------------------------------------------------------------------------
 
-def actor_flows(net: Network, sizes: dict[str, int]) -> list[list[Comp]]:
+def actor_flows(net: Network, sizes: dict[str, int]) -> list[list]:
+    """Each actor's flowstate grounded at `sizes`, as its pieces, in the
+    order of the instantiated configuration."""
     checker = Checker()
-    flows: list[list[Comp]] = []
+    flows: list[list] = []
 
-    def ground(flow) -> list[Comp]:
+    def ground(flow):
         for name in sizes:
             flow = subst_flow(flow, name, Num(sizes[name]))
-        return step_flowstate_internal(flow)
+        return flow
 
     for part in proc_components(net.body):
         match part:
@@ -258,27 +356,21 @@ def actor_flows(net: Network, sizes: dict[str, int]) -> list[list[Comp]]:
                 flows.append([])
             case ActorE(expr):
                 _, flow = checker.infer(net.tenv, net.venv, expr)
-                flows.append(ground(flow))
+                flows.append(_silent_pieces(ground(flow)))
             case ActorComp(tvar, var, lo, hi, body):
                 synth = checker.check_proc(net.tenv, net.venv, part)
                 assert isinstance(synth, PArray)
-                hi_n = normalize_size(
-                    _ground_size(synth.hi, sizes))
-                assert isinstance(hi_n, Num)
-                for k in range(lo, hi_n.value + 1):
-                    flows.append(ground(subst_flow(synth.body, synth.var, Num(k))))
+                # the checker keeps the index from shadowing a size name
+                body = ground(synth.body)
+                for k in range(lo, eval_size(synth.hi, sizes) + 1):
+                    flows.append(_silent_pieces(
+                        subst_flow(body, synth.var, Num(k))))
             case Par():
                 raise AssertionError("proc_components flattens parallel")
     if checker.diags:
         raise ValueError("network does not typecheck: "
                          + "; ".join(str(d) for d in checker.diags))
     return flows
-
-
-def _ground_size(e, sizes: dict[str, int]):
-    for name, value in sizes.items():
-        e = subst_size(e, name, Num(value))
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -339,46 +431,51 @@ def check_preservation(net: Network, sizes: dict[str, int],
     flows = actor_flows(net, sizes)
     index_of = {a.name: i for i, a in enumerate(cfg.actors)}
     violations: list[Violation] = []
-    heap_before = heap_flow_counts(net.tenv, cfg.heap)
-    if heap_before:
+    counts = heap_flow_counts(net.tenv, cfg.heap)  # kept current below
+    if counts:
         violations.append(Violation(
             -1, "final", "eps",
-            f"initial heap flowstate {_counts_str(heap_before)}"))
-    state = {"heap_counts": heap_before}
+            f"initial heap flowstate {_counts_str(counts)}"))
+    kinds = {chan: net.tenv.lookup(chan) for chan in cfg.heap.caps}
+    produces = {(chan, is_send): classify_event(
+                    net.tenv, Event(chan, is_send)) == PRODUCER
+                for chan in kinds for is_send in (True, False)}
+    cfg.heap.touched = set()
 
     def observer(entry, after: Configuration):
         label = entry.label
         if label is None:
             return
-        i = index_of[entry.actor]
-        residual = consume_actor_flow(flows[i], label)
-        if residual is None:
+        pieces = flows[index_of[entry.actor]]
+        if not _consume_actor(pieces, label):
             violations.append(Violation(
                 entry.step, "flow-reduction",
                 f"{entry.actor} flowstate reduces by {label}",
-                "; ".join(print_comp(c) for c in flows[i]) or "eps"))
-        else:
-            flows[i] = residual
-        old = state["heap_counts"]
-        new = heap_flow_counts(net.tenv, after.heap)
-        element = () if label.index is None else (label.index,)
-        key = (label.chan, label.is_send) + element
-        comp_key = (label.chan, not label.is_send) + element
-        if classify_event(net.tenv, Event(label.chan, label.is_send)) == PRODUCER:
-            want = Counter(old)
+                "; ".join(print_comp(_piece_comp(p)) for p in pieces)
+                or "eps"))
+        # recount the buffers the step changed, from the heap
+        heap = after.heap
+        old: dict = {}
+        for key in heap.touched:
+            count_key, n = _buffer_count(kinds[key[0]], heap, key)
+            old[count_key] = counts.pop(count_key, 0)
+            if n:
+                counts[count_key] = n
+        heap.touched.clear()
+        # a producer adds its event to the heap flowstate, a consumer takes
+        # away its complement's
+        producer = produces[label.chan, label.is_send]
+        key = (label.chan, label.is_send == producer) + (
+            () if label.index is None else (label.index,))
+        change = 1 if producer else -1
+        if key not in old or any(counts.get(k, 0) - n != (k == key) * change
+                                 for k, n in old.items()):
+            before = +Counter({**counts, **old})  # `+` drops zero counts
+            want = Counter(before if producer else counts)
             want[key] += 1
-            if new != want:
-                violations.append(Violation(
-                    entry.step, "clause-1",
-                    _counts_str(want), _counts_str(new)))
-        else:
-            want = Counter(new)
-            want[comp_key] += 1
-            if old != want:
-                violations.append(Violation(
-                    entry.step, "clause-2",
-                    _counts_str(want), _counts_str(old)))
-        state["heap_counts"] = new
+            violations.append(Violation(
+                entry.step, "clause-1" if producer else "clause-2",
+                _counts_str(want), _counts_str(counts if producer else before)))
 
     result = run(cfg, scheduler=scheduler, seed=seed, observer=observer,
                  fault=fault)
@@ -388,17 +485,16 @@ def check_preservation(net: Network, sizes: dict[str, int],
             f"{result.status}: {result.blocked}"))
     else:
         leftovers = [f"{cfg.actors[i].name}: "
-                     + "; ".join(print_comp(c) for c in comps)
-                     for i, comps in enumerate(flows) if comps]
+                     + "; ".join(print_comp(_piece_comp(p)) for p in pieces)
+                     for i, pieces in enumerate(flows) if pieces]
         if leftovers:
             violations.append(Violation(
                 len(result.trace), "final", "all actor flowstates at eps",
                 " | ".join(leftovers)))
-        final_counts = state["heap_counts"]
-        if final_counts:
+        if counts:
             violations.append(Violation(
                 len(result.trace), "final", "heap flowstate back to eps",
-                _counts_str(final_counts)))
+                _counts_str(counts)))
     return ConformanceReport(name, dict(sizes), scheduler, seed,
                              len(result.trace), violations)
 

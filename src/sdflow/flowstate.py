@@ -28,9 +28,9 @@ from .kinding import (
 )
 from .syntax import (
     ActorFlow, Add, AtMost, ChannelArrayKind, ChannelKind, Comp, Diagnostic,
-    Div, Divides, Env, Event, FEmpty, FSeq, Guard, Iterator, Mul, Num, PActor,
-    PArray, ProcFlow, SizeArithmeticError, SizeExpr, SizeKind, SMin, Sub,
-    SVar, flow_comps, free_size_vars, rename_binder, subst_flow,
+    Div, Divides, Env, Event, Guard, Iterator, Mul, Num, PActor, PArray,
+    ProcFlow, SizeArithmeticError, SizeExpr, SizeKind, SMin, Sub, SVar,
+    flow_comps, free_size_vars, map_comps, rename_binder, subst_flow,
     proc_flow_components, record,
 )
 
@@ -127,28 +127,18 @@ def _check_guard(env: Env, g: Guard) -> list[Diagnostic]:
 
 def distribute_iterator(fs: ActorFlow, it: Iterator) -> ActorFlow:
     """Push an iterator into every comprehension of a flowstate."""
-    match fs:
-        case FEmpty():
-            return fs
-        case FSeq(a, b):
-            return FSeq(distribute_iterator(a, it), distribute_iterator(b, it))
-        case Comp() as comp:
-            comp = rename_binder(comp, it.var, set())
-            return Comp(comp.event, comp.iterators + (it,), comp.guards)
-    raise TypeError(f"not an actor flowstate: {fs!r}")
+    def push(comp: Comp) -> Comp:
+        comp = rename_binder(comp, it.var, set())
+        return Comp(comp.event, comp.iterators + (it,), comp.guards)
+    return map_comps(fs, push)
 
 
 def distribute_guard(fs: ActorFlow, g: Guard) -> ActorFlow:
-    match fs:
-        case FEmpty():
-            return fs
-        case FSeq(a, b):
-            return FSeq(distribute_guard(a, g), distribute_guard(b, g))
-        case Comp() as comp:
-            if isinstance(g.operand, SVar):
-                comp = rename_binder(comp, g.operand.name, set())
-            return Comp(comp.event, comp.iterators, comp.guards + (g,))
-    raise TypeError(f"not an actor flowstate: {fs!r}")
+    def push(comp: Comp) -> Comp:
+        if isinstance(g.operand, SVar):
+            comp = rename_binder(comp, g.operand.name, set())
+        return Comp(comp.event, comp.iterators, comp.guards + (g,))
+    return map_comps(fs, push)
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +228,23 @@ def count_in_range(lo: SizeExpr, hi: SizeExpr, guards: list[Guard]
                 if isinstance(g, Divides)]
     top = min((b.value for b in his if isinstance(b, Num)), default=None)
     l = math.lcm(*(d.value for d in divisors if isinstance(d, Num)))
-    if l == 0:
-        count = int(lo.value == 0)  # only k == 0 passes, and hi >= 0
-    elif top is None:
+    if l and top is None:
         return None
-    else:
-        count = max(0, top // l - (lo.value - 1) // l)
+    count = count_multiples(lo.value, top, l)
     exact = all(isinstance(x, Num) for x in his + divisors)
     return count if exact or count == 0 else None
 
 
+def count_multiples(lo: int, hi: int, d: int) -> int:
+    """How many k in lo..hi are multiples of d, where `0 | k` holds only
+    for k == 0, as at run time (hi is then unread: it is never below 0)."""
+    if d == 0:
+        return int(lo == 0)
+    return max(0, hi // d - (lo - 1) // d)
+
+
 def fold_guards(fs: ActorFlow) -> ActorFlow:
-    match fs:
-        case FEmpty():
-            return fs
-        case Comp() as comp:
-            return fold_guards_comp(comp)
-        case FSeq(a, b):
-            return FSeq(fold_guards(a), fold_guards(b))
-    raise TypeError(f"not an actor flowstate: {fs!r}")
+    return map_comps(fs, fold_guards_comp)
 
 
 # ---------------------------------------------------------------------------

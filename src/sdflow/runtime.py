@@ -16,6 +16,9 @@ polls per step do not grow with the number of actors; each communication
 still copies the trace's buffer-size snapshot.  Its observer is called as
 `observer(entry, cfg)` after each commit.  `explore` copies a configuration
 before committing into it, so copy-on-write lives only in exploration.
+A heap whose `touched` is a set (the conformance observer's, kept by
+`Heap.copy`) adds to it the key of each buffer `push` or `pop` changes, so
+an observer can recount only those; `explore` never sets it.
 
 `explore` visits a reduced state space: at each state it expands one step
 that commutes with every step other actors can take first, when there is
@@ -75,20 +78,27 @@ class Heap:
     bufs: dict = field(default_factory=dict)        # BufferKey -> tuple(values)
     caps: dict = field(default_factory=dict)        # channel name -> capacity
     next_slot: dict = field(default_factory=dict)   # actor -> counter
+    # buffers pushed or popped since the owner last cleared it; None: untracked
+    touched: Optional[set] = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "Heap":
         return Heap(dict(self.locs), dict(self.bufs), self.caps,
-                    dict(self.next_slot))
+                    dict(self.next_slot),
+                    None if self.touched is None else set(self.touched))
 
     def push(self, key: BufferKey, value) -> None:
         buf = self.bufs[key]
         assert len(buf) < self.caps[key[0]], \
             f"buffer overflow on {buffer_name(key)}"
         self.bufs[key] = buf + (value,)
+        if self.touched is not None:
+            self.touched.add(key)
 
     def pop(self, key: BufferKey):
         buf = self.bufs[key]
         self.bufs[key] = buf[1:]
+        if self.touched is not None:
+            self.touched.add(key)
         return buf[0]
 
     def alloc(self, actor: str, value) -> LocRef:
@@ -795,8 +805,21 @@ def explore(cfg: Configuration, max_states: int = 300_000) -> ExploreResult:
 
     def sites(e: Expr) -> frozenset:
         hit = cache.get(id(e))
-        if hit is None:
-            hit = cache[id(e)] = (e, _comm_sites(e, cfg.venv))
+        if hit is not None:
+            return hit[1]
+        # a `Let`/`SeqE` chain adds its heads' sites to its tail's, in a
+        # loop, so each state of a long actor costs only its new nodes
+        chain = []
+        while id(e) not in cache and (e.__class__ is SeqE
+                                      or e.__class__ is Let):
+            chain.append(e)
+            e = e.second if e.__class__ is SeqE else e.body
+        hit = cache.get(id(e)) or (e, _comm_sites(e, cfg.venv))
+        cache[id(e)] = hit
+        for node in reversed(chain):
+            head = node.first if node.__class__ is SeqE else node.bound
+            hit = cache[id(node)] = (node,
+                                     hit[1] | _comm_sites(head, cfg.venv))
         return hit[1]
 
     visited: set = set()

@@ -569,15 +569,26 @@ def rename_binder(comp: Comp, old: str, avoid: set[str]) -> Comp:
                 + scope.iterators, scope.guards)
 
 
+def map_comps(fs: ActorFlow, fn) -> ActorFlow:
+    """`fs` with each comprehension `c` replaced by `fn(c)`, left to right,
+    keeping the shape of its `FSeq` tree.  An explicit stack, since a long
+    actor nests `FSeq` deeply."""
+    stack, done = [fs], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, FSeq):
+            stack += (None, node.right, node.left)
+        elif node is None:  # both halves of an FSeq are done
+            done[-2:] = [FSeq(*done[-2:])]
+        elif isinstance(node, (Comp, FEmpty)):
+            done.append(fn(node) if isinstance(node, Comp) else node)
+        else:
+            raise TypeError(f"not an actor flowstate: {node!r}")
+    return done[0]
+
+
 def subst_flow(fs: ActorFlow, var: str, repl: SizeExpr) -> ActorFlow:
-    match fs:
-        case FEmpty():
-            return fs
-        case Comp():
-            return subst_comp(fs, var, repl)
-        case FSeq(a, b):
-            return FSeq(subst_flow(a, var, repl), subst_flow(b, var, repl))
-    raise TypeError(f"not an actor flowstate: {fs!r}")
+    return map_comps(fs, lambda c: subst_comp(c, var, repl))
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +690,46 @@ class App:
     loc: Optional[Loc] = _loc_field()
 
 
+def _link(e) -> Optional[tuple]:
+    """A `SeqE` or `Let` as (its other compared fields, its continuation);
+    None for any other node.  `==` and `hash` walk such chains in a loop,
+    so that a long actor does not recurse once per statement."""
+    if e.__class__ is SeqE:
+        return (e.first,), e.second
+    if e.__class__ is Let:
+        return (e.var, e.bound), e.body
+    return None
+
+
+def _spine_eq(a, b):
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    while a is not b:
+        la, lb = _link(a), _link(b)
+        if la is None or lb is None or a.__class__ is not b.__class__:
+            return la is None and lb is None and a == b
+        if la[0] != lb[0]:
+            return False
+        a, b = la[1], lb[1]
+    return True
+
+
+def _spine_hash(e) -> int:
+    """The generated hash, taken from the chain's tail up (each node's hash
+    finds its continuation's) and kept on the node, so hashing a state of
+    a long actor costs only its new nodes."""
+    h = e.__dict__.get("_hash")
+    if h is None:
+        chain = []
+        while _link(e) and "_hash" not in e.__dict__:
+            chain.append(e)
+            e = _link(e)[1]
+        for node in reversed(chain):
+            fields, rest = _link(node)
+            h = node.__dict__["_hash"] = hash(fields + (rest,))
+    return h
+
+
 @record(frozen=True)
 class Let:
     var: str
@@ -686,12 +737,16 @@ class Let:
     body: "Expr"
     loc: Optional[Loc] = _loc_field()
 
+    __eq__, __hash__ = _spine_eq, _spine_hash
+
 
 @record(frozen=True)
 class SeqE:
     first: "Expr"
     second: "Expr"
     loc: Optional[Loc] = _loc_field()
+
+    __eq__, __hash__ = _spine_eq, _spine_hash
 
 
 @record(frozen=True)

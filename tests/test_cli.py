@@ -206,3 +206,17 @@ def test_run_json_buffer_sizes_list_array_elements():
     for step in sizes["downsampler_array.sdf"]:
         assert step.keys() == {"i", "o"}
         assert isinstance(step["o"], int) and len(step["i"]) == 2
+
+
+def test_conform_explores_and_conforms_a_5000_statement_actor(
+        tmp_path, capsys, monkeypatch):
+    # the exploration state key hashes the actor's 5000-link SeqE spine
+    assert sys.getrecursionlimit() <= 1000
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import gen
+    path = tmp_path / "long.sdf"
+    path.write_text(gen.long_actor(5000).source)
+    assert main(["conform", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "preservation: 0 violations over 25000 steps",
+        "progress: 25001 states, complete"]

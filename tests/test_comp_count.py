@@ -9,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import comp, corpus_files, ev, it, load, sizes_for
 
+from test_conform_oracle import _silent_normalize
+
 from sdflow import conformance
-from sdflow.conformance import (
-    _silent_normalize, check_preservation, comp_occurrence_count,
-)
+from sdflow.conformance import check_preservation, comp_occurrence_count
 from sdflow.flowstate import count_in_range, proc_rate_summary
 from sdflow.kinding import normalize_size
 from sdflow.parser import parse_program_or_raise
@@ -157,15 +157,19 @@ def test_checker_counts_zero_divisor_like_the_runtime():
 # --- the harness's own counts ------------------------------------------------------
 
 def test_harness_counts_agree_with_unrolling_over_corpus(monkeypatch):
+    # every residual piece the observer counts, against unrolling its
+    # comprehension
     seen = []
+    piece_count = conformance._piece_count
 
-    def checked(c):
-        got = comp_occurrence_count(c)
-        assert got == unrolled_count(c), c
+    def checked(p):
+        got = piece_count(p)
+        c = conformance._piece_comp(p)
+        assert got == unrolled_count(c) == comp_occurrence_count(c), c
         seen.append(got)
         return got
 
-    monkeypatch.setattr(conformance, "comp_occurrence_count", checked)
+    monkeypatch.setattr(conformance, "_piece_count", checked)
     for f in corpus_files("good"):
         net = parse_program_or_raise(f.read_text())
         assert check_preservation(net, sizes_for(net, 3), name=f.name).ok
@@ -173,14 +177,17 @@ def test_harness_counts_agree_with_unrolling_over_corpus(monkeypatch):
 
 
 def test_preservation_substitutions_grow_linearly_in_rate(monkeypatch):
+    # the piece reducer's unrolling steps, which took a `subst_comp` each
+    # when residuals were comprehensions
     calls = 0
+    settle = conformance._settle
 
     def counting(*args):
         nonlocal calls
         calls += 1
-        return subst_comp(*args)
+        return settle(*args)
 
-    monkeypatch.setattr(conformance, "subst_comp", counting)
+    monkeypatch.setattr(conformance, "_settle", counting)
     net = parse_program_or_raise(load("good", "pipeline3.sdf"))
     per_rate = {}
     for n in (128, 512):

@@ -1,20 +1,24 @@
+import sys
 from collections import Counter
 
-from conftest import comp, corpus_files, ev, it, load, sizes_for, tenv
+import pytest
+
+from conftest import comp, corpus_files, ev, it, load, seq, sizes_for, tenv
 from test_runtime import array_config
 
+from sdflow import conformance
 from sdflow.conformance import (
-    _silent_normalize, check_preservation, check_progress_theorem,
-    comp_occurrence_count, consume_actor_flow, heap_flow_counts,
-    heap_flowstate, step_flowstate, step_flowstate_internal, try_consume_comp,
+    check_preservation, check_progress_theorem, comp_occurrence_count,
+    heap_flow_counts, heap_flowstate, step_flowstate, step_flowstate_internal,
 )
 from sdflow.parser import parse_program_or_raise
 from sdflow.printer import print_guard, print_proc_flow
 from sdflow.runtime import Fault, Label, instantiate, run, step_expr
 from sdflow.syntax import (
     BoolLit, ChannelKind, Comp, Divides, IntLit, Iterator, MkIndex, Num, SVar,
-    PActor, Recv, Send, SizeKind, Env, INF, subst_comp,
+    PActor, Recv, Send, SizeKind, Env, INF, flow_comps, subst_comp,
 )
+from sdflow.typecheck import check_network
 
 ENV = tenv(c=ChannelKind(0, Num(4)), d=ChannelKind(1, Num(2)))
 
@@ -80,8 +84,8 @@ def test_each_ill_typed_array_value_gets_a_diagnostic():
 
 def test_unroll_then_consume_head():
     c = comp(ev("c!"), it("t", 1, 2))
-    out = try_consume_comp(c, Label("c", True))
-    assert out == [comp(ev("c!"), it("t", 2, 2))]
+    out = step_flowstate(ENV, PActor(c), Label("c", True))
+    assert out == PActor(comp(ev("c!"), it("t", 2, 2)))
 
 
 def test_numeric_guard_discharges_silently():
@@ -101,32 +105,36 @@ def test_reduced_head_carries_its_guard_with_a_numeric_operand():
     at_3 = subst_comp(head, "t", Num(3))
     assert at_3.guards == (Divides(Num(2), Num(3)),)
     assert print_guard(at_3.guards[0]) == "2 | 3"
-    assert _silent_normalize(at_3) is None
-    assert _silent_normalize(subst_comp(head, "t", Num(4))) == comp(ev("c!"))
+    assert step_flowstate_internal(at_3) == []
+    assert step_flowstate_internal(subst_comp(head, "t", Num(4))) == \
+        [comp(ev("c!"))]
+
+
+def _left(fs) -> int:
+    return sum(comp_occurrence_count(c) for c in flow_comps(fs.flow))
 
 
 def test_guarded_comprehension_consumes_only_matching_iterations():
     # events fire at t = 2 and t = 4 only
     c = comp(ev("c!"), it("t", 1, 4), Divides(Num(2), SVar("t")))
     assert comp_occurrence_count(c) == 2
-    after = try_consume_comp(c, Label("c", True))
+    after = step_flowstate(ENV, PActor(c), Label("c", True))
     assert after is not None
-    left = sum(comp_occurrence_count(x) for x in after)
-    assert left == 1
+    assert _left(after) == 1
 
 
 def test_consume_respects_sequence_commutativity():
-    flows = [comp(ev("c?"), it("t", 1, 2)), comp(ev("d!"), it("t", 1, 2))]
-    out = consume_actor_flow(flows, Label("d", True))
+    flows = seq(comp(ev("c?"), it("t", 1, 2)), comp(ev("d!"), it("t", 1, 2)))
+    out = step_flowstate(ENV, PActor(flows), Label("d", True))
     assert out is not None
-    assert sum(comp_occurrence_count(c) for c in out) == 3
+    assert _left(out) == 3
 
 
 def test_consume_array_label_matches_element():
-    flows = [comp(ev("a?", "t"), it("t", 1, 3))]
-    out = consume_actor_flow(flows, Label("a", False, 1))
+    flows = PActor(comp(ev("a?", "t"), it("t", 1, 3)))
+    out = step_flowstate(ENV, flows, Label("a", False, 1))
     assert out is not None
-    assert consume_actor_flow(flows, Label("a", False, 2)) is None  # order fixed
+    assert step_flowstate(ENV, flows, Label("a", False, 2)) is None  # order fixed
 
 
 def test_step_flowstate_over_process():
@@ -247,3 +255,65 @@ def test_stuck_states_say_what_each_actor_waits_for():
     for s in check_progress_theorem(undelayed, {"n": 2}).stuck:
         assert all(r == "done" or r.startswith("buffer ")
                    for r in s["actors"].values()), s
+
+
+# --- cost and depth ------------------------------------------------------------------
+
+def long_source(k: int, looped: bool) -> str:
+    """An actor of k sends on c, in one line followed by a loop of sends on
+    e, or all inside one loop; the loops run `s` times."""
+    sends = "; ".join(["send cw 1"] * k)
+    if looped:
+        body, total, tail = f"for (t, x in 1..ss) {{ {sends} }}", f"s*{k}", ""
+    else:
+        body, total = f"{sends}; for (t, x in 1..ss) send ew 1", str(k)
+        tail = ("chan e : Channel(0, 2);\nval ew : Chan(-, e, Integer);\n"
+                "val er : Chan(+, e, Integer);\n")
+    return (f"size s : Size(inf);\nchan c : Channel(0, 2);\n{tail}"
+            f"val ss : Size(s);\nval kk : Size({total});\n"
+            "val cw : Chan(-, c, Integer);\nval cr : Chan(+, c, Integer);\n"
+            f"flow c!<t in 1..{total}>{'' if looped else ' ; e!<t in 1..s>'}"
+            f" || c?<t in 1..{total}>{'' if looped else ' || e?<t in 1..s>'};\n"
+            f"network {{ actor {{ {body} }}\n"
+            "  || actor { for (t, x in 1..kk) recv cr }"
+            f"{'' if looped else ' || actor { for (t, x in 1..ss) recv er }'}"
+            " }\n")
+
+
+@pytest.mark.parametrize("looped", [False, True])
+def test_long_actor_flows_conform_under_the_default_recursion_limit(looped):
+    # the actor's flowstate is a 5000-deep FSeq chain: grounded by
+    # `subst_flow` here, distributed over the loop by the checker
+    assert sys.getrecursionlimit() <= 1000
+    net = parse_program_or_raise(long_source(5000, looped))
+    assert check_network(net).ok
+    rep = check_preservation(net, {"s": 3})
+    assert rep.ok, rep.violations[:3]
+
+
+COST_CELLS = {
+    "pipeline3": (lambda n: _net("pipeline3.sdf"), lambda n: {"n": n}, 64),
+    "worker_array_pipeline": (lambda s: _net("worker_array_pipeline.sdf"),
+                              lambda s: {"s": s}, 8),
+    "long_actor": (lambda k: parse_program_or_raise(
+        long_source(k, looped=False)), lambda k: {"s": 1}, 500),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(COST_CELLS))
+def test_observer_work_grows_with_communications_only(cell, monkeypatch):
+    # buffers recounted and pieces visited, at two axis values 4x apart
+    calls = Counter()
+    for name in ("_buffer_count", "_consume"):
+        def counted(*args, name=name, original=getattr(conformance, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(conformance, name, counted)
+    network, sizes, small = COST_CELLS[cell]
+    totals = []
+    for axis in (small, 4 * small):
+        calls.clear()
+        assert check_preservation(network(axis), sizes(axis)).ok
+        totals.append(dict(calls))
+    for name in ("_buffer_count", "_consume"):
+        assert totals[1][name] <= 4.2 * totals[0][name], totals

@@ -41,3 +41,22 @@ def test_every_wrapped_name_is_an_sdflow_attribute():
                                 attr, None)):
             missing.append(name)
     assert missing == []
+
+
+def test_check_preservation_passes_its_observer_to_run_by_keyword(monkeypatch):
+    # perfbench times the observer through `kwarg_spans` on `runtime.run`,
+    # which sees keyword arguments only
+    from conftest import load
+    from sdflow import conformance
+    from sdflow.parser import parse_program_or_raise
+    seen = []
+    real_run = conformance.run
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(conformance, "run", spy)
+    net = parse_program_or_raise(load("good", "pipeline2.sdf"))
+    assert conformance.check_preservation(net, {"n": 2}).ok
+    assert len(seen) == 1 and callable(seen[0].get("observer"))

@@ -324,5 +324,6 @@ def test_long_actor_checks_and_prints_under_the_default_recursion_limit():
     assert result.ok, result.diagnostics
     printed = print_program(net)
     assert printed.count("send cw v;\n") == sends - 1
-    # texts, not trees: record equality recurses down the chain
-    assert print_program(parse_program_or_raise(printed)) == printed
+    reparsed = parse_program_or_raise(printed)
+    assert print_program(reparsed) == printed
+    assert reparsed.body == net.body  # `SeqE`/`Let` equality loops
