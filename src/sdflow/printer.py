@@ -91,14 +91,19 @@ def print_comp(c: Comp) -> str:
 
 
 def print_flow(fs: ActorFlow) -> str:
-    match fs:
-        case FEmpty():
-            return "eps"
-        case Comp():
-            return print_comp(fs)
-        case FSeq(a, b):
-            return f"{print_flow(a)} ; {print_flow(b)}"
-    raise TypeError(f"not an actor flowstate: {fs!r}")
+    parts = []
+    stack = [fs]
+    while stack:  # explicit stack: a long actor nests `FSeq` deeply
+        match stack.pop():
+            case FSeq(a, b):
+                stack += (b, a)
+            case FEmpty():
+                parts.append("eps")
+            case Comp() as c:
+                parts.append(print_comp(c))
+            case other:
+                raise TypeError(f"not an actor flowstate: {other!r}")
+    return " ; ".join(parts)
 
 
 def print_proc_flow(fs: ProcFlow) -> str:

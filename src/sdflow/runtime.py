@@ -7,7 +7,8 @@ iteration ranges that produce their indices.  Capacities are per channel.
 Actors take turns under a scheduler; a send on a full buffer or a receive on
 an empty one is simply not enabled, and a configuration where no actor can
 step while some are unfinished is a deadlock.  A step is one lookup of the
-expression's class in `_STEP`, and `is_value` is a class test.
+expression's class in `_STEP`, which answers None for a value too (a size
+or an index of a value included), and `is_value` is a class test.
 
 `run` mutates its own copy of the configuration and re-polls only woken
 actors: the one that moved and those whose last outcome read the buffer the
@@ -42,8 +43,8 @@ from .syntax import (
     ChannelArrayKind, ChannelKind, ChanType, Deref, Diagnostic, Env, Expr, For,
     FromIndex, FromSize, If, IntLit, IntType, Lam, Let, LocRef, MkIndex,
     MkSize, Network, NewRef, Recv, Send, SeqE, SizeArithmeticError, SizeKind,
-    SizeType, Stop, When, field, is_value, proc_components, record, replace,
-    subst_expr,
+    SizeType, Stop, When, _VALUE_CLASSES, field, is_value, proc_components,
+    record, replace, subst_expr,
 )
 
 BufferKey = tuple  # (type-level channel name, element index or None)
@@ -286,6 +287,9 @@ class Stuck:
     reason: str
 
 
+_UNIT = IntLit(0)  # what a send, a false guard and a finished loop become
+
+
 def _as_int(v: Expr) -> Optional[int]:
     if v.__class__ is MkSize or v.__class__ is MkIndex:
         v = v.arg
@@ -304,8 +308,6 @@ def step_expr(e: Expr, heap: Heap, actor: str, venv: Env
               ) -> Union[Stepped, Blocked, Stuck, None]:
     """One reduction of `e`, or None when `e` is a value.  Heap changes are
     returned as an effect thunk so schedulers can probe without committing."""
-    if is_value(e):
-        return None
     try:
         step = _STEP[e.__class__]
     except KeyError:
@@ -369,7 +371,7 @@ def _step_when(e: When, heap: Heap, actor: str, venv: Env):
     a, b = _as_int(lhs), _as_int(rhs)
     if a is None or b is None:
         return Stuck("guard operands are not numeric")
-    return Stepped(body if _rel_holds(op, a, b) else IntLit(0))
+    return Stepped(body if _rel_holds(op, a, b) else _UNIT)
 
 
 def _step_for(e: For, heap: Heap, actor: str, venv: Env):
@@ -381,7 +383,7 @@ def _step_for(e: For, heap: Heap, actor: str, venv: Env):
     if n is None:
         return Stuck("loop bound is not a size value")
     if lo > n:
-        return Stepped(IntLit(0))
+        return Stepped(_UNIT)
     unrolled = SeqE(subst_expr(body, {var: MkIndex(IntLit(lo))}),
                     For(tvar, var, lo + 1, bound, body))
     return Stepped(unrolled)
@@ -391,22 +393,18 @@ def _step_from_size(e: FromSize, heap: Heap, actor: str, venv: Env):
     arg = e.arg
     if not is_value(arg):
         return _in_context(arg, heap, actor, venv, FromSize)
-    match arg:
-        case MkSize(IntLit(n)):
-            return Stepped(IntLit(n))
-        case _:
-            return Stuck("fromSize of a non-size value")
+    if arg.__class__ is MkSize and arg.arg.__class__ is IntLit:
+        return Stepped(arg.arg)
+    return Stuck("fromSize of a non-size value")
 
 
 def _step_from_index(e: FromIndex, heap: Heap, actor: str, venv: Env):
     arg = e.arg
     if not is_value(arg):
         return _in_context(arg, heap, actor, venv, FromIndex)
-    match arg:
-        case MkIndex(IntLit(n)):
-            return Stepped(IntLit(n))
-        case _:
-            return Stuck("fromIndex of a non-index value")
+    if arg.__class__ is MkIndex and arg.arg.__class__ is IntLit:
+        return Stepped(arg.arg)
+    return Stuck("fromIndex of a non-index value")
 
 
 def _step_new_ref(e: NewRef, heap: Heap, actor: str, venv: Env):
@@ -478,7 +476,7 @@ def _step_bin_op(e: BinOp, heap: Heap, actor: str, venv: Env):
 
 def _in_context(inner: Expr, heap: Heap, actor: str, venv: Env,
                 rebuild: Callable[[Expr], Expr]):
-    out = step_expr(inner, heap, actor, venv)
+    out = _STEP[inner.__class__](inner, heap, actor, venv)
     if out.__class__ is Stepped:
         out.expr = rebuild(out.expr)  # `out` is fresh and ours alone
     return out
@@ -510,7 +508,7 @@ def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: Env):
     if is_send:
         if len(buf) >= heap.caps[ty.name]:
             return Blocked(f"buffer {buffer_name(key)} is full", key)
-        return Stepped(IntLit(0), Label(ty.name, True, key[1]),
+        return Stepped(_UNIT, Label(ty.name, True, key[1]),
                        lambda h: h.push(key, e.payload))
     if not buf:
         return Blocked(f"buffer {buffer_name(key)} is empty", key)
@@ -518,8 +516,10 @@ def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: Env):
                    lambda h: h.pop(key))
 
 
-# expression class -> its step; a value's class never gets here
-_STEP = {
+# expression class -> its step; a value, and a size or an index of one,
+# steps to None
+_STEP = dict.fromkeys(_VALUE_CLASSES, lambda e, h, a, v: None)
+_STEP.update({
     SeqE: _step_seq, Let: _step_let, App: _step_app, If: _step_if,
     When: _step_when, For: _step_for, FromSize: _step_from_size,
     FromIndex: _step_from_index,
@@ -527,7 +527,7 @@ _STEP = {
     MkIndex: lambda e, h, a, v: _in_context(e.arg, h, a, v, MkIndex),
     NewRef: _step_new_ref, Deref: _step_deref, Assign: _step_assign,
     BinOp: _step_bin_op, Send: _step_comm, Recv: _step_comm,
-}
+})
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +567,10 @@ class RunResult:
 
 def _actor_outcome(cfg: Configuration, i: int):
     actor = cfg.actors[i]
-    if actor.done:
+    e = actor.expr
+    if e is None:
         return None
-    return step_expr(actor.expr, cfg.heap, actor.name, cfg.venv)
+    return _STEP[e.__class__](e, cfg.heap, actor.name, cfg.venv)
 
 
 def commit(cfg: Configuration, i: int, out: Stepped,
@@ -601,17 +602,17 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
     enabled: list[int] = []              # actors with a Stepped outcome
 
     def poll(j: int) -> None:
-        if isinstance(outcomes[j], Stepped):
+        if outcomes[j].__class__ is Stepped:
             del enabled[bisect_left(enabled, j)]
         if waits[j] is not None:
             readers[waits[j]].discard(j)
         outcomes[j] = out = _actor_outcome(cfg, j)
         key = None
-        if isinstance(out, Stepped):
+        if out.__class__ is Stepped:
             insort(enabled, j)
             if out.label is not None:
                 key = (out.label.chan, out.label.index)
-        elif isinstance(out, Blocked):
+        elif out.__class__ is Blocked:
             key = out.key
         waits[j] = key
         if key is not None:
@@ -623,7 +624,7 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
     sizes = heap.buffer_sizes()  # snapshots are shared by trace entries
     trace: list[TraceStep] = []
     counts: Counter = Counter()
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     rr = 0
     sends_seen = 0
     while live:
@@ -639,7 +640,12 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
             i = enabled[k] if k < len(enabled) else enabled[0]
             rr = (i + 1) % len(actors)
         elif scheduler == "random":
-            i = enabled[rng.randrange(len(enabled))]
+            # the draws of `Random.randrange(n)`, without its checks
+            n = len(enabled)
+            r = getrandbits(k := n.bit_length())
+            while r >= n:
+                r = getrandbits(k)
+            i = enabled[r]
         else:
             raise ValueError(f"unknown scheduler {scheduler}")
         out = outcomes[i]
@@ -649,7 +655,7 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
             sends_seen += 1
             drop = fault is not None and sends_seen == fault.drop_send
         commit(cfg, i, out, drop_effect=drop)
-        if actors[i].done:
+        if is_value(out.expr):
             live -= 1
         if label is None:
             wake = (i,) if out.effect is None else range(len(actors))

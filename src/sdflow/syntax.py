@@ -69,7 +69,10 @@ def record(cls=None, /, *, frozen: bool = False):
     """`@record` or `@record(frozen=True)`: `dataclasses.dataclass` for the
     features used here.  `__init__`, `__eq__` and `__hash__` are generated
     from source in one `exec` per class, with the bodies `dataclasses`
-    generates, so instances cost what dataclass instances cost."""
+    generates, so instances cost what dataclass instances cost.  A frozen
+    field's default lives on the class until a different object is passed,
+    so only such an object is stored on the instance; nothing in `src/`
+    reads fields from `__dict__`."""
     if cls is None:
         return lambda c: record(c, frozen=frozen)
     fields = []
@@ -90,24 +93,31 @@ def record(cls=None, /, *, frozen: bool = False):
             setattr(cls, name, f.default)
         else:
             params.append(name)
-        body.append(f"_setattr(self, {name!r}, {value})" if frozen
-                    else f"self.{name} = {value}")
+        store = (f"_setattr(self, {name!r}, {value})" if frozen
+                 else f"self.{name} = {value}")
+        if frozen and f.default is not _MISSING:  # the class holds the default
+            store = f"if {name} is not _default_{name}: {store}"
+        body.append(store)
         fields.append(f)
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     compared = "".join(f"{{0}}.{f.name}," for f in fields if f.compare)
     namespace: dict = {}
-    exec(f"def create({', '.join(env)}):\n"
-         f" def __init__(self, {', '.join(params)}):\n"
-         f"  {'; '.join(body) or 'pass'}\n"
-         " def __eq__(self, other):\n"
-         "  if other.__class__ is self.__class__:\n"
-         f"   return ({compared.format('self')}) == "
-         f"({compared.format('other')})\n"
-         "  return NotImplemented\n"
-         " def __hash__(self):\n"
-         f"  return hash(({compared.format('self')}))\n"
-         " return __init__, __eq__, __hash__\n", {}, namespace)
+    init = "\n  ".join(body) or "pass"
+    # one file name per class, so profiles show one row per class
+    src = (f"def create({', '.join(env)}):\n"
+           f" def __init__(self, {', '.join(params)}):\n"
+           f"  {init}\n"
+           " def __eq__(self, other):\n"
+           "  if other.__class__ is self.__class__:\n"
+           f"   return ({compared.format('self')}) == "
+           f"({compared.format('other')})\n"
+           "  return NotImplemented\n"
+           " def __hash__(self):\n"
+           f"  return hash(({compared.format('self')}))\n"
+           " return __init__, __eq__, __hash__\n")
+    exec(compile(src, f"<record {cls.__module__}.{cls.__qualname__}>",
+                 "exec"), {}, namespace)
     methods = dict(zip(("__init__", "__eq__", "__hash__"),
                        namespace["create"](**env)))
     for name, fn in methods.items():

@@ -20,7 +20,7 @@ from conftest import ROOT
 
 from sdflow.syntax import (
     _MISSING, Comp, Event, FrozenInstanceError, IntLit, Iterator, Num, SVar,
-    replace,
+    record, replace,
 )
 
 MODULES = ("syntax", "parser", "kinding", "printer", "flowstate", "netcheck",
@@ -146,6 +146,34 @@ def test_location_is_ignored_by_equality_hash_and_repr():
     assert a == b and hash(a) == hash(b)
     assert repr(a) == "IntLit(value=1)"
     assert a.loc == (1, 2)
+
+
+def test_a_frozen_default_is_stored_only_when_another_object_is_passed():
+    assert "loc" not in vars(IntLit(1)) and IntLit(1).loc is None
+    assert IntLit(1, (2, 3)).loc == (2, 3)
+    assert replace(IntLit(1, (2, 3)), value=2).loc == (2, 3)
+
+    default = Num(7)
+
+    @record(frozen=True)
+    class Box:
+        size: Num = default
+
+    equal = Num(7)
+    assert "size" not in vars(Box()) and Box().size is default
+    assert "size" not in vars(Box(default))
+    assert vars(Box(equal))["size"] is equal and Box(equal).size is equal
+    assert Box(equal) == Box() and equal is not default
+
+
+def test_generated_methods_have_one_file_name_per_class():
+    # profilers key functions by (file name, line, name): one file name per
+    # class keeps each class's `__init__` a row of its own
+    names = [cls.__init__.__code__.co_filename for cls in RECORDS
+             if _frozen(cls)]
+    assert len(names) > 60 and len(set(names)) == len(names)
+    assert IntLit.__init__.__code__.co_filename == \
+        "<record sdflow.syntax.IntLit>"
 
 
 def test_hash_is_hash_of_compared_fields():

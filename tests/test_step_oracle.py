@@ -399,9 +399,16 @@ CORPUS_BODIES = [
 @pytest.mark.parametrize("name, net", CORPUS_BODIES,
                          ids=[name for name, _ in CORPUS_BODIES])
 def test_subst_and_is_value_match_the_match_dispatch(name, net):
+    try:
+        cfg = instantiate(net, sizes_for(net, 2))
+    except InstantiationError:  # a capacity names an unbound size: no heap
+        cfg = None
     for body in actor_bodies(net):
         for e in subexpressions(body):
             assert syntax.is_value(e) == is_value(e)
+            if cfg is not None:
+                out = runtime.step_expr(e, cfg.heap, "a0", cfg.venv)
+                assert (out is None) is is_value(e)
             names = sorted({x.name for x in subexpressions(e)
                             if isinstance(x, Var)})
             assert syntax.subst_expr(e, {}) is e
@@ -417,6 +424,18 @@ def test_values_behind_size_and_index_wrappers():
                     (MkIndex(MkSize(Recv("c"))), False),
                     (LocRef("a0", 0), True), (Recv("c"), False)]:
         assert syntax.is_value(e) is is_value(e) is want
+
+
+def test_step_table_has_every_expression_class_and_values_step_to_none():
+    assert set(runtime._STEP) == EXPR_CLASSES
+    values = [IntLit(1), BoolLit(True), LocRef("a0", 0), Var("x"),
+              Lam((), syntax.EMPTY_FLOW, syntax.EMPTY_FLOW, IntLit(0))]
+    assert {v.__class__ for v in values} == syntax._VALUE_CLASSES
+    for v in values:
+        for e in (v, MkSize(v), MkIndex(v), MkSize(MkIndex(v))):
+            assert runtime._STEP[e.__class__](e, Heap(), "a0", Env()) is None
+    assert runtime._STEP[MkSize](MkSize(Recv("c")), Heap(), "a0",
+                                 Env()).__class__ is Stuck
 
 
 def test_unknown_classes_raise_as_before():

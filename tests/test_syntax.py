@@ -152,6 +152,53 @@ def test_printers_walk_wide_networks_without_recursion():
     assert print_proc_flow(net.flow) == "eps || c!"
 
 
+def _recursive_print_flow(fs) -> str:
+    """`printer.print_flow` as it was before it walked `FSeq` chains with an
+    explicit stack."""
+    from sdflow.printer import print_comp
+    from sdflow.syntax import FEmpty, FSeq
+    match fs:
+        case FEmpty():
+            return "eps"
+        case Comp():
+            return print_comp(fs)
+        case FSeq(a, b):
+            return f"{_recursive_print_flow(a)} ; {_recursive_print_flow(b)}"
+    raise TypeError(f"not an actor flowstate: {fs!r}")
+
+
+def test_print_flow_text_is_unchanged_on_every_corpus_flowstate():
+    from conftest import CORPUS
+    from sdflow.printer import print_flow
+    from sdflow.syntax import PActor, PArray, PPar
+    from sdflow.typecheck import check_network
+    flows = 0
+    for f in sorted(CORPUS.glob("*/*.sdf")):
+        net = parse_program(f.read_text())
+        if isinstance(net, list):
+            continue
+        stack = [net.flow, check_network(net).flow]
+        while stack:
+            match stack.pop():
+                case PPar(a, b):
+                    stack += (a, b)
+                case PActor(flow) | PArray(body=flow):
+                    assert print_flow(flow) == _recursive_print_flow(flow)
+                    flows += 1
+    assert flows > 60
+
+
+def test_print_flow_walks_a_long_actor_without_recursion():
+    from perfbench import gen
+    from sdflow.printer import print_proc_flow
+    from sdflow.typecheck import check_network
+    net = parse_program_or_raise(gen.long_actor(2000).source)
+    sends = " ; ".join(["c!"] * 2000)
+    assert print_proc_flow(check_network(net).flow) == \
+        f"{sends} || c?<t in 1..2000>"
+    assert print_proc_flow(net.flow) == "c!<t in 1..2000> || c?<t in 1..2000>"
+
+
 def test_env_lookup_index_shadows_like_a_reversed_scan():
     from sdflow.syntax import IntType, BoolType, SizeKind, Env
     venv = Env((("x", IntType()), ("y", IntType()))).extend("x", BoolType())
