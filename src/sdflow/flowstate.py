@@ -13,6 +13,12 @@ exact.
 A summary entry is grounded into per-element event counts by one function,
 `ground_target`, which the equivalence probes and the progress check's
 record of channel-array production share.
+
+Nodes are immutable, so what is computed about one is computed once and
+kept on it: a comprehension's folded form (`fold`), its target and
+multiplicity (`comp_target`), and an actor flowstate's rate summary
+(`_summary`), which the summaries, the equivalence check and the progress
+check all read.  Nothing kept on a node refers back to it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .syntax import (
     Div, Divides, Env, Event, Guard, Iterator, Mul, Num, PActor, PArray,
     ProcFlow, SizeArithmeticError, SizeExpr, SizeKind, SMin, Sub, SVar,
     flow_comps, free_size_vars, map_comps, rename_binder, subst_flow,
-    proc_flow_components, record,
+    proc_flow_components, record, ONE, ZERO,
 )
 
 
@@ -152,8 +158,8 @@ def extent(it: Iterator) -> SizeExpr:
     (3..s and 1..s-2 both give s - 2); a lo that may be 0 adds the 1 to hi."""
     lo_min = size_lower_bound(it.lo)
     if is_inf(lo_min) or lo_min >= 1:
-        return normalize_size(Sub(it.hi, Sub(it.lo, Num(1))))
-    return normalize_size(Sub(Add(it.hi, Num(1)), it.lo))
+        return normalize_size(Sub(it.hi, Sub(it.lo, ONE)))
+    return normalize_size(Sub(Add(it.hi, ONE), it.lo))
 
 
 def fold_guards_comp(comp: Comp) -> Comp:
@@ -265,23 +271,59 @@ class RangeIndex:
 CommTarget = tuple  # (chan, "send"|"recv") or (chan, dir, SingleIndex|RangeIndex)
 
 
+def fold(comp: Comp) -> Comp:
+    """`comp` with its guards folded into its iterators, computed once and
+    kept on the node."""
+    if not comp.guards:
+        return comp
+    folded = comp.__dict__.get("_folded")
+    if folded is None:
+        folded = comp.__dict__["_folded"] = fold_guards_comp(comp)
+    return folded
+
+
+def comp_target(comp: Comp) -> tuple[CommTarget, SizeExpr]:
+    """The target and multiplicity of `comp` once its guards are folded,
+    computed once and kept on the node and on the folded node, as `SeqE`
+    keeps its hash."""
+    fact = comp.__dict__.get("_target")
+    if fact is None:
+        folded = fold(comp)
+        fact = folded.__dict__.get("_target") or _comp_target(folded)
+        comp.__dict__["_target"] = folded.__dict__["_target"] = fact
+    return fact
+
+
 def rate_summary(env: Env, fs: ActorFlow) -> dict[CommTarget, SizeExpr]:
-    """Per-channel multiplicities of a flowstate, after guard folding."""
+    """Per-channel multiplicities of a flowstate, after guard folding: a
+    copy of the summary kept on the node."""
+    return dict(_summary(fs))
+
+
+def _summary(fs: ActorFlow) -> dict[CommTarget, SizeExpr]:
+    """The rate summary of `fs`, computed once and kept on the node.  It is
+    shared: callers in this module only read it."""
+    summary = fs.__dict__.get("_summary")
+    if summary is None:
+        summary = fs.__dict__["_summary"] = _rate_summary(fs)
+    return summary
+
+
+def _rate_summary(fs: ActorFlow) -> dict[CommTarget, SizeExpr]:
     summary: dict[CommTarget, SizeExpr] = {}
     for comp in flow_comps(fs):
-        comp = fold_guards_comp(comp)
-        key, mult = _comp_target(comp)
+        key, mult = comp_target(comp)
         if key in summary:
             summary[key] = normalize_size(Add(summary[key], mult))
         else:
             summary[key] = mult
-    return {k: v for k, v in summary.items() if v != Num(0)}
+    return {k: v for k, v in summary.items() if v != ZERO}
 
 
 def _comp_target(comp: Comp) -> tuple[CommTarget, SizeExpr]:
     ev = comp.event
     direction = "send" if ev.is_send else "recv"
-    mult: SizeExpr = Num(1)
+    mult: SizeExpr = ONE
     range_part: Optional[RangeIndex] = None
     index_var = ev.index.name if isinstance(ev.index, SVar) else None
     for it in comp.iterators:
@@ -309,10 +351,10 @@ def proc_rate_summary(env: Env, fs: ProcFlow) -> dict[CommTarget, SizeExpr]:
     for part in proc_flow_components(fs):
         match part:
             case PActor(flow):
-                merge(rate_summary(env, flow))
+                merge(_summary(flow))
             case PArray(var, lo, hi, body):
-                merge(rate_summary(env, distribute_iterator(body, Iterator(var, lo, hi))))
-    return {k: v for k, v in summary.items() if v != Num(0)}
+                merge(_summary(distribute_iterator(body, Iterator(var, lo, hi))))
+    return {k: v for k, v in summary.items() if v != ZERO}
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +417,8 @@ def flowstates_equivalent(env: Env, a: ActorFlow, b: ActorFlow
     concrete instantiation; None when symbolic forms differ but no refuting
     valuation was found."""
     try:
-        sa = rate_summary(env, a)
-        sb = rate_summary(env, b)
+        sa = _summary(a)
+        sb = _summary(b)
     except (FlowstateError, SizeArithmeticError):
         return None
     return summaries_equivalent(sa, sb)
@@ -405,7 +447,7 @@ def _live_components(env: Env, fs: ProcFlow) -> list[ProcFlow]:
     for part in proc_flow_components(fs):
         if isinstance(part, PActor):
             try:
-                if not rate_summary(env, part.flow):
+                if not _summary(part.flow):
                     continue
             except (FlowstateError, SizeArithmeticError):
                 pass

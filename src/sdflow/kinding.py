@@ -17,7 +17,7 @@ from .syntax import (
     Add, BoolType, ChanArrayType, ChannelArrayKind, ChannelKind, ChanType,
     Diagnostic, Div, Env, IndexType, Infinity, IntType, Kind, Mul, Num,
     ProcType, RefType, SMin, SVar, SizeArithmeticError, SizeExpr, SizeKind,
-    SizeType, Sub, TypeKind, ValueType, INF,
+    SizeType, Sub, TypeKind, ValueType, INF, ONE, ZERO,
 )
 
 Quantity = Union[int, Infinity]
@@ -288,51 +288,55 @@ def normalize_size(e: SizeExpr) -> SizeExpr:
             return e
         case Add(a, b):
             na, nb = normalize_size(a), normalize_size(b)
+            if isinstance(na, Num) and isinstance(nb, Num):
+                return Num(na.value + nb.value)
             if isinstance(na, Infinity) or isinstance(nb, Infinity):
                 return INF
             return _norm_additive(Add(na, nb))
         case Sub(a, b):
             na, nb = normalize_size(a), normalize_size(b)
             if isinstance(nb, Infinity):
-                return Num(0) if not isinstance(na, Infinity) else INF
+                return ZERO if not isinstance(na, Infinity) else INF
             if isinstance(na, Infinity):
                 return INF
             if na == nb:
-                return Num(0)
-            if nb == Num(0):
+                return ZERO
+            if nb == ZERO:
                 return na
             if isinstance(na, Num) and isinstance(nb, Num):
                 return Num(max(0, na.value - nb.value))
             return _norm_additive(Sub(na, nb))
         case Mul(a, b):
             na, nb = normalize_size(a), normalize_size(b)
-            if na == Num(0) or nb == Num(0):
-                return Num(0)
+            if isinstance(na, Num) and isinstance(nb, Num):
+                return Num(na.value * nb.value)
+            if na == ZERO or nb == ZERO:
+                return ZERO
             if isinstance(na, Infinity) or isinstance(nb, Infinity):
                 other = nb if isinstance(na, Infinity) else na
                 lb = size_lower_bound(other) if not isinstance(other, Infinity) else INF
                 if is_inf(lb) or lb >= 1:
                     return INF
                 return Mul(na, nb)  # factor may evaluate to zero
-            if na == Num(1):
+            if na == ONE:
                 return nb
-            if nb == Num(1):
+            if nb == ONE:
                 return na
             return _norm_additive(Mul(na, nb))
         case Div(a, b):
             na, nb = normalize_size(a), normalize_size(b)
-            if nb == Num(0):
+            if nb == ZERO:
                 raise SizeArithmeticError("division by zero in size expression")
             if isinstance(na, Num) and isinstance(nb, Num):
                 return Num(na.value // nb.value)
             if isinstance(nb, Infinity):
-                return Num(0) if not isinstance(na, Infinity) else INF
+                return ZERO if not isinstance(na, Infinity) else INF
             if isinstance(na, Infinity):
                 return INF
-            if nb == Num(1):
+            if nb == ONE:
                 return na
-            if na == Num(0) and size_lower_bound(nb) != 0:
-                return Num(0)
+            if na == ZERO and size_lower_bound(nb) != 0:
+                return ZERO
             return Div(na, nb)
         case SMin(a, b):
             na, nb = normalize_size(a), normalize_size(b)
@@ -406,7 +410,7 @@ def _leq(env: Env, a: SizeExpr, b: SizeExpr, depth: int) -> Optional[bool]:
         return True
     if isinstance(a, Num) and isinstance(b, Num):
         return a.value <= b.value
-    if a == Num(0):
+    if a == ZERO:
         return True
     if isinstance(a, Infinity):
         return False if isinstance(b, Num) else None

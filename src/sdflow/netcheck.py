@@ -40,15 +40,15 @@ import heapq
 from typing import Optional, Union
 
 from .flowstate import (
-    FlowstateError, RangeIndex, SingleIndex, distribute_iterator,
-    fold_guards_comp, ground_target, _comp_target, extent,
+    FlowstateError, RangeIndex, SingleIndex, comp_target,
+    distribute_iterator, extent, fold, ground_target,
 )
 from .kinding import normalize_size, size_leq
 from .printer import print_comp, print_size
 from .syntax import (
     Add, ChannelArrayKind, ChannelKind, Comp, Diagnostic, Env, Event,
     Iterator, Num, PActor, PArray, ProcFlow, Sub, SVar, flow_comps,
-    subst_flow, proc_flow_components, record,
+    subst_flow, proc_flow_components, record, ZERO,
 )
 
 PRODUCER = "producer"
@@ -212,7 +212,7 @@ def _parts(comp: Comp) -> list[tuple]:
     plain channel, an element when the comprehension grounds on a channel
     array, and otherwise its `SingleIndex` or `RangeIndex` target, with the
     count per element."""
-    target, mult = _comp_target(comp)
+    target, mult = comp_target(comp)
     if comp.event.index is None:
         return [(None, mult)]
     counts = ground_target(target, mult, {})
@@ -247,7 +247,7 @@ class Record:
         for where, n in _parts(comp):
             by_producer = self.counts.setdefault((ev.chan, ev.is_send, where),
                                                  {})
-            have = by_producer.get(producer, Num(0))
+            have = by_producer.get(producer, ZERO)
             by_producer[producer] = normalize_size(Add(have, n))
 
     def consume(self, comp: Comp, consumer: int) -> bool:
@@ -261,7 +261,7 @@ class Record:
         for where, need in _parts(comp):
             key = (ev.chan, not ev.is_send, where)
             for producer, have in self.counts.get(key, {}).items():
-                if need == Num(0):
+                if need == ZERO:
                     break
                 if producer == consumer:
                     continue
@@ -271,11 +271,11 @@ class Record:
                     need = Num(need.value - n)
                 elif size_leq(self.env, need, have) is True:
                     left[key, producer] = normalize_size(Sub(have, need))
-                    need = Num(0)
-            if need != Num(0):
+                    need = ZERO
+            if need != ZERO:
                 return False
         for (key, producer), n in left.items():
-            if n != Num(0):
+            if n != ZERO:
                 self.counts[key][producer] = n
                 continue
             del self.counts[key][producer]
@@ -339,9 +339,9 @@ def _progress_entries(fs: ProcFlow):
 def _fold_comps(comps: list[Comp]) -> list[Comp]:
     out = []
     for comp in comps:
-        folded = fold_guards_comp(comp)
+        folded = fold(comp)
         # drop comprehensions that provably fire zero times
-        if any(normalize_size(extent(it)) == Num(0) for it in folded.iterators):
+        if any(normalize_size(extent(it)) == ZERO for it in folded.iterators):
             continue
         out.append(folded)
     return out
@@ -377,9 +377,8 @@ def check_progress(tenv: Env, fs: ProcFlow
             else:
                 waiting.setdefault(comp.event.chan, []).append(i)
                 continue
-            _, mult = _comp_target(comp)
             schedule.append(ScheduleStep(name, action, print_comp(comp),
-                                         print_size(mult)))
+                                         print_size(comp_target(comp)[1])))
             positions[i] += 1
             heapq.heappush(ready, i)
     except FlowstateError as exc:

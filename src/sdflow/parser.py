@@ -26,7 +26,7 @@ from .syntax import (
     Par, PArray, PEmpty, PPar, Proc, ProcFlow, ProcType, Recv, RefType, Send,
     SeqE, SizeExpr, SizeKind, SizeType, SMin, Stop, SVar, Var, When,
     ActorFlow, COMPARE_LEVEL, INF, KEYWORD_FORMS, Loc, PRECEDENCE,
-    SIZE_OPERATORS, record,
+    SIZE_OPERATORS,
 )
 
 KEYWORDS = {
@@ -46,11 +46,16 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@record(frozen=True)
 class Token:
-    kind: str  # "num" | "ident" | "kw" | "op" | "eof"
-    text: str
-    loc: Loc
+    """One lexeme: its kind ("num" | "ident" | "kw" | "op" | "eof"), its
+    text and its (line, column)."""
+    __slots__ = ("kind", "text", "loc")
+
+    def __init__(self, kind: str, text: str, loc: Loc):
+        self.kind, self.text, self.loc = kind, text, loc
+
+    def __repr__(self):
+        return f"Token(kind={self.kind!r}, text={self.text!r}, loc={self.loc!r})"
 
 
 class ParseError(Exception):
@@ -61,26 +66,32 @@ class ParseError(Exception):
 
 
 def tokenize(source: str) -> list[Token]:
+    """One `finditer` pass over `source`.  Only whitespace holds newlines,
+    so the line and the offset where it starts change only there; a
+    token's column is its offset past that start, plus 1."""
     tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if not m:
-            raise ParseError(f"unexpected character {source[pos]!r}", (line, col))
-        text = m.group(0)
+    append = tokens.append
+    line, line_start, pos = 1, 0, 0
+    for m in _TOKEN_RE.finditer(source):
+        start = m.start()
+        if start != pos:
+            break  # a character no token matches
         kind = m.lastgroup
-        if kind == "ident" and text in KEYWORDS:
-            kind = "kw"
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, text, (line, col)))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
         pos = m.end()
-    tokens.append(Token("eof", "", (line, col)))
+        if kind == "ws":
+            newlines = source.count("\n", start, pos)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", start, pos) + 1
+        elif kind != "comment":
+            text = m.group()
+            if kind == "ident" and text in KEYWORDS:
+                kind = "kw"
+            append(Token(kind, text, (line, start - line_start + 1)))
+    if pos < len(source):
+        raise ParseError(f"unexpected character {source[pos]!r}",
+                         (line, pos - line_start + 1))
+    tokens.append(Token("eof", "", (line, pos - line_start + 1)))
     return tokens
 
 
@@ -91,17 +102,20 @@ class Parser:
 
     # --- token plumbing ---------------------------------------------------
 
+    # `pos` never passes the final "eof" token, so only a look-ahead clamps
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        if ahead:
+            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:

@@ -456,10 +456,49 @@ class PArray:
     body: ActorFlow
 
 
+def _pair_eq(a, b):
+    """The generated `==` of a `PPar` or `Par` tree (left, then right), with
+    a stack instead of recursion: a network of many actors nests deeply."""
+    cls = a.__class__
+    if b.__class__ is not cls:
+        return NotImplemented
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if a.__class__ is not cls or b.__class__ is not cls:
+            if a != b:
+                return False
+            continue
+        stack += ((a.right, b.right), (a.left, b.left))
+    return True
+
+
+def _pair_hash(e) -> int:
+    """The generated hash, `hash((left, right))`, of a `PPar` or `Par` tree:
+    the nodes below are hashed first, and each keeps its hash on the node,
+    so no hash recurses more than one level."""
+    h = e.__dict__.get("_hash")
+    if h is None:
+        cls, stack, order = e.__class__, [e], []
+        while stack:  # preorder: a node comes before the nodes below it
+            node = stack.pop()
+            order.append(node)
+            stack += [c for c in (node.left, node.right)
+                      if c.__class__ is cls and "_hash" not in c.__dict__]
+        for node in reversed(order):
+            node.__dict__["_hash"] = hash((node.left, node.right))
+        h = e.__dict__["_hash"]
+    return h
+
+
 @record(frozen=True)
 class PPar:
     left: "ProcFlow"
     right: "ProcFlow"
+
+    __eq__, __hash__ = _pair_eq, _pair_hash
 
 
 ProcFlow = Union[PEmpty, PActor, PArray, PPar]
@@ -867,6 +906,8 @@ class Par:
     left: "Proc"
     right: "Proc"
     loc: Optional[Loc] = _loc_field()
+
+    __eq__, __hash__ = _pair_eq, _pair_hash
 
 
 Proc = Union[Stop, ActorE, ActorComp, Par]

@@ -1,25 +1,34 @@
-"""The parser against the operator ladders it replaced.
+"""The parser against the operator ladders it replaced, and the tokenizer
+against the one it replaced.
 
 `Parser` below is the parser that `sdflow.parser` replaced with one
 precedence-climbing routine over `syntax.PRECEDENCE` and a loop over runs of
 opening parentheses.  It has one function per precedence level, for sizes
 (`size_expr`, `size_term`) and for values (`compare`, `additive`,
-`multiplicative`), and recurses once per parenthesis.  On every corpus
-program, on generated programs, and on every single-token deletion,
-duplication and adjacent swap of some of them, both parsers must give the
-same network, source locations included, or the same diagnostic.  They may
-differ only where the old parser overflows the recursion limit.
+`multiplicative`), and recurses once per parenthesis.  It reads the tokens
+of the replaced `tokenize`, which matched one token at a time and tracked
+the column through every token's text, into frozen `Token` records.  On
+every corpus program, on generated programs, and on every single-token
+deletion, duplication and adjacent swap of some of them, both front ends
+must give the same network, source locations included, or the same
+diagnostic.  They may differ only where the old parser overflows the
+recursion limit.  The two tokenizers must give the same tokens, or the
+same error at the same place, on the corpus, on perfbench's generated
+programs and on random sources.
 """
 
 from __future__ import annotations
 
+import ast
 import random
 from typing import Optional
 
 import pytest
-from conftest import ProgramGen, corpus_files, load
+from conftest import ROOT, ProgramGen, corpus_files, load
+from hypothesis import example, given, settings, strategies as st
 
-from sdflow.parser import ParseError, Token, parse_program, tokenize
+from sdflow import parser
+from sdflow.parser import _TOKEN_RE, KEYWORDS, ParseError, parse_program
 from sdflow.syntax import (
     ActorComp, ActorE, Add, App, Assign, AtMost, BinOp, BoolLit, BoolType,
     ChanArrayType, ChannelArrayKind, ChannelKind, ChanType, Comp, Deref,
@@ -28,10 +37,42 @@ from sdflow.syntax import (
     MkIndex, MkSize, Mul, Network, NewRef, Num, PActor, Par, PArray, PEmpty,
     PPar, Proc, ProcFlow, ProcType, Recv, RefType, Send, SeqE, SizeExpr,
     SizeKind, SizeType, SMin, Stop, Sub, SVar, Var, When, ActorFlow, INF, Loc,
+    record,
 )
 
 
 # --- the replaced implementation --------------------------------------------
+
+@record(frozen=True)
+class Token:
+    kind: str  # "num" | "ident" | "kw" | "op" | "eof"
+    text: str
+    loc: Loc
+
+
+def tokenize(source: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, col, pos = 1, 1, 0
+    while pos < len(source):
+        m = _TOKEN_RE.match(source, pos)
+        if not m:
+            raise ParseError(f"unexpected character {source[pos]!r}", (line, col))
+        text = m.group(0)
+        kind = m.lastgroup
+        if kind == "ident" and text in KEYWORDS:
+            kind = "kw"
+        if kind not in ("ws", "comment"):
+            tokens.append(Token(kind, text, (line, col)))
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        pos = m.end()
+    tokens.append(Token("eof", "", (line, col)))
+    return tokens
+
 
 class Parser:
     def __init__(self, tokens: list[Token]):
@@ -757,3 +798,67 @@ def test_only_the_old_parser_overflows_on_deep_parentheses():
         oracle_parse(source)
     shallow = source.replace("(" * 300, "(").replace(")" * 300, ")")
     assert parse_program(source) == oracle_parse(shallow)
+
+
+# --- the tokenizers ---------------------------------------------------------------
+
+def lexemes(tokenize, source: str):
+    """Every token's (kind, text, loc), or the error's message and loc."""
+    try:
+        return [(tok.kind, tok.text, tok.loc) for tok in tokenize(source)]
+    except ParseError as exc:
+        return ("error", exc.message, exc.loc)
+
+
+def assert_same_tokens(source: str) -> None:
+    assert lexemes(parser.tokenize, source) == lexemes(tokenize, source), \
+        repr(source)
+
+
+@pytest.mark.parametrize("path", corpus_files("good") + corpus_files("negative")
+                         + corpus_files("rejected"), ids=lambda p: p.name)
+def test_corpus_tokenizes_as_before(path):
+    assert_same_tokens(path.read_text())
+
+
+def check_families() -> dict:
+    """perfbench's generated check families and their sizes, read from
+    `workloads.py` without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    value = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and node.targets[0].id == "CHECK_FAMILIES")
+    return ast.literal_eval(value)
+
+
+def test_perfbench_programs_tokenize_as_before(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import gen
+    families = check_families()
+    assert set(families) == set(gen.FAMILIES)
+    for family, sizes in families.items():
+        for size in sizes:
+            assert_same_tokens(gen.FAMILIES[family](size).source)
+
+
+LEGAL = [" ", "\t", "x", "size", "s1", "_a", "0", "42", "+", "+-", "||",
+         "|", "..", ":=", "=>", "->", "<", "<=", "=", "==", "(", ")", "{",
+         "}", "!", "?", ";", "/", "//", "// note", "\r"]
+ILLEGAL = ["@", "#", "$", "\\", "é", "\x00", "`", "'", "~", "%", "&", "^",
+           "."]
+LINES = st.one_of(
+    st.sampled_from(["", " ", "\t", "\r", "// a comment line"]),
+    st.tuples(st.sampled_from([""] + ILLEGAL),
+              st.lists(st.sampled_from(LEGAL), max_size=8).map("".join),
+              st.sampled_from([""] + ILLEGAL)).map("".join))
+
+
+@given(st.lists(LINES, max_size=6), st.sampled_from(["\n", "\r\n"]),
+       st.sampled_from(["", "\n", "\r\n"]))
+@example([], "\n", "")
+@example(["size s", "\tx // no newline at the end"], "\r\n", "")
+@example(["@size s", "x @"], "\n", "\n")
+@example(["x", "", " ", "\tsize @"], "\r\n", "")
+@settings(max_examples=400, deadline=None)
+def test_random_sources_tokenize_as_before(lines, newline, end):
+    assert_same_tokens(newline.join(lines) + end)

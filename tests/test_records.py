@@ -77,10 +77,20 @@ def _raised(action):
 
 def test_records_were_found():
     names = {cls.__name__ for cls in RECORDS}
-    assert {"Num", "IntLit", "Comp", "Env", "Diagnostic", "Token",
+    assert {"Num", "IntLit", "Comp", "Env", "Diagnostic",
             "Heap", "Configuration", "RunResult", "TypingResult",
             "ConformanceReport"} <= names
-    assert len(RECORDS) >= 79
+    assert len(RECORDS) >= 78
+
+
+def test_tokens_are_plain_slotted_objects():
+    # the tokenizer builds one per lexeme, so a token is no record
+    from sdflow.parser import Token
+    assert "__record_fields__" not in vars(Token)
+    assert Token.__slots__ == ("kind", "text", "loc")
+    tok = Token("op", "(", (1, 2))
+    assert (tok.kind, tok.text, tok.loc) == ("op", "(", (1, 2))
+    assert not hasattr(tok, "__dict__")
 
 
 @pytest.mark.parametrize("cls", RECORDS,

@@ -1,0 +1,120 @@
+"""Cost cells: one layer's deterministic counter at two sizes of one
+workload axis, 4x apart, with a bound on how much it may grow.
+
+Counters, not times, so a cell holds or fails the same way on any host.
+The check cells count, over one `parse_program` and one `check_network`
+of a freshly parsed perfbench program:
+
+    tokens      `parser.Token` objects built
+    targets     comprehension targets computed (`flowstate._comp_target`)
+    summaries   rate summaries computed (`flowstate._rate_summary`)
+    normalize   `kinding.normalize_size` calls from outside itself
+
+Before targets and summaries were kept on their nodes, pipeline-150 took
+2 086 targets, 750 summaries and 5 364 normalize calls; pipeline-600 21 564
+normalize calls and long_actor-2000 8 017.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+import pytest
+from conftest import ROOT
+
+from sdflow import flowstate, kinding, parser
+from sdflow.parser import parse_program
+from sdflow.typecheck import check_network
+
+# workload axis -> (small, large) sizes, 4x apart
+AXES = {"pipeline": (150, 600), "long_actor": (500, 2000)}
+COUNTERS = ("tokens", "targets", "summaries", "normalize")
+GROWTH = 4.2
+# normalize_size calls before this layer kept its results on the nodes
+NORMALIZE_BEFORE = {("pipeline", 600): 21_564, ("long_actor", 2000): 8_017}
+
+
+def _patch_everywhere(mp: pytest.MonkeyPatch, original, replacement) -> None:
+    """Replace `original` in every sdflow module that holds it, as
+    `from .kinding import normalize_size` makes copies of the name."""
+    for name, module in list(sys.modules.items()):
+        if name == "sdflow" or name.startswith("sdflow."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    mp.setattr(module, attr, replacement)
+
+
+def measure(source: str) -> dict:
+    """Counters of one parse and one check of `source`, and the objects
+    each target and summary was computed for."""
+    counts: Counter = Counter()
+    targets, summaries = [], []
+    depth = [0]
+
+    class CountedToken(parser.Token):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            counts["tokens"] += 1
+            super().__init__(*args)
+
+    def normalize(e, inner=kinding.normalize_size):
+        counts["normalize"] += not depth[0]
+        depth[0] += 1
+        try:
+            return inner(e)
+        finally:
+            depth[0] -= 1
+
+    def comp_target(comp, inner=flowstate._comp_target):
+        targets.append(comp)
+        return inner(comp)
+
+    def rate_summary(fs, inner=flowstate._rate_summary):
+        summaries.append(fs)
+        return inner(fs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parser, "Token", CountedToken)
+        _patch_everywhere(mp, kinding.normalize_size, normalize)
+        mp.setattr(flowstate, "_comp_target", comp_target)
+        mp.setattr(flowstate, "_rate_summary", rate_summary)
+        result = check_network(parse_program(source))
+    assert result.ok, result.diagnostics
+    counts["targets"], counts["summaries"] = len(targets), len(summaries)
+    return {"counts": counts, "targets": targets, "summaries": summaries}
+
+
+@pytest.fixture(scope="module")
+def cells():
+    sys.path.insert(0, str(ROOT))
+    try:
+        from perfbench import gen
+    finally:
+        sys.path.remove(str(ROOT))
+    return {(family, n): measure(gen.FAMILIES[family](n).source)
+            for family, sizes in AXES.items() for n in sizes}
+
+
+@pytest.mark.parametrize("counter", COUNTERS)
+@pytest.mark.parametrize("family", AXES)
+def test_check_counter_grows_at_most_linearly(cells, family, counter):
+    small, large = (cells[family, n]["counts"][counter] for n in AXES[family])
+    assert small > 0
+    assert large <= GROWTH * small, (small, large)
+
+
+@pytest.mark.parametrize("cell", [(f, n) for f, ns in AXES.items() for n in ns],
+                         ids=lambda c: f"{c[0]}-{c[1]}")
+def test_each_target_and_summary_is_computed_once(cells, cell):
+    measured = cells[cell]
+    # the objects are kept alive in the lists, so their ids are distinct
+    for what in ("targets", "summaries"):
+        repeats = Counter(map(id, measured[what]))
+        assert max(repeats.values()) == 1, what
+
+
+@pytest.mark.parametrize("cell", NORMALIZE_BEFORE, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_normalize_calls_fell_by_at_least_two_fifths(cells, cell):
+    assert cells[cell]["counts"]["normalize"] <= 0.6 * NORMALIZE_BEFORE[cell]

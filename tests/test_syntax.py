@@ -199,6 +199,53 @@ def test_print_flow_walks_a_long_actor_without_recursion():
     assert print_proc_flow(net.flow) == "c!<t in 1..2000> || c?<t in 1..2000>"
 
 
+class _Hashed:
+    """Hashes as `h`, so a tuple of these hashes as the tuple of the
+    objects they stand for."""
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def _generated_hash(e) -> int:
+    """The hash a generated `__hash__` gives a `Par` or `PPar` tree,
+    `hash((left, right))` all the way down, without recursion."""
+    from sdflow.syntax import Par, PPar
+    hashes, stack = {}, [e]
+    while stack:
+        node = stack.pop()
+        if node.__class__ not in (Par, PPar) or id(node) in hashes:
+            continue
+        kids = [k for k in (node.left, node.right)
+                if k.__class__ in (Par, PPar) and id(k) not in hashes]
+        if kids:
+            stack += [node] + kids
+            continue
+        hashes[id(node)] = hash(tuple(
+            _Hashed(hashes[id(k)]) if id(k) in hashes else k
+            for k in (node.left, node.right)))
+    return hashes[id(e)]
+
+
+def test_wide_networks_compare_and_hash_without_recursion():
+    from perfbench import gen
+    from sdflow.typecheck import check_network
+    net = parse_program_or_raise(gen.pipeline(2000).source)
+    again = parse_program_or_raise(print_program(net))
+    assert again == net and not again != net
+    assert again.body == net.body and again.flow == net.flow
+    assert hash(again.body) == hash(net.body) == _generated_hash(net.body)
+    assert hash(again.flow) == hash(net.flow) == _generated_hash(net.flow)
+    flow, flow_again = check_network(net).flow, check_network(again).flow
+    assert flow == flow_again
+    assert hash(flow) == hash(flow_again) == _generated_hash(flow)
+    other = parse_program_or_raise(gen.pipeline(2000).source.replace(
+        "recv r1999", "recv r1998"))
+    assert other.body != net.body and not other.body == net.body
+
+
 def test_env_lookup_index_shadows_like_a_reversed_scan():
     from sdflow.syntax import IntType, BoolType, SizeKind, Env
     venv = Env((("x", IntType()), ("y", IntType()))).extend("x", BoolType())
