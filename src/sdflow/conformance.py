@@ -37,7 +37,7 @@ from .runtime import (
 from .syntax import (
     ActorComp, ActorE, ActorFlow, BoolLit, BoolType, ChannelArrayKind,
     ChannelKind, Comp, Diagnostic, Divides, Env, Event, IntLit, IntType,
-    Iterator, Network, Num, PActor, Par, PArray, ProcFlow, SizeType, Stop,
+    Iterator, Network, Num, PActor, PArray, ProcFlow, SizeType, Stop,
     SVar, flow_comps, par_flow, proc_components, proc_flow_components,
     seq_flow, subst_comp, subst_flow, subst_size, MkSize, MkIndex, record,
 )
@@ -365,8 +365,6 @@ def actor_flows(net: Network, sizes: dict[str, int]) -> list[list]:
                 for k in range(lo, eval_size(synth.hi, sizes) + 1):
                     flows.append(_silent_pieces(
                         subst_flow(body, synth.var, Num(k))))
-            case Par():
-                raise AssertionError("proc_components flattens parallel")
     if checker.diags:
         raise ValueError("network does not typecheck: "
                          + "; ".join(str(d) for d in checker.diags))

@@ -292,6 +292,8 @@ def normalize_size(e: SizeExpr) -> SizeExpr:
                 return Num(na.value + nb.value)
             if isinstance(na, Infinity) or isinstance(nb, Infinity):
                 return INF
+            if ZERO in (na, nb):
+                return nb if na == ZERO else na
             return _norm_additive(Add(na, nb))
         case Sub(a, b):
             na, nb = normalize_size(a), normalize_size(b)

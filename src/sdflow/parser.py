@@ -262,10 +262,10 @@ class Parser:
     # --- flowstates -------------------------------------------------------------
 
     def proc_flow(self) -> ProcFlow:
-        out = self.proc_flow_term()
+        parts = [self.proc_flow_term()]
         while self.accept("op", "||"):
-            out = PPar(out, self.proc_flow_term())
-        return out
+            parts.append(self.proc_flow_term())
+        return PPar(*parts) if len(parts) > 1 else parts[0]
 
     def proc_flow_term(self) -> ProcFlow:
         if self.accept("kw", "eps"):
@@ -292,11 +292,11 @@ class Parser:
     def actor_flow(self) -> ActorFlow:
         # a ';' both sequences flow atoms and terminates flow declarations;
         # only consume it when a flow atom follows
-        out = self.flow_atom()
+        parts = [self.flow_atom()]
         while self.at("op", ";") and self._starts_flow_atom(self.peek(1)):
             self.next()
-            out = FSeq(out, self.flow_atom())
-        return out
+            parts.append(self.flow_atom())
+        return FSeq(*parts) if len(parts) > 1 else parts[0]
 
     @staticmethod
     def _starts_flow_atom(tok: Token) -> bool:
@@ -534,10 +534,10 @@ class Parser:
     # --- processes and programs -----------------------------------------------------
 
     def proc(self) -> Proc:
-        out = self.proc_term()
+        parts = [self.proc_term()]
         while self.accept("op", "||"):
-            out = Par(out, self.proc_term())
-        return out
+            parts.append(self.proc_term())
+        return Par(*parts) if len(parts) > 1 else parts[0]
 
     def proc_term(self) -> Proc:
         tok = self.peek()

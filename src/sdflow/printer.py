@@ -91,38 +91,24 @@ def print_comp(c: Comp) -> str:
 
 
 def print_flow(fs: ActorFlow) -> str:
-    parts = []
-    stack = [fs]
-    while stack:  # explicit stack: a long actor nests `FSeq` deeply
-        match stack.pop():
-            case FSeq(a, b):
-                stack += (b, a)
-            case FEmpty():
-                parts.append("eps")
-            case Comp() as c:
-                parts.append(print_comp(c))
-            case other:
-                raise TypeError(f"not an actor flowstate: {other!r}")
-    return " ; ".join(parts)
+    return " ; ".join("eps" if isinstance(f, FEmpty) else print_comp(f)
+                      for f in FSeq.parts_of(fs))
 
 
 def print_proc_flow(fs: ProcFlow) -> str:
-    parts = []
-    stack = [fs]
-    while stack:  # explicit stack: networks may be wider than the recursion limit
-        match stack.pop():
-            case PPar(a, b):
-                stack += (b, a)
-            case PEmpty():
-                parts.append("eps")
-            case PActor(flow):
-                parts.append(print_flow(flow))
-            case PArray(var, lo, hi, body):
-                parts.append(f"[ {print_flow(body)} | {var} in "
-                             f"{print_size(lo)}..{print_size(hi)} ]")
-            case other:
-                raise TypeError(f"not a process flowstate: {other!r}")
-    return " || ".join(parts)
+    return " || ".join(_print_proc_flow_part(f) for f in PPar.parts_of(fs))
+
+
+def _print_proc_flow_part(f) -> str:
+    match f:
+        case PEmpty():
+            return "eps"
+        case PActor(flow):
+            return print_flow(flow)
+        case PArray(var, lo, hi, body):
+            return (f"[ {print_flow(body)} | {var} in "
+                    f"{print_size(lo)}..{print_size(hi)} ]")
+    raise TypeError(f"not a process flowstate: {f!r}")
 
 
 # --- expressions -------------------------------------------------------------

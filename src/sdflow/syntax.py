@@ -14,6 +14,11 @@ flowstates, and a number once reduction substitutes one, which makes the
 guard decided.  Substitution and distribution rename colliding binders with
 one function, `rename_binder`.
 
+Sequence and parallel composition are associative, so `FSeq` (`;`), `PPar`
+and `Par` (`||`) are n-ary: each holds a flat tuple `parts`, and every walk
+over them is a loop.  Their left-nested `left`/`right` view is read only
+outside the package, by perfbench's `count_comps` and the tests' oracles.
+
 Record classes, here and in the other modules, are built by `record`, which
 gives what `dataclasses.dataclass` gives them (same `__init__`, `__repr__`,
 `__eq__`, `__hash__`, `__match_args__` and frozen errors) without importing
@@ -399,10 +404,56 @@ class Comp:
     guards: tuple[Guard, ...] = ()
 
 
-@record(frozen=True)
-class FSeq:
-    left: "ActorFlow"
-    right: "ActorFlow"
+class _Flat:
+    """A frozen associative node: `parts`, two or more members, none of the
+    node's own class, whose parts the constructor splices in, so that
+    `FSeq(FSeq(a, b), c) == FSeq(a, FSeq(b, c))`.  `==` and `hash` come from
+    `parts`.  As a left-nested binary tree, `right` is the last part and
+    `left` the node of the others, a tuple slice per step."""
+    __match_args__ = ("left", "right")
+    __setattr__, __delattr__ = _frozen_setattr, _frozen_delattr
+
+    def __init__(self, *parts):
+        cls = self.__class__
+        if any(p.__class__ is cls for p in parts):
+            parts = tuple(q for p in parts
+                          for q in (p.parts if p.__class__ is cls else (p,)))
+        if len(parts) < 2:
+            raise TypeError(f"{cls.__name__} takes two or more parts")
+        object.__setattr__(self, "parts", parts)
+
+    @classmethod
+    def parts_of(cls, node) -> tuple:
+        """The parts of `node` if it is of this class, else `(node,)`."""
+        return node.parts if node.__class__ is cls else (node,)
+
+    @property
+    def left(self):
+        rest = self.parts[:-1]
+        if len(rest) == 1:
+            return rest[0]
+        node = object.__new__(self.__class__)
+        object.__setattr__(node, "parts", rest)
+        return node
+
+    @property
+    def right(self):
+        return self.parts[-1]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __repr__(self):
+        return f"{self.__class__.__name__}{self.parts!r}"
+
+
+class FSeq(_Flat):
+    """Actor flowstates in sequence (`;`)."""
 
 
 ActorFlow = Union[FEmpty, Comp, FSeq]
@@ -413,29 +464,14 @@ EMPTY_FLOW = FEmpty()
 def seq_flow(*parts: ActorFlow) -> ActorFlow:
     """Sequence flows, dropping empty components."""
     items = [p for p in parts if not isinstance(p, FEmpty)]
-    if not items:
-        return EMPTY_FLOW
-    out = items[0]
-    for p in items[1:]:
-        out = FSeq(out, p)
-    return out
+    if len(items) > 1:
+        return FSeq(*items)
+    return items[0] if items else EMPTY_FLOW
 
 
 def flow_comps(fs: ActorFlow) -> list[Comp]:
-    """Flatten an actor flowstate into its sequence of comprehensions."""
-    comps = []
-    stack = [fs]
-    while stack:  # explicit stack: a long actor nests `FSeq` deeply
-        match stack.pop():
-            case FSeq(a, b):
-                stack += (b, a)
-            case Comp() as c:
-                comps.append(c)
-            case FEmpty():
-                pass
-            case other:
-                raise TypeError(f"not an actor flowstate: {other!r}")
-    return comps
+    """The comprehensions of an actor flowstate, in sequence."""
+    return [c for c in FSeq.parts_of(fs) if isinstance(c, Comp)]
 
 
 @record(frozen=True)
@@ -456,49 +492,8 @@ class PArray:
     body: ActorFlow
 
 
-def _pair_eq(a, b):
-    """The generated `==` of a `PPar` or `Par` tree (left, then right), with
-    a stack instead of recursion: a network of many actors nests deeply."""
-    cls = a.__class__
-    if b.__class__ is not cls:
-        return NotImplemented
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if a.__class__ is not cls or b.__class__ is not cls:
-            if a != b:
-                return False
-            continue
-        stack += ((a.right, b.right), (a.left, b.left))
-    return True
-
-
-def _pair_hash(e) -> int:
-    """The generated hash, `hash((left, right))`, of a `PPar` or `Par` tree:
-    the nodes below are hashed first, and each keeps its hash on the node,
-    so no hash recurses more than one level."""
-    h = e.__dict__.get("_hash")
-    if h is None:
-        cls, stack, order = e.__class__, [e], []
-        while stack:  # preorder: a node comes before the nodes below it
-            node = stack.pop()
-            order.append(node)
-            stack += [c for c in (node.left, node.right)
-                      if c.__class__ is cls and "_hash" not in c.__dict__]
-        for node in reversed(order):
-            node.__dict__["_hash"] = hash((node.left, node.right))
-        h = e.__dict__["_hash"]
-    return h
-
-
-@record(frozen=True)
-class PPar:
-    left: "ProcFlow"
-    right: "ProcFlow"
-
-    __eq__, __hash__ = _pair_eq, _pair_hash
+class PPar(_Flat):
+    """Process flowstates in parallel (`||`)."""
 
 
 ProcFlow = Union[PEmpty, PActor, PArray, PPar]
@@ -506,29 +501,15 @@ ProcFlow = Union[PEmpty, PActor, PArray, PPar]
 
 def par_flow(*parts: ProcFlow) -> ProcFlow:
     items = [p for p in parts if not isinstance(p, PEmpty)]
-    if not items:
-        return PEmpty()
-    out = items[0]
-    for p in items[1:]:
-        out = PPar(out, p)
-    return out
+    if len(items) > 1:
+        return PPar(*items)
+    return items[0] if items else PEmpty()
 
 
 def proc_flow_components(fs: ProcFlow) -> list[ProcFlow]:
-    """Flatten parallel structure left to right, dropping empty components."""
-    out: list[ProcFlow] = []
-    stack = [fs]
-    while stack:
-        match stack.pop():
-            case PPar(a, b):
-                stack += (b, a)
-            case PEmpty() | PActor(FEmpty()):
-                pass
-            case PActor() | PArray() as part:
-                out.append(part)
-            case other:
-                raise TypeError(f"not a process flowstate: {other!r}")
-    return out
+    """The parallel parts of `fs`, left to right, without empty ones."""
+    return [p for p in PPar.parts_of(fs) if not isinstance(p, PEmpty)
+            and not (isinstance(p, PActor) and isinstance(p.flow, FEmpty))]
 
 
 # --- flowstate variable handling -------------------------------------------
@@ -619,21 +600,9 @@ def rename_binder(comp: Comp, old: str, avoid: set[str]) -> Comp:
 
 
 def map_comps(fs: ActorFlow, fn) -> ActorFlow:
-    """`fs` with each comprehension `c` replaced by `fn(c)`, left to right,
-    keeping the shape of its `FSeq` tree.  An explicit stack, since a long
-    actor nests `FSeq` deeply."""
-    stack, done = [fs], []
-    while stack:
-        node = stack.pop()
-        if isinstance(node, FSeq):
-            stack += (None, node.right, node.left)
-        elif node is None:  # both halves of an FSeq are done
-            done[-2:] = [FSeq(*done[-2:])]
-        elif isinstance(node, (Comp, FEmpty)):
-            done.append(fn(node) if isinstance(node, Comp) else node)
-        else:
-            raise TypeError(f"not an actor flowstate: {node!r}")
-    return done[0]
+    """`fs` with each comprehension `c` replaced by `fn(c)`."""
+    parts = [fn(c) if isinstance(c, Comp) else c for c in FSeq.parts_of(fs)]
+    return FSeq(*parts) if len(parts) > 1 else parts[0]
 
 
 def subst_flow(fs: ActorFlow, var: str, repl: SizeExpr) -> ActorFlow:
@@ -901,13 +870,8 @@ class ActorComp:
     loc: Optional[Loc] = _loc_field()
 
 
-@record(frozen=True)
-class Par:
-    left: "Proc"
-    right: "Proc"
-    loc: Optional[Loc] = _loc_field()
-
-    __eq__, __hash__ = _pair_eq, _pair_hash
+class Par(_Flat):
+    """Processes in parallel (`||`)."""
 
 
 Proc = Union[Stop, ActorE, ActorComp, Par]
@@ -922,16 +886,8 @@ class Network:
 
 
 def proc_components(p: Proc) -> list[Proc]:
-    """Flatten parallel composition left to right."""
-    out: list[Proc] = []
-    stack = [p]
-    while stack:
-        match stack.pop():
-            case Par(a, b):
-                stack += (b, a)
-            case q:
-                out.append(q)
-    return out
+    """The parallel parts of `p`, left to right."""
+    return list(Par.parts_of(p))
 
 
 # --- value-level substitution ----------------------------------------------

@@ -26,7 +26,7 @@ from .syntax import (
     Iterator, Lam, Let, LocRef, MkIndex, MkSize, Network, NewRef, Num, PActor,
     Par, PArray, PEmpty, Proc, ProcFlow, ProcType, Recv, RefType, Send, SeqE,
     SizeArithmeticError, SizeKind, SizeType, Stop, SVar, TypeKind, Var, When,
-    ActorFlow, EMPTY_FLOW, field, par_flow, proc_components,
+    ActorFlow, EMPTY_FLOW, field, par_flow,
     proc_flow_components, record, seq_flow,
 )
 
@@ -339,7 +339,7 @@ class Checker:
                 return PArray(tvar, Num(lo), ht.witness, flow)
             case Par():
                 return par_flow(*(self.check_proc(tenv, venv, q)
-                                  for q in proc_components(p)))
+                                  for q in p.parts))
         raise TypeError(f"not a process: {p!r}")
 
 

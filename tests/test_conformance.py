@@ -282,7 +282,7 @@ def long_source(k: int, looped: bool) -> str:
 
 @pytest.mark.parametrize("looped", [False, True])
 def test_long_actor_flows_conform_under_the_default_recursion_limit(looped):
-    # the actor's flowstate is a 5000-deep FSeq chain: grounded by
+    # the actor's flowstate is a 5000-part FSeq: grounded by
     # `subst_flow` here, distributed over the loop by the checker
     assert sys.getrecursionlimit() <= 1000
     net = parse_program_or_raise(long_source(5000, looped))

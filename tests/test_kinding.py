@@ -63,6 +63,15 @@ def test_normalize_identities():
     assert normalize_size(Mul(s, Num(0))) == Num(0)
 
 
+def test_normalize_drops_a_zero_summand_around_a_clamped_difference():
+    # `netcheck.Record.add` starts every count as `0 + n`; a clamped
+    # difference is no linear form, so the zero must go before that pass
+    diff = Sub(SVar("a"), SVar("b"))
+    assert normalize_size(Add(Num(0), diff)) == diff
+    assert normalize_size(Add(diff, Num(0))) == diff
+    assert normalize_size(Add(Num(0), Add(Num(0), diff))) == diff
+
+
 def test_normalize_sum_groups_terms():
     s = SVar("s")
     assert sizes_equal(Add(s, s), Mul(Num(2), s))

@@ -8,21 +8,24 @@ per-layer metric into an absent one.  The file is read, not imported: it
 imports perfbench's own modules.  `parser.tokens_per_s` divides
 `len(parser.tokenize(source))` by the parse time, and
 `workloads.expected_counts` calls `flowstate.proc_rate_summary(tenv, flow)`
-on a network `check_network` has already summarized.
+on a network `check_network` has already summarized.  `workloads.count_comps`
+walks `PPar` and `FSeq` through their binary `left`/`right` view, the one
+reason that view exists.
 """
 
 import ast
 import importlib
 import inspect
 
-from conftest import ROOT, load
+from conftest import CORPUS, ROOT, load
 
-from sdflow import flowstate, parser
-from sdflow.parser import parse_program_or_raise
+from sdflow import flowstate, parser, syntax
+from sdflow.parser import parse_program, parse_program_or_raise
 from sdflow.syntax import Num
 from sdflow.typecheck import check_network
 
 LAYERS = ROOT / "perfbench" / "layers.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def wrapped_names() -> list[str]:
@@ -36,6 +39,40 @@ def wrapped_names() -> list[str]:
     kwargs = {kw.arg: kw.value for kw in call.keywords}
     return ([ast.literal_eval(key) for key in kwargs["spans"].keys]
             + ast.literal_eval(kwargs["counters"]))
+
+
+def count_comps():
+    """`workloads.count_comps`, compiled alone from its source: the module
+    imports perfbench's own modules."""
+    tree = ast.parse(WORKLOADS.read_text())
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "count_comps")
+    namespace: dict = {}
+    exec(compile(ast.Module([fn], type_ignores=[]), str(WORKLOADS), "exec"),
+         namespace)
+    return namespace["count_comps"]
+
+
+def test_count_comps_counts_what_flow_comps_finds(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import gen
+    count = count_comps()
+    sources = [f.read_text() for f in sorted(CORPUS.glob("*/*.sdf"))]
+    sources.append(gen.pipeline(2000).source)
+    flows = 0
+    for source in sources:
+        net = parse_program(source)
+        if isinstance(net, list):
+            continue
+        for flow in (net.flow, check_network(net).flow):
+            if flow is None:
+                continue
+            expected = sum(len(syntax.flow_comps(
+                part.flow if isinstance(part, syntax.PActor) else part.body))
+                for part in syntax.proc_flow_components(flow))
+            assert count(syntax, flow) == expected
+            flows += 1
+    assert flows > 60
 
 
 def test_wrapped_names_include_the_step_machine_counters():

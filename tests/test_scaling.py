@@ -13,10 +13,16 @@ of a freshly parsed perfbench program:
 Before targets and summaries were kept on their nodes, pipeline-150 took
 2 086 targets, 750 summaries and 5 364 normalize calls; pipeline-600 21 564
 normalize calls and long_actor-2000 8 017.
+
+Run as a script, it writes every cell's counters and the line count of
+`src/sdflow` to a JSON file, to compare one change's before and after:
+
+    PYTHONPATH=src python tests/test_scaling.py --write BENCH_<tag>.json
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from collections import Counter
 
@@ -86,8 +92,8 @@ def measure(source: str) -> dict:
     return {"counts": counts, "targets": targets, "summaries": summaries}
 
 
-@pytest.fixture(scope="module")
-def cells():
+def measure_cells() -> dict:
+    """`measure` of each cell's perfbench program, by (family, size)."""
     sys.path.insert(0, str(ROOT))
     try:
         from perfbench import gen
@@ -95,6 +101,11 @@ def cells():
         sys.path.remove(str(ROOT))
     return {(family, n): measure(gen.FAMILIES[family](n).source)
             for family, sizes in AXES.items() for n in sizes}
+
+
+@pytest.fixture(scope="module")
+def cells():
+    return measure_cells()
 
 
 @pytest.mark.parametrize("counter", COUNTERS)
@@ -118,3 +129,26 @@ def test_each_target_and_summary_is_computed_once(cells, cell):
 @pytest.mark.parametrize("cell", NORMALIZE_BEFORE, ids=lambda c: f"{c[0]}-{c[1]}")
 def test_normalize_calls_fell_by_at_least_two_fifths(cells, cell):
     assert cells[cell]["counts"]["normalize"] <= 0.6 * NORMALIZE_BEFORE[cell]
+
+
+def write_bench(path: str) -> dict:
+    """Write the counters of every cell and the line count of `src/sdflow`
+    to `path` as JSON; return what was written."""
+    bench = {
+        "src_lines": sum(len(f.read_text().splitlines())
+                         for f in sorted((ROOT / "src" / "sdflow").glob("*.py"))),
+        "cells": {f"{family}-{n}": {c: cell["counts"][c] for c in COUNTERS}
+                  for (family, n), cell in measure_cells().items()},
+    }
+    with open(path, "w") as out:
+        json.dump(bench, out, indent=2)
+        out.write("\n")
+    return bench
+
+
+if __name__ == "__main__":
+    import argparse
+    ap = argparse.ArgumentParser(description="Write the cost cells' counters "
+                                 "and the src/sdflow line count as JSON.")
+    ap.add_argument("--write", required=True, metavar="BENCH_<tag>.json")
+    print(json.dumps(write_bench(ap.parse_args().write), indent=2))

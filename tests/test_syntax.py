@@ -133,6 +133,89 @@ def test_roundtrip_corpus():
         assert parse_program_or_raise(print_program(net)) == net, f.name
 
 
+def test_grouping_is_invisible_to_equality_and_round_trip():
+    # the printer writes no grouping, so none may show in the tree
+    nets = [parse_program_or_raise(
+                "chan c : Channel(0, 3);\nval w : Chan(-, c, Integer);\n"
+                f"flow {flow};\nnetwork {{ {body} }}\n")
+            for flow in ("c! ; (c! ; c!)", "(c! ; c!) ; c!", "c! ; c! ; c!")
+            for body in ("actor { 0 } || (stop || stop)",
+                         "(actor { 0 } || stop) || stop",
+                         "actor { 0 } || stop || stop")]
+    for net in nets:
+        assert net == nets[0] and hash(net.flow) == hash(nets[0].flow)
+        assert hash(net.body) == hash(nets[0].body)
+        assert parse_program_or_raise(print_program(net)) == net
+
+
+def test_flat_nodes_splice_their_own_class_and_are_frozen():
+    from sdflow.syntax import FrozenInstanceError, FSeq, Par, PPar
+    a, b = comp(ev("c!")), comp(ev("c?"))
+    for cls in (FSeq, PPar, Par):
+        node = cls(a, cls(b, a))
+        assert node.parts == (a, b, a) and node == cls(cls(a, b), a)
+        assert hash(node) == hash(cls(a, b, a)) and node != FSeq(b, a, a)
+        assert (node.left, node.right) == (cls(a, b), a)
+        with pytest.raises(FrozenInstanceError):
+            node.parts = (a, b)
+        with pytest.raises(FrozenInstanceError):
+            del node.parts
+        with pytest.raises(TypeError):
+            cls(a)
+
+
+def _flat_nodes(root):
+    """Every `FSeq`, `PPar` and `Par` reachable from `root` through record
+    fields, tuples and parts."""
+    from sdflow.syntax import FSeq, Par, PPar
+    stack, out = [root], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (FSeq, PPar, Par)):
+            out.append(node)
+            stack += node.parts
+        elif isinstance(node, tuple):
+            stack += node
+        elif hasattr(node, "__record_fields__"):
+            stack += [getattr(node, f.name) for f in node.__record_fields__]
+    return out
+
+
+def test_sequence_and_parallel_nodes_are_flat():
+    from conftest import CORPUS
+    from perfbench import gen
+    from sdflow.syntax import PActor, PPar, map_comps, par_flow, seq_flow
+    from sdflow.typecheck import check_network
+    sources = [f.read_text() for f in sorted(CORPUS.glob("*/*.sdf"))]
+    corpus = len(sources)
+    sources += [gen.pipeline(2000).source, gen.long_actor(2000).source]
+    seen = 0
+    for i, source in enumerate(sources):
+        net = parse_program(source)
+        if isinstance(net, list):
+            continue
+        flows = [f for f in (net.flow, check_network(net).flow)
+                 if f is not None]
+        roots = [net, *flows, par_flow(*flows, *flows)]
+        for actor in (a for f in flows for a in PPar.parts_of(f)):
+            if isinstance(actor, PActor):
+                roots += [seq_flow(actor.flow, actor.flow),
+                          map_comps(actor.flow, lambda c: c)]
+        for node in _flat_nodes(tuple(roots)):
+            seen += 1
+            assert len(node.parts) >= 2
+            assert all(p.__class__ is not node.__class__ for p in node.parts)
+            if i >= corpus:
+                continue
+            # the binary view is the left-nested tree of the parts
+            view, rights = node, []
+            while view.__class__ is node.__class__:
+                rights.append(view.right)
+                view = view.left
+            assert [view] + rights[::-1] == list(node.parts)
+    assert seen > 100
+
+
 def test_printers_walk_wide_networks_without_recursion():
     from sdflow.printer import print_proc_flow
     from sdflow.syntax import Event, PActor, par_flow
@@ -153,8 +236,8 @@ def test_printers_walk_wide_networks_without_recursion():
 
 
 def _recursive_print_flow(fs) -> str:
-    """`printer.print_flow` as it was before it walked `FSeq` chains with an
-    explicit stack."""
+    """`printer.print_flow` as it was while `FSeq` was a binary node, a
+    recursion over `left` and `right`."""
     from sdflow.printer import print_comp
     from sdflow.syntax import FEmpty, FSeq
     match fs:
@@ -199,36 +282,6 @@ def test_print_flow_walks_a_long_actor_without_recursion():
     assert print_proc_flow(net.flow) == "c!<t in 1..2000> || c?<t in 1..2000>"
 
 
-class _Hashed:
-    """Hashes as `h`, so a tuple of these hashes as the tuple of the
-    objects they stand for."""
-    def __init__(self, h):
-        self.h = h
-
-    def __hash__(self):
-        return self.h
-
-
-def _generated_hash(e) -> int:
-    """The hash a generated `__hash__` gives a `Par` or `PPar` tree,
-    `hash((left, right))` all the way down, without recursion."""
-    from sdflow.syntax import Par, PPar
-    hashes, stack = {}, [e]
-    while stack:
-        node = stack.pop()
-        if node.__class__ not in (Par, PPar) or id(node) in hashes:
-            continue
-        kids = [k for k in (node.left, node.right)
-                if k.__class__ in (Par, PPar) and id(k) not in hashes]
-        if kids:
-            stack += [node] + kids
-            continue
-        hashes[id(node)] = hash(tuple(
-            _Hashed(hashes[id(k)]) if id(k) in hashes else k
-            for k in (node.left, node.right)))
-    return hashes[id(e)]
-
-
 def test_wide_networks_compare_and_hash_without_recursion():
     from perfbench import gen
     from sdflow.typecheck import check_network
@@ -236,11 +289,11 @@ def test_wide_networks_compare_and_hash_without_recursion():
     again = parse_program_or_raise(print_program(net))
     assert again == net and not again != net
     assert again.body == net.body and again.flow == net.flow
-    assert hash(again.body) == hash(net.body) == _generated_hash(net.body)
-    assert hash(again.flow) == hash(net.flow) == _generated_hash(net.flow)
+    assert hash(again.body) == hash(net.body)
+    assert hash(again.flow) == hash(net.flow)
     flow, flow_again = check_network(net).flow, check_network(again).flow
     assert flow == flow_again
-    assert hash(flow) == hash(flow_again) == _generated_hash(flow)
+    assert hash(flow) == hash(flow_again)
     other = parse_program_or_raise(gen.pipeline(2000).source.replace(
         "recv r1999", "recv r1998"))
     assert other.body != net.body and not other.body == net.body

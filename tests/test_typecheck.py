@@ -308,7 +308,7 @@ network {
 
 def test_long_actor_checks_and_prints_under_the_default_recursion_limit():
     # the actor body is one 5000-link Let/SeqE chain; its flowstate is one
-    # 4900-comprehension FSeq chain
+    # FSeq of 4900 comprehensions
     assert sys.getrecursionlimit() <= 1000
     stmts = ["let v = 0" if i % 50 == 0 else "send cw v" for i in range(5000)]
     sends = stmts.count("send cw v")
