@@ -9,7 +9,7 @@ go to stderr; machine output (JSON) goes to stdout.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import sys
 from pathlib import Path
@@ -99,6 +99,11 @@ def _parse_sizes(pairs: list[str]) -> dict[str, int]:
     return sizes
 
 
+def _print_json(payload: dict) -> None:
+    import json
+    print(json.dumps(payload, sort_keys=True))
+
+
 def _report(diags: list[Diagnostic]) -> None:
     for d in diags:
         print(str(d), file=sys.stderr)
@@ -159,7 +164,7 @@ def _command(argv) -> int:
 
     if args.command == "check":
         if args.format == "json":
-            print(json.dumps({"status": "ok"}, sort_keys=True))
+            _print_json({"status": "ok"})
         else:
             print("ok")
         return EXIT_OK
@@ -167,7 +172,7 @@ def _command(argv) -> int:
     if args.command == "schedule":
         steps = schedule_to_json(result.schedule or [])
         if args.format == "json":
-            print(json.dumps({"schedule": steps}, sort_keys=True))
+            _print_json({"schedule": steps})
         else:
             for s in steps:
                 print(f"{s['actor']:>8}  {s['action']:<8} {s['event']}"
@@ -190,7 +195,7 @@ def _command(argv) -> int:
                        "outcomes": len(ex.terminals),
                        "truncated": ex.truncated}
             if args.format == "json":
-                print(json.dumps(payload, sort_keys=True))
+                _print_json(payload)
             elif ex.truncated:
                 print(f"truncated after {ex.states} states")
             else:
@@ -203,14 +208,13 @@ def _command(argv) -> int:
         trace = [s.to_json() for s in out.trace]
         if out.status != "done":
             if args.format == "json":
-                print(json.dumps({"status": out.status, "trace": trace,
-                                  "blocked": out.blocked}, sort_keys=True))
+                _print_json({"status": out.status, "trace": trace,
+                             "blocked": out.blocked})
             else:
                 print(f"{out.status}: {out.blocked}", file=sys.stderr)
             raise SystemExit(EXIT_DEADLOCK)
         if args.format == "json":
-            print(json.dumps({"status": "done", "trace": trace},
-                             sort_keys=True))
+            _print_json({"status": "done", "trace": trace})
         else:
             print(f"done in {len(trace)} steps")
         return EXIT_OK
@@ -230,7 +234,7 @@ def _command(argv) -> int:
         payload = {"preservation": pres.to_json(),
                    "progress": prog.to_json()}
         if args.format == "json":
-            print(json.dumps(payload, sort_keys=True))
+            _print_json(payload)
         else:
             print(f"preservation: {len(pres.violations)} violations over "
                   f"{pres.steps} steps")
@@ -251,5 +255,15 @@ def _command(argv) -> int:
     raise SystemExit(EXIT_USAGE)
 
 
+def entry() -> int:
+    """The `sdflow` program: `main` in a process of its own.  What the
+    imports built lives until exit, so it is frozen out of the cyclic
+    collector, whose full collections, the one at exit included, would
+    otherwise walk it.  `main` leaves the collector alone, as tests call
+    it in process."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -302,10 +302,19 @@ class Record:
 
 @record
 class ScheduleStep:
+    """One firing of the progress check: `actor` fires its head
+    comprehension `comp`.  Its text is rendered only when it is read."""
     actor: str
     action: str  # "produce" | "consume"
-    event: str
-    multiplicity: str
+    comp: Comp
+
+    @property
+    def event(self) -> str:
+        return print_comp(self.comp)
+
+    @property
+    def multiplicity(self) -> str:
+        return print_size(comp_target(self.comp)[1])
 
     def to_json(self) -> dict:
         return {"actor": self.actor, "action": self.action,
@@ -377,8 +386,7 @@ def check_progress(tenv: Env, fs: ProcFlow
             else:
                 waiting.setdefault(comp.event.chan, []).append(i)
                 continue
-            schedule.append(ScheduleStep(name, action, print_comp(comp),
-                                         print_size(comp_target(comp)[1])))
+            schedule.append(ScheduleStep(name, action, comp))
             positions[i] += 1
             heapq.heappush(ready, i)
     except FlowstateError as exc:

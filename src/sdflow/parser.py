@@ -8,13 +8,26 @@ expression with the finished group as first operand, so nesting depth costs
 no stack.
 
 Parsing is total: syntax errors are reported as diagnostics with line and
-column, never as exceptions escaping `parse_program`.  Other nesting, such
-as blocks in blocks, still recurses; past the recursion limit it is reported
-as nested too deeply.
+column, never as exceptions escaping `parse_program`.
+
+Nesting is a language limit, `MAX_NESTING` levels, which the parser counts
+as it goes.  A construct inside another is one level deeper: an expression
+(a block's statement, a body, an operand in parentheses, an argument, an
+index, the operand of `!`, `ref` or `send`), a size expression, a type, a
+flowstate in parentheses, a process in parentheses.  So is an operator or
+an application whose left operand is itself an operator or an application,
+as in `a + b + c`, `f(x)(y)` or `((a + b) + c)`, since that operand is a
+tree one level deeper; such a level lasts until the construct holding the
+operator closes.  A run of `(` around one construct counts once, and
+statements in sequence nest nothing.  The construct that would open level
+`MAX_NESTING + 1` is reported as nested too deeply, at its first token.  The
+limit keeps every later pass, which recurses on the tree, within Python's
+default recursion limit.
 """
 
 from __future__ import annotations
 
+import gc
 import re
 from typing import Optional, Union
 
@@ -28,6 +41,10 @@ from .syntax import (
     ActorFlow, COMPARE_LEVEL, INF, KEYWORD_FORMS, Loc, PRECEDENCE,
     SIZE_OPERATORS,
 )
+
+# The deepest nesting a program may have (see the module docstring); C11
+# promises 63 levels of parentheses in an expression.
+MAX_NESTING = 64
 
 KEYWORDS = {
     "size", "chan", "chanarray", "val", "flow", "network", "actor", "actors",
@@ -99,6 +116,7 @@ class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # nesting levels open; see MAX_NESTING
 
     # --- token plumbing ---------------------------------------------------
 
@@ -138,6 +156,15 @@ class Parser:
         self.next()
         return tok.text
 
+    def enter(self) -> int:
+        """Open one nesting level for the construct at the current token;
+        returns the depth to restore when it is closed."""
+        depth = self.depth
+        if depth == MAX_NESTING:
+            raise ParseError("nested too deeply", self.tokens[self.pos].loc)
+        self.depth = depth + 1
+        return depth
+
     def enclosed(self, parse):
         self.expect("op", "(")
         inner = parse()
@@ -156,28 +183,40 @@ class Parser:
             level = PRECEDENCE.get(tok.text, 0) if tok.kind == "op" else 0
             if level < floor:
                 return lhs
+            if lhs.__class__ in _LEFT_NESTED:
+                self.enter()  # closed by the enclosing construct
             self.next()
-            lhs = node(tok, lhs, self.binary(operand, node, level + 1))
+            depth = self.depth
+            rhs = self.binary(operand, node, level + 1)
+            self.depth = depth
+            lhs = node(tok, lhs, rhs)
             if level == COMPARE_LEVEL:
                 floor = level + 1
 
     def group(self, inner, resume):
         """A run of `(`: `inner()` parses the innermost group, and each
-        enclosing group is `resume(its first token, the group it encloses)`."""
+        enclosing group is `resume(its first token, the group it encloses)`.
+        The run is one nesting level, which `inner` opens and the resumed
+        groups share."""
         opens = []
         while self.at("op", "("):
             opens.append(self.next())
         e = inner()
         self.expect("op", ")")
+        depth = self.enter()  # `inner` reached this level, so it fits
         for tok in reversed(opens[1:]):
             e = resume(tok, e)
             self.expect("op", ")")
+        self.depth = depth
         return e
 
     # --- size expressions ---------------------------------------------------
 
     def size_expr(self, first: Optional[SizeExpr] = None) -> SizeExpr:
-        return self.binary(self.size_factor, _size_node, 2, first)
+        depth = self.enter()
+        e = self.binary(self.size_factor, _size_node, 2, first)
+        self.depth = depth
+        return e
 
     def size_factor(self) -> SizeExpr:
         tok = self.peek()
@@ -197,12 +236,20 @@ class Parser:
             self.next()
             return SVar(tok.text)
         if self.at("op", "("):
-            return self.group(self.size_expr, lambda _, g: self.size_expr(g))
+            return self.group(
+                self.size_expr,
+                lambda _, g: self.binary(self.size_factor, _size_node, 2, g))
         raise ParseError(f"expected size expression, found {tok.text!r}", tok.loc)
 
     # --- types ----------------------------------------------------------------
 
     def type_expr(self):
+        depth = self.enter()
+        ty = self._type_form()
+        self.depth = depth
+        return ty
+
+    def _type_form(self):
         tok = self.peek()
         if self.accept("kw", "Integer"):
             return IntType()
@@ -292,10 +339,12 @@ class Parser:
     def actor_flow(self) -> ActorFlow:
         # a ';' both sequences flow atoms and terminates flow declarations;
         # only consume it when a flow atom follows
+        depth = self.enter()
         parts = [self.flow_atom()]
         while self.at("op", ";") and self._starts_flow_atom(self.peek(1)):
             self.next()
             parts.append(self.flow_atom())
+        self.depth = depth
         return FSeq(*parts) if len(parts) > 1 else parts[0]
 
     @staticmethod
@@ -362,10 +411,14 @@ class Parser:
     # --- expressions --------------------------------------------------------------
 
     def expr(self) -> Expr:
+        depth = self.enter()
         tok = self.peek()
         if tok.kind == "kw" and tok.text in _LEADING_KEYWORDS:
-            return _LEADING_KEYWORDS[tok.text](self)
-        return self.operators(tok)
+            e = _LEADING_KEYWORDS[tok.text](self)
+        else:
+            e = self.operators(tok)
+        self.depth = depth
+        return e
 
     def operators(self, start: Token, first: Optional[Expr] = None) -> Expr:
         """Binary operators and an optional `:=`, in an expression whose
@@ -449,9 +502,9 @@ class Parser:
     def unary(self) -> Expr:
         tok = self.peek()
         if self.accept("op", "!"):
-            return Deref(self.unary(), loc=tok.loc)
+            return Deref(self.prefixed(), loc=tok.loc)
         if self.accept("kw", "ref"):
-            return NewRef(self.unary(), loc=tok.loc)
+            return NewRef(self.prefixed(), loc=tok.loc)
         if self.accept("kw", "recv"):
             chan = self.ident("channel name")
             index = None
@@ -465,13 +518,22 @@ class Parser:
             if self.accept("op", "["):
                 index = self.expr()
                 self.expect("op", "]")
-            payload = self.unary()
+            payload = self.prefixed()
             return Send(chan, index, payload, loc=tok.loc)
         return self.postfix()
+
+    def prefixed(self) -> Expr:
+        """The operand of `!`, `ref` or `send`, one level deeper."""
+        depth = self.enter()
+        e = self.unary()
+        self.depth = depth
+        return e
 
     def postfix(self, e: Optional[Expr] = None) -> Expr:
         e = self.atom() if e is None else e
         while self.at("op", "("):
+            if e.__class__ in _LEFT_NESTED:
+                self.enter()  # closed by the enclosing construct
             tok = self.next()
             args = []
             if not self.at("op", ")"):
@@ -534,9 +596,11 @@ class Parser:
     # --- processes and programs -----------------------------------------------------
 
     def proc(self) -> Proc:
+        depth = self.enter()
         parts = [self.proc_term()]
         while self.accept("op", "||"):
             parts.append(self.proc_term())
+        self.depth = depth
         return Par(*parts) if len(parts) > 1 else parts[0]
 
     def proc_term(self) -> Proc:
@@ -651,6 +715,8 @@ class Parser:
 
 
 _SIZE_NODES = {op: node for node, op in SIZE_OPERATORS.items()}
+# nodes an operator or an application builds on its left operand
+_LEFT_NESTED = frozenset(_SIZE_NODES.values()) | {BinOp, App}
 
 
 def _size_node(tok: Token, lhs: SizeExpr, rhs: SizeExpr) -> SizeExpr:
@@ -672,13 +738,19 @@ _TYPE_FORMS = {"Size": (SizeType, Parser.size_expr),
 
 
 def parse_program(source: str) -> Union[Network, list[Diagnostic]]:
+    """The network `source` declares, or its syntax error.  The tokens and
+    the tree are acyclic, so the cyclic collector, which would walk them
+    again and again as they pile up, is paused while they are built and
+    then left as it was found."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        parser = Parser(tokenize(source))
-        return parser.program()
+        return Parser(tokenize(source)).program()
     except ParseError as exc:
         return [Diagnostic("Parse", exc.message, exc.loc)]
-    except RecursionError:
-        return [Diagnostic("Parse", "nested too deeply", parser.peek().loc)]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def parse_program_or_raise(source: str) -> Network:

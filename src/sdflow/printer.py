@@ -1,5 +1,8 @@
 """Canonical concrete syntax.  The printer is the formatter of record:
 whatever it emits, the parser maps back to a structurally identical tree.
+It adds no parentheses or braces the parser does not need, so a printed
+program nests no deeper than the parser counts its tree (see
+`parser.MAX_NESTING`).
 """
 
 from __future__ import annotations
@@ -132,12 +135,12 @@ def print_expr(e: Expr, prec: int = 0, indent: int = 0) -> str:
             return _wrap(f"recv {chan}{idx}", prec, 4)
         case Send(chan, index, payload):
             idx = f"[{print_expr(index)}]" if index is not None else ""
-            return _wrap(f"send {chan}{idx} {print_expr(payload, 5, indent)}",
+            return _wrap(f"send {chan}{idx} {print_expr(payload, 4, indent)}",
                          prec, 4)
         case NewRef(a):
-            return _wrap(f"ref {print_expr(a, 5, indent)}", prec, 4)
+            return _wrap(f"ref {print_expr(a, 4, indent)}", prec, 4)
         case Deref(a):
-            return _wrap(f"!{print_expr(a, 5, indent)}", prec, 4)
+            return _wrap(f"!{print_expr(a, 4, indent)}", prec, 4)
         case BinOp(op, l, r):
             return _infix(op, l, r, prec, lambda x, p: print_expr(x, p, indent))
         case App(fn, args):
@@ -148,19 +151,19 @@ def print_expr(e: Expr, prec: int = 0, indent: int = 0) -> str:
                          f"{print_expr(v, 0, indent)}", prec, 0)
         case If(c, t, f):
             return _wrap(f"if {print_expr(c, 1, indent)} then "
-                         f"{print_expr(t, 1, indent)} "
-                         f"else {print_expr(f, 1, indent)}", prec, 0)
+                         f"{print_expr(t, 0, indent)} "
+                         f"else {print_expr(f, 0, indent)}", prec, 0)
         case When(l, op, r, body):
             return _wrap(f"when ({_guard_operand(l)} {op} {_guard_operand(r)}) "
-                         f"{print_expr(body, 1, indent)}", prec, 0)
+                         f"{print_expr(body, 0, indent)}", prec, 0)
         case For(tvar, var, lo, bound, body):
             return _wrap(f"for ({tvar}, {var} in {lo}.."
-                         f"{print_expr(bound, 1, indent)}) "
-                         f"{print_block(body, indent)}", prec, 0)
+                         f"{print_expr(bound, 0, indent)}) "
+                         f"{print_expr(body, 0, indent)}", prec, 0)
         case Lam(params, latent, rest, body):
             ps = ", ".join(f"{n} : {print_type(t)}" for n, t in params)
             return _wrap(f"fn ({ps}) [{print_flow(latent)} => "
-                         f"{print_flow(rest)}] {print_expr(body, 1, indent)}",
+                         f"{print_flow(rest)}] {print_expr(body, 0, indent)}",
                          prec, 0)
         case Let() | SeqE():
             return print_block(e, indent)

@@ -43,8 +43,8 @@ from .syntax import (
     ChannelArrayKind, ChannelKind, ChanType, Deref, Diagnostic, Env, Expr, For,
     FromIndex, FromSize, If, IntLit, IntType, Lam, Let, LocRef, MkIndex,
     MkSize, Network, NewRef, Recv, Send, SeqE, SizeArithmeticError, SizeKind,
-    SizeType, Stop, When, _VALUE_CLASSES, field, is_value, proc_components,
-    record, replace, subst_expr,
+    SizeType, Stop, When, _VALUE_CLASSES, _constant, field, is_value,
+    proc_components, record, replace, subst_expr,
 )
 
 BufferKey = tuple  # (type-level channel name, element index or None)
@@ -287,7 +287,8 @@ class Stuck:
     reason: str
 
 
-_UNIT = IntLit(0)  # what a send, a false guard and a finished loop become
+# what a send, a false guard and a finished loop become
+_UNIT = _constant(IntLit, value=0)
 
 
 def _as_int(v: Expr) -> Optional[int]:

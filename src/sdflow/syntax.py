@@ -22,7 +22,8 @@ outside the package, by perfbench's `count_comps` and the tests' oracles.
 Record classes, here and in the other modules, are built by `record`, which
 gives what `dataclasses.dataclass` gives them (same `__init__`, `__repr__`,
 `__eq__`, `__hash__`, `__match_args__` and frozen errors) without importing
-`dataclasses` or `inspect`, so the command line starts cheaply.
+`dataclasses` or `inspect`, and compiles a class's methods only when one of
+them is first called, so the command line starts cheaply.
 """
 
 from __future__ import annotations
@@ -73,29 +74,82 @@ def _frozen_delattr(self, name):
 def record(cls=None, /, *, frozen: bool = False):
     """`@record` or `@record(frozen=True)`: `dataclasses.dataclass` for the
     features used here.  `__init__`, `__eq__` and `__hash__` are generated
-    from source in one `exec` per class, with the bodies `dataclasses`
-    generates, so instances cost what dataclass instances cost.  A frozen
-    field's default lives on the class until a different object is passed,
-    so only such an object is stored on the instance; nothing in `src/`
-    reads fields from `__dict__`."""
+    from source with the bodies `dataclasses` generates, so instances cost
+    what dataclass instances cost.  A process uses few of its record
+    classes, so until one of them is first called the class holds stubs;
+    that call compiles all three in one `exec` (`_build`), installs them
+    and delegates.  A frozen field's default lives on the class until a
+    different object is passed, so only such an object is stored on the
+    instance; nothing in `src/` reads fields from `__dict__`."""
     if cls is None:
         return lambda c: record(c, frozen=frozen)
     fields = []
-    env: dict = {"_setattr": object.__setattr__, "_FACTORY": _MISSING}
-    params, body = [], []
     for name in cls.__dict__.get("__annotations__", {}):
         f = cls.__dict__.get(name, _MISSING)
         f = f if isinstance(f, field) else field(default=f)
-        f.name, value = name, name
+        f.name = name
+        if f.default_factory is not _MISSING:
+            delattr(cls, name)
+        elif f.default is not _MISSING:
+            setattr(cls, name, f.default)
+        fields.append(f)
+    cls.__record_fields__ = tuple(fields)
+    methods = {"__repr__": _record_repr,
+               "__match_args__": tuple(f.name for f in fields)}
+    if frozen:
+        methods.update(__setattr__=_frozen_setattr,
+                       __delattr__=_frozen_delattr)
+    else:
+        methods["__hash__"] = None
+    generated = [name for name in ("__init__", "__eq__", "__hash__")
+                 if name not in cls.__dict__ and name not in methods]
+    if generated:
+        _PENDING[cls] = (frozen, generated)
+        methods.update((name, _stub(cls, name)) for name in generated)
+    for name, value in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, value)
+    return cls
+
+
+# record classes whose generated methods are still stubs: cls -> (frozen,
+# the names of the methods to generate)
+_PENDING: dict = {}
+
+
+def _stub(cls, name: str):
+    """A stand-in for `cls`'s generated method `name`, under the file name
+    of the generated code, so profiles keep one row per class."""
+    def stub(self, *args, **kwargs):
+        _build(cls)
+        return getattr(cls, name)(self, *args, **kwargs)
+    stub.__code__ = stub.__code__.replace(co_filename=_file_name(cls),
+                                          co_name=name)
+    stub.__name__, stub.__qualname__ = name, f"{cls.__qualname__}.{name}"
+    return stub
+
+
+def _file_name(cls) -> str:
+    return f"<record {cls.__module__}.{cls.__qualname__}>"
+
+
+def _build(cls) -> None:
+    """Compile `cls`'s generated methods, in place of its stubs."""
+    spec = _PENDING.pop(cls, None)
+    if spec is None:
+        return  # built already
+    frozen, generated = spec
+    env: dict = {"_setattr": object.__setattr__, "_FACTORY": _MISSING}
+    params, body = [], []
+    for f in cls.__record_fields__:
+        name = value = f.name
         if f.default_factory is not _MISSING:
             env[f"_factory_{name}"] = f.default_factory
             params.append(f"{name}=_FACTORY")
             value = f"_factory_{name}() if {name} is _FACTORY else {name}"
-            delattr(cls, name)
         elif f.default is not _MISSING:
             env[f"_default_{name}"] = f.default
             params.append(f"{name}=_default_{name}")
-            setattr(cls, name, f.default)
         else:
             params.append(name)
         store = (f"_setattr(self, {name!r}, {value})" if frozen
@@ -103,13 +157,12 @@ def record(cls=None, /, *, frozen: bool = False):
         if frozen and f.default is not _MISSING:  # the class holds the default
             store = f"if {name} is not _default_{name}: {store}"
         body.append(store)
-        fields.append(f)
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
-    compared = "".join(f"{{0}}.{f.name}," for f in fields if f.compare)
+    compared = "".join(f"{{0}}.{f.name}," for f in cls.__record_fields__
+                       if f.compare)
     namespace: dict = {}
     init = "\n  ".join(body) or "pass"
-    # one file name per class, so profiles show one row per class
     src = (f"def create({', '.join(env)}):\n"
            f" def __init__(self, {', '.join(params)}):\n"
            f"  {init}\n"
@@ -121,24 +174,22 @@ def record(cls=None, /, *, frozen: bool = False):
            " def __hash__(self):\n"
            f"  return hash(({compared.format('self')}))\n"
            " return __init__, __eq__, __hash__\n")
-    exec(compile(src, f"<record {cls.__module__}.{cls.__qualname__}>",
-                 "exec"), {}, namespace)
+    exec(compile(src, _file_name(cls), "exec"), {}, namespace)
     methods = dict(zip(("__init__", "__eq__", "__hash__"),
                        namespace["create"](**env)))
-    for name, fn in methods.items():
+    for name in generated:
+        fn = methods[name]
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
-    methods.update(__repr__=_record_repr,
-                   __match_args__=tuple(f.name for f in fields))
-    if frozen:
-        methods.update(__setattr__=_frozen_setattr,
-                       __delattr__=_frozen_delattr)
-    else:
-        methods["__hash__"] = None
-    for name, value in methods.items():
-        if name not in cls.__dict__:
-            setattr(cls, name, value)
-    cls.__record_fields__ = tuple(fields)
-    return cls
+        setattr(cls, name, fn)
+
+
+def _constant(cls, **fields):
+    """`cls(**fields)` for a module constant, made without `__init__`, so
+    that importing the package builds no record's methods."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def replace(obj, /, **changes):
@@ -207,9 +258,9 @@ class SMin:
 
 SizeExpr = Union[Num, Infinity, SVar, Add, Sub, Mul, Div, SMin]
 
-INF = Infinity()
-ONE = Num(1)
-ZERO = Num(0)
+INF = _constant(Infinity)
+ONE = _constant(Num, value=1)
+ZERO = _constant(Num, value=0)
 
 # The binary operators of size and value expressions by precedence level,
 # the parser's and the printer's one table: a higher level binds tighter.
@@ -458,7 +509,7 @@ class FSeq(_Flat):
 
 ActorFlow = Union[FEmpty, Comp, FSeq]
 
-EMPTY_FLOW = FEmpty()
+EMPTY_FLOW = _constant(FEmpty)
 
 
 def seq_flow(*parts: ActorFlow) -> ActorFlow:

@@ -211,9 +211,11 @@ def dfs_check_progress(tenv, fs):
                 rec2.add(comp, i)
             elif not rec2.consume(comp, i):
                 continue
-            step = ScheduleStep(name,
-                                "produce" if role == PRODUCER else "consume",
-                                print_comp(comp), print_size(_comp_target(comp)[1]))
+            # a step as `ScheduleStep.to_json` renders it
+            step = {"actor": name,
+                    "action": "produce" if role == PRODUCER else "consume",
+                    "event": print_comp(comp),
+                    "multiplicity": print_size(_comp_target(comp)[1])}
             nxt = positions[:i] + (positions[i] + 1,) + positions[i + 1:]
             found = dfs(nxt, rec2)
             if found is not None:
@@ -400,12 +402,18 @@ def any_networks(draw):
 
 # --- differential tests --------------------------------------------------------
 
+def _rendered(result):
+    """A schedule as its rendered steps, which the search builds; a list of
+    diagnostics as it is."""
+    return [s.to_json() if isinstance(s, ScheduleStep) else s for s in result]
+
+
 @settings(max_examples=400, deadline=None)
 @given(deterministic_networks())
 def test_greedy_progress_agrees_with_the_search(case):
     env, fs = case
     assert check_determinism(env, fs) == []
-    assert check_progress(env, fs) == dfs_check_progress(env, fs)
+    assert _rendered(check_progress(env, fs)) == dfs_check_progress(env, fs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -434,7 +442,7 @@ def test_network_checks_agree_with_the_replaced_ones_on_the_corpus():
         # an error computing the uses used to be repeated at every level
         assert new == [d for i, d in enumerate(old) if d not in old[:i]], f.name
         if not new:
-            assert check_progress(net.tenv, flow) == \
+            assert _rendered(check_progress(net.tenv, flow)) == \
                 dfs_check_progress(net.tenv, flow), f.name
             compared += 1
     print(compared)

@@ -14,6 +14,11 @@ Before targets and summaries were kept on their nodes, pipeline-150 took
 2 086 targets, 750 summaries and 5 364 normalize calls; pipeline-600 21 564
 normalize calls and long_actor-2000 8 017.
 
+The start-up cells count, in a fresh interpreter, the record classes whose
+generated methods are compiled (`<record ...>` sources) by `import
+sdflow.cli`, and by that import plus one `check` of downsampler.sdf.  When
+every class compiled its methods as it was defined, both read 61.
+
 Run as a script, it writes every cell's counters and the line count of
 `src/sdflow` to a JSON file, to compare one change's before and after:
 
@@ -23,6 +28,8 @@ Run as a script, it writes every cell's counters and the line count of
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -39,6 +46,12 @@ COUNTERS = ("tokens", "targets", "summaries", "normalize")
 GROWTH = 4.2
 # normalize_size calls before this layer kept its results on the nodes
 NORMALIZE_BEFORE = {("pipeline", 600): 21_564, ("long_actor", 2000): 8_017}
+# a fresh interpreter's work -> statements run after counting starts
+STARTUP = {"import_records": "import sdflow.cli",
+           "check_records": "from sdflow.cli import main\n"
+                            "main(['check', 'corpus/good/downsampler.sdf'])"}
+# record classes one `check` may build, of the 61 `import sdflow.cli` defines
+CHECK_RECORDS_BOUND = 40
 
 
 def _patch_everywhere(mp: pytest.MonkeyPatch, original, replacement) -> None:
@@ -131,14 +144,44 @@ def test_normalize_calls_fell_by_at_least_two_fifths(cells, cell):
     assert cells[cell]["counts"]["normalize"] <= 0.6 * NORMALIZE_BEFORE[cell]
 
 
+def records_built(statements: str) -> int:
+    """Record classes whose methods a fresh interpreter compiles while it
+    runs `statements` from the repository root."""
+    script = ("import sys\n"
+              "built = set()\n"
+              "def hook(event, args):\n"
+              "    if event == 'compile' and str(args[1]).startswith('<record '):\n"
+              "        built.add(args[1])\n"
+              "sys.addaudithook(hook)\n"
+              f"{statements}\n"
+              "print(len(built), file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, cwd=ROOT, env=env, check=True)
+    return int(out.stderr.split()[-1])
+
+
+def measure_startup() -> dict:
+    return {name: records_built(statements)
+            for name, statements in STARTUP.items()}
+
+
+def test_import_builds_no_record_and_check_builds_a_bounded_few():
+    built = measure_startup()
+    assert built["import_records"] == 0
+    assert 0 < built["check_records"] <= CHECK_RECORDS_BOUND
+
+
 def write_bench(path: str) -> dict:
-    """Write the counters of every cell and the line count of `src/sdflow`
-    to `path` as JSON; return what was written."""
+    """Write the counters of every cell, the start-up cells and the line
+    count of `src/sdflow` to `path` as JSON; return what was written."""
     bench = {
         "src_lines": sum(len(f.read_text().splitlines())
                          for f in sorted((ROOT / "src" / "sdflow").glob("*.py"))),
         "cells": {f"{family}-{n}": {c: cell["counts"][c] for c in COUNTERS}
                   for (family, n), cell in measure_cells().items()},
+        "startup": measure_startup(),
     }
     with open(path, "w") as out:
         json.dump(bench, out, indent=2)
@@ -148,7 +191,8 @@ def write_bench(path: str) -> dict:
 
 if __name__ == "__main__":
     import argparse
-    ap = argparse.ArgumentParser(description="Write the cost cells' counters "
-                                 "and the src/sdflow line count as JSON.")
+    ap = argparse.ArgumentParser(description="Write the cost cells' counters, "
+                                 "the start-up cells and the src/sdflow line "
+                                 "count as JSON.")
     ap.add_argument("--write", required=True, metavar="BENCH_<tag>.json")
     print(json.dumps(write_bench(ap.parse_args().write), indent=2))
