@@ -15,8 +15,9 @@ _EXPORTS = {
     "netcheck": ["check_determinism", "check_progress", "classify_event",
                  "inchans", "outchans"],
     "parser": ["parse_program", "parse_program_or_raise"],
-    "printer": ["print_flow", "print_proc_flow", "print_program"],
+    "printer": ["print_program"],
     "runtime": ["Fault", "explore", "instantiate", "run"],
+    "syntax": ["print_flow", "print_proc_flow"],
     "typecheck": ["check_network", "check_proc", "infer_expr"],
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

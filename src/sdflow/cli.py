@@ -8,7 +8,6 @@ go to stderr; machine output (JSON) goes to stdout.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
@@ -28,57 +27,74 @@ EXIT_USAGE = 64
 EXIT_PIPE = 141
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="sdflow",
-                     description="Check, schedule, run and verify dataflow "
-                                 "networks with flowstate types.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("input", help="path to a .sdf program")
-        p.add_argument("--size", action="append", default=[],
-                       metavar="NAME=VALUE",
-                       help="instantiate a size parameter (repeatable)")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p_check = sub.add_parser("check", help="parse and check a network")
-    common(p_check)
-
-    p_sched = sub.add_parser("schedule",
-                             help="emit the firing order found by the "
-                                  "progress check")
-    common(p_sched)
-
-    p_run = sub.add_parser("run", help="execute one firing")
-    common(p_run)
-    p_run.add_argument("--scheduler",
-                       choices=["roundRobin", "random", "exhaustive"],
-                       default="roundRobin")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--max-states", type=int, default=300_000,
-                       help="state budget for the exhaustive scheduler")
-
-    p_conf = sub.add_parser("conform",
-                            help="co-simulate and verify the preservation "
-                                 "and progress properties")
-    common(p_conf)
-    p_conf.add_argument("--scheduler", choices=["roundRobin", "random"],
-                        default="roundRobin")
-    p_conf.add_argument("--seed", type=int, default=0)
-    p_conf.add_argument("--max-states", type=int, default=300_000)
-    return parser
-
-
 def _usage(message: str):
     print(f"sdflow: {message}", file=sys.stderr)
     raise SystemExit(EXIT_USAGE)
+
+
+USAGE = """\
+usage: sdflow check|schedule|run|conform INPUT [--size NAME=VALUE]...
+                  [--format text|json]
+  run, conform: [--scheduler roundRobin|random] [--seed N] [--max-states N]
+  run also has --scheduler exhaustive.  An option may come before or after
+  INPUT, its value as the next word or after `=`; `--` ends the options.
+"""
+
+_COMMON = {"--size": None, "--format": ("text", "json")}
+_SIMULATE = {**_COMMON, "--seed": int, "--max-states": int}
+# command -> its options, each with its value's type, choices, or None
+_OPTIONS = {"check": _COMMON, "schedule": _COMMON,
+            "run": {**_SIMULATE, "--scheduler": ("roundRobin", "random",
+                                                 "exhaustive")},
+            "conform": {**_SIMULATE, "--scheduler": ("roundRobin", "random")}}
+
+
+def _parse_args(argv: list[str]) -> dict:
+    """The command, its input and its options' values, keyed by name
+    without dashes (a default for each option not given).  `-h` prints
+    `USAGE`; a malformed command line ends in `_usage`."""
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, end="")
+        raise SystemExit(EXIT_OK)
+    if not argv:
+        _usage("missing command: check, schedule, run or conform")
+    command, words, inputs = argv[0], iter(argv[1:]), []
+    if command not in _OPTIONS:
+        _usage(f"unknown command {command!r}")
+    args = {"command": command, "size": [], "format": "text",
+            "scheduler": "roundRobin", "seed": 0, "max_states": 300_000}
+    for word in words:
+        if word == "--":
+            inputs += words  # the rest, dashes or not
+        elif word[:1] != "-" or word == "-":
+            inputs.append(word)
+        else:
+            name, eq, value = word.partition("=")
+            if name not in _OPTIONS[command]:
+                _usage(f"{command} has no option {name}")
+            kind = _OPTIONS[command][name]
+            if not eq:
+                value = next(words, None)
+                # a negative number is a value, any other dash word is not
+                if value is None or (value[:1] == "-"
+                                     and not value[1:].isdigit()):
+                    _usage(f"{name} expects a value")
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _usage(f"{name} expects an integer, got {value!r}")
+            elif kind and value not in kind:
+                _usage(f"{name} must be one of {', '.join(kind)}, "
+                       f"got {value!r}")
+            if name == "--size":
+                args["size"].append(value)
+            else:
+                args[name[2:].replace("-", "_")] = value
+    if len(inputs) != 1:
+        _usage(f"{command} expects one input file, got {len(inputs)}")
+    args["input"] = inputs[0]
+    return args
 
 
 def _parse_sizes(pairs: list[str]) -> dict[str, int]:
@@ -136,24 +152,24 @@ def main(argv=None) -> int:
 
 
 def _command(argv) -> int:
-    args = _build_parser().parse_args(argv)
-    sizes = _parse_sizes(args.size)
-    if args.command in ("run", "conform") and args.max_states < 1:
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    sizes = _parse_sizes(args["size"])
+    if args["command"] in ("run", "conform") and args["max_states"] < 1:
         _usage("--max-states must be positive")
-    net = _load(args.input)
+    net = _load(args["input"])
     result = check_network(net)
     if not result.ok:
         _report(result.diagnostics)
         network_level = all(d.rule.startswith(("FS Prog", "FS Det"))
                             for d in result.diagnostics)
-        if args.command == "schedule" and network_level:
+        if args["command"] == "schedule" and network_level:
             raise SystemExit(EXIT_CYCLE)
         # a well-typed but unschedulable network still runs, so the
         # deadlock itself can be demonstrated
-        if not (args.command == "run" and network_level):
+        if not (args["command"] == "run" and network_level):
             raise SystemExit(EXIT_CHECK)
     # `run` and `conform` get the same diagnostic from `instantiate`
-    if args.command in ("check", "schedule"):
+    if args["command"] in ("check", "schedule"):
         declared = {name for name, kind in net.tenv.items
                     if isinstance(kind, SizeKind)}
         for name in sizes:
@@ -162,16 +178,16 @@ def _command(argv) -> int:
                                     f"unknown size parameter {name}")])
                 raise SystemExit(EXIT_CHECK)
 
-    if args.command == "check":
-        if args.format == "json":
+    if args["command"] == "check":
+        if args["format"] == "json":
             _print_json({"status": "ok"})
         else:
             print("ok")
         return EXIT_OK
 
-    if args.command == "schedule":
+    if args["command"] == "schedule":
         steps = schedule_to_json(result.schedule or [])
-        if args.format == "json":
+        if args["format"] == "json":
             _print_json({"schedule": steps})
         else:
             for s in steps:
@@ -179,22 +195,22 @@ def _command(argv) -> int:
                       f"  x {s['multiplicity']}")
         return EXIT_OK
 
-    if args.command == "run":
+    if args["command"] == "run":
         from .runtime import InstantiationError, explore, instantiate, run
         try:
             cfg = instantiate(net, sizes)
         except InstantiationError as exc:
             _report([exc.diag])
             raise SystemExit(EXIT_CHECK)
-        if args.scheduler == "exhaustive":
-            ex = explore(cfg, max_states=args.max_states)
+        if args["scheduler"] == "exhaustive":
+            ex = explore(cfg, max_states=args["max_states"])
             payload = {"status": "done" if ex.all_complete else "deadlock",
                        "states": ex.states,
                        "anyComplete": ex.any_complete,
                        "allComplete": ex.all_complete,
                        "outcomes": len(ex.terminals),
                        "truncated": ex.truncated}
-            if args.format == "json":
+            if args["format"] == "json":
                 _print_json(payload)
             elif ex.truncated:
                 print(f"truncated after {ex.states} states")
@@ -204,36 +220,36 @@ def _command(argv) -> int:
             if not ex.all_complete:
                 raise SystemExit(EXIT_DEADLOCK)
             return EXIT_OK
-        out = run(cfg, scheduler=args.scheduler, seed=args.seed)
+        out = run(cfg, scheduler=args["scheduler"], seed=args["seed"])
         trace = [s.to_json() for s in out.trace]
         if out.status != "done":
-            if args.format == "json":
+            if args["format"] == "json":
                 _print_json({"status": out.status, "trace": trace,
                              "blocked": out.blocked})
             else:
                 print(f"{out.status}: {out.blocked}", file=sys.stderr)
             raise SystemExit(EXIT_DEADLOCK)
-        if args.format == "json":
+        if args["format"] == "json":
             _print_json({"status": "done", "trace": trace})
         else:
             print(f"done in {len(trace)} steps")
         return EXIT_OK
 
-    if args.command == "conform":
+    if args["command"] == "conform":
         from .conformance import check_preservation, check_progress_theorem
         from .runtime import InstantiationError
         try:
-            pres = check_preservation(net, sizes, scheduler=args.scheduler,
-                                      seed=args.seed, name=args.input)
+            pres = check_preservation(net, sizes, scheduler=args["scheduler"],
+                                      seed=args["seed"], name=args["input"])
             prog = check_progress_theorem(net, sizes,
-                                          max_states=args.max_states,
-                                          name=args.input)
+                                          max_states=args["max_states"],
+                                          name=args["input"])
         except InstantiationError as exc:
             _report([exc.diag])
             raise SystemExit(EXIT_CHECK)
         payload = {"preservation": pres.to_json(),
                    "progress": prog.to_json()}
-        if args.format == "json":
+        if args["format"] == "json":
             _print_json(payload)
         else:
             print(f"preservation: {len(pres.violations)} violations over "

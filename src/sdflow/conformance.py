@@ -29,7 +29,6 @@ from typing import Optional
 from .flowstate import count_in_range, count_multiples
 from .netcheck import PRODUCER, classify_event
 from .kinding import eval_size, normalize_size
-from .printer import print_comp
 from .runtime import (
     Configuration, Fault, Heap, Label, buffer_name, channel_payloads, explore,
     instantiate, run, step_expr,
@@ -39,7 +38,8 @@ from .syntax import (
     ChannelKind, Comp, Diagnostic, Divides, Env, Event, IntLit, IntType,
     Iterator, Network, Num, PActor, PArray, ProcFlow, SizeType, Stop,
     SVar, flow_comps, par_flow, proc_components, proc_flow_components,
-    seq_flow, subst_comp, subst_flow, subst_size, MkSize, MkIndex, record,
+    print_comp, seq_flow, subst_comp, subst_flow, subst_size, MkSize, MkIndex,
+    record,
 )
 from .typecheck import Checker
 

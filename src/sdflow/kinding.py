@@ -12,12 +12,11 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional, Union
 
-from .printer import print_type
 from .syntax import (
     Add, BoolType, ChanArrayType, ChannelArrayKind, ChannelKind, ChanType,
     Diagnostic, Div, Env, IndexType, Infinity, IntType, Kind, Mul, Num,
     ProcType, RefType, SMin, SVar, SizeArithmeticError, SizeExpr, SizeKind,
-    SizeType, Sub, TypeKind, ValueType, INF, ONE, ZERO,
+    SizeType, Sub, TypeKind, ValueType, INF, ONE, ZERO, print_type,
 )
 
 Quantity = Union[int, Infinity]
@@ -490,33 +489,28 @@ def kind_of(env: Env, ty) -> Union[Kind, Diagnostic]:
                 if not isinstance(k, TypeKind):
                     return Diagnostic("Ty Var", "procedure types range over ordinary types")
             return TypeKind()
-        case ChanType(_, name, payload):
+        case ChanType(_, name, payload) | ChanArrayType(_, name, payload, _):
+            array = ty.__class__ is ChanArrayType
+            rule = "Ty Chan Array" if array else "Ty Chan"
+            what = "array" if array else "name"
             k = env.lookup(name)
             if k is None:
-                return Diagnostic("Ty Chan", f"unknown channel name {name}")
-            if not isinstance(k, ChannelKind):
-                return Diagnostic("Ty Chan", f"{name} is not a channel name")
+                return Diagnostic(rule, f"unknown channel {what} {name}")
+            if not isinstance(k, ChannelArrayKind if array else ChannelKind):
+                return Diagnostic(rule, f"{name} is not a channel {what}")
             pk = kind_of(env, payload)
             if isinstance(pk, Diagnostic):
                 return pk
             if not isinstance(pk, TypeKind):
-                return Diagnostic("Ty Chan", "channel payload must be an ordinary type")
-            return TypeKind()
-        case ChanArrayType(_, name, payload, bound):
-            k = env.lookup(name)
-            if k is None:
-                return Diagnostic("Ty Chan Array", f"unknown channel array {name}")
-            if not isinstance(k, ChannelArrayKind):
-                return Diagnostic("Ty Chan Array", f"{name} is not a channel array")
-            pk = kind_of(env, payload)
-            if isinstance(pk, Diagnostic):
-                return pk
-            if not isinstance(pk, TypeKind):
-                return Diagnostic("Ty Chan Array", "channel payload must be an ordinary type")
-            if not sizes_equal(k.bound, bound):
+                return Diagnostic(rule, "channel payload must be an ordinary type")
+            if array and not sizes_equal(k.bound, ty.bound):
                 return Diagnostic(
-                    "Ty Chan Array",
-                    f"declared bound of {name} disagrees with its kind")
+                    rule, f"declared bound of {name} disagrees with its kind")
+            if isinstance(payload, (RefType, ProcType)):
+                return Diagnostic("Ty Chan Share",
+                                  f"{name} carries {print_type(payload)}: a "
+                                  "payload holds no reference or procedure, "
+                                  "as actors share only channels")
             return TypeKind()
     return Diagnostic("Ty Var", f"unrecognized type {ty!r}")
 

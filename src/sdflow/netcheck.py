@@ -44,11 +44,10 @@ from .flowstate import (
     distribute_iterator, extent, fold, ground_target,
 )
 from .kinding import normalize_size, size_leq
-from .printer import print_comp, print_size
 from .syntax import (
     Add, ChannelArrayKind, ChannelKind, Comp, Diagnostic, Env, Event,
     Iterator, Num, PActor, PArray, ProcFlow, Sub, SVar, flow_comps,
-    subst_flow, proc_flow_components, record, ZERO,
+    print_comp, print_size, subst_flow, proc_flow_components, record, ZERO,
 )
 
 PRODUCER = "producer"

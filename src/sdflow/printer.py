@@ -3,115 +3,21 @@ whatever it emits, the parser maps back to a structurally identical tree.
 It adds no parentheses or braces the parser does not need, so a printed
 program nests no deeper than the parser counts its tree (see
 `parser.MAX_NESTING`).
+
+It prints expressions, processes and programs.  What diagnostics show too
+(sizes, types, events, guards and flowstates) `syntax` prints; it is
+re-exported here.
 """
 
 from __future__ import annotations
 
 from .syntax import (
-    ActorComp, ActorE, Add, App, Assign, AtMost, BinOp, BoolLit, BoolType,
-    ChanArrayType, ChannelArrayKind, ChannelKind, ChanType, Comp, Deref, Div,
-    Divides, Event, Expr, FEmpty, For, FromIndex, FromSize, FSeq, Guard, If,
-    IndexType, Infinity, IntLit, IntType, Lam, Let, LocRef, MkIndex, MkSize,
-    Mul, Network, NewRef, Num, PActor, PArray, PEmpty, PPar,
-    Proc, ProcFlow, ProcType, Recv, RefType, Send, SeqE, SizeExpr, SizeKind,
-    SizeType, SMin, Stop, Sub, SVar, Var, When, ActorFlow, COMPARE_LEVEL,
-    KEYWORD_FORMS, PRECEDENCE, SIZE_OPERATORS, proc_components,
+    ActorComp, ActorE, App, Assign, BinOp, BoolLit, ChannelArrayKind,
+    ChannelKind, Deref, Expr, For, FromIndex, FromSize, If, IntLit, Lam, Let,
+    LocRef, MkIndex, MkSize, Network, NewRef, Proc, Recv, Send, SeqE, SizeKind,
+    Stop, Var, When, KEYWORD_FORMS, proc_components, _infix, _wrap, print_comp, print_event, print_flow, print_guard,
+    print_proc_flow, print_size, print_type,
 )
-
-
-def _wrap(s: str, prec: int, level: int) -> str:
-    """`s`, of precedence `level`, where the context binds at `prec`."""
-    return f"({s})" if prec > level else s
-
-
-def _infix(op: str, lhs, rhs, prec: int, show) -> str:
-    """`lhs op rhs`, each operand shown by `show(operand, its context)`."""
-    level = PRECEDENCE[op]
-    left = show(lhs, level + (level == COMPARE_LEVEL))
-    return _wrap(f"{left} {op} {show(rhs, level + 1)}", prec, level)
-
-
-def print_size(e: SizeExpr, prec: int = 0) -> str:
-    match e:
-        case Num(n):
-            return str(n)
-        case Infinity():
-            return "inf"
-        case SVar(name):
-            return name
-        case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b):
-            return _infix(SIZE_OPERATORS[e.__class__], a, b, prec, print_size)
-        case SMin(a, b):
-            return f"min({print_size(a)}, {print_size(b)})"
-    raise TypeError(f"not a size expression: {e!r}")
-
-
-def print_type(t) -> str:
-    match t:
-        case BoolType():
-            return "Boolean"
-        case IntType():
-            return "Integer"
-        case SizeType(w):
-            return f"Size({print_size(w)})"
-        case IndexType(w):
-            return f"Index({print_size(w)})"
-        case RefType(p):
-            return f"Ref({print_type(p)})"
-        case ProcType(params, latent, rest, result):
-            ps = ", ".join(print_type(p) for p in params)
-            return (f"({ps}) -> [{print_flow(latent)} => {print_flow(rest)}] "
-                    f"{print_type(result)}")
-        case ChanType(pol, name, payload):
-            return f"Chan({pol}, {name}, {print_type(payload)})"
-        case ChanArrayType(pol, name, payload, bound):
-            return (f"ChanArray({pol}, {name}, {print_type(payload)}, "
-                    f"{print_size(bound)})")
-    raise TypeError(f"not a type: {t!r}")
-
-
-def print_event(ev: Event) -> str:
-    idx = f"[{print_size(ev.index)}]" if ev.index is not None else ""
-    return f"{ev.chan}{idx}{'!' if ev.is_send else '?'}"
-
-
-def print_guard(g: Guard) -> str:
-    match g:
-        case Divides(divisor, operand):
-            return f"{print_size(divisor)} | {print_size(operand)}"
-        case AtMost(operand, bound):
-            return f"{print_size(operand)} <= {print_size(bound)}"
-    raise TypeError(f"not a guard: {g!r}")
-
-
-def print_comp(c: Comp) -> str:
-    items = [f"{it.var} in {print_size(it.lo)}..{print_size(it.hi)}"
-             for it in c.iterators]
-    items += [print_guard(g) for g in c.guards]
-    if not items:
-        return print_event(c.event)
-    return f"{print_event(c.event)}<{', '.join(items)}>"
-
-
-def print_flow(fs: ActorFlow) -> str:
-    return " ; ".join("eps" if isinstance(f, FEmpty) else print_comp(f)
-                      for f in FSeq.parts_of(fs))
-
-
-def print_proc_flow(fs: ProcFlow) -> str:
-    return " || ".join(_print_proc_flow_part(f) for f in PPar.parts_of(fs))
-
-
-def _print_proc_flow_part(f) -> str:
-    match f:
-        case PEmpty():
-            return "eps"
-        case PActor(flow):
-            return print_flow(flow)
-        case PArray(var, lo, hi, body):
-            return (f"[ {print_flow(body)} | {var} in "
-                    f"{print_size(lo)}..{print_size(hi)} ]")
-    raise TypeError(f"not a process flowstate: {f!r}")
 
 
 # --- expressions -------------------------------------------------------------

@@ -8,7 +8,8 @@ Actors take turns under a scheduler; a send on a full buffer or a receive on
 an empty one is simply not enabled, and a configuration where no actor can
 step while some are unfinished is a deadlock.  A step is one lookup of the
 expression's class in `_STEP`, which answers None for a value too (a size
-or an index of a value included), and `is_value` is a class test.
+or an index of a value included), and `is_value` is a class test.  Value
+substitution, `subst_expr`, is the machine's too: `check` never runs it.
 
 `run` mutates its own copy of the configuration and re-polls only woken
 actors: the one that moved and those whose last outcome read the buffer the
@@ -43,8 +44,8 @@ from .syntax import (
     ChannelArrayKind, ChannelKind, ChanType, Deref, Diagnostic, Env, Expr, For,
     FromIndex, FromSize, If, IntLit, IntType, Lam, Let, LocRef, MkIndex,
     MkSize, Network, NewRef, Recv, Send, SeqE, SizeArithmeticError, SizeKind,
-    SizeType, Stop, When, _VALUE_CLASSES, _constant, field, is_value,
-    proc_components, record, replace, subst_expr,
+    SizeType, Stop, Var, When, _constant, field, proc_components, record,
+    replace,
 )
 
 BufferKey = tuple  # (type-level channel name, element index or None)
@@ -263,6 +264,98 @@ def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
             case _:
                 raise TypeError(f"unexpected process form {part!r}")
     return Configuration(actors, heap, net.venv, net.tenv, dict(sizes))
+
+
+# --- value-level substitution ----------------------------------------------
+
+# surviving free names (`Var`) denote channels, which are atomic values
+_VALUE_CLASSES = frozenset({IntLit, BoolLit, Lam, LocRef, Var})
+
+
+def is_value(e: Expr) -> bool:
+    while e.__class__ is MkSize or e.__class__ is MkIndex:
+        e = e.arg
+    return e.__class__ in _VALUE_CLASSES
+
+
+def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
+    """Capture-avoiding substitution of values for variables.
+
+    Replacement terms are values, whose free names are channel names; those
+    can never be captured because binders never shadow channel declarations
+    in well-formed programs, so binder renaming is not needed here.
+    """
+    if not mapping:
+        return e
+    try:
+        subst = _SUBST[e.__class__]
+    except KeyError:
+        raise TypeError(f"not an expression: {e!r}") from None
+    return subst(e, mapping)
+
+
+def _subst_spine(e: Union[SeqE, Let], mapping: dict[str, Expr]) -> Expr:
+    """A right-nested chain of `SeqE`s and `Let`s, walked in a loop so that
+    a long actor does not recurse once per statement."""
+    heads = []
+    while mapping and (e.__class__ is SeqE or e.__class__ is Let):
+        if e.__class__ is SeqE:
+            heads.append((None, subst_expr(e.first, mapping)))
+            e = e.second
+        else:
+            heads.append((e.var, subst_expr(e.bound, mapping)))
+            mapping = {k: v for k, v in mapping.items() if k != e.var}
+            e = e.body
+    out = subst_expr(e, mapping)
+    for var, head in reversed(heads):
+        out = SeqE(head, out) if var is None else Let(var, head, out)
+    return out
+
+
+def _subst_lam(e: Lam, mapping: dict[str, Expr]) -> Lam:
+    inner = {k: v for k, v in mapping.items()
+             if k not in {p for p, _ in e.params}}
+    return Lam(e.params, e.latent, e.rest, subst_expr(e.body, inner))
+
+
+def _subst_for(e: For, mapping: dict[str, Expr]) -> For:
+    inner = {k: v for k, v in mapping.items() if k != e.var}
+    return For(e.tvar, e.var, e.lo, subst_expr(e.bound, mapping),
+               subst_expr(e.body, inner))
+
+
+# expression class -> its substitution, given a non-empty mapping `m`
+_SUBST = {
+    IntLit: lambda e, m: e,
+    BoolLit: lambda e, m: e,
+    LocRef: lambda e, m: e,
+    Var: lambda e, m: m.get(e.name, e),
+    MkSize: lambda e, m: MkSize(subst_expr(e.arg, m)),
+    FromSize: lambda e, m: FromSize(subst_expr(e.arg, m)),
+    MkIndex: lambda e, m: MkIndex(subst_expr(e.arg, m)),
+    FromIndex: lambda e, m: FromIndex(subst_expr(e.arg, m)),
+    Lam: _subst_lam,
+    App: lambda e, m: App(subst_expr(e.fn, m),
+                          tuple(subst_expr(a, m) for a in e.args)),
+    Let: _subst_spine,
+    SeqE: _subst_spine,
+    If: lambda e, m: If(subst_expr(e.cond, m), subst_expr(e.then, m),
+                        subst_expr(e.els, m)),
+    When: lambda e, m: When(subst_expr(e.lhs, m), e.op, subst_expr(e.rhs, m),
+                            subst_expr(e.body, m)),
+    For: _subst_for,
+    NewRef: lambda e, m: NewRef(subst_expr(e.init, m)),
+    Deref: lambda e, m: Deref(subst_expr(e.target, m)),
+    Assign: lambda e, m: Assign(subst_expr(e.target, m),
+                                subst_expr(e.value, m)),
+    Recv: lambda e, m: Recv(
+        e.chan, None if e.index is None else subst_expr(e.index, m)),
+    Send: lambda e, m: Send(
+        e.chan, None if e.index is None else subst_expr(e.index, m),
+        subst_expr(e.payload, m)),
+    BinOp: lambda e, m: BinOp(e.op, subst_expr(e.lhs, m),
+                              subst_expr(e.rhs, m)),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ flowstates, and a number once reduction substitutes one, which makes the
 guard decided.  Substitution and distribution rename colliding binders with
 one function, `rename_binder`.
 
+It also prints what diagnostics show (sizes, types, events, guards and
+flowstates), so `check` never loads `printer`.  Value substitution belongs
+to the step machine, in `runtime`.
+
 Sequence and parallel composition are associative, so `FSeq` (`;`), `PPar`
 and `Par` (`||`) are n-ary: each holds a flat tuple `parts`, and every walk
 over them is a loop.  Their left-nested `left`/`right` view is read only
@@ -660,6 +664,103 @@ def subst_flow(fs: ActorFlow, var: str, repl: SizeExpr) -> ActorFlow:
     return map_comps(fs, lambda c: subst_comp(c, var, repl))
 
 
+# --- printing the forms diagnostics show -----------------------------------
+
+def _wrap(s: str, prec: int, level: int) -> str:
+    """`s`, of precedence `level`, where the context binds at `prec`."""
+    return f"({s})" if prec > level else s
+
+
+def _infix(op: str, lhs, rhs, prec: int, show) -> str:
+    """`lhs op rhs`, each operand shown by `show(operand, its context)`."""
+    level = PRECEDENCE[op]
+    left = show(lhs, level + (level == COMPARE_LEVEL))
+    return _wrap(f"{left} {op} {show(rhs, level + 1)}", prec, level)
+
+
+def print_size(e: SizeExpr, prec: int = 0) -> str:
+    match e:
+        case Num(n):
+            return str(n)
+        case Infinity():
+            return "inf"
+        case SVar(name):
+            return name
+        case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b):
+            return _infix(SIZE_OPERATORS[e.__class__], a, b, prec, print_size)
+        case SMin(a, b):
+            return f"min({print_size(a)}, {print_size(b)})"
+    raise TypeError(f"not a size expression: {e!r}")
+
+
+def print_type(t) -> str:
+    match t:
+        case BoolType():
+            return "Boolean"
+        case IntType():
+            return "Integer"
+        case SizeType(w):
+            return f"Size({print_size(w)})"
+        case IndexType(w):
+            return f"Index({print_size(w)})"
+        case RefType(p):
+            return f"Ref({print_type(p)})"
+        case ProcType(params, latent, rest, result):
+            ps = ", ".join(print_type(p) for p in params)
+            return (f"({ps}) -> [{print_flow(latent)} => {print_flow(rest)}] "
+                    f"{print_type(result)}")
+        case ChanType(pol, name, payload):
+            return f"Chan({pol}, {name}, {print_type(payload)})"
+        case ChanArrayType(pol, name, payload, bound):
+            return (f"ChanArray({pol}, {name}, {print_type(payload)}, "
+                    f"{print_size(bound)})")
+    raise TypeError(f"not a type: {t!r}")
+
+
+def print_event(ev: Event) -> str:
+    idx = f"[{print_size(ev.index)}]" if ev.index is not None else ""
+    return f"{ev.chan}{idx}{'!' if ev.is_send else '?'}"
+
+
+def print_guard(g: Guard) -> str:
+    match g:
+        case Divides(divisor, operand):
+            return f"{print_size(divisor)} | {print_size(operand)}"
+        case AtMost(operand, bound):
+            return f"{print_size(operand)} <= {print_size(bound)}"
+    raise TypeError(f"not a guard: {g!r}")
+
+
+def print_comp(c: Comp) -> str:
+    items = [f"{it.var} in {print_size(it.lo)}..{print_size(it.hi)}"
+             for it in c.iterators]
+    items += [print_guard(g) for g in c.guards]
+    if not items:
+        return print_event(c.event)
+    return f"{print_event(c.event)}<{', '.join(items)}>"
+
+
+def print_flow(fs: ActorFlow) -> str:
+    return " ; ".join("eps" if isinstance(f, FEmpty) else print_comp(f)
+                      for f in FSeq.parts_of(fs))
+
+
+def print_proc_flow(fs: ProcFlow) -> str:
+    return " || ".join(_print_proc_flow_part(f) for f in PPar.parts_of(fs))
+
+
+def _print_proc_flow_part(f) -> str:
+    match f:
+        case PEmpty():
+            return "eps"
+        case PActor(flow):
+            return print_flow(flow)
+        case PArray(var, lo, hi, body):
+            return (f"[ {print_flow(body)} | {var} in "
+                    f"{print_size(lo)}..{print_size(hi)} ]")
+    raise TypeError(f"not a process flowstate: {f!r}")
+
+
 # ---------------------------------------------------------------------------
 # Environments
 # ---------------------------------------------------------------------------
@@ -939,98 +1040,6 @@ class Network:
 def proc_components(p: Proc) -> list[Proc]:
     """The parallel parts of `p`, left to right."""
     return list(Par.parts_of(p))
-
-
-# --- value-level substitution ----------------------------------------------
-
-# surviving free names (`Var`) denote channels, which are atomic values
-_VALUE_CLASSES = frozenset({IntLit, BoolLit, Lam, LocRef, Var})
-
-
-def is_value(e: Expr) -> bool:
-    while e.__class__ is MkSize or e.__class__ is MkIndex:
-        e = e.arg
-    return e.__class__ in _VALUE_CLASSES
-
-
-def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    """Capture-avoiding substitution of values for variables.
-
-    Replacement terms are values, whose free names are channel names; those
-    can never be captured because binders never shadow channel declarations
-    in well-formed programs, so binder renaming is not needed here.
-    """
-    if not mapping:
-        return e
-    try:
-        subst = _SUBST[e.__class__]
-    except KeyError:
-        raise TypeError(f"not an expression: {e!r}") from None
-    return subst(e, mapping)
-
-
-def _subst_spine(e: Union[SeqE, Let], mapping: dict[str, Expr]) -> Expr:
-    """A right-nested chain of `SeqE`s and `Let`s, walked in a loop so that
-    a long actor does not recurse once per statement."""
-    heads = []
-    while mapping and (e.__class__ is SeqE or e.__class__ is Let):
-        if e.__class__ is SeqE:
-            heads.append((None, subst_expr(e.first, mapping)))
-            e = e.second
-        else:
-            heads.append((e.var, subst_expr(e.bound, mapping)))
-            mapping = {k: v for k, v in mapping.items() if k != e.var}
-            e = e.body
-    out = subst_expr(e, mapping)
-    for var, head in reversed(heads):
-        out = SeqE(head, out) if var is None else Let(var, head, out)
-    return out
-
-
-def _subst_lam(e: Lam, mapping: dict[str, Expr]) -> Lam:
-    inner = {k: v for k, v in mapping.items()
-             if k not in {p for p, _ in e.params}}
-    return Lam(e.params, e.latent, e.rest, subst_expr(e.body, inner))
-
-
-def _subst_for(e: For, mapping: dict[str, Expr]) -> For:
-    inner = {k: v for k, v in mapping.items() if k != e.var}
-    return For(e.tvar, e.var, e.lo, subst_expr(e.bound, mapping),
-               subst_expr(e.body, inner))
-
-
-# expression class -> its substitution, given a non-empty mapping `m`
-_SUBST = {
-    IntLit: lambda e, m: e,
-    BoolLit: lambda e, m: e,
-    LocRef: lambda e, m: e,
-    Var: lambda e, m: m.get(e.name, e),
-    MkSize: lambda e, m: MkSize(subst_expr(e.arg, m)),
-    FromSize: lambda e, m: FromSize(subst_expr(e.arg, m)),
-    MkIndex: lambda e, m: MkIndex(subst_expr(e.arg, m)),
-    FromIndex: lambda e, m: FromIndex(subst_expr(e.arg, m)),
-    Lam: _subst_lam,
-    App: lambda e, m: App(subst_expr(e.fn, m),
-                          tuple(subst_expr(a, m) for a in e.args)),
-    Let: _subst_spine,
-    SeqE: _subst_spine,
-    If: lambda e, m: If(subst_expr(e.cond, m), subst_expr(e.then, m),
-                        subst_expr(e.els, m)),
-    When: lambda e, m: When(subst_expr(e.lhs, m), e.op, subst_expr(e.rhs, m),
-                            subst_expr(e.body, m)),
-    For: _subst_for,
-    NewRef: lambda e, m: NewRef(subst_expr(e.init, m)),
-    Deref: lambda e, m: Deref(subst_expr(e.target, m)),
-    Assign: lambda e, m: Assign(subst_expr(e.target, m),
-                                subst_expr(e.value, m)),
-    Recv: lambda e, m: Recv(
-        e.chan, None if e.index is None else subst_expr(e.index, m)),
-    Send: lambda e, m: Send(
-        e.chan, None if e.index is None else subst_expr(e.index, m),
-        subst_expr(e.payload, m)),
-    BinOp: lambda e, m: BinOp(e.op, subst_expr(e.lhs, m),
-                              subst_expr(e.rhs, m)),
-}
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,55 @@ def test_usage_error_exits_64():
     assert out.returncode == 64
 
 
+@pytest.mark.parametrize("argv, message", [
+    ([], "missing command: check, schedule, run or conform"),
+    (["frobnicate", GOOD], "unknown command 'frobnicate'"),
+    (["check"], "check expects one input file, got 0"),
+    (["check", GOOD, GOOD], "check expects one input file, got 2"),
+    (["check", GOOD, "--frob"], "check has no option --frob"),
+    (["check", GOOD, "--seed", "1"], "check has no option --seed"),
+    # argparse took a prefix of an option; the reader does not
+    (["check", GOOD, "--form", "json"], "check has no option --form"),
+    (["run", GOOD, "--seed"], "--seed expects a value"),
+    (["check", GOOD, "--format", "--size", "s=2"], "--format expects a value"),
+    (["check", GOOD, "--format", "xml"],
+     "--format must be one of text, json, got 'xml'"),
+    (["conform", GOOD, "--scheduler=exhaustive"],
+     "--scheduler must be one of roundRobin, random, got 'exhaustive'"),
+    (["run", GOOD, "--seed", "x"], "--seed expects an integer, got 'x'"),
+    (["run", GOOD, "--max-states=1.5"],
+     "--max-states expects an integer, got '1.5'"),
+], ids=["no command", "unknown command", "no input", "two inputs",
+        "unknown option", "option of another command", "prefix",
+        "no value at the end", "no value before an option", "bad format",
+        "bad scheduler", "bad seed", "bad budget"])
+def test_malformed_command_line_is_one_usage_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 64
+    assert capsys.readouterr() == ("", f"sdflow: {message}\n")
+
+
+def test_options_take_either_form_before_or_after_the_input(capsys):
+    outputs = []
+    for argv in (["run", GOOD, "--size", "s=2", "--format", "json"],
+                 ["run", "--size=s=2", "--format=json", GOOD],
+                 ["run", "--format", "json", "--size", "s=2", "--", GOOD]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].out.startswith('{"status": "done"')
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["check", "--help"],
+                                  ["run", GOOD, "--size", "s=2", "-h"]])
+def test_help_prints_the_synopsis_and_exits_0(argv):
+    out = sdflow(*argv)
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage: sdflow check|schedule|run|conform")
+    assert out.stderr == ""
+
+
 def test_bad_size_exits_64():
     out = sdflow("run", GOOD, "--size", "s=zero")
     assert out.returncode == 64

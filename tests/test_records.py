@@ -247,6 +247,17 @@ def test_cli_import_loads_only_the_checker():
         "check_preservation", "check_progress_theorem"])
 
 
+def test_each_exported_name_resolves_to_its_defining_module():
+    # a function that moves between modules must move in `_EXPORTS` too
+    import sdflow
+    for name in sdflow.__all__:
+        module = importlib.import_module(
+            f"sdflow.{sdflow._MODULE_OF[name]}")
+        value = sdflow.__getattr__(name)
+        assert value is getattr(module, name)
+        assert value.__module__ == module.__name__, name
+
+
 def test_package_names_resolve_lazily():
     import sdflow
     assert sdflow.run is importlib.import_module("sdflow.runtime").run

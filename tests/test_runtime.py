@@ -395,8 +395,10 @@ def test_two_writers_on_one_channel_interleave():
 
 
 def test_ref_sent_over_channel_is_assigned_by_receiver():
+    # the checker rejects the shared cell (`Ty Chan Share`); the runtime
+    # still runs the network
     net = parse_program_or_raise(REF_OVER_CHANNEL)
-    assert check_network(net).ok
+    assert not check_network(net).ok
     for scheduler, seed in (("roundRobin", 0), ("random", 3)):
         result = run(instantiate(net, {}), scheduler=scheduler, seed=seed)
         assert result.status == "done"
@@ -411,6 +413,42 @@ def test_assignment_is_seen_by_an_actor_about_to_dereference():
     finals = {run(instantiate(net, {}), scheduler="random", seed=seed)
               .config.actors[0].expr.value for seed in range(12)}
     assert finals == {5 + 5, 5 + 37, 37 + 37}
+
+
+PROC_OVER_CHANNEL = """
+chan f : Channel(0, 1);
+val fw : Chan(-, f, () -> [eps => eps] Integer);
+val fr : Chan(+, f, () -> [eps => eps] Integer);
+flow f! || f?;
+network {
+  actor { send fw (fn () [eps => eps] 1) }
+  ||
+  actor { let p = recv fr; p() }
+}
+"""
+
+REF_OVER_ARRAY = """
+size s : Size(inf);
+chanarray a : ChannelArray(0, 1, s);
+val aw : ChanArray(-, a, Ref(Integer), s);
+flow eps;
+network { stop }
+"""
+
+
+@pytest.mark.parametrize("source, chan, payload", [
+    (RACY_REF, "c", "Ref(Integer)"),
+    (REF_OVER_CHANNEL, "c", "Ref(Integer)"),
+    (PROC_OVER_CHANNEL, "f", "() -> [eps => eps] Integer"),
+    (REF_OVER_ARRAY, "a", "Ref(Integer)"),
+], ids=["racy_ref", "ref_over_channel", "procedure", "array"])
+def test_a_payload_that_would_share_a_cell_or_a_procedure_is_rejected(
+        source, chan, payload):
+    result = check_network(parse_program_or_raise(source))
+    assert not result.ok
+    assert {str(d) for d in result.diagnostics} == {
+        f"[Ty Chan Share] {chan} carries {payload}: a payload holds no "
+        "reference or procedure, as actors share only channels"}
 
 
 def test_exploration_tells_terminals_apart_by_actor_results():

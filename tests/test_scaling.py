@@ -14,10 +14,18 @@ Before targets and summaries were kept on their nodes, pipeline-150 took
 2 086 targets, 750 summaries and 5 364 normalize calls; pipeline-600 21 564
 normalize calls and long_actor-2000 8 017.
 
-The start-up cells count, in a fresh interpreter, the record classes whose
-generated methods are compiled (`<record ...>` sources) by `import
-sdflow.cli`, and by that import plus one `check` of downsampler.sdf.  When
-every class compiled its methods as it was defined, both read 61.
+The start-up cells count, in a fresh interpreter that reads no bytecode
+cache, the record classes whose generated methods are compiled (`<record
+...>` sources) by `import sdflow.cli`, and by that import plus one `check`
+of downsampler.sdf.  When every class compiled its methods as it was
+defined, both read 61.  The same `check` gives `check_tokens`: the tokens
+(comments and layout left out) of the sdflow source files it compiles.
+That was 26 949 while `check` also compiled the value substitution, the
+program printer and argparse's parser set-up, and the cell asserts that
+none of those modules is then loaded.
+
+The run cell counts the `subst_expr` calls, recursive ones included, that
+`runtime.instantiate` makes on pipelines 4x apart.
 
 Run as a script, it writes every cell's counters and the line count of
 `src/sdflow` to a JSON file, to compare one change's before and after:
@@ -31,12 +39,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import tokenize
 from collections import Counter
 
 import pytest
 from conftest import ROOT
 
-from sdflow import flowstate, kinding, parser
+from sdflow import flowstate, kinding, parser, runtime
 from sdflow.parser import parse_program
 from sdflow.typecheck import check_network
 
@@ -47,11 +57,19 @@ GROWTH = 4.2
 # normalize_size calls before this layer kept its results on the nodes
 NORMALIZE_BEFORE = {("pipeline", 600): 21_564, ("long_actor", 2000): 8_017}
 # a fresh interpreter's work -> statements run after counting starts
-STARTUP = {"import_records": "import sdflow.cli",
-           "check_records": "from sdflow.cli import main\n"
-                            "main(['check', 'corpus/good/downsampler.sdf'])"}
+STARTUP = {"import": "import sdflow.cli",
+           "check": "from sdflow.cli import main\n"
+                    "main(['check', 'corpus/good/downsampler.sdf'])"}
 # record classes one `check` may build, of the 61 `import sdflow.cli` defines
 CHECK_RECORDS_BOUND = 40
+# tokens of the sdflow sources one `check` compiles (26 949 when it also
+# compiled value substitution and the program printer)
+CHECK_TOKENS_BOUND = 25_600
+# modules a `check` has no use for
+NOT_CHECKED = ("argparse", "gettext", "locale", "sdflow.printer",
+               "sdflow.runtime", "sdflow.conformance")
+# pipeline stages instantiated by the run cell, 4x apart
+RUN_STAGES = (16, 64)
 
 
 def _patch_everywhere(mp: pytest.MonkeyPatch, original, replacement) -> None:
@@ -105,13 +123,18 @@ def measure(source: str) -> dict:
     return {"counts": counts, "targets": targets, "summaries": summaries}
 
 
-def measure_cells() -> dict:
-    """`measure` of each cell's perfbench program, by (family, size)."""
+def perfbench_gen():
     sys.path.insert(0, str(ROOT))
     try:
         from perfbench import gen
     finally:
         sys.path.remove(str(ROOT))
+    return gen
+
+
+def measure_cells() -> dict:
+    """`measure` of each cell's perfbench program, by (family, size)."""
+    gen = perfbench_gen()
     return {(family, n): measure(gen.FAMILIES[family](n).source)
             for family, sizes in AXES.items() for n in sizes}
 
@@ -144,44 +167,109 @@ def test_normalize_calls_fell_by_at_least_two_fifths(cells, cell):
     assert cells[cell]["counts"]["normalize"] <= 0.6 * NORMALIZE_BEFORE[cell]
 
 
-def records_built(statements: str) -> int:
-    """Record classes whose methods a fresh interpreter compiles while it
-    runs `statements` from the repository root."""
-    script = ("import sys\n"
-              "built = set()\n"
+def source_tokens(path: str) -> int:
+    """Tokens of a Python source file, comments and layout left out."""
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING}
+    with open(path, "rb") as f:
+        return sum(tok.type not in layout
+                   for tok in tokenize.tokenize(f.readline))
+
+
+def fresh_run(statements: str) -> dict:
+    """What a fresh interpreter compiles while it runs `statements` from the
+    repository root with no bytecode cache to read: `records`, the record
+    classes whose methods it builds; `tokens`, those of the sdflow source
+    files; and `modules`, the names then in `sys.modules`."""
+    script = ("import json, sys\n"
+              "records, files = set(), []\n"
               "def hook(event, args):\n"
-              "    if event == 'compile' and str(args[1]).startswith('<record '):\n"
-              "        built.add(args[1])\n"
+              "    if event == 'compile':\n"
+              "        name = str(args[1])\n"
+              "        if name.startswith('<record '):\n"
+              "            records.add(name)\n"
+              "        elif name.startswith(sys.argv[1]):\n"
+              "            files.append(name)\n"
               "sys.addaudithook(hook)\n"
               f"{statements}\n"
-              "print(len(built), file=sys.stderr)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, cwd=ROOT, env=env, check=True)
-    return int(out.stderr.split()[-1])
+              "print(json.dumps([len(records), files, sorted(sys.modules)]),"
+              " file=sys.stderr)\n")
+    src = ROOT / "src"
+    with tempfile.TemporaryDirectory() as no_cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPYCACHEPREFIX=no_cache,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src)] + [p for p in [os.environ.get("PYTHONPATH")]
+                                     if p]))
+        out = subprocess.run([sys.executable, "-c", script,
+                              str(src / "sdflow")],
+                             capture_output=True, text=True, cwd=ROOT,
+                             env=env, check=True)
+    records, files, modules = json.loads(out.stderr.splitlines()[-1])
+    return {"records": records, "tokens": sum(map(source_tokens, files)),
+            "modules": modules}
 
 
 def measure_startup() -> dict:
-    return {name: records_built(statements)
+    runs = {name: fresh_run(statements)
             for name, statements in STARTUP.items()}
+    return {"import_records": runs["import"]["records"],
+            "check_records": runs["check"]["records"],
+            "check_tokens": runs["check"]["tokens"],
+            "check_modules": runs["check"]["modules"]}
 
 
-def test_import_builds_no_record_and_check_builds_a_bounded_few():
-    built = measure_startup()
-    assert built["import_records"] == 0
-    assert 0 < built["check_records"] <= CHECK_RECORDS_BOUND
+@pytest.fixture(scope="module")
+def startup():
+    return measure_startup()
+
+
+def test_import_builds_no_record_and_check_builds_a_bounded_few(startup):
+    assert startup["import_records"] == 0
+    assert 0 < startup["check_records"] <= CHECK_RECORDS_BOUND
+
+
+def test_check_compiles_only_the_checker(startup):
+    assert 0 < startup["check_tokens"] <= CHECK_TOKENS_BOUND
+    assert "sdflow.typecheck" in startup["check_modules"]
+    assert set(NOT_CHECKED).isdisjoint(startup["check_modules"])
+
+
+def instantiate_substs(stages: int) -> int:
+    """`subst_expr` calls, recursive ones included, that `instantiate`
+    makes on `gen.pipeline(stages)` at rate 2."""
+    net = parse_program(perfbench_gen().pipeline(stages).source)
+    calls = [0]
+
+    def counted(e, mapping, inner=runtime.subst_expr):
+        calls[0] += 1
+        return inner(e, mapping)
+
+    with pytest.MonkeyPatch.context() as mp:
+        _patch_everywhere(mp, runtime.subst_expr, counted)
+        runtime.instantiate(net, {"s": 2})
+    return calls[0]
+
+
+def test_instantiate_substitutions_grow_at_most_linearly():
+    small, large = map(instantiate_substs, RUN_STAGES)
+    assert small > 0
+    assert large <= GROWTH * small, (small, large)
 
 
 def write_bench(path: str) -> dict:
-    """Write the counters of every cell, the start-up cells and the line
-    count of `src/sdflow` to `path` as JSON; return what was written."""
+    """Write the counters of every cell, the start-up and run cells and the
+    line count of `src/sdflow` to `path` as JSON; return what was
+    written."""
     bench = {
         "src_lines": sum(len(f.read_text().splitlines())
                          for f in sorted((ROOT / "src" / "sdflow").glob("*.py"))),
         "cells": {f"{family}-{n}": {c: cell["counts"][c] for c in COUNTERS}
                   for (family, n), cell in measure_cells().items()},
-        "startup": measure_startup(),
+        "startup": {name: value for name, value in measure_startup().items()
+                    if name != "check_modules"},
+        "run": {f"pipeline-{n}": {"substs": instantiate_substs(n)}
+                for n in RUN_STAGES},
     }
     with open(path, "w") as out:
         json.dump(bench, out, indent=2)

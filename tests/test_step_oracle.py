@@ -405,32 +405,32 @@ def test_subst_and_is_value_match_the_match_dispatch(name, net):
         cfg = None
     for body in actor_bodies(net):
         for e in subexpressions(body):
-            assert syntax.is_value(e) == is_value(e)
+            assert runtime.is_value(e) == is_value(e)
             if cfg is not None:
                 out = runtime.step_expr(e, cfg.heap, "a0", cfg.venv)
                 assert (out is None) is is_value(e)
             names = sorted({x.name for x in subexpressions(e)
                             if isinstance(x, Var)})
-            assert syntax.subst_expr(e, {}) is e
+            assert runtime.subst_expr(e, {}) is e
             for wrap in (IntLit, lambda n: MkIndex(IntLit(n))):
                 mapping = {x: wrap(k) for k, x in enumerate(names)}
-                new = syntax.subst_expr(e, mapping)
+                new = runtime.subst_expr(e, mapping)
                 assert new == subst_expr(e, mapping)
-                assert syntax.is_value(new) == is_value(new)
+                assert runtime.is_value(new) == is_value(new)
 
 
 def test_values_behind_size_and_index_wrappers():
     for e, want in [(MkSize(MkIndex(Var("c"))), True),
                     (MkIndex(MkSize(Recv("c"))), False),
                     (LocRef("a0", 0), True), (Recv("c"), False)]:
-        assert syntax.is_value(e) is is_value(e) is want
+        assert runtime.is_value(e) is is_value(e) is want
 
 
 def test_step_table_has_every_expression_class_and_values_step_to_none():
     assert set(runtime._STEP) == EXPR_CLASSES
     values = [IntLit(1), BoolLit(True), LocRef("a0", 0), Var("x"),
               Lam((), syntax.EMPTY_FLOW, syntax.EMPTY_FLOW, IntLit(0))]
-    assert {v.__class__ for v in values} == syntax._VALUE_CLASSES
+    assert {v.__class__ for v in values} == runtime._VALUE_CLASSES
     for v in values:
         for e in (v, MkSize(v), MkIndex(v), MkSize(MkIndex(v))):
             assert runtime._STEP[e.__class__](e, Heap(), "a0", Env()) is None
@@ -440,7 +440,7 @@ def test_step_table_has_every_expression_class_and_values_step_to_none():
 
 def test_unknown_classes_raise_as_before():
     with pytest.raises(TypeError, match="not an expression"):
-        syntax.subst_expr(object(), {"x": IntLit(1)})
+        runtime.subst_expr(object(), {"x": IntLit(1)})
     with pytest.raises(TypeError, match="cannot step"):
         runtime.step_expr(object(), Heap(), "a0", Env())
 
