@@ -9,11 +9,13 @@ freed slots as pending receives, so a full delay buffer (the initial and
 steady state) contributes nothing.
 
 Cost model: each ground comprehension is compiled once into a plan of
-integers, and a residual comprehension is a piece: a plan, the values of its
-fixed outer iterators, where its outermost open range starts and how many
-guards are left.  A label unrolls only the head of the piece that emits it,
-by index arithmetic, and counts only the new residual pieces, in closed form
-(`flowstate.count_multiples`), so a step costs a small constant in the rate
+integers, which folds each guard into the iterator it names, and a residual
+comprehension is a piece: a plan, the values of its fixed outer iterators
+and where its outermost open range starts.  A label fixes each open
+iterator of the piece that emits it at the first value that passes its
+guards, in closed form (the lexicographic next point of polyhedra
+scanning), and counts only the new residual pieces, by
+`flowstate.count_multiples`, so a step costs a small constant in the rate
 and in the length of the actor.  A piece becomes a comprehension again only
 for text and for `step_flowstate`.  On the heap side, `Heap.touched` names
 the buffers a step pushed or popped; only those are recounted, from the
@@ -116,43 +118,47 @@ def heap_flowstate(tenv: Env, venv: Env, heap: Heap
 # ---------------------------------------------------------------------------
 # Flowstate reduction (concrete labels)
 #
-# A residual comprehension is a piece, `(plan, values, open, guards)`:
-# iterator i is fixed to `values[i]` when i >= open and otherwise ranges
-# from `values[i]` to its bound (only the outermost open one, open - 1,
-# moves), and the first `guards` guards are left.  Decided guards are
-# popped off the end only, as substitution decides them, and a guard whose
-# name an open iterator binds is undecided.
+# A residual comprehension is a piece, `(plan, values, open)`: iterator i is
+# fixed to `values[i]` when i >= open and otherwise ranges from `values[i]`
+# to its bound; only the outermost open one, open - 1, starts past its lower
+# bound.  The plan has folded each guard into the iterator it names, so a
+# fixed value always passes its guards and a piece holds none.
 # ---------------------------------------------------------------------------
 
 class _Plan:
-    """A ground comprehension compiled to integers: each iterator as
-    `(var, lo, hi)` and each guard as `(divides, slot, parameter)`.  The
-    slot of an operand is the index of the first iterator of its name, the
-    one a substitution reaches; a numeric operand gets a slot after them,
-    holding its value in `start`, so it is decided from the outset."""
+    """A ground comprehension compiled to integers.  Each iterator is
+    `(var, lo, hi)`.  A guard on a name is folded into the first iterator of
+    that name, the one a substitution reaches: `steps[j]` is `[d, top]`, the
+    lcm of that iterator's divisors and its least bound, so a value passes
+    its guards when it is a multiple of d (0 only, when d is 0) and at most
+    top.  A guard on a number is decided here, and `inner[j]` is the number
+    of points of iterators 0..j-1, all 0 when such a guard fails."""
 
-    __slots__ = ("comp", "iters", "first", "guards", "start")
+    __slots__ = ("comp", "iters", "first", "start", "steps", "inner")
 
     def __init__(self, comp: Comp):
         self.comp = comp
         self.iters = [(it.var, _ground(it.lo), _ground(it.hi))
                       for it in comp.iterators]
+        self.start = tuple(lo for _, lo, _ in self.iters)
         self.first: dict = {}
         for j, it in enumerate(comp.iterators):
             self.first.setdefault(it.var, j)
-        start = [lo for _, lo, _ in self.iters]
-        self.guards = []
+        self.steps = [[1, hi] for _, _, hi in self.iters]
+        ok = True
         for g in comp.guards:
-            if isinstance(g.operand, SVar):
-                assert g.operand.name in self.first, f"unbound {g.operand}"
-                slot = self.first[g.operand.name]
+            if not isinstance(g.operand, SVar):
+                ok = ok and count_in_range(g.operand, g.operand, [g]) == 1
+                continue
+            assert g.operand.name in self.first, f"unbound {g.operand}"
+            step = self.steps[self.first[g.operand.name]]
+            if isinstance(g, Divides):
+                step[0] = math.lcm(step[0], _ground(g.divisor))
             else:
-                slot = len(start)
-                start.append(_ground(g.operand))
-            divides = isinstance(g, Divides)
-            self.guards.append(
-                (divides, slot, _ground(g.divisor if divides else g.bound)))
-        self.start = tuple(start)
+                step[1] = min(step[1], _ground(g.bound))
+        self.inner = [int(ok)]
+        for lo, (d, top) in zip(self.start, self.steps):
+            self.inner.append(self.inner[-1] * count_multiples(lo, top, d))
 
 
 def _ground(e) -> int:
@@ -162,54 +168,23 @@ def _ground(e) -> int:
     return n.value
 
 
-def _holds(divides: bool, value: int, param: int) -> bool:
-    if divides:
-        return value % param == 0 if param else value == 0
-    return value <= param
-
-
-def _settle(plan: _Plan, values: tuple, open: int, guards: int):
-    """Silent reduction: the piece with its decided guards popped, or None
-    when one fails or the outermost open range is empty."""
-    while guards:
-        divides, slot, param = plan.guards[guards - 1]
-        if slot < open:
-            break
-        if not _holds(divides, values[slot], param):
-            return None
-        guards -= 1
-    if open and values[open - 1] > plan.iters[open - 1][2]:
-        return None
-    return plan, values, open, guards
-
-
 def _consume(piece, label: Label) -> Optional[list]:
-    """Residual pieces after `piece` emits `label` first, or None: the
-    outermost open iterator splits into a head at its value and a rest after
-    it, a silently empty head is skipped, and the first head that is not is
-    reduced in turn."""
-    plan, values, open, guards = piece
+    """Residual pieces after `piece` emits `label` first, or None, where the
+    piece has a nonzero count and the label's channel and direction: each
+    open iterator, outermost first, is fixed at its first value that passes
+    its guards, leaving a rest piece that starts one past it."""
+    plan, values, open = piece
     rests = []
-    while open:
-        head = _settle(plan, values, open - 1, guards)
-        rest = _settle(plan, values[:open - 1] + (values[open - 1] + 1,)
-                       + values[open:], open, guards)
-        if head is None:
-            if rest is None:
-                return None
-            values = rest[1]
-            continue
-        if rest is not None:
-            rests.append(rest)
-        open, guards = head[2], head[3]
-    event = plan.comp.event
-    if guards or (event.chan, event.is_send) != (label.chan, label.is_send):
-        return None
+    for j in range(open - 1, -1, -1):
+        d = plan.steps[j][0]
+        v = -(-values[j] // d) * d if d else 0
+        values = values[:j] + (v,) + values[j + 1:]
+        rests.append((plan, values[:j] + (v + 1,) + values[j + 1:], j + 1))
+    index = plan.comp.event.index
     if label.index is None:
-        matches = event.index is None
+        matches = index is None
     else:
-        matches = event.index is not None and \
-            _index(plan, values) == label.index
+        matches = index is not None and _index(plan, values) == label.index
     return rests[::-1] if matches else None  # innermost first
 
 
@@ -224,30 +199,20 @@ def _index(plan: _Plan, values: tuple) -> Optional[int]:
 
 
 def _piece_count(piece) -> int:
-    """Events a piece will emit, as `comp_occurrence_count` counts its
-    comprehension: 0 when a decided guard fails, else the product over open
-    iterators of the values that pass the guards on the iterator's name."""
-    plan, values, open, guards = piece
-    on: dict = {}  # name -> (lcm of its divisors, least bound)
-    for divides, slot, param in plan.guards[:guards]:
-        if slot >= open:
-            if not _holds(divides, values[slot], param):
-                return 0
-            continue
-        d, top = on.get(plan.iters[slot][0], (1, math.inf))
-        on[plan.iters[slot][0]] = (math.lcm(d, param), top) if divides \
-            else (d, min(top, param))
-    total = 1
-    for i, (var, _, hi) in enumerate(plan.iters[:open]):
-        d, top = on.get(var, (1, hi))
-        total *= count_multiples(values[i], min(top, hi), d)
-    return total
+    """Events a piece will emit, in closed form: the values of its outermost
+    open iterator that pass their guards, times the points inside it."""
+    plan, values, open = piece
+    if not open:
+        return plan.inner[0]
+    d, top = plan.steps[open - 1]
+    return count_multiples(values[open - 1], top, d) * plan.inner[open - 1]
 
 
 def _piece_comp(piece) -> Comp:
     """The comprehension a piece stands for, built as reduction on
-    comprehensions builds it: one `subst_comp` per fixed iterator."""
-    plan, values, open, guards = piece
+    comprehensions builds it: one `subst_comp` per fixed iterator, and the
+    guards up to the last one whose name an open iterator still binds."""
+    plan, values, open = piece
     comp = plan.comp
     for j in range(len(plan.iters) - 1, open - 1, -1):
         comp = subst_comp(Comp(comp.event, comp.iterators[:j], comp.guards),
@@ -256,7 +221,9 @@ def _piece_comp(piece) -> Comp:
     if open and values[open - 1] != plan.start[open - 1]:
         iters = iters[:-1] + (Iterator(iters[-1].var, Num(values[open - 1]),
                                        iters[-1].hi),)
-    return Comp(comp.event, iters, comp.guards[:guards])
+    keep = max((i + 1 for i, g in enumerate(comp.guards)
+                if isinstance(g.operand, SVar)), default=0)
+    return Comp(comp.event, iters, comp.guards[:keep])
 
 
 def comp_occurrence_count(comp: Comp) -> Optional[int]:
@@ -306,8 +273,8 @@ def _silent_pieces(fs: ActorFlow) -> list:
     out = []
     for comp in flow_comps(fs):
         plan = _Plan(comp)
-        piece = _settle(plan, plan.start, len(plan.iters), len(plan.guards))
-        if piece and _piece_count(piece):
+        piece = (plan, plan.start, len(plan.iters))
+        if _piece_count(piece):
             out.append(piece)
     return out
 

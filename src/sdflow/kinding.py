@@ -585,13 +585,18 @@ def check_value_env(tenv: Env, venv: Env) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     seen: set[str] = set()
     first: dict[str, tuple[str, ValueType]] = {}  # channel -> (binding, payload)
+    reported: set[str] = set()  # channels whose binding has an error
     for name, ty in venv.items:
         if name in seen:
             diags.append(Diagnostic("ValEnv Extend Name", f"duplicate binding {name}"))
         seen.add(name)
         k = kind_of(tenv, ty)
         if isinstance(k, Diagnostic):
-            diags.append(k)
+            if not isinstance(ty, (ChanType, ChanArrayType)):
+                diags.append(k)
+            elif ty.name not in reported:  # once, at its first such binding
+                reported.add(ty.name)
+                diags.append(Diagnostic(k.rule, f"val {name}: {k.message}"))
         elif not isinstance(k, TypeKind):
             diags.append(Diagnostic(
                 "ValEnv Extend Var", f"binding {name} must have an ordinary type"))

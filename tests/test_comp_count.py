@@ -177,17 +177,17 @@ def test_harness_counts_agree_with_unrolling_over_corpus(monkeypatch):
 
 
 def test_preservation_substitutions_grow_linearly_in_rate(monkeypatch):
-    # the piece reducer's unrolling steps, which took a `subst_comp` each
-    # when residuals were comprehensions
+    # the piece reducer's calls, each of which took a `subst_comp` per
+    # unrolled iterator when residuals were comprehensions
     calls = 0
-    settle = conformance._settle
+    consume = conformance._consume
 
     def counting(*args):
         nonlocal calls
         calls += 1
-        return settle(*args)
+        return consume(*args)
 
-    monkeypatch.setattr(conformance, "_settle", counting)
+    monkeypatch.setattr(conformance, "_consume", counting)
     net = parse_program_or_raise(load("good", "pipeline3.sdf"))
     per_rate = {}
     for n in (128, 512):

@@ -257,6 +257,53 @@ def test_stuck_states_say_what_each_actor_waits_for():
                    for r in s["actors"].values()), s
 
 
+# a guard on the outer iterator sits before one on the inner iterator: a
+# reducer that decides guards only off the end of the list cannot skip the
+# outer values that fail `2 | t`
+OUTER_GUARD_FIRST = """
+size p : Size(inf);
+chan c : Channel(0, 2);
+val pp : Size(p);
+val two : Size(2);
+val cw : Chan(-, c, Integer);
+val cr : Chan(+, c, Integer);
+flow c!<u in 1..3, t in 1..p, 2 | t, u <= 2>
+  || c?<u in 1..3, t in 1..p, 2 | t, u <= 2>;
+network {
+  actor {
+    for (t, x in 1..pp) {
+      for (u, y in 1..size(3)) when (y <= two) when (size(2) | x) send cw 1
+    }
+  }
+  ||
+  actor {
+    for (t, x in 1..pp) {
+      for (u, y in 1..size(3)) when (y <= two) when (size(2) | x) recv cr
+    }
+  }
+}
+"""
+
+
+def test_outer_guard_before_inner_guard_conforms():
+    net = parse_program_or_raise(OUTER_GUARD_FIRST)
+    assert check_network(net).ok
+    for p in range(1, 9):
+        rep = check_preservation(net, {"p": p})
+        assert rep.ok, (p, rep.violations[:3])
+
+
+def test_outer_guard_before_inner_guard_conforms_from_the_cli(
+        tmp_path, capsys):
+    from sdflow.cli import main
+    path = tmp_path / "outer_guard_first.sdf"
+    path.write_text(OUTER_GUARD_FIRST)
+    assert main(["conform", str(path), "--size", "p=4"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "preservation: 0 violations over 122 steps",
+        "progress: 123 states, complete"]
+
+
 # --- cost and depth ------------------------------------------------------------------
 
 def long_source(k: int, looped: bool) -> str:

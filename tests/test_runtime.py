@@ -436,19 +436,20 @@ network { stop }
 """
 
 
-@pytest.mark.parametrize("source, chan, payload", [
-    (RACY_REF, "c", "Ref(Integer)"),
-    (REF_OVER_CHANNEL, "c", "Ref(Integer)"),
-    (PROC_OVER_CHANNEL, "f", "() -> [eps => eps] Integer"),
-    (REF_OVER_ARRAY, "a", "Ref(Integer)"),
+@pytest.mark.parametrize("source, binding, chan, payload", [
+    (RACY_REF, "cw", "c", "Ref(Integer)"),
+    (REF_OVER_CHANNEL, "cw", "c", "Ref(Integer)"),
+    (PROC_OVER_CHANNEL, "fw", "f", "() -> [eps => eps] Integer"),
+    (REF_OVER_ARRAY, "aw", "a", "Ref(Integer)"),
 ], ids=["racy_ref", "ref_over_channel", "procedure", "array"])
 def test_a_payload_that_would_share_a_cell_or_a_procedure_is_rejected(
-        source, chan, payload):
+        source, binding, chan, payload):
+    # one line per channel, naming the first binding that declares it
     result = check_network(parse_program_or_raise(source))
     assert not result.ok
-    assert {str(d) for d in result.diagnostics} == {
-        f"[Ty Chan Share] {chan} carries {payload}: a payload holds no "
-        "reference or procedure, as actors share only channels"}
+    assert [str(d) for d in result.diagnostics] == [
+        f"[Ty Chan Share] val {binding}: {chan} carries {payload}: a payload "
+        "holds no reference or procedure, as actors share only channels"]
 
 
 def test_exploration_tells_terminals_apart_by_actor_results():
