@@ -229,8 +229,9 @@ def _piece_comp(piece) -> Comp:
 def comp_occurrence_count(comp: Comp) -> Optional[int]:
     """Number of events a comprehension will emit, in closed form: the
     product over its iterators of the values that pass that iterator's
-    guards.  0 when a decided guard fails or some factor is empty; None when
-    a bound or guard stays symbolic and no factor is provably 0."""
+    guards.  A guard on a name is the first iterator of that name's, as in
+    `_Plan`.  0 when a decided guard fails or some factor is empty; None
+    when a bound or guard stays symbolic and no factor is provably 0."""
     by_var: dict[str, list] = {it.var: [] for it in comp.iterators}
     total: Optional[int] = 1
     for g in comp.guards:
@@ -246,7 +247,7 @@ def comp_occurrence_count(comp: Comp) -> Optional[int]:
         if holds is None:
             total = None
     for it in comp.iterators:
-        n = count_in_range(it.lo, it.hi, by_var[it.var])
+        n = count_in_range(it.lo, it.hi, by_var.pop(it.var, ()))
         if n == 0:
             return 0
         total = None if n is None or total is None else total * n

@@ -1,0 +1,333 @@
+"""The machinery of `runtime.explore`: a state of the search, what the
+states share, and the persistent-set choice.
+
+`explore` imports this module when first called, so a process that only
+runs networks does not compile it.  The step machine's `commit` and
+`_actor_outcome` are called through the `runtime` module, so whatever
+replaces them there, such as perfbench's tracer, sees every call.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, insort
+from collections import Counter
+from itertools import chain
+from typing import Optional
+
+from . import runtime
+from .runtime import (
+    BufferKey, Blocked, Configuration, Heap, Stepped, _as_int, is_value,
+)
+from .syntax import (
+    App, Assign, BinOp, ChanArrayType, ChanType, Deref, Env, Expr, For,
+    FromIndex, FromSize, If, Lam, Let, MkIndex, MkSize, NewRef, Recv, Send,
+    SeqE, When,
+)
+
+
+def _redex(e: Expr) -> Expr:
+    """The subterm whose reduction is `e`'s next step, following the
+    evaluation order of `step_expr`."""
+    while True:
+        match e:
+            case (SeqE(a) | Let(bound=a) | If(a) | For(bound=a) | FromSize(a)
+                  | FromIndex(a) | MkSize(a) | MkIndex(a) | NewRef(a)
+                  | Deref(a)):
+                parts = (a,)
+            case When(a, _, b) | Assign(a, b) | BinOp(_, a, b):
+                parts = (a, b)
+            case App(fn, args):
+                parts = (fn, *args)
+            case Send(_, index, payload):
+                parts = (index, payload)
+            case Recv(_, index):
+                parts = (index,)
+            case _:
+                return e
+        inner = next((p for p in parts if p is not None and not is_value(p)),
+                     None)
+        if inner is None:
+            return e
+        e = inner
+
+
+def _comm_sites(e: Expr, venv: Env) -> frozenset:
+    """`(channel, is_send, index)` of every send and receive in `e`,
+    procedure bodies included.  The index is None for a plain channel and
+    for an index that is not yet a literal: such a site may use any buffer
+    of its channel."""
+    sites = set()
+    stack = [e]
+    while stack:
+        match stack.pop():
+            case Send() | Recv() as comm:
+                ty = venv.lookup(comm.chan)
+                if isinstance(ty, (ChanType, ChanArrayType)):
+                    index = (_as_int(comm.index)
+                             if isinstance(ty, ChanArrayType) else None)
+                    sites.add((ty.name, isinstance(comm, Send), index))
+                if comm.index is not None:
+                    stack.append(comm.index)
+                if isinstance(comm, Send):
+                    stack.append(comm.payload)
+            case (MkSize(a) | FromSize(a) | MkIndex(a) | FromIndex(a)
+                  | NewRef(a) | Deref(a) | Lam(body=a)):
+                stack.append(a)
+            case (SeqE(a, b) | Let(_, a, b) | For(bound=a, body=b)
+                  | Assign(a, b) | BinOp(_, a, b)):
+                stack += (a, b)
+            case If(a, b, c) | When(a, _, b, c):
+                stack += (a, b, c)
+            case App(fn, args):
+                stack.append(fn)
+                stack += args
+    return frozenset(sites)
+
+
+def _persistent(state: _State, search: _Search) -> list:
+    """The enabled steps `explore` expands at `state`: one step that
+    commutes with every step other actors can take before it, else every
+    enabled step, in actor order.
+
+    Such a step is an internal step that reads and writes no heap cell, or
+    a send (receive) on a buffer that no other actor's remaining expression
+    and no procedure stored in a buffer or a cell can send to (receive
+    from).  With one writer and one reader per buffer, other actors can
+    only make it more enabled, and a push and a pop of one FIFO commute, so
+    the singleton is a persistent set and every deadlock and terminal is
+    still reached (Godefroid, LNCS 1032, Thm 4.3).  The clash test is two
+    lookups in the state's index of live actors by site, not a scan of
+    the other actors."""
+    actors, outcomes, holders = state.cfg.actors, state.outcomes, state.holders
+    for i in state.enabled:
+        out = outcomes[i]
+        label = out.label
+        if label is None:
+            # a step that writes a cell has an effect, and one that reads
+            # a cell needs the heap to hold one
+            if out.effect is None and not state.cfg.heap.locs \
+                    or not isinstance(_redex(actors[i].expr), (Deref, Assign)):
+                return [(i, out)]
+            continue
+        if state.stale:
+            search.reindex(state)
+        clash = {(label.chan, label.is_send, label.index),
+                 (label.chan, label.is_send, None)}
+        if all(holders.get(site, _NO_SITES) <= {i} for site in clash) \
+                and all(clash.isdisjoint(s) for s in state.stored):
+            return [(i, out)]
+    return [(i, outcomes[i]) for i in state.enabled]
+
+
+_NO_SITES = frozenset()
+# entries of a state's code per interned block (see `_State`): a step
+# renews one to three blocks, and the visited key holds a code per block
+_BLOCK = 32
+
+
+def _read(out) -> Optional[BufferKey]:
+    """The buffer an outcome read, whose change may change the outcome."""
+    if out.__class__ is Stepped:
+        label = out.label
+        return None if label is None else (label.chan, label.index)
+    return out.key if out.__class__ is Blocked else None
+
+
+def _cells(heap: Heap) -> tuple:
+    return tuple(sorted(heap.locs.items()))
+
+
+class _State:
+    """A configuration on `explore`'s stack, and what the search keeps
+    beside it so that a step of the search costs what a step of `run`
+    costs:
+
+    - `code`, the state as small integers: each actor's expression, each
+      buffer's contents and the cells, interned (`_Search.intern`), then
+      each (channel, "send" | "recv") count.  `blocks` interns each run of
+      `_BLOCK` entries; their tuple is the visited key, so a step renews
+      only the entries it changed and their blocks;
+    - `outcomes`, each actor's last poll, renewed only for the actors a
+      step may have woken, as in `run`, and `enabled`, the actors whose
+      poll stepped, in actor order;
+    - `holders`, communication site -> the live actors whose expression
+      has it (`_comm_sites`), and `stored`, the sites of each procedure on
+      the heap: the clash index of `_persistent`.  `indexed` is each
+      actor's sites as `holders` has them, and `stale` the actors that
+      moved since; `_Search.reindex` takes their sites when a clash test
+      needs them."""
+
+    __slots__ = ("cfg", "code", "blocks", "outcomes", "enabled", "holders",
+                 "indexed", "stale", "stored")
+
+    def copy(self) -> "_State":
+        new = object.__new__(_State)
+        new.cfg = self.cfg.copy()
+        new.code, new.blocks = self.code.copy(), self.blocks.copy()
+        new.outcomes = self.outcomes.copy()
+        new.enabled, new.stored = self.enabled.copy(), self.stored.copy()
+        new.holders = {site: set(held) for site, held in self.holders.items()}
+        new.indexed, new.stale = self.indexed.copy(), self.stale.copy()
+        return new
+
+
+# class -> (head, tail) of a node whose sites are its head's and its tail's
+_LINKS = {SeqE: lambda e: (e.first, e.second), Let: lambda e: (e.bound, e.body),
+          For: lambda e: (e.bound, e.body)}
+
+
+class _Search:
+    """What the states of one `explore` share: the sites of each expression
+    seen, the interned values and blocks, and where each buffer, count and
+    the cells sit in a state's code."""
+
+    def __init__(self, cfg: Configuration):
+        self.venv = cfg.venv
+        self.seen: dict = {}      # id(e) -> (e, its sites); e keeps its id
+        self.interned: dict = {}  # value or block of a code -> its code
+        n = len(cfg.actors)
+        self.buffer_at = {key: n + k for k, key in enumerate(cfg.heap.bufs)}
+        counts = [(chan, way) for chan in cfg.heap.caps
+                  for way in ("send", "recv")]
+        base = n + len(self.buffer_at)
+        self.count_at = {count: base + k for k, count in enumerate(counts)}
+        self.cells_at = base + len(counts)
+
+    def intern(self, value) -> int:
+        """`value`'s code: equal values, and only they, share one.  Its
+        hash is taken once here, when an actor or a buffer changes."""
+        return self.interned.setdefault(value, len(self.interned))
+
+    def sites(self, e: Expr) -> frozenset:
+        """`_comm_sites(e)`, kept for each expression seen."""
+        seen = self.seen
+        hit = seen.get(id(e))
+        if hit is not None:
+            return hit[1]
+        # a `Let`/`SeqE` chain adds its heads' sites to its tail's, and a
+        # loop its bound's to its body's, so each state of a long actor,
+        # and each iteration of a loop, costs only its new nodes
+        links = []
+        while id(e) not in seen and e.__class__ in _LINKS:
+            links.append(e)
+            e = _LINKS[e.__class__](e)[1]
+        hit = seen.get(id(e)) or (e, _comm_sites(e, self.venv))
+        seen[id(e)] = hit
+        for node in reversed(links):
+            head = _LINKS[node.__class__](node)[0]
+            hit = seen[id(node)] = (node, hit[1] | self.sites(head))
+        return hit[1]
+
+    def stored(self, heap: Heap) -> Counter:
+        """The sites of each procedure held in a buffer or a cell."""
+        values = chain(heap.locs.values(), *heap.bufs.values())
+        return Counter(self.sites(v) for v in values if isinstance(v, Lam))
+
+    def first(self, cfg: Configuration) -> _State:
+        state = object.__new__(_State)
+        state.cfg, heap = cfg, cfg.heap
+        state.code = code = ([self.intern(a.expr) for a in cfg.actors]
+                             + [self.intern(buf) for buf in heap.bufs.values()]
+                             + [0] * len(self.count_at)
+                             + [self.intern(_cells(heap))])
+        state.blocks = [self.intern(tuple(code[at:at + _BLOCK]))
+                        for at in range(0, len(code), _BLOCK)]
+        state.outcomes = [runtime._actor_outcome(cfg, i)
+                          for i in range(len(cfg.actors))]
+        state.enabled = [i for i, out in enumerate(state.outcomes)
+                         if out.__class__ is Stepped]
+        state.holders, state.stale = {}, set()
+        state.indexed = [_NO_SITES if a.done else self.sites(a.expr)
+                         for a in cfg.actors]
+        for i, sites in enumerate(state.indexed):
+            for site in sites:
+                state.holders.setdefault(site, set()).add(i)
+        state.stored = self.stored(heap)
+        return state
+
+    def counts(self, state: _State) -> tuple:
+        """The state's nonzero counts, sorted, as `_signature` takes them."""
+        code = state.code
+        return tuple(sorted((count, code[at])
+                            for count, at in self.count_at.items() if code[at]))
+
+    def advance(self, state: _State, i: int, out: Stepped) -> None:
+        """Commit actor i's polled step into `state`, renew the code entries
+        it changed, and re-poll the actors it may have woken: i, and those
+        whose outcome read the buffer it pushed or popped; every actor
+        after a heap-cell write."""
+        cfg, code, holders = state.cfg, state.code, state.holders
+        heap, label = cfg.heap, out.label
+        if label is not None and not label.is_send:
+            self._store(state, heap.bufs[(label.chan, label.index)][0], -1)
+        runtime.commit(cfg, i, out)
+        code[i] = self.intern(out.expr)
+        changed = [i]
+        state.stale.add(i)
+        if label is not None:
+            key = (label.chan, label.index)
+            buf = heap.bufs[key]
+            at = self.buffer_at[key]
+            code[at] = self.intern(buf)
+            count = self.count_at[label.chan,
+                                  "send" if label.is_send else "recv"]
+            code[count] += 1
+            changed += (at, count)
+            if label.is_send:
+                self._store(state, buf[-1], 1)
+            # a reader of the buffer holds a site on it, or has moved
+            # since `holders` was brought up to date
+            wake = {i}
+            for j in chain(holders.get((label.chan, True, label.index), ()),
+                           holders.get((label.chan, False, label.index), ()),
+                           state.stale):
+                if _read(state.outcomes[j]) == key:
+                    wake.add(j)
+        elif out.effect is not None:
+            code[self.cells_at] = self.intern(_cells(heap))
+            changed.append(self.cells_at)
+            state.stored = self.stored(heap)
+            wake = range(len(cfg.actors))
+        else:
+            wake = (i,)
+        for block in {at // _BLOCK for at in changed}:
+            start = block * _BLOCK
+            state.blocks[block] = self.intern(tuple(code[start:start
+                                                         + _BLOCK]))
+        outcomes = state.outcomes
+        for j in wake:
+            was = outcomes[j].__class__ is Stepped
+            outcomes[j] = runtime._actor_outcome(cfg, j)
+            now = outcomes[j].__class__ is Stepped
+            if was and not now:
+                del state.enabled[bisect_left(state.enabled, j)]
+            elif now and not was:
+                insort(state.enabled, j)
+
+    def reindex(self, state: _State) -> None:
+        """Bring `state.holders` up to date with the actors that moved since
+        it was last used: their sites are taken only when a clash test
+        needs them."""
+        holders = state.holders
+        for i in state.stale:
+            e = state.cfg.actors[i].expr
+            before = state.indexed[i]
+            after = state.indexed[i] = _NO_SITES if is_value(e) \
+                else self.sites(e)
+            if before is after:
+                continue
+            for site in before - after:
+                holders[site].discard(i)
+                if not holders[site]:
+                    del holders[site]
+            for site in after - before:
+                holders.setdefault(site, set()).add(i)
+        state.stale.clear()
+
+    def _store(self, state: _State, value, change: int) -> None:
+        """Count a procedure into (1) or out of (-1) the heap's."""
+        if isinstance(value, Lam):
+            sites = self.sites(value)
+            state.stored[sites] += change
+            if not state.stored[sites]:
+                del state.stored[sites]

@@ -16,8 +16,11 @@ actors: the one that moved and those whose last outcome read the buffer the
 step pushed or popped (a step that writes a heap cell wakes everyone), so
 polls per step do not grow with the number of actors; each communication
 still copies the trace's buffer-size snapshot.  Its observer is called as
-`observer(entry, cfg)` after each commit.  `explore` copies a configuration
-before committing into it, so copy-on-write lives only in exploration.
+`observer(entry, cfg)` after each commit.  `explore` keeps the same polls
+and wake rule for each state it visits.  It commits in place into a state
+with one successor, copies only a state with several, and keys the states
+it has visited by interned codes, so a state costs about what a step of
+`run` costs; its machinery is in `exploration`.
 A heap whose `touched` is a set (the conformance observer's, kept by
 `Heap.copy`) adds to it the key of each buffer `push` or `pop` changes, so
 an observer can recount only those; `explore` never sets it.
@@ -35,7 +38,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from collections import Counter
-from itertools import chain
 from typing import Callable, Optional, Union
 
 from .kinding import eval_size, is_inf
@@ -802,163 +804,53 @@ def _signature(cfg: Configuration, counts: tuple) -> tuple:
             tuple(a.expr for a in cfg.actors))
 
 
-def _redex(e: Expr) -> Expr:
-    """The subterm whose reduction is `e`'s next step, following the
-    evaluation order of `step_expr`."""
-    while True:
-        match e:
-            case (SeqE(a) | Let(bound=a) | If(a) | For(bound=a) | FromSize(a)
-                  | FromIndex(a) | MkSize(a) | MkIndex(a) | NewRef(a)
-                  | Deref(a)):
-                parts = (a,)
-            case When(a, _, b) | Assign(a, b) | BinOp(_, a, b):
-                parts = (a, b)
-            case App(fn, args):
-                parts = (fn, *args)
-            case Send(_, index, payload):
-                parts = (index, payload)
-            case Recv(_, index):
-                parts = (index,)
-            case _:
-                return e
-        inner = next((p for p in parts if p is not None and not is_value(p)),
-                     None)
-        if inner is None:
-            return e
-        e = inner
-
-
-def _comm_sites(e: Expr, venv: Env) -> frozenset:
-    """`(channel, is_send, index)` of every send and receive in `e`,
-    procedure bodies included.  The index is None for a plain channel and
-    for an index that is not yet a literal: such a site may use any buffer
-    of its channel."""
-    sites = set()
-    stack = [e]
-    while stack:
-        match stack.pop():
-            case Send() | Recv() as comm:
-                ty = venv.lookup(comm.chan)
-                if isinstance(ty, (ChanType, ChanArrayType)):
-                    index = (_as_int(comm.index)
-                             if isinstance(ty, ChanArrayType) else None)
-                    sites.add((ty.name, isinstance(comm, Send), index))
-                if comm.index is not None:
-                    stack.append(comm.index)
-                if isinstance(comm, Send):
-                    stack.append(comm.payload)
-            case (MkSize(a) | FromSize(a) | MkIndex(a) | FromIndex(a)
-                  | NewRef(a) | Deref(a) | Lam(body=a)):
-                stack.append(a)
-            case (SeqE(a, b) | Let(_, a, b) | For(bound=a, body=b)
-                  | Assign(a, b) | BinOp(_, a, b)):
-                stack += (a, b)
-            case If(a, b, c) | When(a, _, b, c):
-                stack += (a, b, c)
-            case App(fn, args):
-                stack.append(fn)
-                stack += args
-    return frozenset(sites)
-
-
-def _persistent(cfg: Configuration, outs: list, sites: Callable) -> list:
-    """The enabled steps `explore` expands at `cfg`: one step that commutes
-    with every step other actors can take before it, else all of `outs`.
-
-    Such a step is an internal step that reads and writes no heap cell, or
-    a send (receive) on a buffer that no other actor's remaining expression
-    and no procedure stored in a buffer or a cell can send to (receive
-    from).  With one writer and one reader per buffer, other actors can
-    only make it more enabled, and a push and a pop of one FIFO commute, so
-    the singleton is a persistent set and every deadlock and terminal is
-    still reached (Godefroid, LNCS 1032, Thm 4.3).  `sites(e)` is
-    `_comm_sites(e, cfg.venv)`, cached by the caller."""
-    stored = None
-    for i, out in outs:
-        label = out.label
-        if label is None:
-            if not isinstance(_redex(cfg.actors[i].expr), (Deref, Assign)):
-                return [(i, out)]
-            continue
-        clash = {(label.chan, label.is_send, label.index),
-                 (label.chan, label.is_send, None)}
-        if stored is None:
-            values = chain(cfg.heap.locs.values(), *cfg.heap.bufs.values())
-            stored = frozenset().union(
-                *(sites(v) for v in values if isinstance(v, Lam)))
-        if clash.isdisjoint(stored) and all(
-                clash.isdisjoint(sites(a.expr))
-                for j, a in enumerate(cfg.actors) if j != i and not a.done):
-            return [(i, out)]
-    return outs
-
-
 def explore(cfg: Configuration, max_states: int = 300_000) -> ExploreResult:
     """Search the interleavings of `cfg`, memoized on configuration plus
     per-channel communication counts, expanding a persistent set of the
-    enabled steps at each state (see `_persistent`).  The reduced search
-    reaches every terminal and every stuck configuration the full one does,
-    so `any_complete`, `all_complete` and `terminals` are exact; `states`
-    counts the reduced states visited, at most `max_states`."""
-    # id(e) -> (e, its sites); holding `e` keeps its id from being reused
-    cache: dict = {}
+    enabled steps at each state (see `exploration._persistent`).  The
+    reduced search reaches every terminal and every stuck configuration the
+    full one does, so `any_complete`, `all_complete` and `terminals` are
+    exact; `states` counts the reduced states visited, at most
+    `max_states`.
 
-    def sites(e: Expr) -> frozenset:
-        hit = cache.get(id(e))
-        if hit is not None:
-            return hit[1]
-        # a `Let`/`SeqE` chain adds its heads' sites to its tail's, in a
-        # loop, so each state of a long actor costs only its new nodes
-        chain = []
-        while id(e) not in cache and (e.__class__ is SeqE
-                                      or e.__class__ is Let):
-            chain.append(e)
-            e = e.second if e.__class__ is SeqE else e.body
-        hit = cache.get(id(e)) or (e, _comm_sites(e, cfg.venv))
-        cache[id(e)] = hit
-        for node in reversed(chain):
-            head = node.first if node.__class__ is SeqE else node.bound
-            hit = cache[id(node)] = (node,
-                                     hit[1] | _comm_sites(head, cfg.venv))
-        return hit[1]
-
+    A state costs about what a step of `run` costs (see
+    `exploration._State`).  A state with one successor is committed into
+    in place; only a state with several is copied, once for each successor
+    but the last.  A configuration handed out as a stuck sample has no
+    successor, so nothing changes it afterwards."""
+    from .exploration import _Search, _persistent
+    search = _Search(cfg)
     visited: set = set()
     terminals: set = set()
     stuck: list = []
     any_complete = False
     all_complete = True
     truncated = False
-    stack = [(cfg.copy(), Counter())]
+    stack = [search.first(cfg.copy())]
     while stack:
-        current, counts = stack.pop()
-        key = (current.state_key(), tuple(sorted(counts.items())))
+        state = stack.pop()
+        key = tuple(state.blocks)
         if key in visited:
             continue
         if len(visited) == max_states:
             truncated = True
             break
         visited.add(key)
-        outs = []
-        for i in range(len(current.actors)):
-            out = _actor_outcome(current, i)
-            if isinstance(out, Stepped):
-                outs.append((i, out))
-        if not outs:
+        if not state.enabled:
+            current = state.cfg
             if current.done():
                 any_complete = True
-                terminals.add(_signature(current, tuple(sorted(counts.items()))))
+                terminals.add(_signature(current, search.counts(state)))
             else:
                 all_complete = False
                 if len(stuck) < STUCK_LIMIT:
                     stuck.append(current)
             continue
-        for i, out in _persistent(current, outs, sites):
-            nxt = current.copy()
-            commit(nxt, i, out)
-            nc = Counter(counts)
-            if out.label is not None:
-                nc[(out.label.chan,
-                    "send" if out.label.is_send else "recv")] += 1
-            stack.append((nxt, nc))
+        steps = _persistent(state, search)
+        # the copies are taken before the last successor commits in place
+        for k, (i, out) in enumerate(steps):
+            nxt = state if k == len(steps) - 1 else state.copy()
+            search.advance(nxt, i, out)
+            stack.append(nxt)
     return ExploreResult(any_complete, all_complete and not truncated,
                          len(visited), terminals, stuck, truncated)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import comp, corpus_files, ev, it, load, sizes_for
 
-from test_conform_oracle import _silent_normalize
+from test_conform_oracle import _silent_normalize, unroll
 
 from sdflow import conformance
 from sdflow.conformance import check_preservation, comp_occurrence_count
@@ -56,12 +56,14 @@ SYM = SVar("s")
 def comprehensions(draw, symbolic: bool):
     """1-3 iterators over small (often empty or singleton) ranges, with
     divisibility and bound guards (several may share a variable) and
-    leftover numeric guards.  With `symbolic`, any size may be `s`, and a
-    guard may name a variable no iterator binds."""
+    leftover numeric guards.  Iterators may share a name; a guard on it is
+    the first one's.  With `symbolic`, any size may be `s`, and a guard may
+    name a variable no iterator binds."""
     size = st.integers(0, 5).map(Num)
     if symbolic:
         size = st.one_of(size, st.just(SYM))
-    names = VARS[:draw(st.integers(1, 3))]
+    names = tuple(draw(st.lists(st.sampled_from(VARS), min_size=1,
+                                max_size=3)))
     iters = tuple(Iterator(v, draw(size), draw(size)) for v in names)
     gvar = st.sampled_from(names + (("x",) if symbolic else ())).map(SVar)
     guard = st.one_of(
@@ -77,6 +79,8 @@ def comprehensions(draw, symbolic: bool):
 @given(comprehensions(symbolic=False))
 @example(comp(ev("c!"), it("t0", 0, 4), Divides(Num(0), SVar("t0"))))
 @example(comp(ev("c!"), it("t0", 3, 3), it("t1", 2, 1)))
+@example(comp(ev("c!"), it("t0", 1, 2), it("t0", 5, 6),
+              AtMost(SVar("t0"), Num(1))))
 def test_closed_form_equals_unrolling_on_numeric_comprehensions(c):
     want = unrolled_count(c)
     assert want is not None
@@ -96,6 +100,22 @@ def test_closed_form_never_contradicts_unrolling(c):
         assert got == want
     if got is None:
         assert want is None
+
+
+# a guard on a shadowed name, and what the comprehension emits: the guard is
+# the first iterator's, the one a substitution reaches
+SHADOWED = [
+    (comp(ev("a!"), it("t", 1, 2), it("t", 5, 6), AtMost(SVar("t"), Num(1))),
+     2),
+    (comp(ev("a!"), it("t", 1, 3), it("t", 1, 1), Divides(Num(2), SVar("t"))),
+     1),
+]
+
+
+def test_a_guard_on_a_shadowed_name_counts_for_its_first_iterator():
+    for c, emitted in SHADOWED:
+        assert len(unroll(c)) == unrolled_count(c) == emitted
+        assert comp_occurrence_count(c) == emitted
 
 
 def test_symbolic_bound_returns_none():

@@ -27,6 +27,13 @@ none of those modules is then loaded.
 The run cell counts the `subst_expr` calls, recursive ones included, that
 `runtime.instantiate` makes on pipelines 4x apart.
 
+The explore cells count, per state `runtime.explore` visits on pipelines
+16x apart at s=4, the actors it polls (`_actor_outcome` calls) and the
+expression hashes it computes (calls of an expression class's `__hash__`,
+nested ones included).  When every state polled every actor and rehashed
+every actor's expression, pipeline-16 read 16.0 polls and 87.5 hashes per
+state, and pipeline-256 256.0 and 1 287.7.
+
 Run as a script, it writes every cell's counters and the line count of
 `src/sdflow` to a JSON file, to compare one change's before and after:
 
@@ -46,7 +53,7 @@ from collections import Counter
 import pytest
 from conftest import ROOT
 
-from sdflow import flowstate, kinding, parser, runtime
+from sdflow import flowstate, kinding, parser, runtime, syntax
 from sdflow.parser import parse_program
 from sdflow.typecheck import check_network
 
@@ -67,9 +74,13 @@ CHECK_RECORDS_BOUND = 40
 CHECK_TOKENS_BOUND = 25_600
 # modules a `check` has no use for
 NOT_CHECKED = ("argparse", "gettext", "locale", "sdflow.printer",
-               "sdflow.runtime", "sdflow.conformance")
+               "sdflow.runtime", "sdflow.exploration", "sdflow.conformance")
 # pipeline stages instantiated by the run cell, 4x apart
 RUN_STAGES = (16, 64)
+# pipeline stages explored at s=4 by the explore cells, 16x apart, and how
+# much the work per visited state may grow between them
+EXPLORE_STAGES = (16, 256)
+EXPLORE_GROWTH = 1.5
 
 
 def _patch_everywhere(mp: pytest.MonkeyPatch, original, replacement) -> None:
@@ -257,6 +268,46 @@ def test_instantiate_substitutions_grow_at_most_linearly():
     assert large <= GROWTH * small, (small, large)
 
 
+def explore_work(stages: int) -> dict:
+    """Per state `explore` visits on `gen.pipeline(stages)` at s=4: the
+    actors it polls and the expression hashes it computes."""
+    net = parse_program(perfbench_gen().pipeline(stages).source)
+    cfg = runtime.instantiate(net, {"s": 4})
+    counts: Counter = Counter()
+
+    def polled(cfg, i, inner=runtime._actor_outcome):
+        counts["polls"] += 1
+        return inner(cfg, i)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runtime, "_actor_outcome", polled)
+        for cls in runtime._STEP:
+            # a class's generated methods replace their stubs when first
+            # called, and would replace the counting wrapper with them
+            syntax._build(cls)
+
+            def hashed(e, inner=cls.__hash__):
+                counts["hashes"] += 1
+                return inner(e)
+            mp.setattr(cls, "__hash__", hashed)
+        states = runtime.explore(cfg).states
+    return {"states": states,
+            "polls_per_state": round(counts["polls"] / states, 3),
+            "hashes_per_state": round(counts["hashes"] / states, 3)}
+
+
+@pytest.fixture(scope="module")
+def explored():
+    return {n: explore_work(n) for n in EXPLORE_STAGES}
+
+
+@pytest.mark.parametrize("work", ["polls_per_state", "hashes_per_state"])
+def test_explore_work_per_state_does_not_grow_with_actors(explored, work):
+    small, large = (explored[n][work] for n in EXPLORE_STAGES)
+    assert small > 0
+    assert large <= EXPLORE_GROWTH * small, (small, large)
+
+
 def write_bench(path: str) -> dict:
     """Write the counters of every cell, the start-up and run cells and the
     line count of `src/sdflow` to `path` as JSON; return what was
@@ -270,6 +321,7 @@ def write_bench(path: str) -> dict:
                     if name != "check_modules"},
         "run": {f"pipeline-{n}": {"substs": instantiate_substs(n)}
                 for n in RUN_STAGES},
+        "explore": {f"pipeline-{n}": explore_work(n) for n in EXPLORE_STAGES},
     }
     with open(path, "w") as out:
         json.dump(bench, out, indent=2)
