@@ -17,9 +17,9 @@ guards, in closed form (the lexicographic next point of polyhedra
 scanning), and counts only the new residual pieces, by
 `flowstate.count_multiples`, so a step costs a small constant in the rate
 and in the length of the actor.  A piece becomes a comprehension again only
-for text and for `step_flowstate`.  On the heap side, `Heap.touched` names
-the buffers a step pushed or popped; only those are recounted, from the
-heap, so the two clauses still compare two independent views.
+for text and for `step_flowstate`.  On the heap side, a step pushes or pops
+only the buffer its label names; only that one is recounted, from the heap,
+so the two clauses still compare two independent views.
 """
 
 from __future__ import annotations
@@ -406,7 +406,6 @@ def check_preservation(net: Network, sizes: dict[str, int],
     produces = {(chan, is_send): classify_event(
                     net.tenv, Event(chan, is_send)) == PRODUCER
                 for chan in kinds for is_send in (True, False)}
-    cfg.heap.touched = set()
 
     def observer(entry, after: Configuration):
         label = entry.label
@@ -419,15 +418,12 @@ def check_preservation(net: Network, sizes: dict[str, int],
                 f"{entry.actor} flowstate reduces by {label}",
                 "; ".join(print_comp(_piece_comp(p)) for p in pieces)
                 or "eps"))
-        # recount the buffers the step changed, from the heap
-        heap = after.heap
-        old: dict = {}
-        for key in heap.touched:
-            count_key, n = _buffer_count(kinds[key[0]], heap, key)
-            old[count_key] = counts.pop(count_key, 0)
-            if n:
-                counts[count_key] = n
-        heap.touched.clear()
+        # recount the buffer the step pushed or popped, from the heap
+        count_key, n = _buffer_count(kinds[label.chan], after.heap,
+                                     (label.chan, label.index))
+        old = {count_key: counts.pop(count_key, 0)}
+        if n:
+            counts[count_key] = n
         # a producer adds its event to the heap flowstate, a consumer takes
         # away its complement's
         producer = produces[label.chan, label.is_send]

@@ -2,22 +2,18 @@
 states share, and the persistent-set choice.
 
 `explore` imports this module when first called, so a process that only
-runs networks does not compile it.  The step machine's `commit` and
-`_actor_outcome` are called through the `runtime` module, so whatever
-replaces them there, such as perfbench's tracer, sees every call.
+runs networks does not compile it.  A state is a `runtime.Machine`, which
+polls, commits and wakes as it does for `run`; it calls `commit` and
+`_actor_outcome` as `runtime` globals, so whatever replaces them there,
+such as perfbench's tracer, sees every call.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections import Counter
 from itertools import chain
-from typing import Optional
 
-from . import runtime
-from .runtime import (
-    BufferKey, Blocked, Configuration, Heap, Stepped, _as_int, is_value,
-)
+from .runtime import Configuration, Heap, Machine, Stepped, _as_int, is_value
 from .syntax import (
     App, Assign, BinOp, ChanArrayType, ChanType, Deref, Env, Expr, For,
     FromIndex, FromSize, If, Lam, Let, MkIndex, MkSize, NewRef, Recv, Send,
@@ -125,31 +121,20 @@ _NO_SITES = frozenset()
 _BLOCK = 32
 
 
-def _read(out) -> Optional[BufferKey]:
-    """The buffer an outcome read, whose change may change the outcome."""
-    if out.__class__ is Stepped:
-        label = out.label
-        return None if label is None else (label.chan, label.index)
-    return out.key if out.__class__ is Blocked else None
-
-
 def _cells(heap: Heap) -> tuple:
     return tuple(sorted(heap.locs.items()))
 
 
-class _State:
-    """A configuration on `explore`'s stack, and what the search keeps
-    beside it so that a step of the search costs what a step of `run`
-    costs:
+class _State(Machine):
+    """A configuration on `explore`'s stack: a `Machine`, whose outcomes,
+    `enabled` and wake rule are `run`'s, and what the search keeps beside
+    it so that a step of the search costs what a step of `run` costs:
 
     - `code`, the state as small integers: each actor's expression, each
       buffer's contents and the cells, interned (`_Search.intern`), then
       each (channel, "send" | "recv") count.  `blocks` interns each run of
       `_BLOCK` entries; their tuple is the visited key, so a step renews
       only the entries it changed and their blocks;
-    - `outcomes`, each actor's last poll, renewed only for the actors a
-      step may have woken, as in `run`, and `enabled`, the actors whose
-      poll stepped, in actor order;
     - `holders`, communication site -> the live actors whose expression
       has it (`_comm_sites`), and `stored`, the sites of each procedure on
       the heap: the clash index of `_persistent`.  `indexed` is each
@@ -157,15 +142,12 @@ class _State:
       moved since; `_Search.reindex` takes their sites when a clash test
       needs them."""
 
-    __slots__ = ("cfg", "code", "blocks", "outcomes", "enabled", "holders",
-                 "indexed", "stale", "stored")
+    __slots__ = ("code", "blocks", "holders", "indexed", "stale", "stored")
 
     def copy(self) -> "_State":
-        new = object.__new__(_State)
-        new.cfg = self.cfg.copy()
+        new = super().copy()
         new.code, new.blocks = self.code.copy(), self.blocks.copy()
-        new.outcomes = self.outcomes.copy()
-        new.enabled, new.stored = self.enabled.copy(), self.stored.copy()
+        new.stored = self.stored.copy()
         new.holders = {site: set(held) for site, held in self.holders.items()}
         new.indexed, new.stale = self.indexed.copy(), self.stale.copy()
         return new
@@ -224,18 +206,13 @@ class _Search:
         return Counter(self.sites(v) for v in values if isinstance(v, Lam))
 
     def first(self, cfg: Configuration) -> _State:
-        state = object.__new__(_State)
-        state.cfg, heap = cfg, cfg.heap
+        state, heap = _State(cfg), cfg.heap
         state.code = code = ([self.intern(a.expr) for a in cfg.actors]
                              + [self.intern(buf) for buf in heap.bufs.values()]
                              + [0] * len(self.count_at)
                              + [self.intern(_cells(heap))])
         state.blocks = [self.intern(tuple(code[at:at + _BLOCK]))
                         for at in range(0, len(code), _BLOCK)]
-        state.outcomes = [runtime._actor_outcome(cfg, i)
-                          for i in range(len(cfg.actors))]
-        state.enabled = [i for i, out in enumerate(state.outcomes)
-                         if out.__class__ is Stepped]
         state.holders, state.stale = {}, set()
         state.indexed = [_NO_SITES if a.done else self.sites(a.expr)
                          for a in cfg.actors]
@@ -252,15 +229,13 @@ class _Search:
                             for count, at in self.count_at.items() if code[at]))
 
     def advance(self, state: _State, i: int, out: Stepped) -> None:
-        """Commit actor i's polled step into `state`, renew the code entries
-        it changed, and re-poll the actors it may have woken: i, and those
-        whose outcome read the buffer it pushed or popped; every actor
-        after a heap-cell write."""
-        cfg, code, holders = state.cfg, state.code, state.holders
-        heap, label = cfg.heap, out.label
+        """Step `state` by actor i's polled step and renew the code entries
+        it changed."""
+        heap, label = state.cfg.heap, out.label
         if label is not None and not label.is_send:
             self._store(state, heap.bufs[(label.chan, label.index)][0], -1)
-        runtime.commit(cfg, i, out)
+        state.step(i, out)
+        code = state.code
         code[i] = self.intern(out.expr)
         changed = [i]
         state.stale.add(i)
@@ -275,34 +250,14 @@ class _Search:
             changed += (at, count)
             if label.is_send:
                 self._store(state, buf[-1], 1)
-            # a reader of the buffer holds a site on it, or has moved
-            # since `holders` was brought up to date
-            wake = {i}
-            for j in chain(holders.get((label.chan, True, label.index), ()),
-                           holders.get((label.chan, False, label.index), ()),
-                           state.stale):
-                if _read(state.outcomes[j]) == key:
-                    wake.add(j)
         elif out.effect is not None:
             code[self.cells_at] = self.intern(_cells(heap))
             changed.append(self.cells_at)
             state.stored = self.stored(heap)
-            wake = range(len(cfg.actors))
-        else:
-            wake = (i,)
         for block in {at // _BLOCK for at in changed}:
             start = block * _BLOCK
             state.blocks[block] = self.intern(tuple(code[start:start
                                                          + _BLOCK]))
-        outcomes = state.outcomes
-        for j in wake:
-            was = outcomes[j].__class__ is Stepped
-            outcomes[j] = runtime._actor_outcome(cfg, j)
-            now = outcomes[j].__class__ is Stepped
-            if was and not now:
-                del state.enabled[bisect_left(state.enabled, j)]
-            elif now and not was:
-                insort(state.enabled, j)
 
     def reindex(self, state: _State) -> None:
         """Bring `state.holders` up to date with the actors that moved since

@@ -11,19 +11,19 @@ expression's class in `_STEP`, which answers None for a value too (a size
 or an index of a value included), and `is_value` is a class test.  Value
 substitution, `subst_expr`, is the machine's too: `check` never runs it.
 
-`run` mutates its own copy of the configuration and re-polls only woken
-actors: the one that moved and those whose last outcome read the buffer the
-step pushed or popped (a step that writes a heap cell wakes everyone), so
-polls per step do not grow with the number of actors; each communication
-still copies the trace's buffer-size snapshot.  Its observer is called as
-`observer(entry, cfg)` after each commit.  `explore` keeps the same polls
-and wake rule for each state it visits.  It commits in place into a state
-with one successor, copies only a state with several, and keys the states
-it has visited by interned codes, so a state costs about what a step of
-`run` costs; its machinery is in `exploration`.
-A heap whose `touched` is a set (the conformance observer's, kept by
-`Heap.copy`) adds to it the key of each buffer `push` or `pop` changes, so
-an observer can recount only those; `explore` never sets it.
+Both theorems are checked over one step machine, `Machine`: a
+configuration with each actor's last outcome, the actors whose outcome
+stepped, and the buffer each outcome read.  A step commits in place and
+re-polls only the actors it may have woken: the one that moved and those
+whose last outcome read the buffer the step pushed or popped (a step that
+writes a heap cell wakes everyone), so polls per step do not grow with the
+number of actors.  `run` drives one machine under a scheduler; each
+communication copies the trace's buffer-size snapshot, and its observer is
+called as `observer(entry, cfg)` after each commit.  `explore` drives one
+machine per state it visits (`exploration._State`).  It commits in place
+into a state with one successor, copies only a state with several, and keys
+the states it has visited by interned codes, so a state costs about what a
+step of `run` costs; its machinery is in `exploration`.
 
 `explore` visits a reduced state space: at each state it expands one step
 that commutes with every step other actors can take first, when there is
@@ -82,27 +82,20 @@ class Heap:
     bufs: dict = field(default_factory=dict)        # BufferKey -> tuple(values)
     caps: dict = field(default_factory=dict)        # channel name -> capacity
     next_slot: dict = field(default_factory=dict)   # actor -> counter
-    # buffers pushed or popped since the owner last cleared it; None: untracked
-    touched: Optional[set] = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "Heap":
         return Heap(dict(self.locs), dict(self.bufs), self.caps,
-                    dict(self.next_slot),
-                    None if self.touched is None else set(self.touched))
+                    dict(self.next_slot))
 
     def push(self, key: BufferKey, value) -> None:
         buf = self.bufs[key]
         assert len(buf) < self.caps[key[0]], \
             f"buffer overflow on {buffer_name(key)}"
         self.bufs[key] = buf + (value,)
-        if self.touched is not None:
-            self.touched.add(key)
 
     def pop(self, key: BufferKey):
         buf = self.bufs[key]
         self.bufs[key] = buf[1:]
-        if self.touched is not None:
-            self.touched.add(key)
         return buf[0]
 
     def alloc(self, actor: str, value) -> LocRef:
@@ -110,10 +103,6 @@ class Heap:
         self.next_slot[actor] = slot + 1
         self.locs[(actor, slot)] = value
         return LocRef(actor, slot)
-
-    def freeze(self) -> tuple:
-        # every heap of one run has the same buffer keys in the same order
-        return tuple(sorted(self.locs.items())), tuple(self.bufs.values())
 
     def buffer_sizes(self) -> dict:
         """Fill of each plain channel, and a list per channel array."""
@@ -150,9 +139,6 @@ class Configuration:
     def copy(self) -> "Configuration":
         return Configuration([Actor(a.name, a.expr) for a in self.actors],
                              self.heap.copy(), self.venv, self.tenv, self.sizes)
-
-    def state_key(self) -> tuple:
-        return (tuple(a.expr for a in self.actors), self.heap.freeze())
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +663,80 @@ def commit(cfg: Configuration, i: int, out: Stepped,
         out.effect(cfg.heap)
 
 
+class Machine:
+    """A configuration under the step relation, and what a step needs to
+    know which actors it may have woken:
+
+    - `outcomes`, each actor's last poll (`_actor_outcome`), and `enabled`,
+      the actors whose poll stepped, in actor order;
+    - `waits`, the buffer each outcome read: a communication's, or the one
+      a blocked actor waits on; and `readers`, buffer -> the actors whose
+      outcome read it, its inverse, with an entry for each buffer read so
+      far.
+
+    `step` commits in place and re-polls the actor that moved and the
+    readers of the buffer it pushed or popped, or every actor after a step
+    that writes a heap cell: no other outcome can have changed."""
+
+    __slots__ = ("cfg", "outcomes", "enabled", "waits", "readers")
+
+    def __init__(self, cfg: Configuration):
+        self.cfg = cfg
+        n = len(cfg.actors)
+        self.outcomes: list = [None] * n
+        self.waits: list = [None] * n
+        self.readers: dict = {}
+        self.enabled: list[int] = []
+        for j in range(n):
+            self.poll(j)
+
+    def poll(self, j: int) -> None:
+        """Renew actor j's outcome, and `enabled`, `waits` and `readers`
+        with it."""
+        outcomes, enabled, waits = self.outcomes, self.enabled, self.waits
+        if outcomes[j].__class__ is Stepped:
+            del enabled[bisect_left(enabled, j)]
+        key = waits[j]
+        if key is not None:
+            self.readers[key].discard(j)
+        outcomes[j] = out = _actor_outcome(self.cfg, j)
+        if out.__class__ is Stepped:
+            insort(enabled, j)
+            label = out.label
+            key = None if label is None else (label.chan, label.index)
+        else:
+            key = out.key if out.__class__ is Blocked else None
+        waits[j] = key
+        if key is not None:
+            held = self.readers.get(key)
+            if held is None:
+                self.readers[key] = {j}
+            else:
+                held.add(j)
+
+    def step(self, i: int, out: Stepped, drop_effect: bool = False) -> None:
+        """Commit actor i's polled step `out` and re-poll whom it may have
+        woken."""
+        commit(self.cfg, i, out, drop_effect)
+        label = out.label
+        if label is not None:
+            wake = tuple(self.readers[label.chan, label.index])  # i among them
+        elif out.effect is None:
+            wake = (i,)
+        else:
+            wake = range(len(self.outcomes))
+        for j in wake:
+            self.poll(j)
+
+    def copy(self) -> "Machine":
+        new = object.__new__(self.__class__)
+        new.cfg = self.cfg.copy()
+        new.outcomes, new.enabled = self.outcomes.copy(), self.enabled.copy()
+        new.waits = self.waits.copy()
+        new.readers = {key: set(held) for key, held in self.readers.items()}
+        return new
+
+
 @record
 class Fault:
     """Fault injection: skip the heap effect of the n-th send (1-based)."""
@@ -686,36 +746,12 @@ class Fault:
 def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
         max_steps: int = 500_000, observer: Optional[Callable] = None,
         fault: Optional[Fault] = None) -> RunResult:
-    """Execute one schedule on a copy of `cfg`, committing in place and
-    re-polling only woken actors (see the module docstring).  Enabled actors
-    stay in index order, so both schedulers choose exactly as if every actor
-    were polled every step."""
-    cfg = cfg.copy()
+    """Execute one schedule on a copy of `cfg`, stepping a `Machine`.
+    Enabled actors stay in index order, so both schedulers choose exactly
+    as if every actor were polled every step."""
+    machine = Machine(cfg.copy())
+    cfg, outcomes, enabled = machine.cfg, machine.outcomes, machine.enabled
     actors, heap = cfg.actors, cfg.heap
-    outcomes: list = [None] * len(actors)
-    waits: list = [None] * len(actors)   # buffer key each outcome read
-    readers: dict = {key: set() for key in heap.bufs}
-    enabled: list[int] = []              # actors with a Stepped outcome
-
-    def poll(j: int) -> None:
-        if outcomes[j].__class__ is Stepped:
-            del enabled[bisect_left(enabled, j)]
-        if waits[j] is not None:
-            readers[waits[j]].discard(j)
-        outcomes[j] = out = _actor_outcome(cfg, j)
-        key = None
-        if out.__class__ is Stepped:
-            insort(enabled, j)
-            if out.label is not None:
-                key = (out.label.chan, out.label.index)
-        elif out.__class__ is Blocked:
-            key = out.key
-        waits[j] = key
-        if key is not None:
-            readers[key].add(j)
-
-    for j in range(len(actors)):
-        poll(j)
     live = sum(not a.done for a in actors)
     sizes = heap.buffer_sizes()  # snapshots are shared by trace entries
     trace: list[TraceStep] = []
@@ -750,24 +786,18 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
         if label is not None and label.is_send:
             sends_seen += 1
             drop = fault is not None and sends_seen == fault.drop_send
-        commit(cfg, i, out, drop_effect=drop)
+        machine.step(i, out, drop)
         if is_value(out.expr):
             live -= 1
-        if label is None:
-            wake = (i,) if out.effect is None else range(len(actors))
-        else:
+        if label is not None:
             counts[(label.chan, "send" if label.is_send else "recv")] += 1
-            key = (label.chan, label.index)
-            fill = len(heap.bufs[key])
+            fill = len(heap.bufs[label.chan, label.index])
             sizes = dict(sizes)
             if label.index is None:
                 sizes[label.chan] = fill
             else:
                 sizes[label.chan] = fills = list(sizes[label.chan])
                 fills[label.index - 1] = fill
-            wake = tuple(readers[key])  # actor i among them
-        for j in wake:
-            poll(j)
         entry = TraceStep(len(trace), actors[i].name, label, sizes)
         trace.append(entry)
         if observer is not None:

@@ -29,6 +29,15 @@ def sizes_for(net, v: int):
     return {p: v for p in size_params(net)}
 
 
+def state_key(cfg) -> tuple:
+    """A configuration as a hashable value: the actors' expressions, the
+    heap cells and the buffers' contents (every heap of one network has the
+    same buffer keys in the same order)."""
+    heap = cfg.heap
+    return (tuple(a.expr for a in cfg.actors),
+            (tuple(sorted(heap.locs.items())), tuple(heap.bufs.values())))
+
+
 # --- small builders ---------------------------------------------------------
 
 def sv(name):

@@ -16,7 +16,7 @@ import sys
 import time
 
 import pytest
-from conftest import ROOT, load
+from conftest import ROOT, load, state_key
 from test_runtime import STUCK_BESIDE_BLOCKED
 
 from sdflow.conformance import check_progress_theorem
@@ -96,7 +96,7 @@ def test_stuck_samples_stay_as_they_were_found(source, sizes, reports):
         assert not any(isinstance(step_expr(a.expr, s.heap, a.name, s.venv),
                                   Stepped)
                        for a in s.actors if not a.done)
-    assert len({s.state_key() for s in ex.stuck}) == len(ex.stuck)
+    assert len({state_key(s) for s in ex.stuck}) == len(ex.stuck)
     assert len({id(s.heap) for s in ex.stuck}) == len(ex.stuck)
     assert check_progress_theorem(net, sizes).stuck == reports
 

@@ -11,7 +11,7 @@ configurations with the same blocked reasons.
 from collections import Counter
 
 import pytest
-from conftest import corpus_files, sizes_for
+from conftest import corpus_files, sizes_for, state_key
 from test_netcheck import pipeline_source
 from test_runtime import (
     RACY_REF, REF_OVER_CHANNEL, STUCK_BESIDE_BLOCKED, TWO_WRITERS,
@@ -36,7 +36,7 @@ def full_explore(cfg, max_states=300_000):
     stack = [(cfg.copy(), Counter())]
     while stack:
         current, counts = stack.pop()
-        key = (current.state_key(), tuple(sorted(counts.items())))
+        key = (state_key(current), tuple(sorted(counts.items())))
         if key in visited:
             continue
         visited.add(key)
@@ -76,7 +76,7 @@ def _blocked(cfg):
     reasons = tuple((a.name, "done" if a.done else
                      step_expr(a.expr, cfg.heap, a.name, cfg.venv).reason)
                     for a in cfg.actors)
-    return cfg.state_key(), reasons
+    return state_key(cfg), reasons
 
 
 def assert_same_verdicts(net, sizes):

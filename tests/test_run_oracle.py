@@ -11,7 +11,7 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import corpus_files, sizes_for
+from conftest import corpus_files, sizes_for, state_key
 from hypothesis import given, settings, strategies as st
 from test_runtime import (
     RACY_REF, REF_OVER_CHANNEL, STUCK_BESIDE_BLOCKED, TWO_WRITERS,
@@ -86,8 +86,7 @@ def _outcome(runner, net, sizes, **kwargs):
     seen = []
 
     def observer(entry, cfg):
-        seen.append((entry.to_json(), [a.expr for a in cfg.actors],
-                     cfg.heap.freeze()))
+        seen.append((entry.to_json(), state_key(cfg)))
     result = runner(instantiate(net, sizes), observer=observer, **kwargs)
     return {"status": result.status,
             "trace": [t.to_json() for t in result.trace],
