@@ -195,80 +195,9 @@ def _command(argv) -> int:
                       f"  x {s['multiplicity']}")
         return EXIT_OK
 
-    if args["command"] == "run":
-        from .runtime import InstantiationError, explore, instantiate, run
-        try:
-            cfg = instantiate(net, sizes)
-        except InstantiationError as exc:
-            _report([exc.diag])
-            raise SystemExit(EXIT_CHECK)
-        if args["scheduler"] == "exhaustive":
-            ex = explore(cfg, max_states=args["max_states"])
-            payload = {"status": "done" if ex.all_complete else "deadlock",
-                       "states": ex.states,
-                       "anyComplete": ex.any_complete,
-                       "allComplete": ex.all_complete,
-                       "outcomes": len(ex.terminals),
-                       "truncated": ex.truncated}
-            if args["format"] == "json":
-                _print_json(payload)
-            elif ex.truncated:
-                print(f"truncated after {ex.states} states")
-            else:
-                print(f"{payload['status']}: {ex.states} states, "
-                      f"{len(ex.terminals)} outcome(s)")
-            if not ex.all_complete:
-                raise SystemExit(EXIT_DEADLOCK)
-            return EXIT_OK
-        out = run(cfg, scheduler=args["scheduler"], seed=args["seed"])
-        trace = [s.to_json() for s in out.trace]
-        if out.status != "done":
-            if args["format"] == "json":
-                _print_json({"status": out.status, "trace": trace,
-                             "blocked": out.blocked})
-            else:
-                print(f"{out.status}: {out.blocked}", file=sys.stderr)
-            raise SystemExit(EXIT_DEADLOCK)
-        if args["format"] == "json":
-            _print_json({"status": "done", "trace": trace})
-        else:
-            print(f"done in {len(trace)} steps")
-        return EXIT_OK
-
-    if args["command"] == "conform":
-        from .conformance import check_preservation, check_progress_theorem
-        from .runtime import InstantiationError
-        try:
-            pres = check_preservation(net, sizes, scheduler=args["scheduler"],
-                                      seed=args["seed"], name=args["input"])
-            prog = check_progress_theorem(net, sizes,
-                                          max_states=args["max_states"],
-                                          name=args["input"])
-        except InstantiationError as exc:
-            _report([exc.diag])
-            raise SystemExit(EXIT_CHECK)
-        payload = {"preservation": pres.to_json(),
-                   "progress": prog.to_json()}
-        if args["format"] == "json":
-            _print_json(payload)
-        else:
-            print(f"preservation: {len(pres.violations)} violations over "
-                  f"{pres.steps} steps")
-            outcome = "complete" if prog.complete else "stuck states found"
-            if prog.truncated:
-                print(f"progress: truncated after {prog.states} states")
-            else:
-                print(f"progress: {prog.states} states, {outcome}")
-        if not pres.ok or not prog.ok:
-            for v in pres.violations:
-                print(f"violation at step {v.step} ({v.clause}): expected "
-                      f"{v.expected}, got {v.actual}", file=sys.stderr)
-            for stuck in prog.stuck:
-                print(f"stuck state: {stuck['actors']}", file=sys.stderr)
-            raise SystemExit(EXIT_CONFORMANCE)
-        return EXIT_OK
-
-    raise SystemExit(EXIT_USAGE)
+    from .simulate import conform_command, run_command
+    command = run_command if args["command"] == "run" else conform_command
+    return command(net, sizes, args)
 
 
 def entry() -> int:

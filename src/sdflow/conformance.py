@@ -443,7 +443,7 @@ def check_preservation(net: Network, sizes: dict[str, int],
                  fault=fault)
     if result.status != "done":
         violations.append(Violation(
-            len(result.trace), "run", "complete execution",
+            result.steps, "run", "complete execution",
             f"{result.status}: {result.blocked}"))
     else:
         leftovers = [f"{cfg.actors[i].name}: "
@@ -451,14 +451,14 @@ def check_preservation(net: Network, sizes: dict[str, int],
                      for i, pieces in enumerate(flows) if pieces]
         if leftovers:
             violations.append(Violation(
-                len(result.trace), "final", "all actor flowstates at eps",
+                result.steps, "final", "all actor flowstates at eps",
                 " | ".join(leftovers)))
         if counts:
             violations.append(Violation(
-                len(result.trace), "final", "heap flowstate back to eps",
+                result.steps, "final", "heap flowstate back to eps",
                 _counts_str(counts)))
     return ConformanceReport(name, dict(sizes), scheduler, seed,
-                             len(result.trace), violations)
+                             result.steps, violations)
 
 
 @record

@@ -11,19 +11,13 @@ expression's class in `_STEP`, which answers None for a value too (a size
 or an index of a value included), and `is_value` is a class test.  Value
 substitution, `subst_expr`, is the machine's too: `check` never runs it.
 
-Both theorems are checked over one step machine, `Machine`: a
-configuration with each actor's last outcome, the actors whose outcome
-stepped, and the buffer each outcome read.  A step commits in place and
-re-polls only the actors it may have woken: the one that moved and those
-whose last outcome read the buffer the step pushed or popped (a step that
-writes a heap cell wakes everyone), so polls per step do not grow with the
-number of actors.  `run` drives one machine under a scheduler; each
-communication copies the trace's buffer-size snapshot, and its observer is
-called as `observer(entry, cfg)` after each commit.  `explore` drives one
-machine per state it visits (`exploration._State`).  It commits in place
-into a state with one successor, copies only a state with several, and keys
-the states it has visited by interned codes, so a state costs about what a
-step of `run` costs; its machinery is in `exploration`.
+Both theorems are checked over one step machine, `Machine`, whose step
+re-polls only the actors it may have woken, so polls per step do not grow
+with the number of actors.  `run` drives one machine under a scheduler and
+counts its steps; only an observer gets trace entries, each holding the new
+fill of the one buffer its step touched.  `explore` drives one machine per
+state it visits, at about what a step of `run` costs; its machinery is in
+`exploration`.
 
 `explore` visits a reduced state space: at each state it expands one step
 that commutes with every step other actors can take first, when there is
@@ -618,26 +612,21 @@ _STEP.update({
 
 @record
 class TraceStep:
+    """Step `step` of a run: `actor` moved by `label`.  `fill` is the new
+    length of buffer `(label.chan, label.index)`, the one a labelled step
+    pushes or pops, and None for an internal step."""
     step: int
     actor: str
     label: Optional[Label]
-    buffer_sizes: dict
-
-    def to_json(self) -> dict:
-        label = {"kind": "internal"}
-        if self.label is not None:
-            label = {"kind": "send" if self.label.is_send else "recv",
-                     "channel": self.label.chan}
-            if self.label.index is not None:
-                label["index"] = self.label.index
-        return {"step": self.step, "actor": self.actor, "label": label,
-                "bufferSizes": self.buffer_sizes}
+    fill: Optional[int]
 
 
 @record
 class RunResult:
+    """How a run ended, after how many steps, and in which configuration;
+    it holds no trace (see `run`)."""
     status: str                      # "done" | "deadlock" | "error"
-    trace: list[TraceStep]
+    steps: int
     config: Configuration
     blocked: dict = field(default_factory=dict)   # actor -> reason on deadlock
     comm_counts: Counter = field(default_factory=Counter)
@@ -748,25 +737,25 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
         fault: Optional[Fault] = None) -> RunResult:
     """Execute one schedule on a copy of `cfg`, stepping a `Machine`.
     Enabled actors stay in index order, so both schedulers choose exactly
-    as if every actor were polled every step."""
+    as if every actor were polled every step.  A `TraceStep` is built only
+    for an `observer`, called as `observer(entry, cfg)` after each commit."""
     machine = Machine(cfg.copy())
     cfg, outcomes, enabled = machine.cfg, machine.outcomes, machine.enabled
-    actors, heap = cfg.actors, cfg.heap
+    actors, bufs = cfg.actors, cfg.heap.bufs
     live = sum(not a.done for a in actors)
-    sizes = heap.buffer_sizes()  # snapshots are shared by trace entries
-    trace: list[TraceStep] = []
+    steps = 0
     counts: Counter = Counter()
     getrandbits = random.Random(seed).getrandbits
     rr = 0
     sends_seen = 0
     while live:
-        if len(trace) == max_steps:
-            return RunResult("error", trace, cfg,
+        if steps == max_steps:
+            return RunResult("error", steps, cfg,
                              {"*": f"exceeded {max_steps} steps"}, counts)
         if not enabled:
             blocked = {a.name: out.reason for a, out in zip(actors, outcomes)
                        if isinstance(out, (Blocked, Stuck))}
-            return RunResult("deadlock", trace, cfg, blocked, counts)
+            return RunResult("deadlock", steps, cfg, blocked, counts)
         if scheduler == "roundRobin":
             k = bisect_left(enabled, rr)
             i = enabled[k] if k < len(enabled) else enabled[0]
@@ -791,18 +780,12 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
             live -= 1
         if label is not None:
             counts[(label.chan, "send" if label.is_send else "recv")] += 1
-            fill = len(heap.bufs[label.chan, label.index])
-            sizes = dict(sizes)
-            if label.index is None:
-                sizes[label.chan] = fill
-            else:
-                sizes[label.chan] = fills = list(sizes[label.chan])
-                fills[label.index - 1] = fill
-        entry = TraceStep(len(trace), actors[i].name, label, sizes)
-        trace.append(entry)
         if observer is not None:
-            observer(entry, cfg)
-    return RunResult("done", trace, cfg, comm_counts=counts)
+            fill = None if label is None else \
+                len(bufs[label.chan, label.index])
+            observer(TraceStep(steps, actors[i].name, label, fill), cfg)
+        steps += 1
+    return RunResult("done", steps, cfg, comm_counts=counts)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,16 @@ def state_key(cfg) -> tuple:
             (tuple(sorted(heap.locs.items())), tuple(heap.bufs.values())))
 
 
+def traced_run(cfg, **kwargs):
+    """`runtime.run(cfg, **kwargs)` and the trace entries it hands its
+    observer, in order: `run` builds them for an observer only."""
+    from sdflow.runtime import run
+    entries = []
+    result = run(cfg, observer=lambda entry, _: entries.append(entry),
+                 **kwargs)
+    return result, entries
+
+
 # --- small builders ---------------------------------------------------------
 
 def sv(name):

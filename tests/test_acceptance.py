@@ -8,7 +8,7 @@ from collections import Counter
 
 from conftest import (
     ProgramGen, comp, corpus_files, ev, gen_size_expr, it, load, seq,
-    sizes_for, tenv,
+    sizes_for, tenv, traced_run,
 )
 
 from sdflow.conformance import check_preservation, check_progress_theorem
@@ -96,8 +96,8 @@ def test_criterion_3_type_preservation_at_desk_scale():
                                 [x.to_json() for x in rep.violations])
     # a faulted runtime (dropping one send) is caught at the exact step
     net = dict(nets)["downsampler.sdf"]
-    clean = run(instantiate(net, {"s": 8}))
-    send_steps = [t.step for t in clean.trace if t.label and t.label.is_send]
+    _, clean = traced_run(instantiate(net, {"s": 8}))
+    send_steps = [t.step for t in clean if t.label and t.label.is_send]
     rep = check_preservation(net, {"s": 8}, fault=Fault(drop_send=3))
     assert not rep.ok
     assert rep.violations[0].clause == "clause-1"

@@ -1,10 +1,11 @@
 """Golden sweep of the command line over the corpus.
 
 Every `corpus/*/*.sdf` is run in-process through `cli.main` with `check`,
-`schedule --format json` and `run --scheduler exhaustive --format json`,
-each with every declared size set to 2, and its stdout, stderr and exit
-code are compared with `tests/golden/cli_corpus.json`.  A change to any
-verdict, diagnostic or schedule on the corpus shows up here.
+`schedule --format json`, `run --scheduler exhaustive --format json` and
+`run --scheduler roundRobin --format json` (a whole trace), each with every
+declared size set to 2, and its stdout, stderr and exit code are compared
+with `tests/golden/cli_corpus.json`.  A change to any verdict, diagnostic,
+schedule or trace on the corpus shows up here.
 
 After an intended change of output, rewrite the golden file with
 
@@ -33,6 +34,7 @@ COMMANDS = {
     "check": ["check"],
     "schedule": ["schedule", "--format", "json"],
     "run": ["run", "--scheduler", "exhaustive", "--format", "json"],
+    "trace": ["run", "--scheduler", "roundRobin", "--format", "json"],
 }
 
 

@@ -279,7 +279,7 @@ def oracle_check_preservation(net: Network, sizes: dict[str, int],
                  fault=fault)
     if result.status != "done":
         violations.append(Violation(
-            len(result.trace), "run", "complete execution",
+            result.steps, "run", "complete execution",
             f"{result.status}: {result.blocked}"))
     else:
         leftovers = [f"{cfg.actors[i].name}: "
@@ -287,15 +287,15 @@ def oracle_check_preservation(net: Network, sizes: dict[str, int],
                      for i, comps in enumerate(flows) if comps]
         if leftovers:
             violations.append(Violation(
-                len(result.trace), "final", "all actor flowstates at eps",
+                result.steps, "final", "all actor flowstates at eps",
                 " | ".join(leftovers)))
         final_counts = state["heap_counts"]
         if final_counts:
             violations.append(Violation(
-                len(result.trace), "final", "heap flowstate back to eps",
+                result.steps, "final", "heap flowstate back to eps",
                 _counts_str(final_counts)))
     return ConformanceReport(name, dict(sizes), scheduler, seed,
-                             len(result.trace), violations)
+                             result.steps, violations)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ from collections import Counter
 
 import pytest
 
-from conftest import comp, corpus_files, ev, it, load, seq, sizes_for, tenv
+from conftest import (
+    comp, corpus_files, ev, it, load, seq, sizes_for, tenv, traced_run,
+)
 from test_runtime import array_config
 
 from sdflow import conformance
@@ -13,7 +15,7 @@ from sdflow.conformance import (
 )
 from sdflow.parser import parse_program_or_raise
 from sdflow.printer import print_guard, print_proc_flow
-from sdflow.runtime import Fault, Label, instantiate, run, step_expr
+from sdflow.runtime import Fault, Label, instantiate, step_expr
 from sdflow.syntax import (
     BoolLit, ChannelKind, Comp, Divides, IntLit, Iterator, MkIndex, Num, SVar,
     PActor, Recv, Send, SizeKind, Env, INF, flow_comps, subst_comp,
@@ -170,8 +172,8 @@ def test_delay_channel_first_read_is_producer_clause():
 
 def test_faulted_runtime_caught_at_exact_step():
     net = _net("downsampler.sdf")
-    clean = run(instantiate(net, {"s": 8}))
-    sends = [t.step for t in clean.trace if t.label and t.label.is_send]
+    _, clean = traced_run(instantiate(net, {"s": 8}))
+    sends = [t.step for t in clean if t.label and t.label.is_send]
     target = 3  # drop the third send overall
     rep = check_preservation(net, {"s": 8}, fault=Fault(drop_send=target))
     assert not rep.ok

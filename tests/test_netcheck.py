@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from conftest import comp, ev, it, load, seq, tenv
+from conftest import comp, ev, it, load, seq, tenv, traced_run
 
 from sdflow import netcheck
 from sdflow.netcheck import (
@@ -347,16 +347,16 @@ def test_determinism_computes_each_components_uses_once(monkeypatch):
 
 def test_inchans_match_runtime_channel_usage():
     # channels named by the use sets are exactly those touched at runtime
-    from sdflow.runtime import instantiate, run
+    from sdflow.runtime import instantiate
     from sdflow.typecheck import check_proc
     net = parse_program_or_raise(load("good", "downsampler.sdf"))
     flow, _ = check_proc(net.tenv, net.venv, net.body)
     static_reads = {u[1] for u in inchans(flow)}
     static_writes = {u[1] for u in outchans(flow)}
-    result = run(instantiate(net, {"s": 4}))
-    seen_reads = {t.label.chan for t in result.trace
+    _, trace = traced_run(instantiate(net, {"s": 4}))
+    seen_reads = {t.label.chan for t in trace
                   if t.label and not t.label.is_send}
-    seen_writes = {t.label.chan for t in result.trace
+    seen_writes = {t.label.chan for t in trace
                    if t.label and t.label.is_send}
     assert seen_reads == static_reads
     assert seen_writes == static_writes

@@ -1,12 +1,15 @@
 """`runtime.run` against the step machine it replaced.
 
-`polling_run` polls every actor on every step and commits into a fresh copy
-of the configuration.  The wake-on-buffer machine in `sdflow.runtime` must
-give the same trace, status, blocked reasons (in order), communication
-counts, final configuration and observer calls on every network, scheduler,
-seed and fault.
+`polling_run` polls every actor on every step, commits into a fresh copy
+of the configuration and snapshots every buffer's fill after each step.
+The wake-on-buffer machine in `sdflow.runtime` must give the same status,
+step count, blocked reasons (in order), communication counts, final
+configuration and observer calls on every network, scheduler, seed and
+fault, and the fills `sdflow run --format json` rebuilds from its entries
+must equal the snapshots at every step.
 """
 
+import json
 import random
 from collections import Counter
 
@@ -23,21 +26,24 @@ from sdflow.runtime import (
     Actor, Blocked, Fault, InstantiationError, RunResult, Stepped, Stuck,
     TraceStep, instantiate, run, step_expr,
 )
+from sdflow.simulate import trace_json
 
 
 # --- the replaced implementation --------------------------------------------
 
 def polling_run(cfg, scheduler="roundRobin", seed=0, max_steps=500_000,
-                observer=None, fault=None):
+                observer=None, fault=None, snapshots=None):
+    """`run` as it was: every actor polled on every step.  `snapshots`, if
+    given, gets `cfg.heap.buffer_sizes()` after every step."""
     cfg = cfg.copy()
-    trace = []
+    steps = 0
     counts = Counter()
     rng = random.Random(seed)
     rr = 0
     sends_seen = 0
     while not cfg.done():
-        if len(trace) == max_steps:
-            return RunResult("error", trace, cfg,
+        if steps == max_steps:
+            return RunResult("error", steps, cfg,
                              {"*": f"exceeded {max_steps} steps"}, counts)
         candidates = []
         blocked = {}
@@ -49,7 +55,7 @@ def polling_run(cfg, scheduler="roundRobin", seed=0, max_steps=500_000,
             elif isinstance(out, (Blocked, Stuck)):
                 blocked[actor.name] = out.reason
         if not candidates:
-            return RunResult("deadlock", trace, cfg, blocked, counts)
+            return RunResult("deadlock", steps, cfg, blocked, counts)
         if scheduler == "roundRobin":
             chosen = next((c for c in candidates if c[0] >= rr),
                           candidates[0])
@@ -69,27 +75,56 @@ def polling_run(cfg, scheduler="roundRobin", seed=0, max_steps=500_000,
         cfg.actors[i] = Actor(before.actors[i].name, out.expr)
         if out.effect is not None and not drop:
             out.effect(cfg.heap)
+        fill = None
         if out.label is not None:
             key = (out.label.chan, "send" if out.label.is_send else "recv")
             counts[key] += 1
-        entry = TraceStep(len(trace), before.actors[i].name, out.label,
-                          cfg.heap.buffer_sizes())
-        trace.append(entry)
+            fill = len(cfg.heap.bufs[out.label.chan, out.label.index])
+        if snapshots is not None:
+            snapshots.append(cfg.heap.buffer_sizes())
         if observer is not None:
-            observer(entry, cfg)
-    return RunResult("done", trace, cfg, comm_counts=counts)
+            observer(TraceStep(steps, before.actors[i].name, out.label, fill),
+                     cfg)
+        steps += 1
+    return RunResult("done", steps, cfg, comm_counts=counts)
 
 
 # --- comparison -------------------------------------------------------------
 
-def _outcome(runner, net, sizes, **kwargs):
-    seen = []
+def _label_json(label):
+    if label is None:
+        return {"kind": "internal"}
+    out = {"kind": "send" if label.is_send else "recv", "channel": label.chan}
+    if label.index is not None:
+        out["index"] = label.index
+    return out
 
-    def observer(entry, cfg):
-        seen.append((entry.to_json(), state_key(cfg)))
-    result = runner(instantiate(net, sizes), observer=observer, **kwargs)
+
+def _outcome(runner, net, sizes, **kwargs):
+    """What a run gives and what its observer sees.  `trace` is each step's
+    JSON entry: for `run` rebuilt from its entries by the code `sdflow run
+    --format json` writes with, and for `polling_run` made from its entries
+    and its own snapshots of every buffer's fill."""
+    cfg = instantiate(net, sizes)
+    entries, seen, snapshots = [], [], []
+
+    def observer(entry, after):
+        entries.append(entry)
+        seen.append((entry.step, entry.actor, entry.label, entry.fill,
+                     state_key(after)))
+    if runner is polling_run:
+        kwargs = dict(kwargs, snapshots=snapshots)
+    result = runner(cfg, observer=observer, **kwargs)
+    if runner is polling_run:
+        trace = [{"step": e.step, "actor": e.actor,
+                  "label": _label_json(e.label), "bufferSizes": fills}
+                 for e, fills in zip(entries, snapshots, strict=True)]
+    else:
+        trace = [json.loads(line)
+                 for line in trace_json(cfg.heap.buffer_sizes(), entries)]
     return {"status": result.status,
-            "trace": [t.to_json() for t in result.trace],
+            "steps": (result.steps, len(entries)),
+            "trace": trace,
             "blocked": list(result.blocked.items()),
             "counts": sorted(result.comm_counts.items()),
             "actors": [(a.name, a.expr) for a in result.config.actors],

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import load, sizes_for
+from conftest import load, sizes_for, traced_run
 
 from sdflow import runtime
 from sdflow.flowstate import proc_rate_summary
@@ -170,7 +170,7 @@ def test_deterministic_outcome_across_interleavings():
 
 def test_run_that_finishes_on_its_last_allowed_step_is_done():
     cfg = instantiate(_net("pipeline2.sdf"), {"n": 2})
-    steps = len(run(cfg).trace)
+    steps = run(cfg).steps
     assert steps == 16
     assert run(cfg, max_steps=steps).status == "done"
     short = run(cfg, max_steps=steps - 1)
@@ -180,16 +180,16 @@ def test_run_that_finishes_on_its_last_allowed_step_is_done():
 
 def test_round_robin_trace_reproducible():
     net = _net("downsampler.sdf")
-    r1 = run(instantiate(net, {"s": 4}))
-    r2 = run(instantiate(net, {"s": 4}))
-    assert [t.to_json() for t in r1.trace] == [t.to_json() for t in r2.trace]
+    _, t1 = traced_run(instantiate(net, {"s": 4}))
+    _, t2 = traced_run(instantiate(net, {"s": 4}))
+    assert t1 == t2
 
 
 def test_random_seeded_trace_reproducible():
     net = _net("downsampler.sdf")
-    r1 = run(instantiate(net, {"s": 4}), scheduler="random", seed=11)
-    r2 = run(instantiate(net, {"s": 4}), scheduler="random", seed=11)
-    assert [t.to_json() for t in r1.trace] == [t.to_json() for t in r2.trace]
+    _, t1 = traced_run(instantiate(net, {"s": 4}), scheduler="random", seed=11)
+    _, t2 = traced_run(instantiate(net, {"s": 4}), scheduler="random", seed=11)
+    assert t1 == t2
 
 
 def test_fault_drops_heap_effect_only():
@@ -391,7 +391,7 @@ def test_two_writers_on_one_channel_interleave():
     assert result.status == "done"
     assert result.config.actors[2].expr == IntLit(1324)
     assert dict(result.comm_counts) == {("c", "send"): 4, ("c", "recv"): 4}
-    assert len(result.trace) == 20
+    assert result.steps == 20
 
 
 def test_ref_sent_over_channel_is_assigned_by_receiver():
@@ -475,7 +475,7 @@ def test_max_steps_exhaustion_is_an_error():
     result = run(instantiate(net, {"n": 4}), max_steps=5)
     assert result.status == "error"
     assert result.blocked == {"*": "exceeded 5 steps"}
-    assert len(result.trace) == 5
+    assert result.steps == 5
 
 
 def test_run_polls_only_woken_actors(monkeypatch):
@@ -496,7 +496,7 @@ def test_run_polls_only_woken_actors(monkeypatch):
         result = run(instantiate(parse_program_or_raise(pipeline_source(n)),
                                  {"s": 4}))
         assert result.status == "done"
-        per_step[n] = polls / len(result.trace)
+        per_step[n] = polls / result.steps
     assert all(0 < p <= 2 for p in per_step.values()), per_step
 
 

@@ -34,6 +34,13 @@ nested ones included).  When every state polled every actor and rehashed
 every actor's expression, pipeline-16 read 16.0 polls and 87.5 hashes per
 state, and pipeline-256 256.0 and 1 287.7.
 
+The memory cells count bytes, not time: tracemalloc's peak over
+`runtime.run` with no observer on pipeline-64 at rates 4x apart, which
+must hold about level, and the peak RSS of text `sdflow run` on
+pipeline-1024 at s=16 as a child process.  While every communication
+copied a map of every buffer's fill into a trace entry that `run` kept,
+the first read 4.1 and 16.4 MB and the second 883 MB.
+
 Run as a script, it writes every cell's counters and the line count of
 `src/sdflow` to a JSON file, to compare one change's before and after:
 
@@ -48,6 +55,7 @@ import subprocess
 import sys
 import tempfile
 import tokenize
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -70,17 +78,27 @@ STARTUP = {"import": "import sdflow.cli",
 # record classes one `check` may build, of the 61 `import sdflow.cli` defines
 CHECK_RECORDS_BOUND = 40
 # tokens of the sdflow sources one `check` compiles (26 949 when it also
-# compiled value substitution and the program printer)
-CHECK_TOKENS_BOUND = 25_600
+# compiled value substitution and the program printer, 25 318 when `cli`
+# also held the `run` and `conform` commands)
+CHECK_TOKENS_BOUND = 25_000
 # modules a `check` has no use for
 NOT_CHECKED = ("argparse", "gettext", "locale", "sdflow.printer",
-               "sdflow.runtime", "sdflow.exploration", "sdflow.conformance")
+               "sdflow.runtime", "sdflow.exploration", "sdflow.conformance",
+               "sdflow.simulate")
 # pipeline stages instantiated by the run cell, 4x apart
 RUN_STAGES = (16, 64)
 # pipeline stages explored at s=4 by the explore cells, 16x apart, and how
 # much the work per visited state may grow between them
 EXPLORE_STAGES = (16, 256)
 EXPLORE_GROWTH = 1.5
+# pipeline stages and rates, 4x apart, of the `run` memory cell, and how
+# much its tracemalloc peak may grow between them
+RUN_MEMORY = (64, (16, 64))
+RUN_MEMORY_GROWTH = 1.2
+# pipeline stages and rate of text `sdflow run` in a child process, and the
+# bound on its peak RSS in MB
+CLI_RUN = (1024, 16)
+CLI_RUN_RSS_MB = 100
 
 
 def _patch_everywhere(mp: pytest.MonkeyPatch, original, replacement) -> None:
@@ -187,6 +205,14 @@ def source_tokens(path: str) -> int:
                    for tok in tokenize.tokenize(f.readline))
 
 
+def src_env(**extra) -> dict:
+    """This environment with the repository's `src` first on PYTHONPATH,
+    and `extra` set."""
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
+                                  if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
 def fresh_run(statements: str) -> dict:
     """What a fresh interpreter compiles while it runs `statements` from the
     repository root with no bytecode cache to read: `records`, the record
@@ -207,11 +233,8 @@ def fresh_run(statements: str) -> dict:
               " file=sys.stderr)\n")
     src = ROOT / "src"
     with tempfile.TemporaryDirectory() as no_cache:
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-                   PYTHONPYCACHEPREFIX=no_cache,
-                   PYTHONPATH=os.pathsep.join(
-                       [str(src)] + [p for p in [os.environ.get("PYTHONPATH")]
-                                     if p]))
+        env = src_env(PYTHONDONTWRITEBYTECODE="1",
+                      PYTHONPYCACHEPREFIX=no_cache)
         out = subprocess.run([sys.executable, "-c", script,
                               str(src / "sdflow")],
                              capture_output=True, text=True, cwd=ROOT,
@@ -308,10 +331,74 @@ def test_explore_work_per_state_does_not_grow_with_actors(explored, work):
     assert large <= EXPLORE_GROWTH * small, (small, large)
 
 
+def run_peak(stages: int, s: int) -> int:
+    """tracemalloc's peak, in bytes, over `runtime.run` with no observer on
+    `gen.pipeline(stages)` at rate s."""
+    net = parse_program(perfbench_gen().pipeline(stages).source)
+    cfg = runtime.instantiate(net, {"s": s})
+    tracemalloc.start()
+    try:
+        assert runtime.run(cfg).status == "done"
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def run_memory() -> dict:
+    """`run_peak` at each rate of `RUN_MEMORY`, after a small run has built
+    the record methods a first run builds."""
+    stages, rates = RUN_MEMORY
+    run_peak(4, 2)
+    return {s: run_peak(stages, s) for s in rates}
+
+
+def test_run_memory_does_not_grow_with_steps():
+    small, large = run_memory().values()
+    assert small > 0
+    assert large <= RUN_MEMORY_GROWTH * small, (small, large)
+
+
+# Runs a command and prints its exit code, its peak RSS in kB and its
+# output.  A child's peak RSS counts the RSS of the process that started it
+# (its image before `exec`), so the command is started from this small
+# interpreter, not from the caller, whose heap may be larger than the bound.
+_PEAK_RSS = """\
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE,
+                        stderr=subprocess.STDOUT, text=True)
+with proc.stdout:
+    out = proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss, out, sep="\\n", end="")
+"""
+
+
+def cli_run_rss_mb() -> float:
+    """Peak RSS, in MB, of text `sdflow run` on `gen.pipeline(stages)` at
+    rate s (`CLI_RUN`) as a child process."""
+    stages, s = CLI_RUN
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pipeline.sdf")
+        with open(path, "w") as f:
+            f.write(perfbench_gen().pipeline(stages).source)
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m",
+             "sdflow.cli", "run", path, "--size", f"s={s}"],
+            capture_output=True, text=True, env=src_env(), check=True)
+    code, kb, out = done.stdout.split("\n", 2)
+    assert code == "0" and out.startswith("done in "), done.stdout
+    return round(int(kb) / 1024, 1)  # kB on Linux
+
+
+def test_cli_run_peak_rss_is_bounded():
+    assert cli_run_rss_mb() < CLI_RUN_RSS_MB
+
+
 def write_bench(path: str) -> dict:
-    """Write the counters of every cell, the start-up and run cells and the
-    line count of `src/sdflow` to `path` as JSON; return what was
-    written."""
+    """Write the counters of every cell, the start-up, run, explore and
+    memory cells and the line count of `src/sdflow` to `path` as JSON;
+    return what was written."""
     bench = {
         "src_lines": sum(len(f.read_text().splitlines())
                          for f in sorted((ROOT / "src" / "sdflow").glob("*.py"))),
@@ -322,6 +409,10 @@ def write_bench(path: str) -> dict:
         "run": {f"pipeline-{n}": {"substs": instantiate_substs(n)}
                 for n in RUN_STAGES},
         "explore": {f"pipeline-{n}": explore_work(n) for n in EXPLORE_STAGES},
+        "memory": {**{f"run_peak_bytes-pipeline-{RUN_MEMORY[0]}-s{s}": peak
+                      for s, peak in run_memory().items()},
+                   f"cli_run_rss_mb-pipeline-{CLI_RUN[0]}-s{CLI_RUN[1]}":
+                       cli_run_rss_mb()},
     }
     with open(path, "w") as out:
         json.dump(bench, out, indent=2)
