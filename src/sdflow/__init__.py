@@ -16,7 +16,7 @@ _EXPORTS = {
                  "inchans", "outchans"],
     "parser": ["parse_program", "parse_program_or_raise"],
     "printer": ["print_program"],
-    "runtime": ["Fault", "explore", "instantiate", "run"],
+    "runtime": ["explore", "instantiate", "run"],
     "syntax": ["print_flow", "print_proc_flow"],
     "typecheck": ["check_network", "check_proc", "infer_expr"],
 }

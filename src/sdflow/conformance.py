@@ -32,13 +32,13 @@ from .flowstate import count_in_range, count_multiples
 from .netcheck import PRODUCER, classify_event
 from .kinding import eval_size, normalize_size
 from .runtime import (
-    Configuration, Fault, Heap, Label, buffer_name, channel_payloads, explore,
+    Configuration, Heap, Label, buffer_name, channel_payloads, explore,
     instantiate, run, step_expr,
 )
 from .syntax import (
-    ActorComp, ActorE, ActorFlow, BoolLit, BoolType, ChannelArrayKind,
-    ChannelKind, Comp, Diagnostic, Divides, Env, Event, IntLit, IntType,
-    Iterator, Network, Num, PActor, PArray, ProcFlow, SizeType, Stop,
+    ActorComp, ActorE, ActorFlow, BoolLit, BoolType, Comp, Diagnostic,
+    Divides, Env, Event, IntLit, IntType, Iterator, Network, Num, PActor,
+    PArray, ProcFlow, SizeType, Stop,
     SVar, flow_comps, par_flow, proc_components, proc_flow_components,
     print_comp, seq_flow, subst_comp, subst_flow, subst_size, MkSize, MkIndex,
     record,
@@ -69,25 +69,27 @@ def _value_has_type(value, ty) -> bool:
 def heap_flow_counts(tenv: Env, heap: Heap) -> Counter:
     """Pending communications recorded by the heap, as concrete counts."""
     counts: Counter = Counter()
-    kinds: dict = {}
+    sends_produce = {chan: _send_produces(tenv, chan) for chan in heap.caps}
     for key in heap.bufs:
-        chan = key[0]
-        if chan not in kinds:
-            kinds[chan] = tenv.lookup(chan)
-        if isinstance(kinds[chan], (ChannelKind, ChannelArrayKind)):
-            count_key, n = _buffer_count(kinds[chan], heap, key)
-            if n:
-                counts[count_key] = n
+        count_key, n = _buffer_count(sends_produce[key[0]], heap, key)
+        if n:
+            counts[count_key] = n
     return counts
 
 
-def _buffer_count(kind, heap: Heap, key: tuple) -> tuple[CountKey, int]:
-    """The one count a buffer records, from its fill: buffered items of an
-    undelayed channel as sends, free slots of a delayed one as receives."""
+def _send_produces(tenv: Env, chan: str) -> bool:
+    return classify_event(tenv, Event(chan, True)) == PRODUCER
+
+
+def _buffer_count(send_produces: bool, heap: Heap, key: tuple
+                  ) -> tuple[CountKey, int]:
+    """The one count a buffer records, from its fill: the pending producer
+    events of its channel (`netcheck.classify_event`), buffered items where
+    a send produces, free slots where a receive does."""
     chan, idx = key
     element = () if idx is None else (idx,)
     fill = len(heap.bufs[key])
-    if kind.delay == 0:
+    if send_produces:
         return (chan, True) + element, fill
     return (chan, False) + element, heap.caps[chan] - fill
 
@@ -387,7 +389,6 @@ def _counts_str(counts: Counter) -> str:
 
 def check_preservation(net: Network, sizes: dict[str, int],
                        scheduler: str = "roundRobin", seed: int = 0,
-                       fault: Optional[Fault] = None,
                        name: str = "<network>") -> ConformanceReport:
     """Co-simulates a run against the flowstates, checking on every
     communication that (1) producers extend the heap flowstate with the
@@ -402,10 +403,8 @@ def check_preservation(net: Network, sizes: dict[str, int],
         violations.append(Violation(
             -1, "final", "eps",
             f"initial heap flowstate {_counts_str(counts)}"))
-    kinds = {chan: net.tenv.lookup(chan) for chan in cfg.heap.caps}
-    produces = {(chan, is_send): classify_event(
-                    net.tenv, Event(chan, is_send)) == PRODUCER
-                for chan in kinds for is_send in (True, False)}
+    sends_produce = {chan: _send_produces(net.tenv, chan)
+                     for chan in cfg.heap.caps}
 
     def observer(entry, after: Configuration):
         label = entry.label
@@ -419,14 +418,15 @@ def check_preservation(net: Network, sizes: dict[str, int],
                 "; ".join(print_comp(_piece_comp(p)) for p in pieces)
                 or "eps"))
         # recount the buffer the step pushed or popped, from the heap
-        count_key, n = _buffer_count(kinds[label.chan], after.heap,
+        send_produces = sends_produce[label.chan]
+        count_key, n = _buffer_count(send_produces, after.heap,
                                      (label.chan, label.index))
         old = {count_key: counts.pop(count_key, 0)}
         if n:
             counts[count_key] = n
         # a producer adds its event to the heap flowstate, a consumer takes
         # away its complement's
-        producer = produces[label.chan, label.is_send]
+        producer = label.is_send == send_produces
         key = (label.chan, label.is_send == producer) + (
             () if label.index is None else (label.index,))
         change = 1 if producer else -1
@@ -439,8 +439,7 @@ def check_preservation(net: Network, sizes: dict[str, int],
                 entry.step, "clause-1" if producer else "clause-2",
                 _counts_str(want), _counts_str(counts if producer else before)))
 
-    result = run(cfg, scheduler=scheduler, seed=seed, observer=observer,
-                 fault=fault)
+    result = run(cfg, scheduler=scheduler, seed=seed, observer=observer)
     if result.status != "done":
         violations.append(Violation(
             result.steps, "run", "complete execution",

@@ -5,7 +5,9 @@ states share, and the persistent-set choice.
 runs networks does not compile it.  A state is a `runtime.Machine`, which
 polls, commits and wakes as it does for `run`; it calls `commit` and
 `_actor_outcome` as `runtime` globals, so whatever replaces them there,
-such as perfbench's tracer, sees every call.
+such as perfbench's tracer, sees every call.  The key of a polled step,
+what it touches, decides both whom the step wakes and whether it is
+expanded on its own.
 """
 
 from __future__ import annotations
@@ -19,32 +21,6 @@ from .syntax import (
     FromIndex, FromSize, If, Lam, Let, MkIndex, MkSize, NewRef, Recv, Send,
     SeqE, When,
 )
-
-
-def _redex(e: Expr) -> Expr:
-    """The subterm whose reduction is `e`'s next step, following the
-    evaluation order of `step_expr`."""
-    while True:
-        match e:
-            case (SeqE(a) | Let(bound=a) | If(a) | For(bound=a) | FromSize(a)
-                  | FromIndex(a) | MkSize(a) | MkIndex(a) | NewRef(a)
-                  | Deref(a)):
-                parts = (a,)
-            case When(a, _, b) | Assign(a, b) | BinOp(_, a, b):
-                parts = (a, b)
-            case App(fn, args):
-                parts = (fn, *args)
-            case Send(_, index, payload):
-                parts = (index, payload)
-            case Recv(_, index):
-                parts = (index,)
-            case _:
-                return e
-        inner = next((p for p in parts if p is not None and not is_value(p)),
-                     None)
-        if inner is None:
-            return e
-        e = inner
 
 
 def _comm_sites(e: Expr, venv: Env) -> frozenset:
@@ -85,25 +61,22 @@ def _persistent(state: _State, search: _Search) -> list:
     commutes with every step other actors can take before it, else every
     enabled step, in actor order.
 
-    Such a step is an internal step that reads and writes no heap cell, or
-    a send (receive) on a buffer that no other actor's remaining expression
-    and no procedure stored in a buffer or a cell can send to (receive
-    from).  With one writer and one reader per buffer, other actors can
-    only make it more enabled, and a push and a pop of one FIFO commute, so
-    the singleton is a persistent set and every deadlock and terminal is
-    still reached (Godefroid, LNCS 1032, Thm 4.3).  The clash test is two
-    lookups in the state's index of live actors by site, not a scan of
-    the other actors."""
-    actors, outcomes, holders = state.cfg.actors, state.outcomes, state.holders
+    Such a step is one without a key, an internal step that touches no
+    heap cell, or a send (receive) on a buffer that no other actor's
+    remaining expression and no procedure stored in a buffer or a cell can
+    send to (receive from).  With one writer and one reader per buffer,
+    other actors can only make it more enabled, and a push and a pop of
+    one FIFO commute, so the singleton is a persistent set and every
+    deadlock and terminal is still reached (Godefroid, LNCS 1032, Thm 4.3).
+    The clash test is two lookups in the state's index of live actors by
+    site, not a scan of the other actors."""
+    outcomes, holders = state.outcomes, state.holders
     for i in state.enabled:
         out = outcomes[i]
+        if out.key is None:
+            return [(i, out)]
         label = out.label
-        if label is None:
-            # a step that writes a cell has an effect, and one that reads
-            # a cell needs the heap to hold one
-            if out.effect is None and not state.cfg.heap.locs \
-                    or not isinstance(_redex(actors[i].expr), (Deref, Assign)):
-                return [(i, out)]
+        if label is None:  # it reads or writes a heap cell
             continue
         if state.stale:
             search.reindex(state)
@@ -233,16 +206,15 @@ class _Search:
         it changed."""
         heap, label = state.cfg.heap, out.label
         if label is not None and not label.is_send:
-            self._store(state, heap.bufs[(label.chan, label.index)][0], -1)
+            self._store(state, heap.bufs[out.key][0], -1)
         state.step(i, out)
         code = state.code
         code[i] = self.intern(out.expr)
         changed = [i]
         state.stale.add(i)
         if label is not None:
-            key = (label.chan, label.index)
-            buf = heap.bufs[key]
-            at = self.buffer_at[key]
+            buf = heap.bufs[out.key]
+            at = self.buffer_at[out.key]
             code[at] = self.intern(buf)
             count = self.count_at[label.chan,
                                   "send" if label.is_send else "recv"]

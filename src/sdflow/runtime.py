@@ -11,11 +11,14 @@ expression's class in `_STEP`, which answers None for a value too (a size
 or an index of a value included), and `is_value` is a class test.  Value
 substitution, `subst_expr`, is the machine's too: `check` never runs it.
 
-Both theorems are checked over one step machine, `Machine`, whose step
-re-polls only the actors it may have woken, so polls per step do not grow
-with the number of actors.  `run` drives one machine under a scheduler and
-counts its steps; only an observer gets trace entries, each holding the new
-fill of the one buffer its step touched.  `explore` drives one machine per
+Both theorems are checked over one step machine, `Machine`.  Each outcome
+names what it touches as its `key`: the buffer a communication pushes or
+pops or waits on, the heap cell a read or an assignment uses, or nothing.
+A step re-polls the actors whose outcome touched its key, or the actor
+that moved alone when it has none, so polls per step do not grow with the
+number of actors.  `run` drives one machine under a scheduler and counts
+its steps; only an observer gets trace entries, each holding the new fill
+of the one buffer its step touched.  `explore` drives one machine per
 state it visits, at about what a step of `run` costs; its machinery is in
 `exploration`.
 
@@ -124,15 +127,13 @@ class Configuration:
     actors: list[Actor]
     heap: Heap
     venv: Env
-    tenv: Env
-    sizes: dict
 
     def done(self) -> bool:
         return all(a.done for a in self.actors)
 
     def copy(self) -> "Configuration":
         return Configuration([Actor(a.name, a.expr) for a in self.actors],
-                             self.heap.copy(), self.venv, self.tenv, self.sizes)
+                             self.heap.copy(), self.venv)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,7 @@ def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
                         subst_expr(body, {var: MkIndex(IntLit(k))})))
             case _:
                 raise TypeError(f"unexpected process form {part!r}")
-    return Configuration(actors, heap, net.venv, net.tenv, dict(sizes))
+    return Configuration(actors, heap, net.venv)
 
 
 # --- value-level substitution ----------------------------------------------
@@ -346,9 +347,13 @@ _SUBST = {
 
 @record
 class Stepped:
+    """A step: the new expression, its label, its effect on the heap when
+    committed, and `key`, what it touches: the buffer of its label, or the
+    `LocRef` it reads or writes."""
     expr: Expr
     label: Optional[Label] = None
-    effect: Optional[Callable] = None  # applied to the heap when committed
+    effect: Optional[Callable] = None
+    key: Union[BufferKey, LocRef, None] = field(default=None, compare=False)
 
 
 @record
@@ -501,7 +506,7 @@ def _step_deref(e: Deref, heap: Heap, actor: str, venv: Env):
         return _in_context(target, heap, actor, venv, Deref)
     if not isinstance(target, LocRef):
         return Stuck("dereferencing a non-reference")
-    return Stepped(heap.locs[(target.actor, target.slot)])
+    return Stepped(heap.locs[(target.actor, target.slot)], key=target)
 
 
 def _step_assign(e: Assign, heap: Heap, actor: str, venv: Env):
@@ -517,7 +522,7 @@ def _step_assign(e: Assign, heap: Heap, actor: str, venv: Env):
 
     def effect(h: Heap, target=target, value=value):
         h.locs[(target.actor, target.slot)] = value
-    return Stepped(value, effect=effect)
+    return Stepped(value, None, effect, target)
 
 
 def _step_bin_op(e: BinOp, heap: Heap, actor: str, venv: Env):
@@ -585,11 +590,11 @@ def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: Env):
         if len(buf) >= heap.caps[ty.name]:
             return Blocked(f"buffer {buffer_name(key)} is full", key)
         return Stepped(_UNIT, Label(ty.name, True, key[1]),
-                       lambda h: h.push(key, e.payload))
+                       lambda h: h.push(key, e.payload), key)
     if not buf:
         return Blocked(f"buffer {buffer_name(key)} is empty", key)
     return Stepped(buf[0], Label(ty.name, False, key[1]),
-                   lambda h: h.pop(key))
+                   lambda h: h.pop(key), key)
 
 
 # expression class -> its step; a value, and a size or an index of one,
@@ -613,8 +618,8 @@ _STEP.update({
 @record
 class TraceStep:
     """Step `step` of a run: `actor` moved by `label`.  `fill` is the new
-    length of buffer `(label.chan, label.index)`, the one a labelled step
-    pushes or pops, and None for an internal step."""
+    length of the buffer a labelled step pushes or pops, and None for an
+    internal step."""
     step: int
     actor: str
     label: Optional[Label]
@@ -644,11 +649,10 @@ def _actor_outcome(cfg: Configuration, i: int):
     return _STEP[e.__class__](e, cfg.heap, actor.name, cfg.venv)
 
 
-def commit(cfg: Configuration, i: int, out: Stepped,
-           drop_effect: bool = False) -> None:
+def commit(cfg: Configuration, i: int, out: Stepped) -> None:
     """Apply actor i's polled step to `cfg` in place."""
     cfg.actors[i].expr = out.expr
-    if out.effect is not None and not drop_effect:
+    if out.effect is not None:
         out.effect(cfg.heap)
 
 
@@ -658,14 +662,15 @@ class Machine:
 
     - `outcomes`, each actor's last poll (`_actor_outcome`), and `enabled`,
       the actors whose poll stepped, in actor order;
-    - `waits`, the buffer each outcome read: a communication's, or the one
-      a blocked actor waits on; and `readers`, buffer -> the actors whose
-      outcome read it, its inverse, with an entry for each buffer read so
-      far.
+    - `waits`, the key of each outcome (what it touched: a buffer, or a
+      heap cell read or written), None for a stuck or finished actor; and
+      `readers`, key -> the actors whose outcome touched it, its inverse,
+      with an entry for each key touched so far.
 
-    `step` commits in place and re-polls the actor that moved and the
-    readers of the buffer it pushed or popped, or every actor after a step
-    that writes a heap cell: no other outcome can have changed."""
+    `step` commits in place and re-polls the readers of the step's key, the
+    actor that moved among them, or that actor alone for a step without
+    one: no other outcome can have changed.  Actors share only channels in
+    well-typed programs, so a cell's readers are its owner alone."""
 
     __slots__ = ("cfg", "outcomes", "enabled", "waits", "readers")
 
@@ -691,8 +696,7 @@ class Machine:
         outcomes[j] = out = _actor_outcome(self.cfg, j)
         if out.__class__ is Stepped:
             insort(enabled, j)
-            label = out.label
-            key = None if label is None else (label.chan, label.index)
+            key = out.key
         else:
             key = out.key if out.__class__ is Blocked else None
         waits[j] = key
@@ -703,18 +707,12 @@ class Machine:
             else:
                 held.add(j)
 
-    def step(self, i: int, out: Stepped, drop_effect: bool = False) -> None:
+    def step(self, i: int, out: Stepped) -> None:
         """Commit actor i's polled step `out` and re-poll whom it may have
         woken."""
-        commit(self.cfg, i, out, drop_effect)
-        label = out.label
-        if label is not None:
-            wake = tuple(self.readers[label.chan, label.index])  # i among them
-        elif out.effect is None:
-            wake = (i,)
-        else:
-            wake = range(len(self.outcomes))
-        for j in wake:
+        commit(self.cfg, i, out)
+        key = out.key
+        for j in (i,) if key is None else tuple(self.readers[key]):
             self.poll(j)
 
     def copy(self) -> "Machine":
@@ -726,15 +724,9 @@ class Machine:
         return new
 
 
-@record
-class Fault:
-    """Fault injection: skip the heap effect of the n-th send (1-based)."""
-    drop_send: int
-
-
 def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
-        max_steps: int = 500_000, observer: Optional[Callable] = None,
-        fault: Optional[Fault] = None) -> RunResult:
+        max_steps: int = 500_000, observer: Optional[Callable] = None
+        ) -> RunResult:
     """Execute one schedule on a copy of `cfg`, stepping a `Machine`.
     Enabled actors stay in index order, so both schedulers choose exactly
     as if every actor were polled every step.  A `TraceStep` is built only
@@ -747,7 +739,6 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
     counts: Counter = Counter()
     getrandbits = random.Random(seed).getrandbits
     rr = 0
-    sends_seen = 0
     while live:
         if steps == max_steps:
             return RunResult("error", steps, cfg,
@@ -771,18 +762,13 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
             raise ValueError(f"unknown scheduler {scheduler}")
         out = outcomes[i]
         label = out.label
-        drop = False
-        if label is not None and label.is_send:
-            sends_seen += 1
-            drop = fault is not None and sends_seen == fault.drop_send
-        machine.step(i, out, drop)
+        machine.step(i, out)
         if is_value(out.expr):
             live -= 1
         if label is not None:
             counts[(label.chan, "send" if label.is_send else "recv")] += 1
         if observer is not None:
-            fill = None if label is None else \
-                len(bufs[label.chan, label.index])
+            fill = None if label is None else len(bufs[out.key])
             observer(TraceStep(steps, actors[i].name, label, fill), cfg)
         steps += 1
     return RunResult("done", steps, cfg, comm_counts=counts)

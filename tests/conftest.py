@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,26 @@ def traced_run(cfg, **kwargs):
     result = run(cfg, observer=lambda entry, _: entries.append(entry),
                  **kwargs)
     return result, entries
+
+
+@contextmanager
+def dropped_push(n: int):
+    """Within the block `runtime.Heap.push` skips its n-th call (1-based;
+    none for n None).  Only a send's effect pushes, so inside one `run` this
+    drops the n-th send's item while the sender still moves on."""
+    from sdflow.runtime import Heap
+    push, calls = Heap.push, 0
+
+    def skipping(heap, key, value):
+        nonlocal calls
+        calls += 1
+        if calls != n:
+            push(heap, key, value)
+    Heap.push = skipping
+    try:
+        yield
+    finally:
+        Heap.push = push
 
 
 # --- small builders ---------------------------------------------------------

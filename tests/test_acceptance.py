@@ -7,8 +7,8 @@ import time
 from collections import Counter
 
 from conftest import (
-    ProgramGen, comp, corpus_files, ev, gen_size_expr, it, load, seq,
-    sizes_for, tenv, traced_run,
+    ProgramGen, comp, corpus_files, dropped_push, ev, gen_size_expr, it, load,
+    seq, sizes_for, tenv, traced_run,
 )
 
 from sdflow.conformance import check_preservation, check_progress_theorem
@@ -16,7 +16,7 @@ from sdflow.flowstate import RangeIndex, fold_guards_comp, rate_summary
 from sdflow.kinding import eval_size, normalize_size
 from sdflow.parser import parse_program, parse_program_or_raise
 from sdflow.printer import print_program
-from sdflow.runtime import Fault, explore, instantiate, run
+from sdflow.runtime import explore, instantiate, run
 from sdflow.syntax import (
     ActorE, AtMost, ChannelKind, Div, Divides, Network, Num, SVar,
     SizeArithmeticError, SizeKind, Env, proc_components,
@@ -98,7 +98,8 @@ def test_criterion_3_type_preservation_at_desk_scale():
     net = dict(nets)["downsampler.sdf"]
     _, clean = traced_run(instantiate(net, {"s": 8}))
     send_steps = [t.step for t in clean if t.label and t.label.is_send]
-    rep = check_preservation(net, {"s": 8}, fault=Fault(drop_send=3))
+    with dropped_push(3):
+        rep = check_preservation(net, {"s": 8})
     assert not rep.ok
     assert rep.violations[0].clause == "clause-1"
     assert rep.violations[0].step == send_steps[2]

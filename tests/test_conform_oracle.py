@@ -6,8 +6,11 @@ as the oracle of the one in `sdflow.conformance`.
 `actor_flows` and `check_preservation` below are that observer's code: it
 rebuilds each residual comprehension with `subst_comp`, counts every
 residual comprehension of the actor after each label, and recounts every
-buffer of the heap on every communication.  The tests compare full
-violation lists, residual comprehensions and their printed text.
+buffer of the heap on every communication.  The oracle runs on
+`test_run_oracle.polling_run`, which drops a send's item by counting sends
+itself, and the observer under `dropped_push`, so two independent fault
+paths meet.  The tests compare full violation lists, residual
+comprehensions and their printed text.
 
 The oracle refuses labels a flow emits when a guard on an outer iterator
 sits before one on an inner iterator.  There, and on generated ground
@@ -23,7 +26,10 @@ from typing import Optional
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import ProgramGen, comp, corpus_files, ev, it, sizes_for
+from conftest import (
+    ProgramGen, comp, corpus_files, dropped_push, ev, it, sizes_for,
+)
+from test_run_oracle import polling_run
 
 from sdflow import conformance
 from sdflow.conformance import (
@@ -35,7 +41,7 @@ from sdflow.netcheck import PRODUCER, classify_event
 from sdflow.parser import parse_program_or_raise
 from sdflow.printer import print_comp
 from sdflow.runtime import (
-    Configuration, Fault, Heap, Label, _rel_holds, instantiate, run,
+    Configuration, Heap, Label, _rel_holds, instantiate,
 )
 from sdflow.syntax import (
     ActorComp, ActorE, Add, ChannelArrayKind, ChannelKind, Comp, Divides,
@@ -224,7 +230,7 @@ def _ground_size(e, sizes: dict[str, int]):
 
 def oracle_check_preservation(net: Network, sizes: dict[str, int],
                               scheduler: str = "roundRobin", seed: int = 0,
-                              fault: Optional[Fault] = None,
+                              drop: Optional[int] = None,
                               name: str = "<network>") -> ConformanceReport:
     """Co-simulates a run against the flowstates, checking on every
     communication that (1) producers extend the heap flowstate with the
@@ -275,8 +281,8 @@ def oracle_check_preservation(net: Network, sizes: dict[str, int],
                     _counts_str(want), _counts_str(old)))
         state["heap_counts"] = new
 
-    result = run(cfg, scheduler=scheduler, seed=seed, observer=observer,
-                 fault=fault)
+    result = polling_run(cfg, scheduler=scheduler, seed=seed,
+                         observer=observer, drop_send=drop)
     if result.status != "done":
         violations.append(Violation(
             result.steps, "run", "complete execution",
@@ -316,11 +322,11 @@ def test_violations_match_the_oracle_over_the_corpus(path):
         sizes = sizes_for(net, size)
         for scheduler, seed in GRID_SCHEDULES:
             for drop in GRID_DROPS:
-                fault = None if drop is None else Fault(drop)
                 want = oracle_check_preservation(net, sizes, scheduler, seed,
-                                                 fault)
-                got = conformance.check_preservation(net, sizes, scheduler,
-                                                     seed, fault)
+                                                 drop)
+                with dropped_push(drop):
+                    got = conformance.check_preservation(net, sizes,
+                                                         scheduler, seed)
                 assert (got.steps, got.violations) == \
                     (want.steps, want.violations), (size, scheduler, seed, drop)
                 flagged += bool(want.violations)

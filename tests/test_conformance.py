@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 
 from conftest import (
-    comp, corpus_files, ev, it, load, seq, sizes_for, tenv, traced_run,
+    comp, corpus_files, dropped_push, ev, it, load, seq, sizes_for, tenv,
+    traced_run,
 )
 from test_runtime import array_config
 
@@ -15,7 +16,7 @@ from sdflow.conformance import (
 )
 from sdflow.parser import parse_program_or_raise
 from sdflow.printer import print_guard, print_proc_flow
-from sdflow.runtime import Fault, Label, instantiate, step_expr
+from sdflow.runtime import Label, instantiate, step_expr
 from sdflow.syntax import (
     BoolLit, ChannelKind, Comp, Divides, IntLit, Iterator, MkIndex, Num, SVar,
     PActor, Recv, Send, SizeKind, Env, INF, flow_comps, subst_comp,
@@ -175,7 +176,8 @@ def test_faulted_runtime_caught_at_exact_step():
     _, clean = traced_run(instantiate(net, {"s": 8}))
     sends = [t.step for t in clean if t.label and t.label.is_send]
     target = 3  # drop the third send overall
-    rep = check_preservation(net, {"s": 8}, fault=Fault(drop_send=target))
+    with dropped_push(target):
+        rep = check_preservation(net, {"s": 8})
     assert not rep.ok
     first = rep.violations[0]
     assert first.clause == "clause-1"

@@ -3,14 +3,15 @@
 A machine re-polls only the actors a step may have woken, so after every
 step it must still hold what polling every actor afresh would give: each
 actor's outcome, the stepped actors in actor order as `enabled`, and as
-`waits` the buffer each outcome read, with `readers` its inverse.  A copy
-stepped on its own must leave the original holding all of that too.
+`waits` the key of each outcome, the buffer or cell it touched, with
+`readers` its inverse.  A copy stepped on its own must leave the original
+holding all of that too.
 """
 
 import random
 
 import pytest
-from conftest import corpus_files, sizes_for
+from conftest import corpus_files, dropped_push, sizes_for
 from test_explore import RACE
 from test_runtime import RACY_REF, REF_OVER_CHANNEL
 
@@ -23,16 +24,15 @@ MAX_STEPS = 2_000
 
 
 def _read(out):
-    if isinstance(out, Stepped):
-        return None if out.label is None else (out.label.chan, out.label.index)
-    return out.key if isinstance(out, Blocked) else None
+    return out.key if isinstance(out, (Stepped, Blocked)) else None
 
 
 def _same_outcome(kept, fresh) -> bool:
     if kept.__class__ is not fresh.__class__:
         return False
     if isinstance(fresh, Stepped):
-        return (kept.label, kept.expr) == (fresh.label, fresh.expr)
+        return (kept.label, kept.expr, kept.key) \
+            == (fresh.label, fresh.expr, fresh.key)
     if isinstance(fresh, Blocked):
         return (kept.key, kept.reason) == (fresh.key, fresh.reason)
     if isinstance(fresh, Stuck):
@@ -59,17 +59,16 @@ def assert_consistent(machine: Machine) -> None:
 def drive(cfg, pick) -> int:
     """Step a machine over `cfg` until no actor is enabled, choosing by
     `pick`; before each step, fork a copy, step it by the last enabled
-    actor, dropping the effect of a send, and check both.  Returns the
-    steps taken."""
+    actor, dropping the item it pushes if it sends, and check both.
+    Returns the steps taken."""
     machine = Machine(cfg)
     assert_consistent(machine)
     steps = 0
     while machine.enabled and steps < MAX_STEPS:
         fork = machine.copy()
         j = fork.enabled[-1]
-        label = fork.outcomes[j].label
-        fork.step(j, fork.outcomes[j],
-                  drop_effect=label is not None and label.is_send)
+        with dropped_push(1):
+            fork.step(j, fork.outcomes[j])
         assert_consistent(fork)
         assert_consistent(machine)
         i = pick(machine.enabled)

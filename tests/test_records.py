@@ -80,7 +80,7 @@ def test_records_were_found():
     assert {"Num", "IntLit", "Comp", "Env", "Diagnostic",
             "Heap", "Configuration", "RunResult", "TypingResult",
             "ConformanceReport"} <= names
-    assert len(RECORDS) >= 75
+    assert len(RECORDS) >= 74
 
 
 def test_tokens_are_plain_slotted_objects():
@@ -222,19 +222,19 @@ def test_cli_import_loads_only_the_checker():
         "loaded = sorted(m for m in ('dataclasses', 'inspect',"
         " 'sdflow.runtime', 'sdflow.conformance') if m in sys.modules)\n"
         "import sdflow\n"
-        "from sdflow import run, Fault, check_network, check_preservation\n"
+        "from sdflow import run, check_network, check_preservation\n"
         "print(json.dumps({'loaded': loaded,"
         " 'all': sorted(sdflow.__all__),"
-        " 'names': [run.__module__, Fault.__module__,"
-        " check_network.__module__, check_preservation.__module__]}))\n")
+        " 'names': [run.__module__, check_network.__module__,"
+        " check_preservation.__module__]}))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, cwd=ROOT, env=env, check=True)
     result = json.loads(out.stdout)
     assert result["loaded"] == []
-    assert result["names"] == ["sdflow.runtime", "sdflow.runtime",
-                               "sdflow.typecheck", "sdflow.conformance"]
+    assert result["names"] == ["sdflow.runtime", "sdflow.typecheck",
+                               "sdflow.conformance"]
     assert result["all"] == sorted([
         "parse_program", "parse_program_or_raise", "print_program",
         "print_flow", "print_proc_flow", "eval_size", "normalize_size",
@@ -242,7 +242,7 @@ def test_cli_import_loads_only_the_checker():
         "distribute_guard", "rate_summary", "flowstates_equivalent",
         "infer_expr", "check_proc", "check_network", "classify_event",
         "inchans", "outchans", "check_determinism",
-        "check_progress", "instantiate", "run", "explore", "Fault",
+        "check_progress", "instantiate", "run", "explore",
         "heap_flowstate", "step_flowstate", "step_flowstate_internal",
         "check_preservation", "check_progress_theorem"])
 

@@ -5,16 +5,18 @@ of the configuration and snapshots every buffer's fill after each step.
 The wake-on-buffer machine in `sdflow.runtime` must give the same status,
 step count, blocked reasons (in order), communication counts, final
 configuration and observer calls on every network, scheduler, seed and
-fault, and the fills `sdflow run --format json` rebuilds from its entries
-must equal the snapshots at every step.
+dropped send, and the fills `sdflow run --format json` rebuilds from its
+entries must equal the snapshots at every step.  `polling_run` drops a
+send's item by counting sends itself; `run` loses it to `dropped_push`.
 """
 
 import json
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
-from conftest import corpus_files, sizes_for, state_key
+from conftest import corpus_files, dropped_push, sizes_for, state_key
 from hypothesis import given, settings, strategies as st
 from test_runtime import (
     RACY_REF, REF_OVER_CHANNEL, STUCK_BESIDE_BLOCKED, TWO_WRITERS,
@@ -23,7 +25,7 @@ from test_runtime import (
 from sdflow import conformance
 from sdflow.parser import parse_program_or_raise
 from sdflow.runtime import (
-    Actor, Blocked, Fault, InstantiationError, RunResult, Stepped, Stuck,
+    Actor, Blocked, InstantiationError, RunResult, Stepped, Stuck,
     TraceStep, instantiate, run, step_expr,
 )
 from sdflow.simulate import trace_json
@@ -32,8 +34,9 @@ from sdflow.simulate import trace_json
 # --- the replaced implementation --------------------------------------------
 
 def polling_run(cfg, scheduler="roundRobin", seed=0, max_steps=500_000,
-                observer=None, fault=None, snapshots=None):
-    """`run` as it was: every actor polled on every step.  `snapshots`, if
+                observer=None, drop_send=None, snapshots=None):
+    """`run` as it was: every actor polled on every step.  The item of the
+    `drop_send`-th send (1-based), if given, is not pushed.  `snapshots`, if
     given, gets `cfg.heap.buffer_sizes()` after every step."""
     cfg = cfg.copy()
     steps = 0
@@ -68,8 +71,7 @@ def polling_run(cfg, scheduler="roundRobin", seed=0, max_steps=500_000,
         drop = False
         if out.label is not None and out.label.is_send:
             sends_seen += 1
-            if fault is not None and sends_seen == fault.drop_send:
-                drop = True
+            drop = sends_seen == drop_send
         before = cfg
         cfg = cfg.copy()
         cfg.actors[i] = Actor(before.actors[i].name, out.expr)
@@ -133,14 +135,15 @@ def _outcome(runner, net, sizes, **kwargs):
             "observed": seen}
 
 
-def assert_same_run(net, sizes, **kwargs):
-    assert _outcome(run, net, sizes, **kwargs) == \
-        _outcome(polling_run, net, sizes, **kwargs)
+def assert_same_run(net, sizes, drop=None, **kwargs):
+    with dropped_push(drop):
+        got = _outcome(run, net, sizes, **kwargs)
+    assert got == _outcome(polling_run, net, sizes, drop_send=drop, **kwargs)
 
 
 SCHEDULES = ([{"scheduler": "roundRobin"}]
              + [{"scheduler": "random", "seed": s} for s in range(6)]
-             + [{"fault": Fault(drop_send=n)} for n in (1, 2, 3)])
+             + [{"drop": n} for n in (1, 2, 3)])
 
 HAND_WRITTEN = {"two_writers": (TWO_WRITERS, {}),
                 "racy_ref": (RACY_REF, {}),
@@ -174,16 +177,17 @@ def test_run_matches_polling_run_on_hand_written_networks(name):
 
 
 def test_preservation_report_matches_polling_run(monkeypatch):
-    reports = {}
-    for runner in (run, polling_run):
-        monkeypatch.setattr(conformance, "run", runner)
-        reports[runner] = [
-            conformance.check_preservation(net, sizes_for(net, 3),
-                                           **kwargs).to_json()
-            for _, net in CORPUS_NETS
-            for kwargs in ({"scheduler": "random", "seed": 4},
-                           {"fault": Fault(drop_send=2)})]
-    assert reports[run] == reports[polling_run]
+    def report(net, kwargs, drop):
+        with dropped_push(drop):
+            return conformance.check_preservation(net, sizes_for(net, 3),
+                                                  **kwargs).to_json()
+    for kwargs, drop in (({"scheduler": "random", "seed": 4}, None),
+                         ({}, 2)):
+        got = [report(net, kwargs, drop) for _, net in CORPUS_NETS]
+        monkeypatch.setattr(conformance, "run",
+                            partial(polling_run, drop_send=drop))
+        assert got == [report(net, kwargs, None) for _, net in CORPUS_NETS]
+        monkeypatch.undo()
 
 
 @settings(max_examples=150, deadline=None)
@@ -200,5 +204,4 @@ def test_run_matches_polling_run_on_random_sizes_and_seeds(
     except InstantiationError:
         return
     assert_same_run(net, sizes, scheduler=scheduler, seed=seed,
-                    max_steps=max_steps,
-                    fault=None if drop is None else Fault(drop))
+                    max_steps=max_steps, drop=drop)

@@ -1,13 +1,13 @@
 import pytest
 
-from conftest import load, sizes_for, traced_run
+from conftest import dropped_push, load, sizes_for, traced_run
 
 from sdflow import runtime
 from sdflow.flowstate import proc_rate_summary
 from sdflow.kinding import eval_size
 from sdflow.parser import parse_program_or_raise
 from sdflow.runtime import (
-    Blocked, Configuration, Fault, InstantiationError, Stepped, Stuck, explore,
+    Blocked, Configuration, InstantiationError, Stepped, Stuck, explore,
     instantiate, run, step_expr,
 )
 from sdflow.syntax import (
@@ -194,7 +194,8 @@ def test_random_seeded_trace_reproducible():
 
 def test_fault_drops_heap_effect_only():
     net = _net("pipeline2.sdf")
-    result = run(instantiate(net, {"n": 2}), fault=Fault(drop_send=1))
+    with dropped_push(1):
+        result = run(instantiate(net, {"n": 2}))
     # the dropped send leaves the consumer starving
     assert result.status == "deadlock"
 
@@ -498,6 +499,26 @@ def test_run_polls_only_woken_actors(monkeypatch):
         assert result.status == "done"
         per_step[n] = polls / result.steps
     assert all(0 < p <= 2 for p in per_step.values()), per_step
+
+
+def test_cell_writes_poll_only_the_cells_owner(monkeypatch):
+    # accumulator writes its cell on every item; 64 idle actors beside it
+    # were all re-polled after each write (7.93 polls per step)
+    polls = 0
+
+    def counting(cfg, i, inner=runtime._actor_outcome):
+        nonlocal polls
+        polls += 1
+        return inner(cfg, i)
+
+    monkeypatch.setattr(runtime, "_actor_outcome", counting)
+    source = load("good", "accumulator.sdf")
+    end = source.rindex("}")
+    net = parse_program_or_raise(source[:end] + "|| stop " * 64
+                                 + source[end:])
+    result = run(instantiate(net, {"n": 32}))
+    assert result.status == "done" and len(result.config.actors) == 67
+    assert polls / result.steps <= 2, polls / result.steps
 
 
 def test_long_straight_line_actor_instantiates_and_runs():

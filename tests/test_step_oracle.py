@@ -5,7 +5,9 @@
 and `sdflow.syntax` replaced with one class lookup per step.  At every poll
 of `run`, on the corpus and on hand-written networks under several
 schedules, both machines must give the same outcome: its class, `expr`,
-`label`, `reason` and blocking key, and effects that leave equal heaps.
+`label`, `reason` and blocking key, and effects that leave equal heaps.  A
+step's key must name what it touches: its label's buffer, or the target of
+a `Deref` or `Assign` redex, found by `_redex` as exploration once did.
 `subst_expr` and `is_value` must agree on every sub-expression of every
 corpus actor body.
 """
@@ -306,12 +308,47 @@ def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
+def _redex(e: Expr) -> Expr:
+    """The subterm whose reduction is `e`'s next step, following the
+    evaluation order of `step_expr`."""
+    while True:
+        match e:
+            case (SeqE(a) | Let(bound=a) | If(a) | For(bound=a) | FromSize(a)
+                  | FromIndex(a) | MkSize(a) | MkIndex(a) | NewRef(a)
+                  | Deref(a)):
+                parts = (a,)
+            case When(a, _, b) | Assign(a, b) | BinOp(_, a, b):
+                parts = (a, b)
+            case App(fn, args):
+                parts = (fn, *args)
+            case Send(_, index, payload):
+                parts = (index, payload)
+            case Recv(_, index):
+                parts = (index,)
+            case _:
+                return e
+        inner = next((p for p in parts if p is not None and not is_value(p)),
+                     None)
+        if inner is None:
+            return e
+        e = inner
+
+
 # --- comparison along runs --------------------------------------------------
 
-def assert_same_outcome(new, old, heap: Heap) -> None:
+def _touched(e: Expr, label: Optional[Label]):
+    """The key a step of `e` with `label` must carry."""
+    if label is not None:
+        return (label.chan, label.index)
+    redex = _redex(e)
+    return redex.target if isinstance(redex, (Deref, Assign)) else None
+
+
+def assert_same_outcome(new, old, heap: Heap, e: Expr) -> None:
     assert new.__class__ is old.__class__
     if isinstance(old, Stepped):
         assert (new.expr, new.label) == (old.expr, old.label)
+        assert new.key == _touched(e, old.label)
         assert (new.effect is None) == (old.effect is None)
         if old.effect is not None:
             new_heap, old_heap = heap.copy(), heap.copy()
@@ -349,7 +386,7 @@ def test_every_poll_matches_the_match_dispatch(name, source, monkeypatch):
         new = polled(cfg, i)
         old = None if actor.expr is None else \
             step_expr(actor.expr, cfg.heap, actor.name, cfg.venv)
-        assert_same_outcome(new, old, cfg.heap)
+        assert_same_outcome(new, old, cfg.heap, actor.expr)
         return new
 
     monkeypatch.setattr(runtime, "_actor_outcome", checked)
@@ -464,4 +501,4 @@ def test_rarely_taken_steps_match_the_match_dispatch(e):
     cfg = instantiate(parse_program_or_raise(STUCK_BESIDE_BLOCKED),
                       {"s": 2, "k": 3})
     assert_same_outcome(runtime.step_expr(e, cfg.heap, "a0", cfg.venv),
-                        step_expr(e, cfg.heap, "a0", cfg.venv), cfg.heap)
+                        step_expr(e, cfg.heap, "a0", cfg.venv), cfg.heap, e)
