@@ -6,9 +6,7 @@ the runtime or the conformance harness."""
 import importlib
 
 _EXPORTS = {
-    "conformance": ["check_preservation", "check_progress_theorem",
-                    "heap_flowstate", "step_flowstate",
-                    "step_flowstate_internal"],
+    "conformance": ["check_preservation", "check_progress_theorem"],
     "flowstate": ["distribute_guard", "distribute_iterator",
                   "flowstates_equivalent", "fold_guards", "rate_summary"],
     "kinding": ["eval_size", "kind_of", "normalize_size", "size_leq"],

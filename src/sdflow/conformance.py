@@ -16,10 +16,11 @@ iterator of the piece that emits it at the first value that passes its
 guards, in closed form (the lexicographic next point of polyhedra
 scanning), and counts only the new residual pieces, by
 `flowstate.count_multiples`, so a step costs a small constant in the rate
-and in the length of the actor.  A piece becomes a comprehension again only
-for text and for `step_flowstate`.  On the heap side, a step pushes or pops
-only the buffer its label names; only that one is recounted, from the heap,
-so the two clauses still compare two independent views.
+and in the length of the actor.  A ground flowstate is held in this one
+form, a list of pieces; a piece becomes a comprehension again only for the
+text of a violation.  On the heap side, a step pushes or pops only the
+buffer its label names; only that one is recounted, from the heap, so the
+two clauses still compare two independent views.
 """
 
 from __future__ import annotations
@@ -32,16 +33,13 @@ from .flowstate import count_in_range, count_multiples
 from .netcheck import PRODUCER, classify_event
 from .kinding import eval_size, normalize_size
 from .runtime import (
-    Configuration, Heap, Label, buffer_name, channel_payloads, explore,
-    instantiate, run, step_expr,
+    Configuration, Heap, Label, buffer_name, explore, instantiate, run,
+    step_expr,
 )
 from .syntax import (
-    ActorComp, ActorE, ActorFlow, BoolLit, BoolType, Comp, Diagnostic,
-    Divides, Env, Event, IntLit, IntType, Iterator, Network, Num, PActor,
-    PArray, ProcFlow, SizeType, Stop,
-    SVar, flow_comps, par_flow, proc_components, proc_flow_components,
-    print_comp, seq_flow, subst_comp, subst_flow, subst_size, MkSize, MkIndex,
-    record,
+    ActorComp, ActorE, ActorFlow, Comp, Divides, Env, Event, Iterator,
+    Network, Num, PArray, Stop, SVar, flow_comps, proc_components,
+    print_comp, subst_comp, subst_flow, subst_size, record,
 )
 from .typecheck import Checker
 
@@ -49,22 +47,8 @@ CountKey = tuple  # (chan, is_send) or (chan, is_send, element)
 
 
 # ---------------------------------------------------------------------------
-# Heap typing
+# The heap's flowstate, as counts
 # ---------------------------------------------------------------------------
-
-def _value_has_type(value, ty) -> bool:
-    match value:
-        case IntLit():
-            return isinstance(ty, IntType)
-        case BoolLit():
-            return isinstance(ty, BoolType)
-        case MkSize(IntLit()):
-            return isinstance(ty, SizeType)
-        case MkIndex(IntLit()):
-            return True  # index witnesses are not tracked at runtime
-        case _:
-            return True
-
 
 def heap_flow_counts(tenv: Env, heap: Heap) -> Counter:
     """Pending communications recorded by the heap, as concrete counts."""
@@ -92,29 +76,6 @@ def _buffer_count(send_produces: bool, heap: Heap, key: tuple
     if send_produces:
         return (chan, True) + element, fill
     return (chan, False) + element, heap.caps[chan] - fill
-
-
-def heap_flowstate(tenv: Env, venv: Env, heap: Heap
-                   ) -> tuple[ProcFlow, list[Diagnostic]]:
-    """The heap's flowstate, plus diagnostics for ill-typed buffer contents."""
-    diags: list[Diagnostic] = []
-    payload = channel_payloads(venv)
-    for key, buf in heap.bufs.items():
-        want = payload.get(key[0])
-        if want is None:
-            continue
-        for v in buf:
-            if not _value_has_type(v, want):
-                diags.append(Diagnostic("Heap", f"buffer {buffer_name(key)} "
-                                        "holds a value of the wrong type"))
-    comps = []
-    for key, n in sorted(heap_flow_counts(tenv, heap).items(),
-                         key=lambda kv: str(kv[0])):
-        chan, is_send = key[0], key[1]
-        index = Num(key[2]) if len(key) == 3 else None
-        comps.append(PActor(Comp(Event(chan, is_send, index),
-                                 (Iterator("t", Num(1), Num(n)),))))
-    return par_flow(*comps), diags
 
 
 # ---------------------------------------------------------------------------
@@ -280,29 +241,6 @@ def _silent_pieces(fs: ActorFlow) -> list:
         if _piece_count(piece):
             out.append(piece)
     return out
-
-
-def step_flowstate_internal(fs: ActorFlow) -> list[Comp]:
-    """Silent closure of a ground actor flowstate: numeric guards
-    discharged, exhausted iterators dropped, comprehensions that provably
-    emit nothing removed."""
-    return [_piece_comp(p) for p in _silent_pieces(fs)]
-
-
-def step_flowstate(tenv: Env, fs: ProcFlow, label: Label
-                   ) -> Optional[ProcFlow]:
-    """One labeled reduction of a ground process flowstate, or None when no
-    component can emit the label."""
-    parts = proc_flow_components(fs)
-    for i, part in enumerate(parts):
-        if not isinstance(part, PActor):
-            continue
-        pieces = _silent_pieces(part.flow)
-        if _consume_actor(pieces, label):
-            new_parts = list(parts)
-            new_parts[i] = PActor(seq_flow(*map(_piece_comp, pieces)))
-            return par_flow(*new_parts)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -105,31 +105,22 @@ def eval_size(e: SizeExpr, valuation: dict[str, int]) -> Quantity:
 LinForm = tuple[int, "Counter[tuple]"]
 
 
+_BINARY_TAG = {Div: "d", SMin: "m", Sub: "s", Add: "+", Mul: "*"}
+
+
 def _atom_key(e: SizeExpr):
+    """A structural key: it names an atom of the linear form and orders the
+    operands of `SMin`."""
     match e:
         case SVar(name):
             return ("v", name)
-        case Div(a, b):
-            return ("d", _atom_key_any(a), _atom_key_any(b))
-        case SMin(a, b):
-            return ("m", _atom_key_any(a), _atom_key_any(b))
-        case Sub(a, b):
-            return ("s", _atom_key_any(a), _atom_key_any(b))
-    raise TypeError(f"not an atom: {e!r}")
-
-
-def _atom_key_any(e: SizeExpr):
-    match e:
         case Num(n):
             return ("n", n)
         case Infinity():
             return ("inf",)
-        case Add(a, b):
-            return ("+", _atom_key_any(a), _atom_key_any(b))
-        case Mul(a, b):
-            return ("*", _atom_key_any(a), _atom_key_any(b))
-        case _:
-            return _atom_key(e)
+        case Div(a, b) | SMin(a, b) | Sub(a, b) | Add(a, b) | Mul(a, b):
+            return (_BINARY_TAG[e.__class__], _atom_key(a), _atom_key(b))
+    raise TypeError(f"not a size expression: {e!r}")
 
 
 def size_lower_bound(e: SizeExpr) -> Quantity:
@@ -263,10 +254,7 @@ def _collect_atoms(e: SizeExpr, into: dict) -> None:
         case Num() | Infinity():
             return
         case SVar() | Div() | SMin() | Sub():
-            try:
-                into[_atom_key(e)] = e
-            except TypeError:
-                pass
+            into[_atom_key(e)] = e
             match e:
                 case Div(a, b) | SMin(a, b) | Sub(a, b):
                     _collect_atoms(a, into)
@@ -349,7 +337,7 @@ def normalize_size(e: SizeExpr) -> SizeExpr:
                 return na
             if isinstance(na, Num) and isinstance(nb, Num):
                 return Num(min(na.value, nb.value))
-            lo, hi = sorted((na, nb), key=_atom_key_any)
+            lo, hi = sorted((na, nb), key=_atom_key)
             return SMin(lo, hi)
     raise TypeError(f"not a size expression: {e!r}")
 

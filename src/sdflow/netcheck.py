@@ -70,15 +70,12 @@ def classify_event(tenv: Env, ev: Event) -> str:
 # elements: ("chan", t) | ("elem", t, k) | ("range", t, lo, hi)
 
 def _comp_uses(comp: Comp, want_send: bool) -> set:
+    # guards are ignored, so a guarded use is taken over its whole range
     ev = comp.event
     if ev.is_send != want_send:
         return set()
     if ev.index is None:
         return {("chan", ev.chan)}
-    if comp.guards:
-        raise FlowstateError(Diagnostic(
-            "FS Det Par",
-            f"guarded communication on channel array {ev.chan}"))
     idx = normalize_size(ev.index)
     if isinstance(idx, Num):
         return {("elem", ev.chan, idx.value)}
@@ -177,28 +174,24 @@ def _array_diags(tenv: Env, part: PArray) -> list[Diagnostic]:
 def check_determinism(tenv: Env, fs: ProcFlow) -> list[Diagnostic]:
     """Each channel (element) is read by at most one component and written
     by at most one.  Every component's uses are compared with the earlier
-    uses of the same channel, in sorted order; an error computing the uses
-    is reported once and ends the check."""
+    uses of the same channel, in sorted order."""
     diags: list[Diagnostic] = []
     seen: dict[str, dict[str, set]] = {"reads": {}, "writes": {}}
-    try:
-        for part in proc_flow_components(fs):
-            if isinstance(part, PArray):
-                diags.extend(_array_diags(tenv, part))
-            for label, use in (("reads", inchans), ("writes", outchans)):
-                uses = use(part)
-                by_chan = seen[label]
-                earlier = set().union(*(by_chan.get(c, ())
-                                        for c in {u[1] for u in uses}))
-                for ua, ub in _overlapping_pairs(tenv, earlier, uses):
-                    diags.append(Diagnostic(
-                        "FS Det Par",
-                        f"{label} on {_describe(ua)} and {_describe(ub)} "
-                        f"are not confined to a single actor"))
-                for u in uses:
-                    by_chan.setdefault(u[1], set()).add(u)
-    except FlowstateError as exc:
-        diags.append(exc.diag)
+    for part in proc_flow_components(fs):
+        if isinstance(part, PArray):
+            diags.extend(_array_diags(tenv, part))
+        for label, use in (("reads", inchans), ("writes", outchans)):
+            uses = use(part)
+            by_chan = seen[label]
+            earlier = set().union(*(by_chan.get(c, ())
+                                    for c in {u[1] for u in uses}))
+            for ua, ub in _overlapping_pairs(tenv, earlier, uses):
+                diags.append(Diagnostic(
+                    "FS Det Par",
+                    f"{label} on {_describe(ua)} and {_describe(ub)} "
+                    f"are not confined to a single actor"))
+            for u in uses:
+                by_chan.setdefault(u[1], set()).add(u)
     return diags
 
 

@@ -2,11 +2,11 @@
 as the oracle of the one in `sdflow.conformance`.
 
 `_silent_normalize`, `_event_matches`, `try_consume_comp`,
-`consume_actor_flow`, `step_flowstate_internal`, `step_flowstate`,
-`actor_flows` and `check_preservation` below are that observer's code: it
-rebuilds each residual comprehension with `subst_comp`, counts every
-residual comprehension of the actor after each label, and recounts every
-buffer of the heap on every communication.  The oracle runs on
+`consume_actor_flow`, `step_flowstate_internal`, `actor_flows` and
+`check_preservation` below are that observer's code: it rebuilds each
+residual comprehension with `subst_comp`, counts every residual
+comprehension of the actor after each label, and recounts every buffer of
+the heap on every communication.  The oracle runs on
 `test_run_oracle.polling_run`, which drops a send's item by counting sends
 itself, and the observer under `dropped_push`, so two independent fault
 paths meet.  The tests compare full violation lists, residual
@@ -45,9 +45,9 @@ from sdflow.runtime import (
 )
 from sdflow.syntax import (
     ActorComp, ActorE, Add, ChannelArrayKind, ChannelKind, Comp, Divides,
-    Env, Event, Iterator, Network, Num, PActor, Par, PArray, ProcFlow, Stop,
-    SVar, AtMost, flow_comps, par_flow, proc_components,
-    proc_flow_components, seq_flow, subst_comp, subst_flow, subst_size,
+    Env, Event, Iterator, Network, Num, Par, PArray, Stop, SVar, AtMost,
+    flow_comps, proc_components, seq_flow, subst_comp, subst_flow,
+    subst_size,
 )
 from sdflow.typecheck import Checker
 
@@ -165,23 +165,6 @@ def step_flowstate_internal(fs) -> list[Comp]:
         if c is not None and comp_occurrence_count(c) != 0:
             out.append(c)
     return out
-
-
-def step_flowstate(tenv: Env, fs: ProcFlow, label: Label
-                   ) -> Optional[ProcFlow]:
-    """One labeled reduction of a process flowstate, or None when no
-    component can emit the label."""
-    parts = proc_flow_components(fs)
-    for i, part in enumerate(parts):
-        if not isinstance(part, PActor):
-            continue
-        comps = step_flowstate_internal(part.flow)
-        residual = consume_actor_flow(comps, label)
-        if residual is not None:
-            new_parts = list(parts)
-            new_parts[i] = PActor(seq_flow(*residual))
-            return par_flow(*new_parts)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +319,15 @@ def test_violations_match_the_oracle_over_the_corpus(path):
 def _walk(comps: list[Comp], labels: list[Label], rng: random.Random):
     """Reduce one actor's flowstate by labels drawn at random until no label
     applies, in the oracle and in the observer's piece list, comparing the
-    residual comprehensions, their text and `step_flowstate` at each step."""
+    silent closure, then the residual comprehensions and their text at each
+    step."""
     flow = seq_flow(*comps)
     old = step_flowstate_internal(flow)
     pieces = conformance._silent_pieces(flow)
-    assert conformance.step_flowstate_internal(flow) == old
+    assert [conformance._piece_comp(p) for p in pieces] == old
     while True:
         for label in rng.sample(labels, len(labels)):
             want = consume_actor_flow(old, label)
-            fs = PActor(seq_flow(*old))
-            assert conformance.step_flowstate(Env(), fs, label) == \
-                step_flowstate(Env(), fs, label), (old, label)
             assert conformance._consume_actor(pieces, label) == \
                 (want is not None), (old, label)
             if want is not None:

@@ -10,7 +10,7 @@ from sdflow.netcheck import (
 )
 from sdflow.parser import parse_program_or_raise
 from sdflow.syntax import (
-    ChannelArrayKind, ChannelKind, Event, Num, PActor, PArray, PPar,
+    ChannelArrayKind, ChannelKind, Divides, Event, Num, PActor, PArray, PPar,
     SizeKind, SVar, INF, par_flow,
 )
 from sdflow.typecheck import check_network
@@ -124,6 +124,19 @@ def test_determinism_actor_array_plain_channel_rejected():
     arr = PArray("t", Num(1), SVar("s"), comp(ev("c!")))
     diags = check_determinism(ENV, arr)
     assert diags and "every element" in diags[0].message
+
+
+def test_determinism_takes_a_guarded_array_use_over_its_whole_range():
+    env = tenv(a=ChannelArrayKind(0, Num(2), Num(4)))
+    writer = PActor(comp(ev("a!", "t"), it("t", 1, 4),
+                         Divides(Num(2), SVar("t"))))
+    reader = PActor(comp(ev("a?", "t"), it("t", 1, 4)))
+    assert check_determinism(env, par_flow(writer, reader)) == []
+    other = PActor(comp(ev("a!", "t"), it("t", 3, 4)))
+    assert [d.message for d in check_determinism(
+        env, par_flow(writer, reader, other))] == [
+        f"writes on a[{k}] and a[{k}] are not confined to a single actor"
+        for k in (3, 4)]
 
 
 # --- progress ----------------------------------------------------------------------

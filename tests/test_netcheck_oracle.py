@@ -16,7 +16,7 @@ from conftest import CORPUS, comp, ev, it, seq, tenv
 from hypothesis import given, settings, strategies as st
 
 from sdflow.flowstate import FlowstateError, _comp_target, ground_target, extent
-from sdflow.kinding import _atom_key_any, normalize_size, size_leq
+from sdflow.kinding import _atom_key, normalize_size, size_leq
 from sdflow.netcheck import (
     PRODUCER, ScheduleStep, _cycle_diagnostics, _overlapping_pairs,
     _progress_entries, check_determinism, check_progress, classify_event,
@@ -55,7 +55,7 @@ def _size_key(e: SizeExpr):
         case SVar(name):
             return ("v", name)
         case _:
-            return _atom_key_any(e)
+            return _atom_key(e)
 
 
 def canonical_comp(comp: Comp) -> _CanonComp:

@@ -243,7 +243,6 @@ def test_cli_import_loads_only_the_checker():
         "infer_expr", "check_proc", "check_network", "classify_event",
         "inchans", "outchans", "check_determinism",
         "check_progress", "instantiate", "run", "explore",
-        "heap_flowstate", "step_flowstate", "step_flowstate_internal",
         "check_preservation", "check_progress_theorem"])
 
 
