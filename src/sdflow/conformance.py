@@ -355,22 +355,18 @@ def check_preservation(net: Network, sizes: dict[str, int],
                 f"{entry.actor} flowstate reduces by {label}",
                 "; ".join(print_comp(_piece_comp(p)) for p in pieces)
                 or "eps"))
-        # recount the buffer the step pushed or popped, from the heap
+        # recount the buffer the step pushed or popped, from the heap: its
+        # one count is the producer event's, so a producer adds 1 to it and
+        # a consumer, discharging its complement, takes 1 away
         send_produces = sends_produce[label.chan]
-        count_key, n = _buffer_count(send_produces, after.heap,
-                                     (label.chan, label.index))
-        old = {count_key: counts.pop(count_key, 0)}
+        key, n = _buffer_count(send_produces, after.heap,
+                               (label.chan, label.index))
+        old = counts.pop(key, 0)
         if n:
-            counts[count_key] = n
-        # a producer adds its event to the heap flowstate, a consumer takes
-        # away its complement's
+            counts[key] = n
         producer = label.is_send == send_produces
-        key = (label.chan, label.is_send == producer) + (
-            () if label.index is None else (label.index,))
-        change = 1 if producer else -1
-        if key not in old or any(counts.get(k, 0) - n != (k == key) * change
-                                 for k, n in old.items()):
-            before = +Counter({**counts, **old})  # `+` drops zero counts
+        if n - old != (1 if producer else -1):
+            before = +Counter({**counts, key: old})  # `+` drops zero counts
             want = Counter(before if producer else counts)
             want[key] += 1
             violations.append(Violation(

@@ -7,7 +7,10 @@ polls, commits and wakes as it does for `run`; it calls `commit` and
 `_actor_outcome` as `runtime` globals, so whatever replaces them there,
 such as perfbench's tracer, sees every call.  The key of a polled step,
 what it touches, decides both whom the step wakes and whether it is
-expanded on its own.
+expanded on its own.  A communication is expanded on its own when no
+other actor can use its buffer's side: while no procedure has been on
+the heap, the search asks its owner index, each site's actors in the
+initial configuration; after that, each state's index of live actors.
 """
 
 from __future__ import annotations
@@ -68,9 +71,15 @@ def _persistent(state: _State, search: _Search) -> list:
     other actors can only make it more enabled, and a push and a pop of
     one FIFO commute, so the singleton is a persistent set and every
     deadlock and terminal is still reached (Godefroid, LNCS 1032, Thm 4.3).
-    The clash test is two lookups in the state's index of live actors by
-    site, not a scan of the other actors."""
-    outcomes, holders = state.outcomes, state.holders
+
+    The clash test first asks the search's static owner index, the actors
+    whose initial expression holds each site.  While no procedure has been
+    on the heap (`_Search.lams`), an actor's sites only shrink, or gain an
+    index for a site that had none, so a step whose two clash sites no
+    other actor owned passes the exact test below, which is then skipped.
+    That test is two lookups in the state's index of live actors by site,
+    not a scan of the other actors."""
+    outcomes, holders, owners = state.outcomes, state.holders, search.owners
     for i in state.enabled:
         out = outcomes[i]
         if out.key is None:
@@ -78,10 +87,13 @@ def _persistent(state: _State, search: _Search) -> list:
         label = out.label
         if label is None:  # it reads or writes a heap cell
             continue
-        if state.stale:
-            search.reindex(state)
         clash = {(label.chan, label.is_send, label.index),
                  (label.chan, label.is_send, None)}
+        if not search.lams and all(owners.get(site, _NO_SITES) <= {i}
+                                   for site in clash):
+            return [(i, out)]
+        if state.stale:
+            search.reindex(state)
         if all(holders.get(site, _NO_SITES) <= {i} for site in clash) \
                 and all(clash.isdisjoint(s) for s in state.stored):
             return [(i, out)]
@@ -101,7 +113,7 @@ def _cells(heap: Heap) -> tuple:
 class _State(Machine):
     """A configuration on `explore`'s stack: a `Machine`, whose outcomes,
     `enabled` and wake rule are `run`'s, and what the search keeps beside
-    it so that a step of the search costs what a step of `run` costs:
+    it so that a step of the search costs a small multiple of `run`'s:
 
     - `code`, the state as small integers: each actor's expression, each
       buffer's contents and the cells, interned (`_Search.intern`), then
@@ -133,8 +145,10 @@ _LINKS = {SeqE: lambda e: (e.first, e.second), Let: lambda e: (e.bound, e.body),
 
 class _Search:
     """What the states of one `explore` share: the sites of each expression
-    seen, the interned values and blocks, and where each buffer, count and
-    the cells sit in a state's code."""
+    seen, the interned values and blocks, where each buffer, count and the
+    cells sit in a state's code, `owners`, site -> the actors whose initial
+    expression holds it, and `lams`, whether a procedure has been on the
+    heap in any state so far."""
 
     def __init__(self, cfg: Configuration):
         self.venv = cfg.venv
@@ -147,6 +161,7 @@ class _Search:
         base = n + len(self.buffer_at)
         self.count_at = {count: base + k for k, count in enumerate(counts)}
         self.cells_at = base + len(counts)
+        self.lams = False  # has a procedure been on the heap?
 
     def intern(self, value) -> int:
         """`value`'s code: equal values, and only they, share one.  Its
@@ -176,7 +191,9 @@ class _Search:
     def stored(self, heap: Heap) -> Counter:
         """The sites of each procedure held in a buffer or a cell."""
         values = chain(heap.locs.values(), *heap.bufs.values())
-        return Counter(self.sites(v) for v in values if isinstance(v, Lam))
+        stored = Counter(self.sites(v) for v in values if isinstance(v, Lam))
+        self.lams = self.lams or bool(stored)
+        return stored
 
     def first(self, cfg: Configuration) -> _State:
         state, heap = _State(cfg), cfg.heap
@@ -192,6 +209,8 @@ class _Search:
         for i, sites in enumerate(state.indexed):
             for site in sites:
                 state.holders.setdefault(site, set()).add(i)
+        self.owners = {site: frozenset(held)
+                       for site, held in state.holders.items()}
         state.stored = self.stored(heap)
         return state
 
@@ -254,6 +273,7 @@ class _Search:
     def _store(self, state: _State, value, change: int) -> None:
         """Count a procedure into (1) or out of (-1) the heap's."""
         if isinstance(value, Lam):
+            self.lams = True
             sites = self.sites(value)
             state.stored[sites] += change
             if not state.stored[sites]:

@@ -812,7 +812,7 @@ def explore(cfg: Configuration, max_states: int = 300_000) -> ExploreResult:
     exact; `states` counts the reduced states visited, at most
     `max_states`.
 
-    A state costs about what a step of `run` costs (see
+    A state costs about twice what a step of `run` costs (see
     `exploration._State`).  A state with one successor is committed into
     in place; only a state with several is copied, once for each successor
     but the last.  A configuration handed out as a stuck sample has no

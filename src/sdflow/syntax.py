@@ -84,7 +84,10 @@ def record(cls=None, /, *, frozen: bool = False):
     that call compiles all three in one `exec` (`_build`), installs them
     and delegates.  A frozen field's default lives on the class until a
     different object is passed, so only such an object is stored on the
-    instance; nothing in `src/` reads fields from `__dict__`."""
+    instance; nothing in `src/` reads fields from `__dict__`.  A frozen
+    record's hash is kept on the node as `_hash` (None, on the class,
+    until first taken), so hashing a node whose fields were hashed before
+    costs only that node: interning an expression hashes its fresh nodes."""
     if cls is None:
         return lambda c: record(c, frozen=frozen)
     fields = []
@@ -102,7 +105,7 @@ def record(cls=None, /, *, frozen: bool = False):
                "__match_args__": tuple(f.name for f in fields)}
     if frozen:
         methods.update(__setattr__=_frozen_setattr,
-                       __delattr__=_frozen_delattr)
+                       __delattr__=_frozen_delattr, _hash=None)
     else:
         methods["__hash__"] = None
     generated = [name for name in ("__init__", "__eq__", "__hash__")
@@ -176,7 +179,11 @@ def _build(cls) -> None:
            f"({compared.format('other')})\n"
            "  return NotImplemented\n"
            " def __hash__(self):\n"
-           f"  return hash(({compared.format('self')}))\n"
+           "  h = self._hash\n"
+           "  if h is None:\n"
+           f"   h = hash(({compared.format('self')}))\n"
+           "   _setattr(self, '_hash', h)\n"
+           "  return h\n"
            " return __init__, __eq__, __hash__\n")
     exec(compile(src, _file_name(cls), "exec"), {}, namespace)
     methods = dict(zip(("__init__", "__eq__", "__hash__"),
@@ -888,15 +895,16 @@ def _spine_hash(e) -> int:
     """The generated hash, taken from the chain's tail up (each node's hash
     finds its continuation's) and kept on the node, so hashing a state of
     a long actor costs only its new nodes."""
-    h = e.__dict__.get("_hash")
+    h = e._hash
     if h is None:
         chain = []
-        while _link(e) and "_hash" not in e.__dict__:
+        while _link(e) and e._hash is None:
             chain.append(e)
             e = _link(e)[1]
         for node in reversed(chain):
             fields, rest = _link(node)
-            h = node.__dict__["_hash"] = hash(fields + (rest,))
+            h = hash(fields + (rest,))
+            object.__setattr__(node, "_hash", h)
     return h
 
 

@@ -52,6 +52,29 @@ def test_check_rejects_with_rule_on_stderr():
     assert out.stdout == ""
 
 
+# one-actor programs, each ill-typed by one value rule that no corpus
+# program reaches; kept here, not in corpus/, which perfbench counts
+VALUE_RULES = [
+    ("let r = 1; !r", "[Val Deref] at 3:22 dereferencing a non-reference"),
+    ("true + 1", "[Val Op] at 3:16 operator + expects integers"),
+    ("fromIndex(true)",
+     "[Val FromIndex] at 3:11 fromIndex expects a loop index"),
+    ("(1)(2)", "[Val App] at 3:14 calling a non-procedure"),
+]
+
+
+@pytest.mark.parametrize("body, stderr", VALUE_RULES,
+                         ids=["deref", "op", "from_index", "app"])
+def test_check_rejects_an_ill_typed_value_with_its_rule(body, stderr, tmp_path,
+                                                        capsys):
+    path = tmp_path / "actor.sdf"
+    path.write_text(f"flow eps;\nnetwork {{\n  actor {{ {body} }}\n}}\n")
+    with pytest.raises(SystemExit) as exited:
+        main(["check", str(path)])
+    assert exited.value.code == 1
+    assert capsys.readouterr() == ("", stderr + "\n")
+
+
 def test_schedule_emits_json():
     out = sdflow("schedule", GOOD, "--format", "json")
     assert out.returncode == 0

@@ -19,8 +19,8 @@ import pytest
 from conftest import ROOT
 
 from sdflow.syntax import (
-    _MISSING, Comp, Event, FrozenInstanceError, IntLit, Iterator, Num, SVar,
-    record, replace,
+    _MISSING, App, BinOp, Comp, Deref, Event, FrozenInstanceError, IntLit,
+    Iterator, Num, SeqE, SVar, Var, record, replace,
 )
 
 MODULES = ("syntax", "parser", "kinding", "printer", "flowstate", "netcheck",
@@ -191,6 +191,23 @@ def test_hash_is_hash_of_compared_fields():
     its = (Iterator("t", Num(1), SVar("s")),)
     assert hash(Comp(e, its)) == hash((e, its, ()))
     assert {Comp(e, its): 1}[Comp(e, its, ())] == 1
+
+
+def test_a_kept_hash_is_the_hash_of_a_fresh_construction():
+    def build():
+        return App(Var("f"), (BinOp("+", IntLit(1), Var("x")),
+                              SeqE(IntLit(2), Deref(Var("r")))))
+    one, other = build(), build()
+    assert one is not other and hash(one) == hash(other)
+    assert vars(one)["_hash"] == hash(one) == hash(other)  # kept once taken
+    assert "_hash" not in vars(build())
+    # `replace` builds a new node from the fields alone, so the kept hash of
+    # the node it copies does not travel with it
+    arg = BinOp("-", IntLit(3), Var("y"))
+    changed = replace(one, args=(arg,))
+    assert "_hash" not in vars(changed)
+    assert hash(changed) == hash(App(Var("f"), (arg,))) != hash(one)
+    assert changed == App(Var("f"), (BinOp("-", IntLit(3), Var("y")),))
 
 
 def test_replace_keeps_unchanged_fields_and_location():

@@ -28,11 +28,15 @@ The run cell counts the `subst_expr` calls, recursive ones included, that
 `runtime.instantiate` makes on pipelines 4x apart.
 
 The explore cells count, per state `runtime.explore` visits on pipelines
-16x apart at s=4, the actors it polls (`_actor_outcome` calls) and the
+16x apart at s=4, the actors it polls (`_actor_outcome` calls), the
 expression hashes it computes (calls of an expression class's `__hash__`,
-nested ones included).  When every state polled every actor and rehashed
-every actor's expression, pipeline-16 read 16.0 polls and 87.5 hashes per
-state, and pipeline-256 256.0 and 1 287.7.
+nested ones included) and the times it brings a state's index of live
+actors by site up to date (`exploration._Search.reindex` calls).  When
+every state polled every actor and rehashed every actor's expression,
+pipeline-16 read 16.0 polls and 87.5 hashes per state, and pipeline-256
+256.0 and 1 287.7.  Before expressions kept their hashes, both read about
+7.5 hashes per state; before the clash test asked the static owner index
+first, both read 0.37 re-indexes per state, and now none is needed.
 
 The memory cells count bytes, not time: tracemalloc's peak over
 `runtime.run` with no observer on pipeline-64 at rates 4x apart, which
@@ -61,7 +65,7 @@ from collections import Counter
 import pytest
 from conftest import ROOT
 
-from sdflow import flowstate, kinding, parser, runtime, syntax
+from sdflow import exploration, flowstate, kinding, parser, runtime, syntax
 from sdflow.parser import parse_program
 from sdflow.typecheck import check_network
 
@@ -294,7 +298,8 @@ def test_instantiate_substitutions_grow_at_most_linearly():
 
 def explore_work(stages: int) -> dict:
     """Per state `explore` visits on `gen.pipeline(stages)` at s=4: the
-    actors it polls and the expression hashes it computes."""
+    actors it polls, the expression hashes it computes and the re-indexes
+    of live actors by site it makes."""
     net = parse_program(perfbench_gen().pipeline(stages).source)
     cfg = runtime.instantiate(net, {"s": 4})
     counts: Counter = Counter()
@@ -303,8 +308,13 @@ def explore_work(stages: int) -> dict:
         counts["polls"] += 1
         return inner(cfg, i)
 
+    def reindexed(search, state, inner=exploration._Search.reindex):
+        counts["reindex"] += 1
+        return inner(search, state)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(runtime, "_actor_outcome", polled)
+        mp.setattr(exploration._Search, "reindex", reindexed)
         for cls in runtime._STEP:
             # a class's generated methods replace their stubs when first
             # called, and would replace the counting wrapper with them
@@ -317,7 +327,8 @@ def explore_work(stages: int) -> dict:
         states = runtime.explore(cfg).states
     return {"states": states,
             "polls_per_state": round(counts["polls"] / states, 3),
-            "hashes_per_state": round(counts["hashes"] / states, 3)}
+            "hashes_per_state": round(counts["hashes"] / states, 3),
+            "reindex_per_state": round(counts["reindex"] / states, 3)}
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +341,13 @@ def test_explore_work_per_state_does_not_grow_with_actors(explored, work):
     small, large = (explored[n][work] for n in EXPLORE_STAGES)
     assert small > 0
     assert large <= EXPLORE_GROWTH * small, (small, large)
+
+
+@pytest.mark.parametrize("stages", EXPLORE_STAGES)
+def test_explore_needs_no_reindex_on_a_pipeline(explored, stages):
+    # each channel has one writer and one reader from the start and no
+    # procedure is ever on the heap, so the owner index decides every step
+    assert explored[stages]["reindex_per_state"] == 0
 
 
 def run_peak(stages: int, s: int) -> int:
