@@ -402,6 +402,7 @@ class ProgressReport:
     complete: bool
     stuck: list
     truncated: bool
+    cycle: bool
 
     @property
     def ok(self) -> bool:
@@ -417,7 +418,8 @@ def check_progress_theorem(net: Network, sizes: dict[str, int],
                            max_states: int = 300_000,
                            name: str = "<network>") -> ProgressReport:
     """Exhaustively explores interleavings and reports any reachable
-    configuration that is neither finished nor able to step."""
+    configuration that is neither finished nor able to step, and whether
+    some interleaving runs forever (a cycle)."""
     cfg = instantiate(net, sizes)
     result = explore(cfg, max_states=max_states)
     stuck_desc = []
@@ -430,4 +432,4 @@ def check_progress_theorem(net: Network, sizes: dict[str, int],
                            "buffers": s.heap.buffer_sizes()})
     return ProgressReport(name, dict(sizes), result.states,
                           result.any_complete and result.all_complete,
-                          stuck_desc, result.truncated)
+                          stuck_desc, result.truncated, result.cycle)

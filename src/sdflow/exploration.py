@@ -11,6 +11,21 @@ expanded on its own.  A communication is expanded on its own when no
 other actor can use its buffer's side: while no procedure has been on
 the heap, the search asks its owner index, each site's actors in the
 initial configuration; after that, each state's index of live actors.
+
+A search is acyclic when no actor's initial expression holds an
+application (`App`).  Then no state can recur on a path: a communication
+raises a count of the visited key, which no step lowers, and an actor's
+remaining work only shrinks, since `for` loops are bounded and every other
+internal step consumes its redex and builds none outside a procedure body,
+which only a beta-reduction enters; no step builds an application.  So
+until an acyclic search first branches, its visited set could never hit,
+and it keeps no key: a state in this chain mode holds only its
+communication counts, and nothing is interned.  At the first state with
+two or more successors the search interns that state in full
+(`_Search.rekey`) and keys every later state.  This is state-space
+caching (Godefroid, Holzmann & Pirottin, CAV 1992) and VeriSoft's
+stateless search (Godefroid, POPL 1997) on the one prefix where storing
+nothing loses nothing.
 """
 
 from __future__ import annotations
@@ -28,9 +43,10 @@ from .syntax import (
 
 def _comm_sites(e: Expr, venv: Env) -> frozenset:
     """`(channel, is_send, index)` of every send and receive in `e`,
-    procedure bodies included.  The index is None for a plain channel and
-    for an index that is not yet a literal: such a site may use any buffer
-    of its channel."""
+    procedure bodies included, and the class `App` when `e` holds an
+    application.  The index is None for a plain channel and for an index
+    that is not yet a literal: such a site may use any buffer of its
+    channel."""
     sites = set()
     stack = [e]
     while stack:
@@ -54,6 +70,7 @@ def _comm_sites(e: Expr, venv: Env) -> frozenset:
             case If(a, b, c) | When(a, _, b, c):
                 stack += (a, b, c)
             case App(fn, args):
+                sites.add(App)
                 stack.append(fn)
                 stack += args
     return frozenset(sites)
@@ -119,7 +136,8 @@ class _State(Machine):
       buffer's contents and the cells, interned (`_Search.intern`), then
       each (channel, "send" | "recv") count.  `blocks` interns each run of
       `_BLOCK` entries; their tuple is the visited key, so a step renews
-      only the entries it changed and their blocks;
+      only the entries it changed and their blocks.  In chain mode (see
+      the module docstring) `blocks` is None and only the counts are kept;
     - `holders`, communication site -> the live actors whose expression
       has it (`_comm_sites`), and `stored`, the sites of each procedure on
       the heap: the clash index of `_persistent`.  `indexed` is each
@@ -147,7 +165,8 @@ class _Search:
     """What the states of one `explore` share: the sites of each expression
     seen, the interned values and blocks, where each buffer, count and the
     cells sit in a state's code, `owners`, site -> the actors whose initial
-    expression holds it, and `lams`, whether a procedure has been on the
+    expression holds it, `acyclic`, whether no actor's initial expression
+    holds an application, and `lams`, whether a procedure has been on the
     heap in any state so far."""
 
     def __init__(self, cfg: Configuration):
@@ -158,7 +177,7 @@ class _Search:
         self.buffer_at = {key: n + k for k, key in enumerate(cfg.heap.bufs)}
         counts = [(chan, way) for chan in cfg.heap.caps
                   for way in ("send", "recv")]
-        base = n + len(self.buffer_at)
+        self.counts_from = base = n + len(self.buffer_at)
         self.count_at = {count: base + k for k, count in enumerate(counts)}
         self.cells_at = base + len(counts)
         self.lams = False  # has a procedure been on the heap?
@@ -196,13 +215,9 @@ class _Search:
         return stored
 
     def first(self, cfg: Configuration) -> _State:
-        state, heap = _State(cfg), cfg.heap
-        state.code = code = ([self.intern(a.expr) for a in cfg.actors]
-                             + [self.intern(buf) for buf in heap.bufs.values()]
-                             + [0] * len(self.count_at)
-                             + [self.intern(_cells(heap))])
-        state.blocks = [self.intern(tuple(code[at:at + _BLOCK]))
-                        for at in range(0, len(code), _BLOCK)]
+        """The search's initial state, in chain mode."""
+        state = _State(cfg)
+        state.code, state.blocks = [0] * (self.cells_at + 1), None
         state.holders, state.stale = {}, set()
         state.indexed = [_NO_SITES if a.done else self.sites(a.expr)
                          for a in cfg.actors]
@@ -211,8 +226,21 @@ class _Search:
                 state.holders.setdefault(site, set()).add(i)
         self.owners = {site: frozenset(held)
                        for site, held in state.holders.items()}
-        state.stored = self.stored(heap)
+        self.acyclic = App not in self.owners
+        state.stored = self.stored(cfg.heap)
         return state
+
+    def rekey(self, state: _State) -> None:
+        """Intern `state`'s code in full: the search keys it, and every
+        state after it."""
+        intern, heap = self.intern, state.cfg.heap
+        code = state.code
+        code[:self.counts_from] = (
+            [intern(a.expr) for a in state.cfg.actors]
+            + [intern(buf) for buf in heap.bufs.values()])
+        code[self.cells_at] = intern(_cells(heap))
+        state.blocks = [intern(tuple(code[at:at + _BLOCK]))
+                        for at in range(0, len(code), _BLOCK)]
 
     def counts(self, state: _State) -> tuple:
         """The state's nonzero counts, sorted, as `_signature` takes them."""
@@ -221,30 +249,33 @@ class _Search:
                             for count, at in self.count_at.items() if code[at]))
 
     def advance(self, state: _State, i: int, out: Stepped) -> None:
-        """Step `state` by actor i's polled step and renew the code entries
-        it changed."""
+        """Step `state` by actor i's polled step, count its communication
+        and, unless in chain mode, renew the code entries it changed."""
         heap, label = state.cfg.heap, out.label
         if label is not None and not label.is_send:
             self._store(state, heap.bufs[out.key][0], -1)
         state.step(i, out)
-        code = state.code
-        code[i] = self.intern(out.expr)
-        changed = [i]
         state.stale.add(i)
+        code = state.code
         if label is not None:
-            buf = heap.bufs[out.key]
-            at = self.buffer_at[out.key]
-            code[at] = self.intern(buf)
             count = self.count_at[label.chan,
                                   "send" if label.is_send else "recv"]
             code[count] += 1
-            changed += (at, count)
             if label.is_send:
-                self._store(state, buf[-1], 1)
+                self._store(state, heap.bufs[out.key][-1], 1)
+        elif out.effect is not None:
+            state.stored = self.stored(heap)
+        if state.blocks is None:
+            return
+        code[i] = self.intern(out.expr)
+        changed = [i]
+        if label is not None:
+            at = self.buffer_at[out.key]
+            code[at] = self.intern(heap.bufs[out.key])
+            changed += (at, count)
         elif out.effect is not None:
             code[self.cells_at] = self.intern(_cells(heap))
             changed.append(self.cells_at)
-            state.stored = self.stored(heap)
         for block in {at // _BLOCK for at in changed}:
             start = block * _BLOCK
             state.blocks[block] = self.intern(tuple(code[start:start

@@ -786,6 +786,7 @@ class ExploreResult:
     terminals: set               # signatures of completed configurations
     stuck: list                  # sample stuck configurations
     truncated: bool = False
+    cycle: bool = False          # a state was met again on its own path
 
     @property
     def deterministic_outcome(self) -> bool:
@@ -810,31 +811,49 @@ def explore(cfg: Configuration, max_states: int = 300_000) -> ExploreResult:
     reduced search reaches every terminal and every stuck configuration the
     full one does, so `any_complete`, `all_complete` and `terminals` are
     exact; `states` counts the reduced states visited, at most
-    `max_states`.
+    `max_states`.  A state met again on the search's current path is a
+    `cycle`, which a full search has too: the network can run forever, and
+    it is not `all_complete`.
 
-    A state costs about twice what a step of `run` costs (see
-    `exploration._State`).  A state with one successor is committed into
-    in place; only a state with several is copied, once for each successor
-    but the last.  A configuration handed out as a stuck sample has no
-    successor, so nothing changes it afterwards."""
+    Until the search first branches, a network with no application keeps
+    no visited key and interns nothing (chain mode, see `exploration`), so
+    a state costs about what a step of `run` costs; after that, or
+    throughout on a network with an application, a state's key is its
+    interned code (see `exploration._State`).  A state with one successor
+    is committed into in place; only a state with several is copied, once
+    for each successor but the last.  A configuration handed out as a
+    stuck sample has no successor, so nothing changes it afterwards."""
     from .exploration import _Search, _persistent
     search = _Search(cfg)
-    visited: set = set()
+    state = search.first(cfg.copy())
+    keyed = not search.acyclic
+    if keyed:
+        search.rekey(state)
+    visited: dict = {}  # key -> its depth on the path it was met on
+    path: list = []     # the keys on the current path, by depth
     terminals: set = set()
     stuck: list = []
     any_complete = False
     all_complete = True
-    truncated = False
-    stack = [search.first(cfg.copy())]
+    truncated = cycle = False
+    states = 0
+    stack = [(state, 0)]
     while stack:
-        state = stack.pop()
-        key = tuple(state.blocks)
-        if key in visited:
-            continue
-        if len(visited) == max_states:
+        state, depth = stack.pop()
+        if keyed:
+            key = tuple(state.blocks)
+            del path[depth:]
+            met = visited.get(key)
+            if met is not None:
+                cycle = cycle or (met < depth and path[met] == key)
+                continue
+        if states == max_states:
             truncated = True
             break
-        visited.add(key)
+        states += 1
+        if keyed:
+            visited[key] = depth
+            path.append(key)
         if not state.enabled:
             current = state.cfg
             if current.done():
@@ -846,10 +865,17 @@ def explore(cfg: Configuration, max_states: int = 300_000) -> ExploreResult:
                     stuck.append(current)
             continue
         steps = _persistent(state, search)
+        if not keyed and len(steps) > 1:
+            # the search branches: key this state and every later one
+            search.rekey(state)
+            keyed, depth, key = True, 0, tuple(state.blocks)
+            visited[key] = depth
+            path.append(key)
         # the copies are taken before the last successor commits in place
         for k, (i, out) in enumerate(steps):
             nxt = state if k == len(steps) - 1 else state.copy()
             search.advance(nxt, i, out)
-            stack.append(nxt)
-    return ExploreResult(any_complete, all_complete and not truncated,
-                         len(visited), terminals, stuck, truncated)
+            stack.append((nxt, depth + 1))
+    return ExploreResult(any_complete,
+                         all_complete and not truncated and not cycle,
+                         states, terminals, stuck, truncated, cycle)

@@ -47,7 +47,8 @@ def run_command(net, sizes: dict, args: dict) -> int:
     as_json = args["format"] == "json"
     if args["scheduler"] == "exhaustive":
         ex = explore(cfg, max_states=args["max_states"])
-        status = "done" if ex.all_complete else "deadlock"
+        status = "diverges" if ex.cycle else \
+            "done" if ex.all_complete else "deadlock"
         if as_json:
             _print_json({"status": status, "states": ex.states,
                          "anyComplete": ex.any_complete,
@@ -105,7 +106,8 @@ def conform_command(net, sizes: dict, args: dict) -> int:
     else:
         print(f"preservation: {len(pres.violations)} violations over "
               f"{pres.steps} steps")
-        outcome = "complete" if prog.complete else "stuck states found"
+        outcome = "cycle found" if prog.cycle else \
+            "complete" if prog.complete else "stuck states found"
         if prog.truncated:
             print(f"progress: truncated after {prog.states} states")
         else:

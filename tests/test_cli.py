@@ -8,8 +8,9 @@ import pytest
 
 from conftest import CORPUS, ROOT
 from test_conformance import CAPACITY_CYCLE
+from test_explore import KNOT
 
-from sdflow.cli import EXIT_CONFORMANCE, EXIT_PIPE, main
+from sdflow.cli import EXIT_CONFORMANCE, EXIT_DEADLOCK, EXIT_PIPE, main
 
 
 def sdflow(*args, stdout=subprocess.PIPE):
@@ -234,6 +235,26 @@ def test_truncated_exploration_says_so():
     out = sdflow("conform", GOOD, "--size", "s=2", "--max-states", "1")
     assert out.returncode == EXIT_CONFORMANCE
     assert out.stdout.splitlines()[-1] == "progress: truncated after 1 states"
+
+
+def test_a_cycle_is_reported_as_divergence(tmp_path, capsys):
+    prog = tmp_path / "knot.sdf"
+    prog.write_text(KNOT)
+
+    def exits(*argv):
+        with pytest.raises(SystemExit) as raised:
+            main([*argv, str(prog)])
+        return raised.value.code, capsys.readouterr().out
+
+    assert exits("run", "--scheduler", "exhaustive") == \
+        (EXIT_DEADLOCK, "diverges: 6 states, 0 outcome(s)\n")
+    code, out = exits("run", "--scheduler", "exhaustive", "--format", "json")
+    assert code == EXIT_DEADLOCK
+    assert json.loads(out)["status"] == "diverges"
+    # `run` under roundRobin spends its step budget first
+    code, out = exits("conform")
+    assert code == EXIT_CONFORMANCE
+    assert out.splitlines()[-1] == "progress: 6 states, cycle found"
 
 
 def test_explored_states_never_exceed_the_budget():

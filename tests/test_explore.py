@@ -12,7 +12,11 @@ where it cost 258 times as much when every state polled every actor.
 The clash test of `exploration._persistent` asks the search's static owner
 index while no procedure has been on the heap, and the exact index of live
 actors otherwise; forced onto the exact test throughout, `explore` must
-find the same states, terminals, stuck samples and truncation.
+find the same states, terminals, stuck samples and truncation.  Likewise a
+search of a network with no application keeps no visited key until it
+branches (chain mode); forced to key every state, it must find the same.
+A search that meets a state again on its own path reports a cycle, and is
+then not all complete.
 """
 
 import os
@@ -28,8 +32,10 @@ from test_runtime import STUCK_BESIDE_BLOCKED
 from sdflow import exploration
 from sdflow.conformance import check_progress_theorem
 from sdflow.parser import parse_program_or_raise
-from sdflow.runtime import STUCK_LIMIT, Stepped, explore, instantiate, step_expr
-from sdflow.syntax import IntLit
+from sdflow.runtime import (
+    STUCK_LIMIT, Stepped, explore, instantiate, run, step_expr,
+)
+from sdflow.syntax import ActorE, App, IntLit, IntType, Lam, Network, Var
 
 # two writers race on c and two on d, each of capacity 1; c's reader takes
 # two of the four values and d has none, so every interleaving ends with
@@ -194,16 +200,31 @@ KNOTS = pytest.mark.parametrize("source", [KNOT, KNOT_AWAITED],
                                 ids=["knot", "knot_awaited"])
 
 
-def _explored(net, sizes) -> tuple:
+def _omega() -> Network:
+    """One actor that applies `fn x => x(x)` to itself: ill-typed, so built
+    through the API, and it steps back to itself with no heap at all."""
+    shell = parse_program_or_raise(
+        "network { actor { (fn (v : Integer) [eps => eps] v)(1) } }")
+    template = shell.body.expr.fn
+    lam = Lam((("x", IntType()),), template.latent, template.rest,
+              App(Var("x"), (Var("x"),)))
+    return Network(shell.tenv, shell.venv, shell.flow, ActorE(App(lam, (lam,))))
+
+
+def _explored(net, sizes, max_states=300_000) -> tuple:
     """What `explore` finds: states, completion, terminals, each stuck
-    sample with its actors' blocked reasons, and truncation."""
-    ex = explore(instantiate(net, sizes))
+    sample with its actors' blocked reasons, truncation and a cycle."""
+    ex = explore(instantiate(net, sizes), max_states)
+    # a search that ends untruncated with no terminal and no stuck state
+    # met only states it had seen: it ran in a cycle
+    if not (ex.truncated or ex.terminals or ex.stuck):
+        assert ex.cycle and not ex.all_complete
     stuck = [(state_key(s), {a.name: step_expr(a.expr, s.heap, a.name,
                                                s.venv).reason
                              for a in s.actors if not a.done})
              for s in ex.stuck]
     return (ex.states, ex.any_complete, ex.all_complete, ex.terminals, stuck,
-            ex.truncated)
+            ex.truncated, ex.cycle)
 
 
 def _searches(monkeypatch) -> list:
@@ -239,16 +260,97 @@ DIFFERENTIAL = (
        ("proc_carried_in_cell", PROC_CARRIED_IN_CELL, {})])
 
 
-@pytest.mark.parametrize("source, sizes", [d[1:] for d in DIFFERENTIAL],
-                         ids=[d[0] for d in DIFFERENTIAL])
+def _keyed_throughout(monkeypatch) -> None:
+    """Make every later `explore` key every state from the first, as a
+    search of a network with an application does."""
+    first = exploration._Search.first
+
+    def cyclic(search, cfg):
+        state = first(search, cfg)
+        search.acyclic = False
+        return state
+    monkeypatch.setattr(exploration._Search, "first", cyclic)
+
+
+def _cases(source, sizes) -> tuple:
+    net = parse_program_or_raise(source)
+    return net, ([sizes] if sizes is not None else
+                 [sizes_for(net, v) for v in (1, 2, 3, 4)])
+
+
+ON_DIFFERENTIAL = pytest.mark.parametrize(
+    "source, sizes", [d[1:] for d in DIFFERENTIAL],
+    ids=[d[0] for d in DIFFERENTIAL])
+
+
+@ON_DIFFERENTIAL
 def test_owner_index_explores_as_the_exact_clash_test(source, sizes,
                                                       monkeypatch):
-    net = parse_program_or_raise(source)
-    cases = [sizes] if sizes is not None else \
-        [sizes_for(net, v) for v in (1, 2, 3, 4)]
+    net, cases = _cases(source, sizes)
     indexed = [_explored(net, s) for s in cases]
     _exact_only(monkeypatch)
     assert [_explored(net, s) for s in cases] == indexed
+
+
+@ON_DIFFERENTIAL
+def test_chain_mode_explores_as_a_search_keyed_throughout(source, sizes,
+                                                          monkeypatch):
+    net, cases = _cases(source, sizes)
+    chained = [_explored(net, s) for s in cases]
+    _keyed_throughout(monkeypatch)
+    assert [_explored(net, s) for s in cases] == chained
+
+
+def test_a_self_application_is_keyed_from_the_start(monkeypatch):
+    searches = _searches(monkeypatch)
+    found = _explored(_omega(), {})
+    assert not searches[0].acyclic
+    # one state, which steps back to itself
+    assert found == (1, False, False, set(), [], False, True)
+    _keyed_throughout(monkeypatch)
+    assert _explored(_omega(), {}) == found
+
+
+CORPUS = [(f"{kind}/{p.stem}", parse_program_or_raise(p.read_text()))
+          for kind in ("good", "rejected") for p in corpus_files(kind)]
+
+
+@pytest.mark.parametrize("max_states", [1, 2, 5, 17])
+def test_chain_mode_truncates_as_a_search_keyed_throughout(max_states,
+                                                           monkeypatch):
+    cases = [(net, sizes_for(net, v)) for _, net in CORPUS
+             for v in (1, 2, 3, 4)]
+    chained = [_explored(net, s, max_states) for net, s in cases]
+    assert any(found[5] for found in chained)  # some search is truncated
+    _keyed_throughout(monkeypatch)
+    assert [_explored(net, s, max_states) for net, s in cases] == chained
+
+
+GOOD = [(name, net) for name, net in CORPUS if name.startswith("good/")]
+
+
+@pytest.mark.parametrize("net", [net for _, net in GOOD],
+                         ids=[name for name, _ in GOOD])
+def test_an_accepted_network_without_application_is_one_chain(net,
+                                                              monkeypatch):
+    searches = _searches(monkeypatch)
+    acyclic = "App(" not in repr(net)
+    for v in (1, 2, 3, 4):
+        sizes = sizes_for(net, v)
+        ex = explore(instantiate(net, sizes))
+        assert ex.all_complete
+        assert ex.states == run(instantiate(net, sizes)).steps + 1
+        assert searches[-1].acyclic is acyclic
+        if acyclic:
+            assert not searches[-1].interned
+
+
+def test_a_branching_search_leaves_chain_mode(monkeypatch):
+    searches = _searches(monkeypatch)
+    source, sizes, reports = next(r for r in RECORDED if r[0] is RACE)
+    assert check_progress_theorem(parse_program_or_raise(source),
+                                  sizes).stuck == reports
+    assert searches[0].acyclic and searches[0].interned
 
 
 @CARRIED
@@ -263,16 +365,17 @@ def test_a_procedure_in_a_cell_turns_the_owner_index_off(source, monkeypatch):
     searches = _searches(monkeypatch)
     ex = explore(instantiate(parse_program_or_raise(source), {}))
     assert searches[0].lams
-    # what `explore` returned before the owner index: no terminal and no
-    # stuck state, yet all complete (Defect 2, pinned unfixed)
+    # the states `explore` visited before the owner index
     assert (ex.states, ex.terminals, ex.stuck, ex.truncated) == \
         (6, set(), [], False)
-    assert not ex.any_complete and ex.all_complete
+    assert not ex.any_complete and not ex.all_complete
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP Defect 2: exploration "
-                   "calls a divergent network done")
 @KNOTS
 def test_a_divergent_network_is_not_all_complete(source):
-    ex = explore(instantiate(parse_program_or_raise(source), {}))
-    assert ex.all_complete is False
+    net = parse_program_or_raise(source)
+    ex = explore(instantiate(net, {}))
+    assert ex.cycle and ex.all_complete is False
+    progress = check_progress_theorem(net, {})
+    assert progress.cycle and not progress.complete and not progress.ok
+    assert progress.stuck == []

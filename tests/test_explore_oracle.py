@@ -2,8 +2,8 @@
 
 `full_explore` expands every enabled actor at every state.  `explore`
 expands a persistent set, so it visits fewer states, but it must reach the
-same verdicts: identical `any_complete`, `all_complete`, `truncated` and
-terminal sets and, whenever the full search finds at most `STUCK_LIMIT`
+same verdicts: identical `any_complete`, `all_complete`, `truncated`,
+`cycle` and terminal sets and, whenever the full search finds at most `STUCK_LIMIT`
 stuck configurations (so its samples are all of them), the same stuck
 configurations with the same blocked reasons.
 """
@@ -27,19 +27,24 @@ from sdflow.runtime import (
 # --- the replaced implementation --------------------------------------------
 
 def full_explore(cfg, max_states=300_000):
-    visited: set = set()
+    visited: dict = {}  # key -> its depth on the path it was met on
+    path: list = []     # the keys on the current path, by depth
     terminals: set = set()
     stuck: list = []
     any_complete = False
     all_complete = True
-    truncated = False
-    stack = [(cfg.copy(), Counter())]
+    truncated = cycle = False
+    stack = [(cfg.copy(), Counter(), 0)]
     while stack:
-        current, counts = stack.pop()
+        current, counts, depth = stack.pop()
         key = (state_key(current), tuple(sorted(counts.items())))
+        del path[depth:]
         if key in visited:
+            # a state met again on its own path: a cycle
+            cycle = cycle or key in path
             continue
-        visited.add(key)
+        visited[key] = depth
+        path.append(key)
         if len(visited) > max_states:
             truncated = True
             break
@@ -64,9 +69,10 @@ def full_explore(cfg, max_states=300_000):
             if out.label is not None:
                 nc[(out.label.chan,
                     "send" if out.label.is_send else "recv")] += 1
-            stack.append((nxt, nc))
-    return ExploreResult(any_complete, all_complete and not truncated,
-                         len(visited), terminals, stuck, truncated)
+            stack.append((nxt, nc, depth + 1))
+    return ExploreResult(any_complete,
+                         all_complete and not truncated and not cycle,
+                         len(visited), terminals, stuck, truncated, cycle)
 
 
 # --- the comparison ----------------------------------------------------------
@@ -83,8 +89,9 @@ def assert_same_verdicts(net, sizes):
     full = full_explore(instantiate(net, sizes))
     reduced = explore(instantiate(net, sizes))
     assert not full.truncated, "the full search must fit its budget"
-    assert (reduced.any_complete, reduced.all_complete, reduced.truncated) \
-        == (full.any_complete, full.all_complete, full.truncated)
+    assert (reduced.any_complete, reduced.all_complete, reduced.truncated,
+            reduced.cycle) \
+        == (full.any_complete, full.all_complete, full.truncated, full.cycle)
     assert reduced.terminals == full.terminals
     if len(full.stuck) < STUCK_LIMIT:
         assert {_blocked(s) for s in reduced.stuck} \

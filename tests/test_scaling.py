@@ -36,14 +36,21 @@ every state polled every actor and rehashed every actor's expression,
 pipeline-16 read 16.0 polls and 87.5 hashes per state, and pipeline-256
 256.0 and 1 287.7.  Before expressions kept their hashes, both read about
 7.5 hashes per state; before the clash test asked the static owner index
-first, both read 0.37 re-indexes per state, and now none is needed.
+first, both read 0.37 re-indexes per state, and now none is needed.  A
+pipeline's reduced state space is one chain and it holds no application,
+so the search keeps no key, and it hashes only the final values of its
+one terminal (0.05 per state); while every state was keyed, both read
+about 4.8 hashes per state.
 
 The memory cells count bytes, not time: tracemalloc's peak over
 `runtime.run` with no observer on pipeline-64 at rates 4x apart, which
 must hold about level, and the peak RSS of text `sdflow run` on
 pipeline-1024 at s=16 as a child process.  While every communication
 copied a map of every buffer's fill into a trace entry that `run` kept,
-the first read 4.1 and 16.4 MB and the second 883 MB.
+the first read 4.1 and 16.4 MB and the second 883 MB.  The last cell sets
+the peak RSS of text `sdflow conform` against that of `sdflow run` on
+downsampler at s=8192, both as child processes: while `explore` kept a key
+for every state, they read 88.6 and 17.0 MB.
 
 Run as a script, it writes every cell's counters and the line count of
 `src/sdflow` to a JSON file, to compare one change's before and after:
@@ -104,6 +111,10 @@ RUN_MEMORY_GROWTH = 1.2
 # bound on its peak RSS in MB
 CLI_RUN = (1024, 16)
 CLI_RUN_RSS_MB = 100
+# corpus program and rate of text `sdflow conform` and `sdflow run` in a
+# child process, and how much larger conform's peak RSS may be than run's
+CLI_CONFORM = ("downsampler", 8192)
+CLI_CONFORM_OVER_RUN = 1.25
 
 
 def _patch_everywhere(mp: pytest.MonkeyPatch, original, replacement) -> None:
@@ -299,7 +310,8 @@ def test_instantiate_substitutions_grow_at_most_linearly():
 def explore_work(stages: int) -> dict:
     """Per state `explore` visits on `gen.pipeline(stages)` at s=4: the
     actors it polls, the expression hashes it computes and the re-indexes
-    of live actors by site it makes."""
+    of live actors by site it makes; and the states, the actors and the
+    hashes in all."""
     net = parse_program(perfbench_gen().pipeline(stages).source)
     cfg = runtime.instantiate(net, {"s": 4})
     counts: Counter = Counter()
@@ -325,7 +337,8 @@ def explore_work(stages: int) -> dict:
                 return inner(e)
             mp.setattr(cls, "__hash__", hashed)
         states = runtime.explore(cfg).states
-    return {"states": states,
+    return {"states": states, "actors": len(cfg.actors),
+            "hashes": counts["hashes"],
             "polls_per_state": round(counts["polls"] / states, 3),
             "hashes_per_state": round(counts["hashes"] / states, 3),
             "reindex_per_state": round(counts["reindex"] / states, 3)}
@@ -336,7 +349,7 @@ def explored():
     return {n: explore_work(n) for n in EXPLORE_STAGES}
 
 
-@pytest.mark.parametrize("work", ["polls_per_state", "hashes_per_state"])
+@pytest.mark.parametrize("work", ["polls_per_state"])
 def test_explore_work_per_state_does_not_grow_with_actors(explored, work):
     small, large = (explored[n][work] for n in EXPLORE_STAGES)
     assert small > 0
@@ -348,6 +361,16 @@ def test_explore_needs_no_reindex_on_a_pipeline(explored, stages):
     # each channel has one writer and one reader from the start and no
     # procedure is ever on the heap, so the owner index decides every step
     assert explored[stages]["reindex_per_state"] == 0
+
+
+@pytest.mark.parametrize("stages", EXPLORE_STAGES)
+def test_explore_hashes_only_the_terminal_on_a_pipeline(explored, stages):
+    # the search never branches and no actor applies a procedure, so it
+    # keeps no visited key (chain mode); what it hashes is the one
+    # terminal's final value of each actor, as the set of terminals holds
+    work = explored[stages]
+    assert work["hashes"] == work["actors"]
+    assert work["hashes_per_state"] <= 0.05
 
 
 def run_peak(stages: int, s: int) -> int:
@@ -393,6 +416,17 @@ print(proc.returncode, usage.ru_maxrss, out, sep="\\n", end="")
 """
 
 
+def peak_rss_mb(*args: str) -> tuple:
+    """Peak RSS, in MB, of text `sdflow` with `args` as a child process,
+    and its output, once it has exited 0."""
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "sdflow.cli",
+         *args], capture_output=True, text=True, env=src_env(), check=True)
+    code, kb, out = done.stdout.split("\n", 2)
+    assert code == "0", done.stdout
+    return round(int(kb) / 1024, 1), out  # kB on Linux
+
+
 def cli_run_rss_mb() -> float:
     """Peak RSS, in MB, of text `sdflow run` on `gen.pipeline(stages)` at
     rate s (`CLI_RUN`) as a child process."""
@@ -401,17 +435,30 @@ def cli_run_rss_mb() -> float:
         path = os.path.join(tmp, "pipeline.sdf")
         with open(path, "w") as f:
             f.write(perfbench_gen().pipeline(stages).source)
-        done = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m",
-             "sdflow.cli", "run", path, "--size", f"s={s}"],
-            capture_output=True, text=True, env=src_env(), check=True)
-    code, kb, out = done.stdout.split("\n", 2)
-    assert code == "0" and out.startswith("done in "), done.stdout
-    return round(int(kb) / 1024, 1)  # kB on Linux
+        mb, out = peak_rss_mb("run", path, "--size", f"s={s}")
+    assert out.startswith("done in "), out
+    return mb
 
 
 def test_cli_run_peak_rss_is_bounded():
     assert cli_run_rss_mb() < CLI_RUN_RSS_MB
+
+
+def cli_conform_rss_mb() -> dict:
+    """Peak RSS, in MB, of text `sdflow run` and `sdflow conform` on one
+    corpus program at one rate (`CLI_CONFORM`), each as a child process."""
+    name, s = CLI_CONFORM
+    args = (str(ROOT / "corpus" / "good" / f"{name}.sdf"), "--size", f"s={s}")
+    run_mb, out = peak_rss_mb("run", *args)
+    assert out.startswith("done in "), out
+    conform_mb, out = peak_rss_mb("conform", *args)
+    assert out.endswith(", complete\n"), out
+    return {"run": run_mb, "conform": conform_mb}
+
+
+def test_cli_conform_peak_rss_is_close_to_run():
+    rss = cli_conform_rss_mb()
+    assert rss["conform"] <= CLI_CONFORM_OVER_RUN * rss["run"], rss
 
 
 def write_bench(path: str) -> dict:
@@ -431,7 +478,9 @@ def write_bench(path: str) -> dict:
         "memory": {**{f"run_peak_bytes-pipeline-{RUN_MEMORY[0]}-s{s}": peak
                       for s, peak in run_memory().items()},
                    f"cli_run_rss_mb-pipeline-{CLI_RUN[0]}-s{CLI_RUN[1]}":
-                       cli_run_rss_mb()},
+                       cli_run_rss_mb(),
+                   **{f"cli_{command}_rss_mb-{CLI_CONFORM[0]}-s{CLI_CONFORM[1]}":
+                      mb for command, mb in cli_conform_rss_mb().items()}},
     }
     with open(path, "w") as out:
         json.dump(bench, out, indent=2)
