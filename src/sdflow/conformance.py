@@ -409,9 +409,10 @@ class ProgressReport:
         return self.complete and not self.stuck and not self.truncated
 
     def to_json(self) -> dict:
-        return {"network": self.network, "sizes": self.sizes,
-                "states": self.states, "complete": self.complete,
-                "stuckStates": self.stuck, "truncated": self.truncated}
+        out = {"network": self.network, "sizes": self.sizes,
+               "states": self.states, "complete": self.complete,
+               "stuckStates": self.stuck, "truncated": self.truncated}
+        return {**out, "cycle": True} if self.cycle else out
 
 
 def check_progress_theorem(net: Network, sizes: dict[str, int],

@@ -7,9 +7,11 @@ iteration ranges that produce their indices.  Capacities are per channel.
 Actors take turns under a scheduler; a send on a full buffer or a receive on
 an empty one is simply not enabled, and a configuration where no actor can
 step while some are unfinished is a deadlock.  A step is one lookup of the
-expression's class in `_STEP`, which answers None for a value too (a size
-or an index of a value included), and `is_value` is a class test.  Value
-substitution, `subst_expr`, is the machine's too: `check` never runs it.
+expression's class in `_STEP`, and a value is what the step table answers
+None for (a size or an index of a value included): a rule steps the subterm
+in its context position through the table and rebuilds its node only
+around a `Stepped`.  Value substitution, `subst_expr`, is the machine's
+too: `check` never runs it.
 
 Both theorems are checked over one step machine, `Machine`.  Each outcome
 names what it touches as its `key`: the buffer a communication pushes or
@@ -35,6 +37,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from collections import Counter
+from itertools import chain
 from typing import Callable, Optional, Union
 
 from .kinding import eval_size, is_inf
@@ -44,7 +47,6 @@ from .syntax import (
     FromIndex, FromSize, If, IntLit, IntType, Lam, Let, LocRef, MkIndex,
     MkSize, Network, NewRef, Recv, Send, SeqE, SizeArithmeticError, SizeKind,
     SizeType, Stop, Var, When, _constant, field, proc_components, record,
-    replace,
 )
 
 BufferKey = tuple  # (type-level channel name, element index or None)
@@ -78,10 +80,11 @@ class Heap:
     locs: dict = field(default_factory=dict)        # (actor, slot) -> value
     bufs: dict = field(default_factory=dict)        # BufferKey -> tuple(values)
     caps: dict = field(default_factory=dict)        # channel name -> capacity
+    labels: dict = field(default_factory=dict)      # BufferKey -> 2 Labels
     next_slot: dict = field(default_factory=dict)   # actor -> counter
 
     def copy(self) -> "Heap":
-        return Heap(dict(self.locs), dict(self.bufs), self.caps,
+        return Heap(dict(self.locs), dict(self.bufs), self.caps, self.labels,
                     dict(self.next_slot))
 
     def push(self, key: BufferKey, value) -> None:
@@ -206,6 +209,8 @@ def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
         heap.caps[name] = cap
         for index in indices:
             heap.bufs[(name, index)] = fill
+            heap.labels[(name, index)] = (Label(name, True, index),
+                                          Label(name, False, index))
 
     # instantiations must respect declared upper bounds
     for name, kind in net.tenv.items:
@@ -397,30 +402,38 @@ def step_expr(e: Expr, heap: Heap, actor: str, venv: Env
 
 
 def _step_seq(e: SeqE, heap: Heap, actor: str, venv: Env):
-    first, second = e.first, e.second
-    if is_value(first):
-        return Stepped(second)
-    return _in_context(first, heap, actor, venv, lambda f: SeqE(f, second))
+    first = e.first
+    out = _STEP[first.__class__](first, heap, actor, venv)
+    if out is None:
+        return Stepped(e.second)
+    if out.__class__ is Stepped:
+        out.expr = SeqE(out.expr, e.second)
+    return out
 
 
 def _step_let(e: Let, heap: Heap, actor: str, venv: Env):
-    var, bound, body = e.var, e.bound, e.body
-    if is_value(bound):
-        return Stepped(subst_expr(body, {var: bound}))
-    return _in_context(bound, heap, actor, venv,
-                       lambda b: Let(var, b, body))
+    bound = e.bound
+    out = _STEP[bound.__class__](bound, heap, actor, venv)
+    if out is None:
+        return Stepped(subst_expr(e.body, {e.var: bound}))
+    if out.__class__ is Stepped:
+        out.expr = Let(e.var, out.expr, e.body)
+    return out
 
 
 def _step_app(e: App, heap: Heap, actor: str, venv: Env):
     fn, args = e.fn, e.args
-    if not is_value(fn):
-        return _in_context(fn, heap, actor, venv,
-                           lambda f: App(f, args))
+    out = _STEP[fn.__class__](fn, heap, actor, venv)
+    if out is not None:
+        if out.__class__ is Stepped:
+            out.expr = App(out.expr, args)
+        return out
     for i, a in enumerate(args):
-        if not is_value(a):
-            return _in_context(
-                a, heap, actor, venv,
-                lambda x, i=i: App(fn, args[:i] + (x,) + args[i + 1:]))
+        out = _STEP[a.__class__](a, heap, actor, venv)
+        if out is not None:
+            if out.__class__ is Stepped:
+                out.expr = App(fn, args[:i] + (out.expr,) + args[i + 1:])
+            return out
     if not isinstance(fn, Lam) or len(fn.params) != len(args):
         return Stuck("calling a non-procedure")
     mapping = {name: arg for (name, _), arg in zip(fn.params, args)}
@@ -428,38 +441,46 @@ def _step_app(e: App, heap: Heap, actor: str, venv: Env):
 
 
 def _step_if(e: If, heap: Heap, actor: str, venv: Env):
-    cond, then, els = e.cond, e.then, e.els
-    if not is_value(cond):
-        return _in_context(cond, heap, actor, venv,
-                           lambda c: If(c, then, els))
+    cond = e.cond
+    out = _STEP[cond.__class__](cond, heap, actor, venv)
+    if out is not None:
+        if out.__class__ is Stepped:
+            out.expr = If(out.expr, e.then, e.els)
+        return out
     match cond:
         case BoolLit(True):
-            return Stepped(then)
+            return Stepped(e.then)
         case BoolLit(False):
-            return Stepped(els)
+            return Stepped(e.els)
         case _:
             return Stuck("condition did not evaluate to a Boolean")
 
 
 def _step_when(e: When, heap: Heap, actor: str, venv: Env):
-    lhs, op, rhs, body = e.lhs, e.op, e.rhs, e.body
-    if not is_value(lhs):
-        return _in_context(lhs, heap, actor, venv,
-                           lambda l: When(l, op, rhs, body))
-    if not is_value(rhs):
-        return _in_context(rhs, heap, actor, venv,
-                           lambda r: When(lhs, op, r, body))
+    lhs, rhs = e.lhs, e.rhs
+    out = _STEP[lhs.__class__](lhs, heap, actor, venv)
+    if out is not None:
+        if out.__class__ is Stepped:
+            out.expr = When(out.expr, e.op, rhs, e.body)
+        return out
+    out = _STEP[rhs.__class__](rhs, heap, actor, venv)
+    if out is not None:
+        if out.__class__ is Stepped:
+            out.expr = When(lhs, e.op, out.expr, e.body)
+        return out
     a, b = _as_int(lhs), _as_int(rhs)
     if a is None or b is None:
         return Stuck("guard operands are not numeric")
-    return Stepped(body if _rel_holds(op, a, b) else _UNIT)
+    return Stepped(e.body if _rel_holds(e.op, a, b) else _UNIT)
 
 
 def _step_for(e: For, heap: Heap, actor: str, venv: Env):
     tvar, var, lo, bound, body = e.tvar, e.var, e.lo, e.bound, e.body
-    if not is_value(bound):
-        return _in_context(bound, heap, actor, venv,
-                           lambda b: For(tvar, var, lo, b, body))
+    out = _STEP[bound.__class__](bound, heap, actor, venv)
+    if out is not None:
+        if out.__class__ is Stepped:
+            out.expr = For(tvar, var, lo, out.expr, body)
+        return out
     n = _as_int(bound)
     if n is None:
         return Stuck("loop bound is not a size value")
@@ -470,28 +491,33 @@ def _step_for(e: For, heap: Heap, actor: str, venv: Env):
     return Stepped(unrolled)
 
 
-def _step_from_size(e: FromSize, heap: Heap, actor: str, venv: Env):
+def _step_arg(e: Union[MkSize, MkIndex, FromSize, FromIndex], heap: Heap,
+              actor: str, venv: Env):
+    """`size`/`index` of a value is one; `fromSize`/`fromIndex` unwraps it."""
     arg = e.arg
-    if not is_value(arg):
-        return _in_context(arg, heap, actor, venv, FromSize)
-    if arg.__class__ is MkSize and arg.arg.__class__ is IntLit:
-        return Stepped(arg.arg)
-    return Stuck("fromSize of a non-size value")
+    out = _STEP[arg.__class__](arg, heap, actor, venv)
+    if out.__class__ is Stepped:
+        out.expr = e.__class__(out.expr)
+    elif out is None and e.__class__ in _UNWRAP:
+        wrapper, reason = _UNWRAP[e.__class__]
+        if arg.__class__ is wrapper and arg.arg.__class__ is IntLit:
+            return Stepped(arg.arg)
+        return Stuck(reason)
+    return out
 
 
-def _step_from_index(e: FromIndex, heap: Heap, actor: str, venv: Env):
-    arg = e.arg
-    if not is_value(arg):
-        return _in_context(arg, heap, actor, venv, FromIndex)
-    if arg.__class__ is MkIndex and arg.arg.__class__ is IntLit:
-        return Stepped(arg.arg)
-    return Stuck("fromIndex of a non-index value")
+# `fromSize`/`fromIndex` -> the wrapper it unwraps, and why others are stuck
+_UNWRAP = {FromSize: (MkSize, "fromSize of a non-size value"),
+           FromIndex: (MkIndex, "fromIndex of a non-index value")}
 
 
 def _step_new_ref(e: NewRef, heap: Heap, actor: str, venv: Env):
     init = e.init
-    if not is_value(init):
-        return _in_context(init, heap, actor, venv, NewRef)
+    out = _STEP[init.__class__](init, heap, actor, venv)
+    if out is not None:
+        if out.__class__ is Stepped:
+            out.expr = NewRef(out.expr)
+        return out
     slot = heap.next_slot.get(actor, 0)
     ref = LocRef(actor, slot)
 
@@ -502,8 +528,11 @@ def _step_new_ref(e: NewRef, heap: Heap, actor: str, venv: Env):
 
 def _step_deref(e: Deref, heap: Heap, actor: str, venv: Env):
     target = e.target
-    if not is_value(target):
-        return _in_context(target, heap, actor, venv, Deref)
+    out = _STEP[target.__class__](target, heap, actor, venv)
+    if out is not None:
+        if out.__class__ is Stepped:
+            out.expr = Deref(out.expr)
+        return out
     if not isinstance(target, LocRef):
         return Stuck("dereferencing a non-reference")
     return Stepped(heap.locs[(target.actor, target.slot)], key=target)
@@ -511,12 +540,16 @@ def _step_deref(e: Deref, heap: Heap, actor: str, venv: Env):
 
 def _step_assign(e: Assign, heap: Heap, actor: str, venv: Env):
     target, value = e.target, e.value
-    if not is_value(target):
-        return _in_context(target, heap, actor, venv,
-                           lambda t: Assign(t, value))
-    if not is_value(value):
-        return _in_context(value, heap, actor, venv,
-                           lambda v: Assign(target, v))
+    out = _STEP[target.__class__](target, heap, actor, venv)
+    if out is not None:
+        if out.__class__ is Stepped:
+            out.expr = Assign(out.expr, value)
+        return out
+    out = _STEP[value.__class__](value, heap, actor, venv)
+    if out is not None:
+        if out.__class__ is Stepped:
+            out.expr = Assign(target, out.expr)
+        return out
     if not isinstance(target, LocRef):
         return Stuck("assignment to a non-reference")
 
@@ -527,12 +560,16 @@ def _step_assign(e: Assign, heap: Heap, actor: str, venv: Env):
 
 def _step_bin_op(e: BinOp, heap: Heap, actor: str, venv: Env):
     op, lhs, rhs = e.op, e.lhs, e.rhs
-    if not is_value(lhs):
-        return _in_context(lhs, heap, actor, venv,
-                           lambda l: BinOp(op, l, rhs))
-    if not is_value(rhs):
-        return _in_context(rhs, heap, actor, venv,
-                           lambda r: BinOp(op, lhs, r))
+    out = _STEP[lhs.__class__](lhs, heap, actor, venv)
+    if out is not None:
+        if out.__class__ is Stepped:
+            out.expr = BinOp(op, out.expr, rhs)
+        return out
+    out = _STEP[rhs.__class__](rhs, heap, actor, venv)
+    if out is not None:
+        if out.__class__ is Stepped:
+            out.expr = BinOp(op, lhs, out.expr)
+        return out
     a, b = _as_int(lhs), _as_int(rhs)
     if a is None or b is None:
         return Stuck(f"operator {op} on non-integers")
@@ -555,29 +592,28 @@ def _step_bin_op(e: BinOp, heap: Heap, actor: str, venv: Env):
     return Stuck(f"unknown operator {op}")
 
 
-def _in_context(inner: Expr, heap: Heap, actor: str, venv: Env,
-                rebuild: Callable[[Expr], Expr]):
-    out = _STEP[inner.__class__](inner, heap, actor, venv)
-    if out.__class__ is Stepped:
-        out.expr = rebuild(out.expr)  # `out` is fresh and ours alone
-    return out
-
-
 def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: Env):
     """A send or receive: the index, then a send's payload, evaluate first."""
-    if e.index is not None and not is_value(e.index):
-        return _in_context(e.index, heap, actor, venv,
-                           lambda i: replace(e, index=i))
-    is_send = isinstance(e, Send)
-    if is_send and not is_value(e.payload):
-        # polled on every step: the constructor is cheaper than `replace`
-        return _in_context(e.payload, heap, actor, venv,
-                           lambda p: Send(e.chan, e.index, p))
+    index, is_send = e.index, e.__class__ is Send
+    if index is not None:
+        out = _STEP[index.__class__](index, heap, actor, venv)
+        if out is not None:
+            if out.__class__ is Stepped:
+                out.expr = (Send(e.chan, out.expr, e.payload, e.loc) if is_send
+                            else Recv(e.chan, out.expr, e.loc))
+            return out
+    if is_send:
+        payload = e.payload
+        out = _STEP[payload.__class__](payload, heap, actor, venv)
+        if out is not None:
+            if out.__class__ is Stepped:
+                out.expr = Send(e.chan, index, out.expr)
+            return out
     ty = venv.lookup(e.chan)
     if isinstance(ty, ChanType):
         key = (ty.name, None)
     elif isinstance(ty, ChanArrayType):
-        idx = _as_int(e.index)
+        idx = _as_int(index)
         if idx is None:
             return Stuck("array index is not an index value")
         key = (ty.name, idx)
@@ -589,12 +625,11 @@ def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: Env):
     if is_send:
         if len(buf) >= heap.caps[ty.name]:
             return Blocked(f"buffer {buffer_name(key)} is full", key)
-        return Stepped(_UNIT, Label(ty.name, True, key[1]),
+        return Stepped(_UNIT, heap.labels[key][0],
                        lambda h: h.push(key, e.payload), key)
     if not buf:
         return Blocked(f"buffer {buffer_name(key)} is empty", key)
-    return Stepped(buf[0], Label(ty.name, False, key[1]),
-                   lambda h: h.pop(key), key)
+    return Stepped(buf[0], heap.labels[key][1], lambda h: h.pop(key), key)
 
 
 # expression class -> its step; a value, and a size or an index of one,
@@ -602,12 +637,10 @@ def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: Env):
 _STEP = dict.fromkeys(_VALUE_CLASSES, lambda e, h, a, v: None)
 _STEP.update({
     SeqE: _step_seq, Let: _step_let, App: _step_app, If: _step_if,
-    When: _step_when, For: _step_for, FromSize: _step_from_size,
-    FromIndex: _step_from_index,
-    MkSize: lambda e, h, a, v: _in_context(e.arg, h, a, v, MkSize),
-    MkIndex: lambda e, h, a, v: _in_context(e.arg, h, a, v, MkIndex),
-    NewRef: _step_new_ref, Deref: _step_deref, Assign: _step_assign,
-    BinOp: _step_bin_op, Send: _step_comm, Recv: _step_comm,
+    When: _step_when, For: _step_for, MkSize: _step_arg, MkIndex: _step_arg,
+    FromSize: _step_arg, FromIndex: _step_arg, NewRef: _step_new_ref,
+    Deref: _step_deref, Assign: _step_assign, BinOp: _step_bin_op,
+    Send: _step_comm, Recv: _step_comm,
 })
 
 
@@ -686,20 +719,23 @@ class Machine:
 
     def poll(self, j: int) -> None:
         """Renew actor j's outcome, and `enabled`, `waits` and `readers`
-        with it."""
-        outcomes, enabled, waits = self.outcomes, self.enabled, self.waits
-        if outcomes[j].__class__ is Stepped:
-            del enabled[bisect_left(enabled, j)]
-        key = waits[j]
-        if key is not None:
-            self.readers[key].discard(j)
-        outcomes[j] = out = _actor_outcome(self.cfg, j)
+        where it changed them."""
+        was = self.outcomes[j].__class__ is Stepped
+        self.outcomes[j] = out = _actor_outcome(self.cfg, j)
         if out.__class__ is Stepped:
-            insort(enabled, j)
             key = out.key
+            if not was:
+                insort(self.enabled, j)
         else:
             key = out.key if out.__class__ is Blocked else None
-        waits[j] = key
+            if was:
+                del self.enabled[bisect_left(self.enabled, j)]
+        old = self.waits[j]
+        if key is old or key == old:
+            return
+        if old is not None:
+            self.readers[old].discard(j)
+        self.waits[j] = key
         if key is not None:
             held = self.readers.get(key)
             if held is None:
@@ -736,17 +772,19 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
     actors, bufs = cfg.actors, cfg.heap.bufs
     live = sum(not a.done for a in actors)
     steps = 0
-    counts: Counter = Counter()
+    counts: dict = {}  # id of a label `instantiate` made -> its steps
     getrandbits = random.Random(seed).getrandbits
     rr = 0
+    status, blocked = "done", {}
     while live:
         if steps == max_steps:
-            return RunResult("error", steps, cfg,
-                             {"*": f"exceeded {max_steps} steps"}, counts)
+            status, blocked = "error", {"*": f"exceeded {max_steps} steps"}
+            break
         if not enabled:
-            blocked = {a.name: out.reason for a, out in zip(actors, outcomes)
-                       if isinstance(out, (Blocked, Stuck))}
-            return RunResult("deadlock", steps, cfg, blocked, counts)
+            status, blocked = "deadlock", {
+                a.name: out.reason for a, out in zip(actors, outcomes)
+                if isinstance(out, (Blocked, Stuck))}
+            break
         if scheduler == "roundRobin":
             k = bisect_left(enabled, rr)
             i = enabled[k] if k < len(enabled) else enabled[0]
@@ -763,15 +801,19 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
         out = outcomes[i]
         label = out.label
         machine.step(i, out)
-        if is_value(out.expr):
+        if outcomes[i] is None:  # its re-poll found a value
             live -= 1
         if label is not None:
-            counts[(label.chan, "send" if label.is_send else "recv")] += 1
+            counts[id(label)] = counts.get(id(label), 0) + 1
         if observer is not None:
             fill = None if label is None else len(bufs[out.key])
             observer(TraceStep(steps, actors[i].name, label, fill), cfg)
         steps += 1
-    return RunResult("done", steps, cfg, comm_counts=counts)
+    comm: Counter = Counter()
+    for label in chain.from_iterable(cfg.heap.labels.values()):
+        if n := counts.get(id(label)):
+            comm[label.chan, "send" if label.is_send else "recv"] += n
+    return RunResult(status, steps, cfg, blocked, comm)
 
 
 # ---------------------------------------------------------------------------

@@ -379,3 +379,15 @@ def test_a_divergent_network_is_not_all_complete(source):
     progress = check_progress_theorem(net, {})
     assert progress.cycle and not progress.complete and not progress.ok
     assert progress.stuck == []
+
+
+@KNOTS
+def test_only_a_cycle_adds_its_key_to_the_progress_json(source):
+    # `conform --format json` prints this object as its `progress`
+    report = check_progress_theorem(parse_program_or_raise(source), {})
+    assert report.to_json() == {
+        "network": "<network>", "sizes": {}, "states": 6, "complete": False,
+        "stuckStates": [], "truncated": False, "cycle": True}
+    acyclic = check_progress_theorem(
+        parse_program_or_raise(STUCK_BESIDE_BLOCKED), {"s": 2, "k": 3})
+    assert not acyclic.cycle and "cycle" not in acyclic.to_json()

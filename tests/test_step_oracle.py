@@ -496,6 +496,39 @@ RARE = [FromSize(MkSize(IntLit(3))), FromSize(IntLit(1)),
             BinOp("+", IntLit(1), IntLit(1))), IntLit(4))]
 
 
+# one expression per context position whose subterm steps, blocks or is
+# stuck: the rule must rebuild the node around a step at that position and
+# pass a `Blocked` or a `Stuck` through with its reason and key
+RARE += [
+    When(IntLit(1), "<=", BinOp("+", IntLit(1), IntLit(1)), IntLit(5)),
+    When(IntLit(1), "<=", Recv("br"), IntLit(5)),
+    Assign(LocRef("a0", 0), BinOp("*", IntLit(2), IntLit(3))),
+    Assign(LocRef("a0", 0), FromSize(IntLit(1))),
+    App(IntLit(1), (IntLit(2), BinOp("-", IntLit(5), IntLit(3)))),
+    App(IntLit(1), (IntLit(2), Recv("br"))),
+    App(IntLit(1), (IntLit(2), FromIndex(IntLit(1)))),
+    App(BinOp("+", IntLit(1), IntLit(1)), (IntLit(2),)),
+    BinOp("+", IntLit(1), Recv("br")),
+    BinOp("<", IntLit(1), BinOp("*", IntLit(2), IntLit(3))),
+    Send("aw", MkIndex(IntLit(1)), BinOp("+", IntLit(2), IntLit(3))),
+    Send("aw", MkIndex(IntLit(2)), Recv("br")),
+    Send("aw", MkIndex(IntLit(1)), FromSize(BoolLit(False))),
+    Recv("ar", MkIndex(BinOp("+", IntLit(1), IntLit(1)))),
+    Recv("ar", MkIndex(Recv("br"))),
+    For("t", "x", 1, MkSize(BinOp("+", IntLit(1), IntLit(1))), IntLit(0)),
+    For("t", "x", 1, Recv("br"), IntLit(0)),
+    NewRef(BinOp("+", IntLit(1), IntLit(2))),
+    NewRef(Recv("br")),
+    Let("y", Recv("br"), Var("y")),
+    Let("y", BinOp("+", IntLit(1), IntLit(2)), Var("y")),
+    SeqE(FromIndex(MkIndex(IntLit(4))), IntLit(0)),
+    If(Recv("br"), IntLit(1), IntLit(2)),
+    Deref(Recv("br")),
+    MkIndex(Recv("br")),
+    FromSize(MkSize(BinOp("+", IntLit(1), IntLit(1)))),
+]
+
+
 @pytest.mark.parametrize("e", RARE, ids=repr)
 def test_rarely_taken_steps_match_the_match_dispatch(e):
     cfg = instantiate(parse_program_or_raise(STUCK_BESIDE_BLOCKED),
