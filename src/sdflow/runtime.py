@@ -11,7 +11,10 @@ expression's class in `_STEP`, and a value is what the step table answers
 None for (a size or an index of a value included): a rule steps the subterm
 in its context position through the table and rebuilds its node only
 around a `Stepped`.  Value substitution, `subst_expr`, is the machine's
-too: `check` never runs it.
+too: `check` never runs it.  It shares what it does not reach: the free
+names of each parsed actor expression are kept on its nodes, so a node
+none of the substituted names is free in is returned as it is, and a loop
+iteration whose body does not use the index is the body itself.
 
 Both theorems are checked over one step machine, `Machine`.  Each outcome
 names what it touches as its `key`: the buffer a communication pushes or
@@ -81,11 +84,12 @@ class Heap:
     bufs: dict = field(default_factory=dict)        # BufferKey -> tuple(values)
     caps: dict = field(default_factory=dict)        # channel name -> capacity
     labels: dict = field(default_factory=dict)      # BufferKey -> 2 Labels
+    chans: dict = field(default_factory=dict)       # val -> (key|None, chan)
     next_slot: dict = field(default_factory=dict)   # actor -> counter
 
     def copy(self) -> "Heap":
         return Heap(dict(self.locs), dict(self.bufs), self.caps, self.labels,
-                    dict(self.next_slot))
+                    self.chans, dict(self.next_slot))
 
     def push(self, key: BufferKey, value) -> None:
         buf = self.bufs[key]
@@ -222,12 +226,17 @@ def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
                     f"size {name}={sizes[name]} exceeds its declared bound "
                     f"{bound}"))
 
-    # value-level size parameters become size constants
+    # value-level size parameters become size constants, and each channel
+    # name its buffer key (None for an array's) and its type-level name
     params: dict[str, Expr] = {}
     for name, ty in net.venv.items:
         if isinstance(ty, SizeType):
             params[name] = MkSize(IntLit(_eval_quantity(
                 ty.witness, sizes, "Ty Size", f"value of {name}")))
+        elif isinstance(ty, ChanType):
+            heap.chans[name] = (ty.name, None), ty.name
+        elif isinstance(ty, ChanArrayType):
+            heap.chans[name] = None, ty.name
 
     actors: list[Actor] = []
     for i, part in enumerate(proc_components(net.body)):
@@ -235,6 +244,7 @@ def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
             case Stop():
                 actors.append(Actor(f"a{i}", None))
             case ActorE(expr):
+                _free_names(expr)  # kept on the parsed nodes, for sharing
                 actors.append(Actor(f"a{i}", subst_expr(expr, params)))
             case ActorComp(tvar, var, lo, hi, body):
                 hi_expr = subst_expr(hi, params)
@@ -244,6 +254,7 @@ def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
                     case _:
                         raise InstantiationError(Diagnostic(
                             "Proc Comp", "actor-array bound did not evaluate"))
+                _free_names(body)
                 body = subst_expr(body, params)
                 for k in range(lo, hi_n + 1):
                     actors.append(Actor(
@@ -271,7 +282,10 @@ def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
 
     Replacement terms are values, whose free names are channel names; those
     can never be captured because binders never shadow channel declarations
-    in well-formed programs, so binder renaming is not needed here.
+    in well-formed programs, so binder renaming is not needed here.  A node
+    whose kept free names (`_free_names`) miss `mapping` is returned as it
+    is, so substitution shares what it does not reach; a node without kept
+    names, one a step built, is walked.
     """
     if not mapping:
         return e
@@ -279,6 +293,9 @@ def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
         subst = _SUBST[e.__class__]
     except KeyError:
         raise TypeError(f"not an expression: {e!r}") from None
+    fv = e._fv
+    if fv is not None and fv.isdisjoint(mapping):
+        return e
     return subst(e, mapping)
 
 
@@ -286,7 +303,8 @@ def _subst_spine(e: Union[SeqE, Let], mapping: dict[str, Expr]) -> Expr:
     """A right-nested chain of `SeqE`s and `Let`s, walked in a loop so that
     a long actor does not recurse once per statement."""
     heads = []
-    while mapping and (e.__class__ is SeqE or e.__class__ is Let):
+    while mapping and (e.__class__ is SeqE or e.__class__ is Let) and (
+            e._fv is None or not e._fv.isdisjoint(mapping)):
         if e.__class__ is SeqE:
             heads.append((None, subst_expr(e.first, mapping)))
             e = e.second
@@ -298,6 +316,35 @@ def _subst_spine(e: Union[SeqE, Let], mapping: dict[str, Expr]) -> Expr:
     for var, head in reversed(heads):
         out = SeqE(head, out) if var is None else Let(var, head, out)
     return out
+
+
+def _free_names(e: Expr) -> frozenset:
+    """The names free in `e`, kept on each node of `e` as `_fv`.  A chain
+    of binders and sequences is walked in a loop, from its tail up, as
+    `syntax._spine_hash` walks one, so a long actor does not recurse once
+    per statement."""
+    chain = []  # the nodes whose `body` (a `SeqE`'s `second`) is walked
+    while e._fv is None and e.__class__ in (SeqE, Let, For, Lam):
+        chain.append(e)
+        e = e.second if e.__class__ is SeqE else e.body
+    fv = e._fv
+    if fv is None:
+        fv = frozenset((e.name,)) if e.__class__ is Var else frozenset()
+        for f in e.__record_fields__:
+            v = getattr(e, f.name)
+            for x in v if v.__class__ is tuple else (v,):
+                if x.__class__ in _SUBST:
+                    fv |= _free_names(x)
+        object.__setattr__(e, "_fv", fv)
+    for node in reversed(chain):
+        if node.__class__ is SeqE:
+            fv = _free_names(node.first) | fv
+        elif node.__class__ is Lam:
+            fv = fv - {p for p, _ in node.params}
+        else:  # a `Let` or a loop binds its name in its body alone
+            fv = _free_names(node.bound) | (fv - {node.var})
+        object.__setattr__(node, "_fv", fv)
+    return fv
 
 
 def _subst_lam(e: Lam, mapping: dict[str, Expr]) -> Lam:
@@ -486,9 +533,11 @@ def _step_for(e: For, heap: Heap, actor: str, venv: Env):
         return Stuck("loop bound is not a size value")
     if lo > n:
         return Stepped(_UNIT)
-    unrolled = SeqE(subst_expr(body, {var: MkIndex(IntLit(lo))}),
-                    For(tvar, var, lo + 1, bound, body))
-    return Stepped(unrolled)
+    # an iteration whose body does not use the index is the body itself
+    first = body
+    if body._fv is None or var in body._fv:
+        first = subst_expr(body, {var: MkIndex(IntLit(lo))})
+    return Stepped(SeqE(first, For(tvar, var, lo + 1, bound, body)))
 
 
 def _step_arg(e: Union[MkSize, MkIndex, FromSize, FromIndex], heap: Heap,
@@ -609,21 +658,19 @@ def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: Env):
             if out.__class__ is Stepped:
                 out.expr = Send(e.chan, index, out.expr)
             return out
-    ty = venv.lookup(e.chan)
-    if isinstance(ty, ChanType):
-        key = (ty.name, None)
-    elif isinstance(ty, ChanArrayType):
+    key, chan = heap.chans.get(e.chan, (None, None))
+    if key is None:
+        if chan is None:
+            return Stuck(f"{e.chan} is not bound to a channel")
         idx = _as_int(index)
         if idx is None:
             return Stuck("array index is not an index value")
-        key = (ty.name, idx)
+        key = (chan, idx)
         if key not in heap.bufs:
-            return Stuck(f"index {idx} outside channel array {ty.name}")
-    else:
-        return Stuck(f"{e.chan} is not bound to a channel")
+            return Stuck(f"index {idx} outside channel array {chan}")
     buf = heap.bufs[key]
     if is_send:
-        if len(buf) >= heap.caps[ty.name]:
+        if len(buf) >= heap.caps[chan]:
             return Blocked(f"buffer {buffer_name(key)} is full", key)
         return Stepped(_UNIT, heap.labels[key][0],
                        lambda h: h.push(key, e.payload), key)

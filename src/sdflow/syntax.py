@@ -87,7 +87,9 @@ def record(cls=None, /, *, frozen: bool = False):
     instance; nothing in `src/` reads fields from `__dict__`.  A frozen
     record's hash is kept on the node as `_hash` (None, on the class,
     until first taken), so hashing a node whose fields were hashed before
-    costs only that node: interning an expression hashes its fresh nodes."""
+    costs only that node: interning an expression hashes its fresh nodes.
+    `_fv`, the free names `runtime` keeps on an expression, is None on the
+    class in the same way."""
     if cls is None:
         return lambda c: record(c, frozen=frozen)
     fields = []
@@ -105,7 +107,7 @@ def record(cls=None, /, *, frozen: bool = False):
                "__match_args__": tuple(f.name for f in fields)}
     if frozen:
         methods.update(__setattr__=_frozen_setattr,
-                       __delattr__=_frozen_delattr, _hash=None)
+                       __delattr__=_frozen_delattr, _hash=None, _fv=None)
     else:
         methods["__hash__"] = None
     generated = [name for name in ("__init__", "__eq__", "__hash__")

@@ -61,11 +61,18 @@ VALUE_RULES = [
     ("fromIndex(true)",
      "[Val FromIndex] at 3:11 fromIndex expects a loop index"),
     ("(1)(2)", "[Val App] at 3:14 calling a non-procedure"),
+    ("size(true)", "[Val Size] at 3:11 size constants take integer literals"),
+    ("index(true)",
+     "[Val Index] at 3:11 index constants take integer literals"),
+    ("fromSize(true)", "[Val Int] at 3:11 fromSize expects a size value"),
+    ("for (t, x in 1..size(2)) when (2 | x) true",
+     "[Val When] at 3:36 guarded body must produce an integer"),
 ]
 
 
 @pytest.mark.parametrize("body, stderr", VALUE_RULES,
-                         ids=["deref", "op", "from_index", "app"])
+                         ids=["deref", "op", "from_index", "app", "size",
+                              "index", "from_size", "when"])
 def test_check_rejects_an_ill_typed_value_with_its_rule(body, stderr, tmp_path,
                                                         capsys):
     path = tmp_path / "actor.sdf"

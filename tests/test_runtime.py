@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from conftest import dropped_push, load, sizes_for, traced_run
@@ -11,8 +13,8 @@ from sdflow.runtime import (
     instantiate, run, step_expr,
 )
 from sdflow.syntax import (
-    ActorE, Diagnostic, FromSize, IntLit, MkIndex, MkSize, Recv, Send, Var,
-    proc_components,
+    ActorE, Diagnostic, For, FromSize, IntLit, Lam, Let, MkIndex, MkSize,
+    Recv, Send, SeqE, Var, proc_components,
 )
 from sdflow.typecheck import check_network, check_proc
 
@@ -536,3 +538,103 @@ def test_long_straight_line_actor_instantiates_and_runs():
     result = run(instantiate(net, {}))
     assert result.status == "done"
     assert result.comm_counts == {("c", "send"): k, ("c", "recv"): k}
+
+
+# --- substitution shares what it does not reach ------------------------------
+
+# one actor per way a loop index can be bound again or sit out of the
+# iteration's reach; loop bodies hold no name a step substitutes, so each
+# keeps the free names `instantiate` took
+BINDERS = """
+size k : Size(inf);
+chan c : Channel(0, 64);
+val kk : Size(k);
+val cw : Chan(-, c, Integer);
+flow eps;
+network {
+  actor { for (t, x in 1..kk) for (u, x in 1..size(2)) send cw fromIndex(x) }
+  ||
+  actor { for (t, x in 1..kk) { let x = 100; send cw x } }
+  ||
+  actor { for (t, x in 1..kk) { let x = fromIndex(x) + 100; send cw x } }
+  ||
+  actor {
+    for (t, x in 1..kk) {
+      let f = fn (x : Integer) [eps => eps] x + 1;
+      send cw (f(7))
+    }
+  }
+  ||
+  actor {
+    for (t, x in 1..size(3)) {
+      send cw (1000 * fromIndex(x));
+      for (u, x in 1..size(2)) send cw (10 * fromIndex(x))
+    }
+  }
+  ||
+  actor { for (t, x in 1..kk) for (u, y in 1..x) send cw 5 }
+  ||
+  actor {
+    for (t, x in 1..kk) {
+      let f = fn () [eps => eps] fromIndex(x);
+      send cw (f())
+    }
+  }
+}
+"""
+
+
+def _free(e, name: str) -> bool:
+    """Whether `name` occurs free in `e`, by a plain recursive walk."""
+    if isinstance(e, Var):
+        return e.name == name
+    if isinstance(e, (Let, For)):
+        return _free(e.bound, name) or (e.var != name and _free(e.body, name))
+    if isinstance(e, Lam):
+        return name not in {p for p, _ in e.params} and _free(e.body, name)
+    fields = [getattr(e, f.name) for f in e.__record_fields__]
+    return any(_free(x, name) for v in fields
+               for x in (v if isinstance(v, tuple) else (v,))
+               if x.__class__ in runtime._SUBST)
+
+
+def test_an_iteration_is_the_loop_body_exactly_when_the_index_is_not_free(
+        monkeypatch):
+    iterations = []
+
+    def unrolling(e, *args, inner=runtime._STEP[For]):
+        out = inner(e, *args)
+        if isinstance(out, Stepped) and isinstance(out.expr, SeqE):
+            iterations.append((out.expr.first is e.body, _free(e.body, e.var)))
+        return out
+
+    monkeypatch.setitem(runtime._STEP, For, unrolling)
+    result = run(instantiate(parse_program_or_raise(BINDERS), {"k": 3}))
+    assert result.status == "done"
+    sent = [1, 2] * 3 + [100] * 3 + [101, 102, 103] + [8] * 3 + [1000, 2000, 3000] \
+        + [10, 20] * 3 + [5] * 6 + [1, 2, 3]
+    assert sorted(v.value for v in result.config.heap.bufs["c", None]) == \
+        sorted(sent)
+    assert {shared for shared, _ in iterations} == {True, False}
+    assert all(shared is not free for shared, free in iterations), iterations
+
+
+def test_free_names_of_a_long_loop_body_are_kept_without_recursion():
+    # a 5000-statement `Let`/`SeqE` spine whose first statement alone holds
+    # the index, so an iteration rebuilds that statement alone
+    lets = "; ".join(f"let y{i} = y{i - 1} + 1" for i in range(2, 4999))
+    net = parse_program_or_raise(
+        "chan c : Channel(0, 4);\n"
+        "val cw : Chan(-, c, Integer);\n"
+        "flow eps;\n"
+        "network { actor { for (t, x in 1..size(2)) {\n"
+        f"  send cw fromIndex(x); let y1 = 1; {lets}; send cw y4998 }} }} }}\n")
+    loop = proc_components(net.body)[0].expr
+    assert isinstance(loop, For)
+    assert sys.getrecursionlimit() <= 1000
+    assert runtime._free_names(loop) == frozenset()
+    assert loop.body._fv == {"x"} and loop.body.second._fv == frozenset()
+    result = run(instantiate(net, {}))
+    assert result.status == "done"
+    assert result.config.heap.bufs["c", None] == tuple(
+        map(IntLit, (1, 4998, 2, 4998)))

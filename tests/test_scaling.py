@@ -27,11 +27,16 @@ none of those modules is then loaded.
 The run cell counts the `subst_expr` calls, recursive ones included, that
 `runtime.instantiate` makes on pipelines 4x apart.  The step cells count
 the Python-level calls (`sys.setprofile` "call" events) per step of one
-roundRobin `runtime.run`, and the `Label`s it constructs, on pipeline3 at
-n=64 and the 16-stage pipeline at s=16.  While every context position of
-a step rule pre-tested `is_value` and stepped its subterm through a
-rebuild closure, and every communication built a fresh `Label`, they read
-18.74 and 19.75 calls per step, and 257 and 482 labels.
+roundRobin `runtime.run`, the `sdflow.syntax` records it constructs per
+step (calls of a generated `__init__`), and the `Label`s it constructs, on
+pipeline3 at n=64 and the 16-stage pipeline at s=16.  While every context
+position of a step rule pre-tested `is_value` and stepped its subterm
+through a rebuild closure, and every communication built a fresh `Label`,
+they read 18.74 and 19.75 calls per step, and 257 and 482 labels.  While
+every iteration of a loop rebuilt its body, whether or not the body used
+the index, and every communication looked its channel up in the value
+environment, they read 15.14 and 15.57 calls and 2.46 and 2.35 records
+per step.
 
 The explore cells count, per state `runtime.explore` visits on pipelines
 16x apart at s=4, the actors it polls (`_actor_outcome` calls), the
@@ -105,10 +110,11 @@ NOT_CHECKED = ("argparse", "gettext", "locale", "sdflow.printer",
                "sdflow.simulate")
 # pipeline stages instantiated by the run cell, 4x apart
 RUN_STAGES = (16, 64)
-# step cells: network -> its sizes and the Python-level calls per `run`
-# step it read when set, which it may exceed by at most RUN_CALLS_SLACK
-RUN_CALLS = {"pipeline3": ({"n": 64}, 15.14),
-             "pipeline-16": ({"s": 16}, 15.57)}
+# step cells: network -> its sizes, and the Python-level calls and the
+# syntax records built per `run` step it read when set, which it may
+# exceed by at most RUN_CALLS_SLACK
+RUN_CALLS = {"pipeline3": ({"n": 64}, 12.769, 1.765),
+             "pipeline-16": ({"s": 16}, 12.425, 1.413)}
 RUN_CALLS_SLACK = 1.05
 # pipeline stages explored at s=4 by the explore cells, 16x apart, and how
 # much the work per visited state may grow between them
@@ -321,7 +327,8 @@ def test_instantiate_substitutions_grow_at_most_linearly():
 def run_calls(name: str) -> dict:
     """Python-level calls per step of one roundRobin `runtime.run` of the
     step cell `name`, after a first run has built the record methods a run
-    builds, and the `Label`s constructed inside it."""
+    builds, the `sdflow.syntax` records constructed per step, and the
+    `Label`s constructed inside it."""
     source = ((ROOT / "corpus" / "good" / "pipeline3.sdf").read_text()
               if name == "pipeline3" else
               perfbench_gen().pipeline(int(name.split("-")[1])).source)
@@ -329,27 +336,32 @@ def run_calls(name: str) -> dict:
     runtime.run(cfg)
     syntax._build(runtime.Label)
     label_init = runtime.Label.__init__.__code__
-    calls = labels = 0
+    calls = nodes = labels = 0
 
     def profile(frame, event, arg):
-        nonlocal calls, labels
+        nonlocal calls, nodes, labels
         if event == "call":
             calls += 1
-            labels += frame.f_code is label_init
+            code = frame.f_code
+            labels += code is label_init
+            nodes += code.co_name == "__init__" and \
+                code.co_filename.startswith("<record sdflow.syntax.")
 
     sys.setprofile(profile)
     try:
         steps = runtime.run(cfg).steps
     finally:
         sys.setprofile(None)
-    return {"calls_per_step": round(calls / steps, 3), "labels": labels}
+    return {"calls_per_step": round(calls / steps, 3),
+            "nodes_per_step": round(nodes / steps, 3), "labels": labels}
 
 
 @pytest.mark.parametrize("name", RUN_CALLS)
 def test_run_step_calls_stay_bounded_and_build_no_label(name):
     measured = run_calls(name)
-    assert 0 < measured["calls_per_step"] <= \
-        RUN_CALLS_SLACK * RUN_CALLS[name][1], measured
+    _, calls, nodes = RUN_CALLS[name]
+    assert 0 < measured["calls_per_step"] <= RUN_CALLS_SLACK * calls, measured
+    assert 0 < measured["nodes_per_step"] <= RUN_CALLS_SLACK * nodes, measured
     assert measured["labels"] == 0
 
 

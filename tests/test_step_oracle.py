@@ -22,6 +22,7 @@ from conftest import CORPUS, corpus_files, sizes_for
 from test_runtime import (
     RACY_REF, REF_OVER_CHANNEL, STUCK_BESIDE_BLOCKED, TWO_WRITERS,
 )
+from test_runtime import BINDERS
 
 from sdflow import runtime, syntax
 from sdflow.parser import parse_program, parse_program_or_raise
@@ -370,6 +371,11 @@ HAND_WRITTEN = {"two_writers": TWO_WRITERS, "racy_ref": RACY_REF,
 RUN_NETS = ([(f"{kind}/{p.name}", p.read_text())
              for kind in ("good", "rejected") for p in corpus_files(kind)]
             + sorted(HAND_WRITTEN.items()))
+
+# loop indices bound again by an inner loop, a `let` and a procedure
+# parameter, and held only by an inner loop's bound or a procedure body:
+# every poll is checked against the rebuilding `subst_expr` above
+RUN_NETS += [("binders", BINDERS)]
 
 
 @pytest.mark.parametrize("name, source", RUN_NETS,
