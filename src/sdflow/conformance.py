@@ -11,16 +11,17 @@ steady state) contributes nothing.
 Cost model: each ground comprehension is compiled once into a plan of
 integers, which folds each guard into the iterator it names, and a residual
 comprehension is a piece: a plan, the values of its fixed outer iterators
-and where its outermost open range starts.  A label fixes each open
+and where its outermost open range starts; an actor array is planned once,
+its elements' pieces fixing its index.  A label fixes each open
 iterator of the piece that emits it at the first value that passes its
 guards, in closed form (the lexicographic next point of polyhedra
 scanning), and counts only the new residual pieces, by
 `flowstate.count_multiples`, so a step costs a small constant in the rate
 and in the length of the actor.  A ground flowstate is held in this one
 form, a list of pieces; a piece becomes a comprehension again only for the
-text of a violation.  On the heap side, a step pushes or pops only the
-buffer its label names; only that one is recounted, from the heap, so the
-two clauses still compare two independent views.
+text of a violation.  On the heap side, a label's buffer count and whether
+it produces are found once; a step recounts only its buffer, from its new
+fill on the heap, so the two clauses still compare two independent views.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ def _buffer_count(send_produces: bool, heap: Heap, key: tuple
 # ---------------------------------------------------------------------------
 
 class _Plan:
-    """A ground comprehension compiled to integers.  Each iterator is
+    """A ground comprehension compiled to integers.  Its event is `chan`,
+    `is_send` and `index`, None on a plain channel.  Each iterator is
     `(var, lo, hi)`.  A guard on a name is folded into the first iterator of
     that name, the one a substitution reaches: `steps[j]` is `[d, top]`, the
     lcm of that iterator's divisors and its least bound, so a value passes
@@ -97,10 +99,13 @@ class _Plan:
     top.  A guard on a number is decided here, and `inner[j]` is the number
     of points of iterators 0..j-1, all 0 when such a guard fails."""
 
-    __slots__ = ("comp", "iters", "first", "start", "steps", "inner")
+    __slots__ = ("comp", "chan", "is_send", "index", "iters", "first",
+                 "start", "steps", "inner")
 
     def __init__(self, comp: Comp):
         self.comp = comp
+        self.chan, self.is_send = comp.event.chan, comp.event.is_send
+        self.index = comp.event.index
         self.iters = [(it.var, _ground(it.lo), _ground(it.hi))
                       for it in comp.iterators]
         self.start = tuple(lo for _, lo, _ in self.iters)
@@ -132,33 +137,31 @@ def _ground(e) -> int:
 
 
 def _consume(piece, label: Label) -> Optional[list]:
-    """Residual pieces after `piece` emits `label` first, or None, where the
-    piece has a nonzero count and the label's channel and direction: each
-    open iterator, outermost first, is fixed at its first value that passes
-    its guards, leaving a rest piece that starts one past it."""
+    """The residual pieces with a nonzero count after `piece` emits `label`
+    first, or None, where the piece has a nonzero count and the label's
+    channel and direction: each open iterator, outermost first, is fixed at
+    its first value that passes its guards, leaving a rest one past it."""
     plan, values, open = piece
     rests = []
     for j in range(open - 1, -1, -1):
         d = plan.steps[j][0]
         v = -(-values[j] // d) * d if d else 0
         values = values[:j] + (v,) + values[j + 1:]
-        rests.append((plan, values[:j] + (v + 1,) + values[j + 1:], j + 1))
-    index = plan.comp.event.index
-    if label.index is None:
-        matches = index is None
-    else:
-        matches = index is not None and _index(plan, values) == label.index
-    return rests[::-1] if matches else None  # innermost first
+        rest = (plan, values[:j] + (v + 1,) + values[j + 1:], j + 1)
+        if _piece_count(rest):
+            rests.append(rest)
+    index = plan.index if plan.index is None else _index(plan, values)
+    return rests[::-1] if index == label.index else None  # innermost first
 
 
-def _index(plan: _Plan, values: tuple) -> Optional[int]:
-    e = plan.comp.event.index
+def _index(plan: _Plan, values: tuple):
+    e = plan.index
     if e.__class__ is SVar and e.name in plan.first:
         return values[plan.first[e.name]]
     for name, j in plan.first.items():
         e = subst_size(e, name, Num(values[j]))
     e = normalize_size(e)
-    return e.value if isinstance(e, Num) else None
+    return e.value if isinstance(e, Num) else e
 
 
 def _piece_count(piece) -> int:
@@ -220,14 +223,14 @@ def comp_occurrence_count(comp: Comp) -> Optional[int]:
 def _consume_actor(pieces: list, label: Label) -> bool:
     """Consume one labeled event, in place, from the first of an actor's
     pieces that can emit it first (sequencing inside an actor is
-    reorderable); False when none can.  Pieces already in the list have a
-    nonzero count, so only new ones are counted."""
+    reorderable); False when none can.  Every piece in the list has a
+    nonzero count."""
     for i, piece in enumerate(pieces):
-        event = piece[0].comp.event
-        if event.chan == label.chan and event.is_send == label.is_send:
+        plan = piece[0]
+        if plan.chan == label.chan and plan.is_send == label.is_send:
             residual = _consume(piece, label)
             if residual is not None:
-                pieces[i:i + 1] = [r for r in residual if _piece_count(r)]
+                pieces[i:i + 1] = residual
                 return True
     return False
 
@@ -246,6 +249,26 @@ def _silent_pieces(fs: ActorFlow) -> list:
 # ---------------------------------------------------------------------------
 # Per-actor concrete flows aligned with the instantiated configuration
 # ---------------------------------------------------------------------------
+
+def _element_pieces(body: ActorFlow, var: str, lo: int, hi: int) -> list:
+    """The pieces of elements lo..hi of an actor array whose flowstate,
+    `body`, is ground but for `var`, as grounding each alone gives them."""
+    plans = []
+    for comp in flow_comps(body):
+        m = len(comp.iterators)
+        plan = _Plan(Comp(comp.event, comp.iterators
+                          + (Iterator(var, Num(lo), Num(hi)),), comp.guards))
+        if plan.inner[m]:
+            plans.append((plan, plan.start[:m], m, *plan.steps[m]))
+    flows = []
+    for k in range(lo, hi + 1):  # with no Python-level call per element
+        pieces = []
+        for plan, start, m, d, top in plans:
+            if k <= top and (k % d == 0 if d else k == 0):
+                pieces.append((plan, start + (k,), m))
+        flows.append(pieces)
+    return flows
+
 
 def actor_flows(net: Network, sizes: dict[str, int]) -> list[list]:
     """Each actor's flowstate grounded at `sizes`, as its pieces, in the
@@ -269,10 +292,8 @@ def actor_flows(net: Network, sizes: dict[str, int]) -> list[list]:
                 synth = checker.check_proc(net.tenv, net.venv, part)
                 assert isinstance(synth, PArray)
                 # the checker keeps the index from shadowing a size name
-                body = ground(synth.body)
-                for k in range(lo, eval_size(synth.hi, sizes) + 1):
-                    flows.append(_silent_pieces(
-                        subst_flow(body, synth.var, Num(k))))
+                flows += _element_pieces(ground(synth.body), synth.var, lo,
+                                         eval_size(synth.hi, sizes))
     if checker.diags:
         raise ValueError("network does not typecheck: "
                          + "; ".join(str(d) for d in checker.diags))
@@ -334,37 +355,43 @@ def check_preservation(net: Network, sizes: dict[str, int],
     flowstate, while the acting actor's flowstate reduces by the label."""
     cfg = instantiate(net, sizes)
     flows = actor_flows(net, sizes)
-    index_of = {a.name: i for i, a in enumerate(cfg.actors)}
+    pieces_of = {a.name: pieces for a, pieces in zip(cfg.actors, flows)}
     violations: list[Violation] = []
     counts = heap_flow_counts(net.tenv, cfg.heap)  # kept current below
     if counts:
         violations.append(Violation(
             -1, "final", "eps",
             f"initial heap flowstate {_counts_str(counts)}"))
+    # id of a label -> its count key, producer?, capacity if counting slots
+    facts = {}
     sends_produce = {chan: _send_produces(net.tenv, chan)
                      for chan in cfg.heap.caps}
+    for key, labels in cfg.heap.labels.items():
+        produces = sends_produce[key[0]]
+        count_key = _buffer_count(produces, cfg.heap, key)[0]
+        cap = None if produces else cfg.heap.caps[key[0]]
+        for label in labels:
+            facts[id(label)] = count_key, label.is_send == produces, cap
 
     def observer(entry, after: Configuration):
         label = entry.label
         if label is None:
             return
-        pieces = flows[index_of[entry.actor]]
+        pieces = pieces_of[entry.actor]
         if not _consume_actor(pieces, label):
             violations.append(Violation(
                 entry.step, "flow-reduction",
                 f"{entry.actor} flowstate reduces by {label}",
                 "; ".join(print_comp(_piece_comp(p)) for p in pieces)
                 or "eps"))
-        # recount the buffer the step pushed or popped, from the heap: its
-        # one count is the producer event's, so a producer adds 1 to it and
-        # a consumer, discharging its complement, takes 1 away
-        send_produces = sends_produce[label.chan]
-        key, n = _buffer_count(send_produces, after.heap,
-                               (label.chan, label.index))
+        # recount the buffer the step pushed or popped, from its new fill
+        # on the heap: its one count is the producer event's, so a producer
+        # adds 1 to it and a consumer, discharging its complement, takes 1
+        key, producer, cap = facts[id(label)]
+        n = entry.fill if cap is None else cap - entry.fill
         old = counts.pop(key, 0)
         if n:
             counts[key] = n
-        producer = label.is_send == send_produces
         if n - old != (1 if producer else -1):
             before = +Counter({**counts, key: old})  # `+` drops zero counts
             want = Counter(before if producer else counts)

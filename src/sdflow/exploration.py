@@ -263,7 +263,7 @@ class _Search:
             code[count] += 1
             if label.is_send:
                 self._store(state, heap.bufs[out.key][-1], 1)
-        elif out.effect is not None:
+        elif out.change is not None:
             state.stored = self.stored(heap)
         if state.blocks is None:
             return
@@ -273,7 +273,7 @@ class _Search:
             at = self.buffer_at[out.key]
             code[at] = self.intern(heap.bufs[out.key])
             changed += (at, count)
-        elif out.effect is not None:
+        elif out.change is not None:
             code[self.cells_at] = self.intern(_cells(heap))
             changed.append(self.cells_at)
         for block in {at // _BLOCK for at in changed}:

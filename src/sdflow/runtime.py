@@ -10,11 +10,12 @@ step while some are unfinished is a deadlock.  A step is one lookup of the
 expression's class in `_STEP`, and a value is what the step table answers
 None for (a size or an index of a value included): a rule steps the subterm
 in its context position through the table and rebuilds its node only
-around a `Stepped`.  Value substitution, `subst_expr`, is the machine's
-too: `check` never runs it.  It shares what it does not reach: the free
-names of each parsed actor expression are kept on its nodes, so a node
-none of the substituted names is free in is returned as it is, and a loop
-iteration whose body does not use the index is the body itself.
+around a `Stepped`; `commit` pushes or pops a communication's buffer.
+Value substitution, `subst_expr`, is the machine's too: `check` never runs
+it.  It shares what it does not reach: the free names of each parsed actor
+expression are kept on its nodes, so a node none of the substituted names
+is free in is returned as it is, and a loop iteration whose body does not
+use the index is the body itself.
 
 Both theorems are checked over one step machine, `Machine`.  Each outcome
 names what it touches as its `key`: the buffer a communication pushes or
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import chain
 from typing import Callable, Optional, Union
 
@@ -301,10 +302,13 @@ def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
 
 def _subst_spine(e: Union[SeqE, Let], mapping: dict[str, Expr]) -> Expr:
     """A right-nested chain of `SeqE`s and `Let`s, walked in a loop so that
-    a long actor does not recurse once per statement."""
+    a long actor does not recurse once per statement, and stops where the
+    substituted names end: a chain a step built gets its names kept first."""
+    if e._fv is None:
+        _free_names(e)
     heads = []
-    while mapping and (e.__class__ is SeqE or e.__class__ is Let) and (
-            e._fv is None or not e._fv.isdisjoint(mapping)):
+    while (e.__class__ is SeqE or e.__class__ is Let) and \
+            not e._fv.isdisjoint(mapping):
         if e.__class__ is SeqE:
             heads.append((None, subst_expr(e.first, mapping)))
             e = e.second
@@ -397,15 +401,22 @@ _SUBST = {
 # Small-step reduction
 # ---------------------------------------------------------------------------
 
-@record
 class Stepped:
-    """A step: the new expression, its label, its effect on the heap when
-    committed, and `key`, what it touches: the buffer of its label, or the
-    `LocRef` it reads or writes."""
-    expr: Expr
-    label: Optional[Label] = None
-    effect: Optional[Callable] = None
-    key: Union[BufferKey, LocRef, None] = field(default=None, compare=False)
+    """A step: the new expression, its label, `key`, what it touches (the
+    buffer of its label, or the `LocRef` it reads or writes), the `payload`
+    a send pushes, and `change`, the heap change of an allocation or an
+    assignment; `effect` gives any change to the heap as a function."""
+    __slots__ = ("expr", "label", "change", "key", "payload")
+
+    def __init__(self, expr, label=None, effect=None, key=None, payload=None):
+        self.expr, self.label, self.change = expr, label, effect
+        self.key, self.payload = key, payload
+
+    @property
+    def effect(self):
+        return self.change or self.label and (
+            lambda h: h.push(self.key, self.payload) if self.label.is_send
+            else h.pop(self.key))
 
 
 @record
@@ -439,8 +450,8 @@ def _rel_holds(op: str, a: int, b: int) -> bool:
 
 def step_expr(e: Expr, heap: Heap, actor: str, venv: Env
               ) -> Union[Stepped, Blocked, Stuck, None]:
-    """One reduction of `e`, or None when `e` is a value.  Heap changes are
-    returned as an effect thunk so schedulers can probe without committing."""
+    """One reduction of `e`, or None when `e` is a value.  It only reads the
+    heap, so schedulers probe without committing; `commit` makes the change."""
     try:
         step = _STEP[e.__class__]
     except KeyError:
@@ -672,11 +683,10 @@ def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: Env):
     if is_send:
         if len(buf) >= heap.caps[chan]:
             return Blocked(f"buffer {buffer_name(key)} is full", key)
-        return Stepped(_UNIT, heap.labels[key][0],
-                       lambda h: h.push(key, e.payload), key)
+        return Stepped(_UNIT, heap.labels[key][0], None, key, e.payload)
     if not buf:
         return Blocked(f"buffer {buffer_name(key)} is empty", key)
-    return Stepped(buf[0], heap.labels[key][1], lambda h: h.pop(key), key)
+    return Stepped(buf[0], heap.labels[key][1], None, key)
 
 
 # expression class -> its step; a value, and a size or an index of one,
@@ -695,15 +705,11 @@ _STEP.update({
 # Running configurations
 # ---------------------------------------------------------------------------
 
-@record
-class TraceStep:
+class TraceStep(namedtuple("TraceStep", "step actor label fill")):
     """Step `step` of a run: `actor` moved by `label`.  `fill` is the new
     length of the buffer a labelled step pushes or pops, and None for an
-    internal step."""
-    step: int
-    actor: str
-    label: Optional[Label]
-    fill: Optional[int]
+    internal step.  `run` builds one at no Python-level call."""
+    __slots__ = ()
 
 
 @record
@@ -732,8 +738,13 @@ def _actor_outcome(cfg: Configuration, i: int):
 def commit(cfg: Configuration, i: int, out: Stepped) -> None:
     """Apply actor i's polled step to `cfg` in place."""
     cfg.actors[i].expr = out.expr
-    if out.effect is not None:
-        out.effect(cfg.heap)
+    if out.change is not None:
+        out.change(cfg.heap)
+    elif out.label is not None:
+        if out.label.is_send:
+            cfg.heap.push(out.key, out.payload)
+        else:
+            cfg.heap.pop(out.key)
 
 
 class Machine:
@@ -821,6 +832,7 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
     steps = 0
     counts: dict = {}  # id of a label `instantiate` made -> its steps
     getrandbits = random.Random(seed).getrandbits
+    entry = tuple.__new__
     rr = 0
     status, blocked = "done", {}
     while live:
@@ -854,7 +866,8 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
             counts[id(label)] = counts.get(id(label), 0) + 1
         if observer is not None:
             fill = None if label is None else len(bufs[out.key])
-            observer(TraceStep(steps, actors[i].name, label, fill), cfg)
+            observer(entry(TraceStep, (steps, actors[i].name, label, fill)),
+                     cfg)
         steps += 1
     comm: Counter = Counter()
     for label in chain.from_iterable(cfg.heap.labels.values()):

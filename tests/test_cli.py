@@ -83,6 +83,38 @@ def test_check_rejects_an_ill_typed_value_with_its_rule(body, stderr, tmp_path,
     assert capsys.readouterr() == ("", stderr + "\n")
 
 
+# a declaration and a network flowstate, each ill-formed by one rule that no
+# corpus program reaches, around an actor that does nothing
+FLOW_RULES = [
+    ("chan c : Channel(0, 2);", "c?<t in 1..zz>",
+     "[FS Iter] unknown size parameter zz"),
+    ("chan c : Channel(0, 2);", "d?", "[FS Recv] unbound channel d"),
+    ("chan c : Channel(0, 2);", "a[1]?",
+     "[FS Array Recv] unbound channel a"),
+    ("chan c : Channel(0, 2);", "c!<t in 1..4, zz | t>",
+     "[FS Gd Div] divisor must be a size"),
+    ("chan c : Channel(0, 2);", "c!<t in 1..4, t <= zz>",
+     "[FS Gd Bnd] bound must be a size"),
+    ("val cw : Chan(-, zz, Integer);", "eps",
+     "[Ty Chan] val cw: unknown channel name zz"),
+    ("val cw : ChanArray(-, zz, Integer, 2);", "eps",
+     "[Ty Chan Array] val cw: unknown channel array zz"),
+]
+
+
+@pytest.mark.parametrize("decl, flow, stderr", FLOW_RULES,
+                         ids=["iter", "recv", "array_recv", "gd_div",
+                              "gd_bnd", "chan", "chan_array"])
+def test_check_rejects_an_ill_formed_declaration_with_its_rule(
+        decl, flow, stderr, tmp_path, capsys):
+    path = tmp_path / "network.sdf"
+    path.write_text(f"{decl}\nflow {flow};\nnetwork {{\n  actor {{ 0 }}\n}}\n")
+    with pytest.raises(SystemExit) as exited:
+        main(["check", str(path)])
+    assert exited.value.code == 1
+    assert capsys.readouterr() == ("", stderr + "\n")
+
+
 def test_schedule_emits_json():
     out = sdflow("schedule", GOOD, "--format", "json")
     assert out.returncode == 0

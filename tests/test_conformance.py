@@ -7,6 +7,7 @@ from conftest import (
     comp, corpus_files, dropped_push, ev, it, load, seq, sizes_for,
     traced_run,
 )
+from test_conform_oracle import unroll
 from test_runtime import array_config
 
 from sdflow import conformance
@@ -14,13 +15,20 @@ from sdflow.conformance import (
     _consume_actor, _piece_comp, _piece_count, _silent_pieces,
     check_preservation, check_progress_theorem, heap_flow_counts,
 )
+from sdflow.conformance import _element_pieces
+from sdflow.kinding import eval_size
 from sdflow.parser import parse_program_or_raise
 from sdflow.printer import print_guard
+from sdflow.printer import print_comp, print_flow
 from sdflow.runtime import Label, instantiate, step_expr
 from sdflow.syntax import (
     Comp, Divides, IntLit, MkIndex, Num, SVar, Recv, Send, subst_comp,
 )
+from sdflow.syntax import (
+    ActorComp, Add, AtMost, Event, proc_components, subst_flow,
+)
 from sdflow.typecheck import check_network
+from sdflow.typecheck import Checker
 
 
 def _net(name, kind="good"):
@@ -373,3 +381,115 @@ def test_observer_work_grows_with_communications_only(cell, monkeypatch):
         totals.append(dict(calls))
     for name in ("_buffer_count", "_consume"):
         assert totals[1][name] <= 4.2 * totals[0][name], totals
+
+
+# --- actor arrays planned once ---------------------------------------------------
+
+def pieces_one_element_at_a_time(body, var: str, lo: int, hi: int) -> list:
+    """Each element's pieces as `actor_flows` built them before an array
+    was planned once: `body` grounded at that element alone, and each of
+    its comprehensions planned afresh."""
+    return [_silent_pieces(subst_flow(body, var, Num(k)))
+            for k in range(lo, hi + 1)]
+
+
+def array_bodies(net, sizes: dict) -> list:
+    """`(body, var, lo, hi)` of each actor array of `net`, its flowstate
+    grounded at `sizes` as `actor_flows` grounds it."""
+    checker, out = Checker(), []
+    for part in proc_components(net.body):
+        if isinstance(part, ActorComp):
+            synth = checker.check_proc(net.tenv, net.venv, part)
+            body = synth.body
+            for name, value in sizes.items():
+                body = subst_flow(body, name, Num(value))
+            out.append((body, synth.var, part.lo, eval_size(synth.hi, sizes)))
+    assert not checker.diags
+    return out
+
+
+def _shown(pieces) -> list:
+    return [(print_comp(_piece_comp(p)), _piece_count(p)) for p in pieces]
+
+
+def assert_elements_alike(body, var: str, lo: int, hi: int) -> None:
+    """Each element's once-planned pieces against grounding it alone: the
+    same comprehension text and count, piece by piece, at the start and
+    after each label the element emits, in order, until none is left."""
+    once = _element_pieces(body, var, lo, hi)
+    alone = pieces_one_element_at_a_time(body, var, lo, hi)
+    assert len(once) == len(alone) == max(0, hi - lo + 1)
+    for new, old in zip(once, alone):
+        assert _shown(new) == _shown(old)
+        for label in [lab for p in old for lab in unroll(_piece_comp(p))]:
+            assert _consume_actor(old, label), label
+            assert _consume_actor(new, label), label
+            assert _shown(new) == _shown(old)
+        assert new == old == []
+
+
+ARRAY_PROGRAMS = [f.name for f in corpus_files("good")
+                  if "actors (" in f.read_text()]
+
+# an actor array whose events are guarded by its element index: a guard on
+# the index alone, and guards on it beside loops of the element's own
+GUARDED_ELEMENTS = """
+size s : Size(inf);
+chanarray a : ChannelArray(0, 2, s);
+chan c : Channel(0, 4);
+val sz : Size(s);
+val aw : ChanArray(-, a, Integer, s);
+val cw : Chan(-, c, Integer);
+flow eps;
+network {
+  actors (t, x in 1..sz) {
+    when (2 | x) send aw[x] 1;
+    for (u, y in 1..sz) when (x <= 2) send cw fromIndex(y);
+    when (3 | x) { for (u, y in 1..sz) when (2 | y) send cw 1 }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("size", [1, 3, 8])
+@pytest.mark.parametrize("name", ARRAY_PROGRAMS)
+def test_array_elements_planned_once_reduce_as_each_grounded_alone(name,
+                                                                   size):
+    net = _net(name)
+    bodies = array_bodies(net, sizes_for(net, size))
+    assert bodies
+    for body, var, lo, hi in bodies:
+        assert_elements_alike(body, var, lo, hi)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 6])
+def test_elements_guarded_by_their_index_reduce_as_each_grounded_alone(size):
+    net = parse_program_or_raise(GUARDED_ELEMENTS)
+    [(body, var, lo, hi)] = array_bodies(net, {"s": size})
+    assert var == "t" and "2 | t" in print_flow(body)
+    assert_elements_alike(body, var, lo, hi)
+
+
+# hand-built element flowstates over the element index t: guards on t of
+# both kinds, a divisor 0, an index computed from t, guards decided on
+# numbers, an empty loop, and a loop binding t again, which hides the
+# element index from the event and the guards
+HAND_BUILT_ELEMENTS = {
+    "guards": seq(comp(ev("c!"), Divides(Num(2), SVar("t"))),
+                  comp(ev("d?"), it("u", 1, 3), AtMost(SVar("t"), Num(2)),
+                       Divides(Num(3), SVar("t")))),
+    "zero_divisor": comp(ev("c!"), it("u", 1, 2), Divides(Num(0), SVar("t"))),
+    "index": comp(Event("a", True, Add(SVar("t"), SVar("u"))),
+                  it("u", 1, 2), Divides(Num(2), SVar("u"))),
+    "decided": seq(comp(ev("c!"), Divides(Num(2), Num(3))),
+                   comp(ev("c?"), AtMost(Num(1), Num(2)))),
+    "empty": comp(ev("c!"), it("u", 3, 2)),
+    "shadowed": comp(ev("a!", "t"), it("u", 1, 2), it("t", 2, 4),
+                     Divides(Num(2), SVar("t")), AtMost(SVar("u"), Num(1))),
+}
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 6), (0, 4), (3, 2)])
+@pytest.mark.parametrize("case", sorted(HAND_BUILT_ELEMENTS))
+def test_hand_built_elements_reduce_as_each_grounded_alone(case, lo, hi):
+    assert_elements_alike(HAND_BUILT_ELEMENTS[case], "t", lo, hi)

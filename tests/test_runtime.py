@@ -14,7 +14,7 @@ from sdflow.runtime import (
 )
 from sdflow.syntax import (
     ActorE, Diagnostic, For, FromSize, IntLit, Lam, Let, MkIndex, MkSize,
-    Recv, Send, SeqE, Var, proc_components,
+    NewRef, Recv, Send, SeqE, Var, proc_components,
 )
 from sdflow.typecheck import check_network, check_proc
 
@@ -262,6 +262,40 @@ def test_plain_channel_blocks_when_full_and_when_empty():
     assert _step(cfg, Send("w", None, IntLit(2))) == Blocked("buffer c is full")
     with pytest.raises(AssertionError, match=r"buffer overflow on c$"):
         out.effect(cfg.heap)
+
+
+def test_a_communication_is_committed_from_its_label_with_no_closure():
+    # a polled send or receive carries its payload and its buffer, which
+    # `commit` pushes or pops; `effect` makes the same change, built when
+    # read, and a step with no label keeps its heap change as a function
+    _, cfg = array_config()
+    sent = _step(cfg, Send("aw", MkIndex(IntLit(2)), IntLit(5)))
+    assert (sent.change, sent.key, sent.payload) == (None, ("a", 2), IntLit(5))
+    copy = cfg.heap.copy()
+    sent.effect(copy)
+    runtime.commit(Configuration([runtime.Actor("a0", None)], cfg.heap,
+                                 cfg.venv), 0, sent)
+    assert cfg.heap == copy and cfg.heap.bufs["a", 2] == (IntLit(5),)
+    received = _step(cfg, Recv("ar", MkIndex(IntLit(2))))
+    assert (received.change, received.expr) == (None, IntLit(5))
+    received.effect(copy)
+    assert copy.bufs["a", 2] == ()
+    internal = _step(cfg, Let("y", IntLit(1), Var("y")))
+    assert internal.effect is internal.change is None
+    allocated = _step(cfg, NewRef(IntLit(3)))
+    assert allocated.effect is allocated.change is not None
+
+
+def test_trace_entries_are_values():
+    net = _net("pipeline3.sdf")
+    _, entries = traced_run(instantiate(net, {"n": 2}))
+    first = entries[0]
+    assert isinstance(first, runtime.TraceStep)
+    assert first == runtime.TraceStep(0, first.actor, first.label, first.fill)
+    assert first != runtime.TraceStep(1, first.actor, first.label, first.fill)
+    assert (first.step, first.actor, first.label, first.fill) == \
+        (0, "a0", None, None)
+    assert repr(first) == "TraceStep(step=0, actor='a0', label=None, fill=None)"
 
 
 def test_array_index_outside_bound_is_stuck():

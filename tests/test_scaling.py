@@ -53,6 +53,22 @@ so the search keeps no key, and it hashes only the final values of its
 one terminal (0.05 per state); while every state was keyed, both read
 about 4.8 hashes per state.
 
+The preservation cells count the Python-level calls per communication
+that `conformance.check_preservation` makes beyond a `runtime.run` (with
+`instantiate`) of the same network: on pipeline3 at n=64 and on
+worker_array_pipeline at s=16 and s=64.  While the observer recounted a
+buffer through `_buffer_count`, filtered the residual pieces in a second
+pass and found its event through the comprehension, while every trace
+entry was a record built by `__init__`, and while every element of an
+actor array grounded and planned its own flowstate, they read 13.75, 27.44
+and 23.73.  The array cell counts the calls of `actor_flows` on
+worker_array_pipeline at s=16 and s=64, which then read 960 and 2 976; now
+an array is planned once, so they must not grow.  The `let`-chain cell
+counts the `subst_expr` calls of one `run` of a loop whose body, rebuilt
+by `let r = ref 0`, holds 250 or 1 000 statements `let yk = !r + 1;
+r := yk`: while each `let` walked the whole rest of the body, they grew
+15.9 times (443 003 and 7 022 003).
+
 The memory cells count bytes, not time: tracemalloc's peak over
 `runtime.run` with no observer on pipeline-64 at rates 4x apart, which
 must hold about level, and the peak RSS of text `sdflow run` on
@@ -83,7 +99,9 @@ from collections import Counter
 import pytest
 from conftest import ROOT
 
-from sdflow import exploration, flowstate, kinding, parser, runtime, syntax
+from sdflow import (
+    conformance, exploration, flowstate, kinding, parser, runtime, syntax,
+)
 from sdflow.parser import parse_program
 from sdflow.typecheck import check_network
 
@@ -132,6 +150,19 @@ CLI_RUN_RSS_MB = 100
 # child process, and how much larger conform's peak RSS may be than run's
 CLI_CONFORM = ("downsampler", 8192)
 CLI_CONFORM_OVER_RUN = 1.25
+# preservation cells: name -> corpus program, its sizes, and the Python-level
+# calls per communication that `check_preservation` makes beyond `run` that
+# it read when set, which it may exceed by at most RUN_CALLS_SLACK
+PRESERVE_CALLS = {
+    "pipeline3-n64": ("pipeline3", {"n": 64}, 8.492),
+    "worker_array_pipeline-s16": ("worker_array_pipeline", {"s": 16}, 12.969),
+    "worker_array_pipeline-s64": ("worker_array_pipeline", {"s": 64}, 8.867),
+}
+# the actor array whose `actor_flows` calls are counted at two rates 4x
+# apart, which must not grow with its number of elements
+ARRAY_FLOWS = ("worker_array_pipeline", (16, 64))
+# `let` statements of the loop body of the `let`-chain cell, 4x apart
+LET_CHAIN = (250, 1000)
 
 
 def _patch_everywhere(mp: pytest.MonkeyPatch, original, replacement) -> None:
@@ -365,6 +396,100 @@ def test_run_step_calls_stay_bounded_and_build_no_label(name):
     assert measured["labels"] == 0
 
 
+def preserve_calls(name: str) -> dict:
+    """Python-level calls per communication that `check_preservation` of
+    the preservation cell `name` makes beyond `run` (with `instantiate`) on
+    its own, after a first check has built the record methods it builds."""
+    program, sizes, _ = PRESERVE_CALLS[name]
+    net = parse_program((ROOT / "corpus" / "good" / f"{program}.sdf")
+                        .read_text())
+    assert conformance.check_preservation(net, sizes).ok
+    comms = sum(runtime.run(runtime.instantiate(net, sizes))
+                .comm_counts.values())
+    preserve = python_calls(lambda: conformance.check_preservation(net, sizes))
+    run = python_calls(lambda: runtime.run(runtime.instantiate(net, sizes)))
+    return {"comms": comms,
+            "extra_calls_per_comm": round((preserve - run) / comms, 3)}
+
+
+def python_calls(action) -> int:
+    """Python-level calls (`sys.setprofile` "call" events) of `action()`."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("name", PRESERVE_CALLS)
+def test_preservation_calls_per_communication_stay_bounded(name):
+    measured = preserve_calls(name)["extra_calls_per_comm"]
+    assert 0 < measured <= RUN_CALLS_SLACK * PRESERVE_CALLS[name][2], measured
+
+
+def test_preservation_calls_per_communication_fall_with_array_rate():
+    # an actor array's flows cost a constant, so at a higher rate they are
+    # a smaller share per communication
+    small, large = (preserve_calls(f"worker_array_pipeline-s{s}")
+                    ["extra_calls_per_comm"] for s in (16, 64))
+    assert large <= small, (small, large)
+
+
+def array_flows_calls() -> dict:
+    """Python-level calls of `conformance.actor_flows` on the `ARRAY_FLOWS`
+    program at each of its rates, after a first call at the first."""
+    program, rates = ARRAY_FLOWS
+    net = parse_program((ROOT / "corpus" / "good" / f"{program}.sdf")
+                        .read_text())
+    conformance.actor_flows(net, {"s": rates[0]})
+    return {s: python_calls(lambda: conformance.actor_flows(net, {"s": s}))
+            for s in rates}
+
+
+def test_actor_flows_calls_do_not_grow_with_array_elements():
+    small, large = array_flows_calls().values()
+    assert 0 < large <= small, (small, large)
+
+
+def let_chain_substs(lets: int) -> int:
+    """`subst_expr` calls, recursive ones included, of one `run` of a loop
+    over `1..size(2)` whose body follows `let r = ref 0` and holds `lets`
+    statements `let yk = !r + 1; r := yk`."""
+    body = "; ".join(f"let y{k} = !r + 1; r := y{k}"
+                     for k in range(1, lets + 1))
+    net = parse_program("flow eps;\nnetwork { actor { let r = ref 0; "
+                        f"for (t, x in 1..size(2)) {{ {body} }} }} }}\n")
+    cfg = runtime.instantiate(net, {})
+    calls = [0]
+
+    def counted(e, mapping, inner=runtime.subst_expr):
+        calls[0] += 1
+        return inner(e, mapping)
+
+    with pytest.MonkeyPatch.context() as mp:
+        _patch_everywhere(mp, runtime.subst_expr, counted)
+        result = runtime.run(cfg)
+    assert result.status == "done"
+    assert result.config.heap.locs == {("a0", 0): syntax.IntLit(2 * lets)}
+    return calls[0]
+
+
+def test_let_chain_substitutions_grow_at_most_linearly():
+    # each `let` substitutes into the rest of the body, which a step built:
+    # walking all of it, not only as far as the `let`'s name is used, made
+    # the calls grow with the square of the body
+    small, large = map(let_chain_substs, LET_CHAIN)
+    assert small > 0
+    assert large <= GROWTH * small, (small, large)
+
+
 def explore_work(stages: int) -> dict:
     """Per state `explore` visits on `gen.pipeline(stages)` at s=4: the
     actors it polls, the expression hashes it computes and the re-indexes
@@ -520,9 +645,9 @@ def test_cli_conform_peak_rss_is_close_to_run():
 
 
 def write_bench(path: str) -> dict:
-    """Write the counters of every cell, the start-up, run, step, explore
-    and memory cells and the line count of `src/sdflow` to `path` as JSON;
-    return what was written."""
+    """Write the counters of every cell, the start-up, run, step,
+    preservation, explore and memory cells and the line count of
+    `src/sdflow` to `path` as JSON; return what was written."""
     bench = {
         "src_lines": sum(len(f.read_text().splitlines())
                          for f in sorted((ROOT / "src" / "sdflow").glob("*.py"))),
@@ -532,7 +657,12 @@ def write_bench(path: str) -> dict:
                     if name != "check_modules"},
         "run": {**{f"pipeline-{n}": {"substs": instantiate_substs(n)}
                    for n in RUN_STAGES},
-                **{f"{name}-steps": run_calls(name) for name in RUN_CALLS}},
+                **{f"{name}-steps": run_calls(name) for name in RUN_CALLS},
+                **{f"let_chain-{n}": {"substs": let_chain_substs(n)}
+                   for n in LET_CHAIN}},
+        "preserve": {**{name: preserve_calls(name) for name in PRESERVE_CALLS},
+                     **{f"actor_flows-{ARRAY_FLOWS[0]}-s{s}": calls
+                        for s, calls in array_flows_calls().items()}},
         "explore": {f"pipeline-{n}": explore_work(n) for n in EXPLORE_STAGES},
         "memory": {**{f"run_peak_bytes-pipeline-{RUN_MEMORY[0]}-s{s}": peak
                       for s, peak in run_memory().items()},
