@@ -273,7 +273,6 @@ def _element_pieces(body: ActorFlow, var: str, lo: int, hi: int) -> list:
 def actor_flows(net: Network, sizes: dict[str, int]) -> list[list]:
     """Each actor's flowstate grounded at `sizes`, as its pieces, in the
     order of the instantiated configuration."""
-    checker = Checker()
     flows: list[list] = []
 
     def ground(flow):
@@ -281,23 +280,44 @@ def actor_flows(net: Network, sizes: dict[str, int]) -> list[list]:
             flow = subst_flow(flow, name, Num(sizes[name]))
         return flow
 
+    for part, flow in zip(proc_components(net.body), _inferred(net)):
+        if isinstance(part, ActorE):
+            flows.append(_silent_pieces(ground(flow)))
+        elif isinstance(part, ActorComp):
+            # the checker keeps the index from shadowing a size name
+            flows += _element_pieces(ground(flow.body), flow.var, part.lo,
+                                     eval_size(flow.hi, sizes))
+        else:
+            flows.append([])
+    return flows
+
+
+def _inferred(net: Network) -> list:
+    """The flowstate the checker infers for each part of `net`, ungrounded:
+    an actor's, or an actor array's `PArray`, and None for `stop`.  They are
+    kept on the network the first time, as `flowstate` keeps a rate
+    summary, so a network checked again is not typed again; nothing is
+    kept when inference fails."""
+    inferred = net.__dict__.get("_inferred")
+    if inferred is not None:
+        return inferred
+    checker = Checker()
+    inferred = []
     for part in proc_components(net.body):
         match part:
             case Stop():
-                flows.append([])
+                inferred.append(None)
             case ActorE(expr):
-                _, flow = checker.infer(net.tenv, net.venv, expr)
-                flows.append(_silent_pieces(ground(flow)))
-            case ActorComp(tvar, var, lo, hi, body):
+                inferred.append(checker.infer(net.tenv, net.venv, expr)[1])
+            case ActorComp():
                 synth = checker.check_proc(net.tenv, net.venv, part)
                 assert isinstance(synth, PArray)
-                # the checker keeps the index from shadowing a size name
-                flows += _element_pieces(ground(synth.body), synth.var, lo,
-                                         eval_size(synth.hi, sizes))
+                inferred.append(synth)
     if checker.diags:
         raise ValueError("network does not typecheck: "
                          + "; ".join(str(d) for d in checker.diags))
-    return flows
+    net.__dict__["_inferred"] = inferred
+    return inferred
 
 
 # ---------------------------------------------------------------------------

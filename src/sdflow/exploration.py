@@ -1,5 +1,5 @@
-"""The machinery of `runtime.explore`: a state of the search, what the
-states share, and the persistent-set choice.
+"""The machinery of `runtime.explore`: its loop, a state of the search,
+what the states share, and the persistent-set choice.
 
 `explore` imports this module when first called, so a process that only
 runs networks does not compile it.  A state is a `runtime.Machine`, which
@@ -8,9 +8,12 @@ polls, commits and wakes as it does for `run`; it calls `commit` and
 such as perfbench's tracer, sees every call.  The key of a polled step,
 what it touches, decides both whom the step wakes and whether it is
 expanded on its own.  A communication is expanded on its own when no
-other actor can use its buffer's side: while no procedure has been on
-the heap, the search asks its owner index, each site's actors in the
-initial configuration; after that, each state's index of live actors.
+other actor can use its buffer's side.  While no procedure has been on
+the heap, an actor's sites only shrink, so that is decided once per label
+at the search's set-up: `_Search.first` records, for each label, the
+actors whose initial expression holds one of its two clash sites, and a
+step passes when they are at most its own actor.  After that, the search
+asks each state's index of live actors.
 
 A search is acyclic when no actor's initial expression holds an
 application (`App`).  Then no state can recur on a path: a communication
@@ -20,66 +23,169 @@ internal step consumes its redex and builds none outside a procedure body,
 which only a beta-reduction enters; no step builds an application.  So
 until an acyclic search first branches, its visited set could never hit,
 and it keeps no key: a state in this chain mode holds only its
-communication counts, and nothing is interned.  At the first state with
-two or more successors the search interns that state in full
-(`_Search.rekey`) and keys every later state.  This is state-space
-caching (Godefroid, Holzmann & Pirottin, CAV 1992) and VeriSoft's
-stateless search (Godefroid, POPL 1997) on the one prefix where storing
-nothing loses nothing.
+communication counts, and nothing is interned.  `explore` walks such a
+chain in its inner loop, so a state there costs one `Machine.step` and the
+persistent choice: the count a label raises sits at a code slot found once
+per label, and only a procedure sent or received reaches `_Search._store`.
+At the first state with two or more successors the search interns that
+state in full (`_Search.rekey`) and keys every later state.  This is
+state-space caching (Godefroid, Holzmann & Pirottin, CAV 1992) and
+VeriSoft's stateless search (Godefroid, POPL 1997) on the one prefix where
+storing nothing loses nothing.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
+from itertools import chain, count, product
+from operator import attrgetter, itemgetter
 
-from .runtime import Configuration, Heap, Machine, Stepped, _as_int, is_value
+from .runtime import (
+    STUCK_LIMIT, Configuration, ExploreResult, Heap, Machine, _as_int,
+    _signature, is_value,
+)
 from .syntax import (
-    App, Assign, BinOp, ChanArrayType, ChanType, Deref, Env, Expr, For,
-    FromIndex, FromSize, If, Lam, Let, MkIndex, MkSize, NewRef, Recv, Send,
-    SeqE, When,
+    App, Assign, BinOp, Deref, Expr, For, FromIndex, FromSize, If, Lam, Let,
+    MkIndex, MkSize, NewRef, Recv, Send, SeqE, When,
 )
 
 
-def _comm_sites(e: Expr, venv: Env) -> frozenset:
+def explore(cfg: Configuration, max_states: int) -> ExploreResult:
+    """`runtime.explore`: a depth-first search of the reduced state space.
+
+    A stack entry is a state and the step that leads from it to the state
+    to visit, so a state is copied for each successor but the last, which
+    is committed into in place; and the inner loop follows a state's one
+    persistent successor without touching the stack."""
+    search = _Search(cfg)
+    state = search.first(cfg.copy())
+    keyed = not search.acyclic
+    if keyed:
+        search.rekey(state)
+    visited: dict = {}  # key -> its depth on the path it was met on
+    path: list = []     # the keys on the current path, by depth
+    terminals: set = set()
+    stuck: list = []
+    truncated = cycle = False
+    states = 0
+    stack = [(state, 0, None)]
+    while stack:
+        state, depth, i = stack.pop()
+        outcomes, enabled = state.outcomes, state.enabled
+        bufs, stale = state.cfg.heap.bufs, state.stale
+        code, slot = state.code, search.slot
+        while True:
+            if i is not None:  # take actor i's polled step
+                out = outcomes[i]
+                label = out.label
+                if label is None:
+                    state.step(i, out)
+                    if out.change is not None:
+                        state.stored = search.stored(state.cfg.heap)
+                else:
+                    code[slot[id(label)]] += 1
+                    moved = out.payload if label.is_send else bufs[out.key][0]
+                    state.step(i, out)
+                    if moved.__class__ is Lam:
+                        search._store(state, moved, 1 if label.is_send else -1)
+                stale.add(i)
+                if keyed:
+                    search.renew(state, i, out)
+            if keyed:
+                key = tuple(state.blocks)
+                del path[depth:]
+                met = visited.get(key)
+                if met is not None:
+                    cycle = cycle or (met < depth and path[met] == key)
+                    break
+            if states == max_states:
+                truncated = True
+                stack.clear()
+                break
+            states += 1
+            if keyed:
+                visited[key] = depth
+                path.append(key)
+            if not enabled:
+                if not any(outcomes):  # every actor's poll found a value
+                    terminals.add(_signature(state.cfg, search.counts(state)))
+                elif len(stuck) < STUCK_LIMIT:
+                    stuck.append(state.cfg)
+                break
+            i = _persistent(state, search)
+            if i is None:
+                i = enabled[-1]
+                if len(enabled) > 1:
+                    if not keyed:
+                        # the search branches: key this state and every
+                        # later one
+                        search.rekey(state)
+                        keyed, depth, key = True, 0, tuple(state.blocks)
+                        visited[key] = depth
+                        path.append(key)
+                    # the copies are taken before the last successor
+                    # commits in place
+                    stack += [(state.copy(), depth + 1, j)
+                              for j in enabled[:-1]]
+            depth += 1
+    return ExploreResult(bool(terminals),
+                         not (stuck or truncated or cycle),
+                         states, terminals, stuck, truncated, cycle)
+
+
+# class -> its subexpressions, of a node `_comm_sites` looks into; `Send`,
+# `Recv` and `App` are walked on their own, and a value has none
+_KIDS = {
+    MkSize: attrgetter("arg"), FromSize: attrgetter("arg"),
+    MkIndex: attrgetter("arg"), FromIndex: attrgetter("arg"),
+    NewRef: attrgetter("init"), Deref: attrgetter("target"),
+    Lam: attrgetter("body"), SeqE: attrgetter("first", "second"),
+    Let: attrgetter("bound", "body"), For: attrgetter("bound", "body"),
+    Assign: attrgetter("target", "value"), BinOp: attrgetter("lhs", "rhs"),
+    If: attrgetter("cond", "then", "els"), When: attrgetter("lhs", "rhs",
+                                                           "body"),
+}
+_UNBOUND = (None, None)
+
+
+def _comm_sites(e: Expr, chans: dict) -> frozenset:
     """`(channel, is_send, index)` of every send and receive in `e`,
     procedure bodies included, and the class `App` when `e` holds an
-    application.  The index is None for a plain channel and for an index
-    that is not yet a literal: such a site may use any buffer of its
-    channel."""
+    application.  `chans` is the heap's (`Heap.chans`).  The index is None
+    for a plain channel and for an index that is not yet a literal: such a
+    site may use any buffer of its channel."""
     sites = set()
     stack = [e]
     while stack:
-        match stack.pop():
-            case Send() | Recv() as comm:
-                ty = venv.lookup(comm.chan)
-                if isinstance(ty, (ChanType, ChanArrayType)):
-                    index = (_as_int(comm.index)
-                             if isinstance(ty, ChanArrayType) else None)
-                    sites.add((ty.name, isinstance(comm, Send), index))
-                if comm.index is not None:
-                    stack.append(comm.index)
-                if isinstance(comm, Send):
-                    stack.append(comm.payload)
-            case (MkSize(a) | FromSize(a) | MkIndex(a) | FromIndex(a)
-                  | NewRef(a) | Deref(a) | Lam(body=a)):
-                stack.append(a)
-            case (SeqE(a, b) | Let(_, a, b) | For(bound=a, body=b)
-                  | Assign(a, b) | BinOp(_, a, b)):
-                stack += (a, b)
-            case If(a, b, c) | When(a, _, b, c):
-                stack += (a, b, c)
-            case App(fn, args):
-                sites.add(App)
-                stack.append(fn)
-                stack += args
+        e = stack.pop()
+        cls = e.__class__
+        if cls is Send or cls is Recv:
+            key, chan = chans.get(e.chan, _UNBOUND)
+            if chan is not None:
+                sites.add((chan, cls is Send,
+                           None if key is not None else _as_int(e.index)))
+            if e.index is not None:
+                stack.append(e.index)
+            if cls is Send:
+                stack.append(e.payload)
+        elif cls is App:
+            sites.add(App)
+            stack.append(e.fn)
+            stack += e.args
+        elif cls in _KIDS:
+            # a getter of one name gives the node, of several a tuple
+            kids = _KIDS[cls](e)
+            if kids.__class__ is tuple:
+                stack += kids
+            else:
+                stack.append(kids)
     return frozenset(sites)
 
 
-def _persistent(state: _State, search: _Search) -> list:
-    """The enabled steps `explore` expands at `state`: one step that
-    commutes with every step other actors can take before it, else every
-    enabled step, in actor order.
+def _persistent(state: _State, search: _Search):
+    """The actor whose enabled step `explore` expands alone at `state`: one
+    whose step commutes with every step other actors can take before it,
+    the first in actor order; None when there is none, and every enabled
+    step is expanded.
 
     Such a step is one without a key, an internal step that touches no
     heap cell, or a send (receive) on a buffer that no other actor's
@@ -89,32 +195,32 @@ def _persistent(state: _State, search: _Search) -> list:
     one FIFO commute, so the singleton is a persistent set and every
     deadlock and terminal is still reached (Godefroid, LNCS 1032, Thm 4.3).
 
-    The clash test first asks the search's static owner index, the actors
-    whose initial expression holds each site.  While no procedure has been
-    on the heap (`_Search.lams`), an actor's sites only shrink, or gain an
-    index for a site that had none, so a step whose two clash sites no
-    other actor owned passes the exact test below, which is then skipped.
-    That test is two lookups in the state's index of live actors by site,
-    not a scan of the other actors."""
-    outcomes, holders, owners = state.outcomes, state.holders, search.owners
+    The clash test first asks `search.owned`, the actors whose initial
+    expression holds one of the label's two clash sites.  While no
+    procedure has been on the heap (`_Search.lams`), an actor's sites only
+    shrink, or gain an index for a site that had none, so a step whose
+    label no other actor owned passes the exact test below, which is then
+    skipped.  That test is two lookups in the state's index of live actors
+    by site, not a scan of the other actors."""
+    outcomes = state.outcomes
     for i in state.enabled:
         out = outcomes[i]
         if out.key is None:
-            return [(i, out)]
+            return i
         label = out.label
         if label is None:  # it reads or writes a heap cell
             continue
-        clash = {(label.chan, label.is_send, label.index),
-                 (label.chan, label.is_send, None)}
-        if not search.lams and all(owners.get(site, _NO_SITES) <= {i}
-                                   for site in clash):
-            return [(i, out)]
+        if not search.lams and search.owned[id(label)] <= {i}:
+            return i
         if state.stale:
             search.reindex(state)
+        holders = state.holders
+        clash = {(label.chan, label.is_send, label.index),
+                 (label.chan, label.is_send, None)}
         if all(holders.get(site, _NO_SITES) <= {i} for site in clash) \
                 and all(clash.isdisjoint(s) for s in state.stored):
-            return [(i, out)]
-    return [(i, outcomes[i]) for i in state.enabled]
+            return i
+    return None
 
 
 _NO_SITES = frozenset()
@@ -157,29 +263,34 @@ class _State(Machine):
 
 
 # class -> (head, tail) of a node whose sites are its head's and its tail's
-_LINKS = {SeqE: lambda e: (e.first, e.second), Let: lambda e: (e.bound, e.body),
-          For: lambda e: (e.bound, e.body)}
+_LINKS = {SeqE: attrgetter("first", "second"), Let: attrgetter("bound", "body"),
+          For: attrgetter("bound", "body")}
 
 
 class _Search:
     """What the states of one `explore` share: the sites of each expression
     seen, the interned values and blocks, where each buffer, count and the
-    cells sit in a state's code, `owners`, site -> the actors whose initial
-    expression holds it, `acyclic`, whether no actor's initial expression
-    holds an application, and `lams`, whether a procedure has been on the
-    heap in any state so far."""
+    cells sit in a state's code, `slot`, the id of each label -> where the
+    count it raises sits, `owned`, the id of each label -> the actors whose
+    initial expression holds one of its clash sites, `acyclic`, whether no
+    actor's initial expression holds an application, and `lams`, whether a
+    procedure has been on the heap in any state so far."""
 
     def __init__(self, cfg: Configuration):
-        self.venv = cfg.venv
+        heap = cfg.heap
+        self.chans = heap.chans
         self.seen: dict = {}      # id(e) -> (e, its sites); e keeps its id
         self.interned: dict = {}  # value or block of a code -> its code
         n = len(cfg.actors)
-        self.buffer_at = {key: n + k for k, key in enumerate(cfg.heap.bufs)}
-        counts = [(chan, way) for chan in cfg.heap.caps
-                  for way in ("send", "recv")]
+        self.buffer_at = dict(zip(heap.bufs, count(n)))
         self.counts_from = base = n + len(self.buffer_at)
-        self.count_at = {count: base + k for k, count in enumerate(counts)}
-        self.cells_at = base + len(counts)
+        self.count_at = dict(zip(product(heap.caps, ("send", "recv")),
+                                 count(base)))
+        self.cells_at = base + len(self.count_at)
+        self.slot: dict = {}
+        for (chan, _), (send, recv) in heap.labels.items():
+            self.slot[id(send)] = self.count_at[chan, "send"]
+            self.slot[id(recv)] = self.count_at[chan, "recv"]
         self.lams = False  # has a procedure been on the heap?
 
     def intern(self, value) -> int:
@@ -200,33 +311,47 @@ class _Search:
         while id(e) not in seen and e.__class__ in _LINKS:
             links.append(e)
             e = _LINKS[e.__class__](e)[1]
-        hit = seen.get(id(e)) or (e, _comm_sites(e, self.venv))
+        hit = seen.get(id(e)) or (e, _comm_sites(e, self.chans))
         seen[id(e)] = hit
         for node in reversed(links):
             head = _LINKS[node.__class__](node)[0]
             hit = seen[id(node)] = (node, hit[1] | self.sites(head))
         return hit[1]
 
-    def stored(self, heap: Heap) -> Counter:
-        """The sites of each procedure held in a buffer or a cell."""
-        values = chain(heap.locs.values(), *heap.bufs.values())
-        stored = Counter(self.sites(v) for v in values if isinstance(v, Lam))
+    def stored(self, heap: Heap) -> dict:
+        """The sites of each procedure held in a buffer or a cell, and how
+        many procedures have them."""
+        stored: dict = {}
+        for v in chain(heap.locs.values(), *heap.bufs.values()):
+            if v.__class__ is Lam:
+                sites = self.sites(v)
+                stored[sites] = stored.get(sites, 0) + 1
         self.lams = self.lams or bool(stored)
         return stored
 
     def first(self, cfg: Configuration) -> _State:
-        """The search's initial state, in chain mode."""
+        """The search's initial state, in chain mode, and the facts its
+        initial expressions decide: `owned` and `acyclic`."""
         state = _State(cfg)
         state.code, state.blocks = [0] * (self.cells_at + 1), None
-        state.holders, state.stale = {}, set()
-        state.indexed = [_NO_SITES if a.done else self.sites(a.expr)
-                         for a in cfg.actors]
-        for i, sites in enumerate(state.indexed):
+        state.stale = set()
+        state.indexed, holders = [], {}
+        for i, (actor, out) in enumerate(zip(cfg.actors, state.outcomes)):
+            # only a finished actor polls None
+            sites = _NO_SITES if out is None else \
+                _comm_sites(actor.expr, self.chans)
+            state.indexed.append(sites)
             for site in sites:
-                state.holders.setdefault(site, set()).add(i)
-        self.owners = {site: frozenset(held)
-                       for site, held in state.holders.items()}
-        self.acyclic = App not in self.owners
+                holders.setdefault(site, set()).add(i)
+        state.holders = holders
+        self.acyclic = App not in holders
+        self.owned: dict = {}
+        for (chan, index), labels in cfg.heap.labels.items():
+            for label in labels:
+                is_send = label.is_send
+                self.owned[id(label)] = frozenset(
+                    holders.get((chan, is_send, index), _NO_SITES)).union(
+                    holders.get((chan, is_send, None), _NO_SITES))
         state.stored = self.stored(cfg.heap)
         return state
 
@@ -244,42 +369,29 @@ class _Search:
 
     def counts(self, state: _State) -> tuple:
         """The state's nonzero counts, sorted, as `_signature` takes them."""
-        code = state.code
-        return tuple(sorted((count, code[at])
-                            for count, at in self.count_at.items() if code[at]))
+        counts = zip(self.count_at, state.code[self.counts_from:])
+        return tuple(sorted(filter(itemgetter(1), counts)))
 
-    def advance(self, state: _State, i: int, out: Stepped) -> None:
-        """Step `state` by actor i's polled step, count its communication
-        and, unless in chain mode, renew the code entries it changed."""
-        heap, label = state.cfg.heap, out.label
-        if label is not None and not label.is_send:
-            self._store(state, heap.bufs[out.key][0], -1)
-        state.step(i, out)
-        state.stale.add(i)
-        code = state.code
-        if label is not None:
-            count = self.count_at[label.chan,
-                                  "send" if label.is_send else "recv"]
-            code[count] += 1
-            if label.is_send:
-                self._store(state, heap.bufs[out.key][-1], 1)
-        elif out.change is not None:
-            state.stored = self.stored(heap)
-        if state.blocks is None:
-            return
-        code[i] = self.intern(out.expr)
-        changed = [i]
+    def renew(self, state: _State, i: int, out) -> None:
+        """Intern again the code entries actor i's step `out` changed,
+        once it is taken, and their blocks."""
+        heap, label, code = state.cfg.heap, out.label, state.code
+        interned = self.interned  # `intern`, without a call per entry
+        code[i] = interned.setdefault(out.expr, len(interned))
+        changed = {i // _BLOCK}
         if label is not None:
             at = self.buffer_at[out.key]
-            code[at] = self.intern(heap.bufs[out.key])
-            changed += (at, count)
+            code[at] = interned.setdefault(heap.bufs[out.key], len(interned))
+            changed.add(at // _BLOCK)
+            changed.add(self.slot[id(label)] // _BLOCK)
         elif out.change is not None:
-            code[self.cells_at] = self.intern(_cells(heap))
-            changed.append(self.cells_at)
-        for block in {at // _BLOCK for at in changed}:
+            code[self.cells_at] = interned.setdefault(_cells(heap),
+                                                      len(interned))
+            changed.add(self.cells_at // _BLOCK)
+        for block in changed:
             start = block * _BLOCK
-            state.blocks[block] = self.intern(tuple(code[start:start
-                                                         + _BLOCK]))
+            state.blocks[block] = interned.setdefault(
+                tuple(code[start:start + _BLOCK]), len(interned))
 
     def reindex(self, state: _State) -> None:
         """Bring `state.holders` up to date with the actors that moved since
@@ -301,11 +413,10 @@ class _Search:
                 holders.setdefault(site, set()).add(i)
         state.stale.clear()
 
-    def _store(self, state: _State, value, change: int) -> None:
+    def _store(self, state: _State, value: Lam, change: int) -> None:
         """Count a procedure into (1) or out of (-1) the heap's."""
-        if isinstance(value, Lam):
-            self.lams = True
-            sites = self.sites(value)
-            state.stored[sites] += change
-            if not state.stored[sites]:
-                del state.stored[sites]
+        self.lams = True
+        sites, stored = self.sites(value), state.stored
+        stored[sites] = stored.get(sites, 0) + change
+        if not stored[sites]:
+            del stored[sites]

@@ -85,12 +85,13 @@ class Heap:
     bufs: dict = field(default_factory=dict)        # BufferKey -> tuple(values)
     caps: dict = field(default_factory=dict)        # channel name -> capacity
     labels: dict = field(default_factory=dict)      # BufferKey -> 2 Labels
+    blocked: dict = field(default_factory=dict)     # BufferKey -> 2 Blockeds
     chans: dict = field(default_factory=dict)       # val -> (key|None, chan)
     next_slot: dict = field(default_factory=dict)   # actor -> counter
 
     def copy(self) -> "Heap":
         return Heap(dict(self.locs), dict(self.bufs), self.caps, self.labels,
-                    self.chans, dict(self.next_slot))
+                    self.blocked, self.chans, dict(self.next_slot))
 
     def push(self, key: BufferKey, value) -> None:
         buf = self.bufs[key]
@@ -178,7 +179,9 @@ def _eval_quantity(e, sizes: dict, rule: str, what: str) -> int:
 
 def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
     """Build the initial configuration: one buffer per channel, delay
-    channels prefilled to capacity, actor comprehensions unrolled."""
+    channels prefilled to capacity, actor comprehensions unrolled.  Each
+    buffer's two labels and its two `Blocked` outcomes, a send on it full
+    and a receive on it empty, are made here once and shared."""
     declared = [name for name, kind in net.tenv.items
                 if isinstance(kind, SizeKind)]
     for name in declared:
@@ -213,9 +216,13 @@ def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
         fill = (default,) * (cap if kind.delay else 0)
         heap.caps[name] = cap
         for index in indices:
-            heap.bufs[(name, index)] = fill
-            heap.labels[(name, index)] = (Label(name, True, index),
-                                          Label(name, False, index))
+            key = (name, index)
+            heap.bufs[key] = fill
+            heap.labels[key] = (Label(name, True, index),
+                                Label(name, False, index))
+            shown = buffer_name(key)
+            heap.blocked[key] = (Blocked(f"buffer {shown} is full", key),
+                                 Blocked(f"buffer {shown} is empty", key))
 
     # instantiations must respect declared upper bounds
     for name, kind in net.tenv.items:
@@ -682,10 +689,10 @@ def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: Env):
     buf = heap.bufs[key]
     if is_send:
         if len(buf) >= heap.caps[chan]:
-            return Blocked(f"buffer {buffer_name(key)} is full", key)
+            return heap.blocked[key][0]
         return Stepped(_UNIT, heap.labels[key][0], None, key, e.payload)
     if not buf:
-        return Blocked(f"buffer {buffer_name(key)} is empty", key)
+        return heap.blocked[key][1]
     return Stepped(buf[0], heap.labels[key][1], None, key)
 
 
@@ -825,6 +832,9 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
     Enabled actors stay in index order, so both schedulers choose exactly
     as if every actor were polled every step.  A `TraceStep` is built only
     for an `observer`, called as `observer(entry, cfg)` after each commit."""
+    if scheduler not in ("roundRobin", "random"):
+        raise ValueError(f"unknown scheduler {scheduler}")
+    round_robin = scheduler == "roundRobin"
     machine = Machine(cfg.copy())
     cfg, outcomes, enabled = machine.cfg, machine.outcomes, machine.enabled
     actors, bufs = cfg.actors, cfg.heap.bufs
@@ -844,19 +854,17 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
                 a.name: out.reason for a, out in zip(actors, outcomes)
                 if isinstance(out, (Blocked, Stuck))}
             break
-        if scheduler == "roundRobin":
+        if round_robin:
             k = bisect_left(enabled, rr)
             i = enabled[k] if k < len(enabled) else enabled[0]
             rr = (i + 1) % len(actors)
-        elif scheduler == "random":
+        else:
             # the draws of `Random.randrange(n)`, without its checks
             n = len(enabled)
             r = getrandbits(k := n.bit_length())
             while r >= n:
                 r = getrandbits(k)
             i = enabled[r]
-        else:
-            raise ValueError(f"unknown scheduler {scheduler}")
         out = outcomes[i]
         label = out.label
         machine.step(i, out)
@@ -925,59 +933,5 @@ def explore(cfg: Configuration, max_states: int = 300_000) -> ExploreResult:
     is committed into in place; only a state with several is copied, once
     for each successor but the last.  A configuration handed out as a
     stuck sample has no successor, so nothing changes it afterwards."""
-    from .exploration import _Search, _persistent
-    search = _Search(cfg)
-    state = search.first(cfg.copy())
-    keyed = not search.acyclic
-    if keyed:
-        search.rekey(state)
-    visited: dict = {}  # key -> its depth on the path it was met on
-    path: list = []     # the keys on the current path, by depth
-    terminals: set = set()
-    stuck: list = []
-    any_complete = False
-    all_complete = True
-    truncated = cycle = False
-    states = 0
-    stack = [(state, 0)]
-    while stack:
-        state, depth = stack.pop()
-        if keyed:
-            key = tuple(state.blocks)
-            del path[depth:]
-            met = visited.get(key)
-            if met is not None:
-                cycle = cycle or (met < depth and path[met] == key)
-                continue
-        if states == max_states:
-            truncated = True
-            break
-        states += 1
-        if keyed:
-            visited[key] = depth
-            path.append(key)
-        if not state.enabled:
-            current = state.cfg
-            if current.done():
-                any_complete = True
-                terminals.add(_signature(current, search.counts(state)))
-            else:
-                all_complete = False
-                if len(stuck) < STUCK_LIMIT:
-                    stuck.append(current)
-            continue
-        steps = _persistent(state, search)
-        if not keyed and len(steps) > 1:
-            # the search branches: key this state and every later one
-            search.rekey(state)
-            keyed, depth, key = True, 0, tuple(state.blocks)
-            visited[key] = depth
-            path.append(key)
-        # the copies are taken before the last successor commits in place
-        for k, (i, out) in enumerate(steps):
-            nxt = state if k == len(steps) - 1 else state.copy()
-            search.advance(nxt, i, out)
-            stack.append((nxt, depth + 1))
-    return ExploreResult(any_complete,
-                         all_complete and not truncated and not cycle,
-                         states, terminals, stuck, truncated, cycle)
+    from .exploration import explore
+    return explore(cfg, max_states)

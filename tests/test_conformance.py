@@ -383,6 +383,58 @@ def test_observer_work_grows_with_communications_only(cell, monkeypatch):
         assert totals[1][name] <= 4.2 * totals[0][name], totals
 
 
+# --- inferred flows kept on the network ------------------------------------------
+
+def _counted_checker(monkeypatch) -> Counter:
+    """Count each later `Checker.infer` and `Checker.check_proc` call."""
+    calls = Counter()
+    for name in ("infer", "check_proc"):
+        def counted(self, *args, name=name, original=getattr(Checker, name)):
+            calls[name] += 1
+            return original(self, *args)
+        monkeypatch.setattr(Checker, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, sizes", [("pipeline3.sdf", "n"),
+                                         ("worker_array_pipeline.sdf", "s")])
+def test_a_second_preservation_check_infers_no_flow(name, sizes,
+                                                    monkeypatch):
+    # the flows the checker infers are kept on the network, ungrounded, so
+    # checking it again, at any sizes, types none of its actors
+    calls = _counted_checker(monkeypatch)
+    net = _net(name)
+    assert check_preservation(net, {sizes: 4}).ok
+    assert calls["infer"] > 0
+    calls.clear()
+    again = check_preservation(net, {sizes: 8})
+    assert calls == Counter()
+    assert again == check_preservation(_net(name), {sizes: 8})
+
+
+ILL_TYPED = """
+chan c : Channel(0, 1);
+val cw : Chan(-, c, Integer);
+val cr : Chan(+, c, Integer);
+flow eps;
+network { actor { send cw true } || actor { recv cr } }
+"""
+
+
+def test_flows_that_fail_to_infer_are_not_kept(monkeypatch):
+    # the second call types the actors again, as the first did
+    calls = _counted_checker(monkeypatch)
+    net = parse_program_or_raise(ILL_TYPED)
+    made = []
+    for _ in range(2):
+        calls.clear()
+        with pytest.raises(ValueError, match="^network does not typecheck: "
+                                             r"\[Val Send\]"):
+            conformance.actor_flows(net, {})
+        made.append(calls["infer"])
+    assert made[0] > 0 and made[1] == made[0]
+
+
 # --- actor arrays planned once ---------------------------------------------------
 
 def pieces_one_element_at_a_time(body, var: str, lo: int, hi: int) -> list:

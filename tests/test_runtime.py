@@ -4,7 +4,7 @@ import pytest
 
 from conftest import dropped_push, load, sizes_for, traced_run
 
-from sdflow import runtime
+from sdflow import runtime, syntax
 from sdflow.flowstate import proc_rate_summary
 from sdflow.kinding import eval_size
 from sdflow.parser import parse_program_or_raise
@@ -513,6 +513,61 @@ def test_max_steps_exhaustion_is_an_error():
     assert result.status == "error"
     assert result.blocked == {"*": "exceeded 5 steps"}
     assert result.steps == 5
+
+
+# a network that deadlocks before its first step, and one that is done
+# before it
+BLOCKED_AT_ONCE = """
+chan c : Channel(0, 1);
+val cr : Chan(+, c, Integer);
+flow eps;
+network { actor { recv cr } }
+"""
+DONE_AT_ONCE = "flow eps;\nnetwork { actor { 0 } }\n"
+
+
+@pytest.mark.parametrize("source, status", [(BLOCKED_AT_ONCE, "deadlock"),
+                                            (DONE_AT_ONCE, "done")],
+                         ids=["deadlock", "done"])
+def test_an_unknown_scheduler_is_rejected_before_the_first_step(source,
+                                                                 status):
+    # it was only rejected where it had to choose a step, so a run that
+    # ended at once reported `status` for it
+    cfg = instantiate(parse_program_or_raise(source), {})
+    result = run(cfg)
+    assert (result.status, result.steps) == (status, 0)
+    with pytest.raises(ValueError, match="^unknown scheduler bogus$"):
+        run(cfg, scheduler="bogus")
+
+
+def test_a_run_builds_no_blocked_outcome(monkeypatch):
+    # a send on a full buffer and a receive on an empty one hand out the
+    # two `Blocked` outcomes `instantiate` made for that buffer
+    cfg = instantiate(_net("pipeline3.sdf"), {"n": 64})
+    built, blocked = 0, set()
+
+    def polled(cfg, i, inner=runtime._actor_outcome):
+        out = inner(cfg, i)
+        if isinstance(out, Blocked):
+            blocked.add(id(out))
+        return out
+
+    syntax._build(Blocked)  # its generated `__init__` replaces a stub
+    init = Blocked.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(runtime, "_actor_outcome", polled)
+    monkeypatch.setattr(Blocked, "__init__", counted)
+    assert run(cfg).status == "done"
+    assert built == 0
+    shared = {id(out) for pair in cfg.heap.blocked.values() for out in pair}
+    assert blocked and blocked <= shared
+    assert [out.reason for out in cfg.heap.blocked["c", None]] == [
+        "buffer c is full", "buffer c is empty"]
 
 
 def test_run_polls_only_woken_actors(monkeypatch):

@@ -51,7 +51,14 @@ first, both read 0.37 re-indexes per state, and now none is needed.  A
 pipeline's reduced state space is one chain and it holds no application,
 so the search keeps no key, and it hashes only the final values of its
 one terminal (0.05 per state); while every state was keyed, both read
-about 4.8 hashes per state.
+about 4.8 hashes per state.  The explore-call cells count the Python-level
+calls per state of one `explore` against those per step of one `run` on
+pipeline-16 at s=4 and downsampler at s=64, and the progress cell those of
+`check_progress_theorem` per explored state over corpus/good at size 4,
+set-up included.  While every state went through the search's stack, built
+its successor list and its two clash sites, and every search walked each
+actor's expression through a chain of kept sites, they read 15.51 against
+12.26, 17.36 against 14.45, and 19.83.
 
 The preservation cells count the Python-level calls per communication
 that `conformance.check_preservation` makes beyond a `runtime.run` (with
@@ -97,7 +104,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from conftest import ROOT
+from conftest import ROOT, corpus_files, sizes_for
 
 from sdflow import (
     conformance, exploration, flowstate, kinding, parser, runtime, syntax,
@@ -163,6 +170,15 @@ PRESERVE_CALLS = {
 ARRAY_FLOWS = ("worker_array_pipeline", (16, 64))
 # `let` statements of the loop body of the `let`-chain cell, 4x apart
 LET_CHAIN = (250, 1000)
+# explore-call cells: network -> its sizes; `explore` may make at most
+# EXPLORE_CALLS_OVER_RUN more Python-level calls per state than `run` makes
+# per step on it
+EXPLORE_CALLS = {"pipeline-16": {"s": 4}, "downsampler": {"s": 64}}
+EXPLORE_CALLS_OVER_RUN = 1.5
+# the Python-level calls per explored state that `check_progress_theorem`
+# may make over corpus/good at size 4 (19.83 when each state built its
+# successor list and its clash sites)
+PROGRESS_CALLS_PER_STATE = 17.0
 
 
 def _patch_everywhere(mp: pytest.MonkeyPatch, original, replacement) -> None:
@@ -355,15 +371,21 @@ def test_instantiate_substitutions_grow_at_most_linearly():
     assert large <= GROWTH * small, (small, large)
 
 
+def cell_source(name: str) -> str:
+    """The program of a cell: `gen.pipeline(n)` for "pipeline-<n>", else
+    the corpus/good program of that name."""
+    if name.startswith("pipeline-"):
+        return perfbench_gen().pipeline(int(name.split("-")[1])).source
+    return (ROOT / "corpus" / "good" / f"{name}.sdf").read_text()
+
+
 def run_calls(name: str) -> dict:
     """Python-level calls per step of one roundRobin `runtime.run` of the
     step cell `name`, after a first run has built the record methods a run
     builds, the `sdflow.syntax` records constructed per step, and the
     `Label`s constructed inside it."""
-    source = ((ROOT / "corpus" / "good" / "pipeline3.sdf").read_text()
-              if name == "pipeline3" else
-              perfbench_gen().pipeline(int(name.split("-")[1])).source)
-    cfg = runtime.instantiate(parse_program(source), RUN_CALLS[name][0])
+    cfg = runtime.instantiate(parse_program(cell_source(name)),
+                              RUN_CALLS[name][0])
     runtime.run(cfg)
     syntax._build(runtime.Label)
     label_init = runtime.Label.__init__.__code__
@@ -556,6 +578,55 @@ def test_explore_hashes_only_the_terminal_on_a_pipeline(explored, stages):
     assert work["hashes_per_state"] <= 0.05
 
 
+def explore_calls(name: str) -> dict:
+    """Python-level calls per state of one `runtime.explore` and per step of
+    one roundRobin `runtime.run` of the explore-call cell `name`, after a
+    first of each has built the record methods it builds."""
+    cfg = runtime.instantiate(parse_program(cell_source(name)),
+                              EXPLORE_CALLS[name])
+    states, steps = runtime.explore(cfg).states, runtime.run(cfg).steps
+    explore = python_calls(lambda: runtime.explore(cfg))
+    run = python_calls(lambda: runtime.run(cfg))
+    return {"states": states, "steps": steps,
+            "explore_calls_per_state": round(explore / states, 3),
+            "run_calls_per_step": round(run / steps, 3)}
+
+
+@pytest.mark.parametrize("name", EXPLORE_CALLS)
+def test_an_explored_state_costs_about_a_run_step(name):
+    # a state of the chain is one `Machine.step` and the persistent choice
+    measured = explore_calls(name)
+    assert measured["states"] == measured["steps"] + 1, measured
+    assert 0 < measured["explore_calls_per_state"] <= \
+        measured["run_calls_per_step"] + EXPLORE_CALLS_OVER_RUN, measured
+
+
+def progress_calls() -> dict:
+    """Python-level calls of `check_progress_theorem` over every corpus/good
+    program at size 4, after a first pass, and the states it explores."""
+    nets = []
+    for path in corpus_files("good"):
+        net = parse_program(path.read_text())
+        nets.append((net, sizes_for(net, 4)))
+        conformance.check_progress_theorem(*nets[-1])
+    states = 0
+
+    def progress():
+        nonlocal states
+        for net, sizes in nets:
+            states += conformance.check_progress_theorem(net, sizes).states
+    calls = python_calls(progress)
+    return {"calls": calls, "states": states,
+            "calls_per_state": round(calls / states, 3)}
+
+
+def test_progress_checks_cost_a_bounded_few_calls_per_state():
+    # the set-up, instantiation and report included
+    measured = progress_calls()
+    assert 0 < measured["calls_per_state"] <= PROGRESS_CALLS_PER_STATE, \
+        measured
+
+
 def run_peak(stages: int, s: int) -> int:
     """tracemalloc's peak, in bytes, over `runtime.run` with no observer on
     `gen.pipeline(stages)` at rate s."""
@@ -663,7 +734,11 @@ def write_bench(path: str) -> dict:
         "preserve": {**{name: preserve_calls(name) for name in PRESERVE_CALLS},
                      **{f"actor_flows-{ARRAY_FLOWS[0]}-s{s}": calls
                         for s, calls in array_flows_calls().items()}},
-        "explore": {f"pipeline-{n}": explore_work(n) for n in EXPLORE_STAGES},
+        "explore": {**{f"pipeline-{n}": explore_work(n)
+                       for n in EXPLORE_STAGES},
+                    **{f"{name}-calls": explore_calls(name)
+                       for name in EXPLORE_CALLS},
+                    "corpus-good-size4-progress": progress_calls()},
         "memory": {**{f"run_peak_bytes-pipeline-{RUN_MEMORY[0]}-s{s}": peak
                       for s, peak in run_memory().items()},
                    f"cli_run_rss_mb-pipeline-{CLI_RUN[0]}-s{CLI_RUN[1]}":
