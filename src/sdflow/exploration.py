@@ -40,8 +40,8 @@ from itertools import chain, count, product
 from operator import attrgetter, itemgetter
 
 from .runtime import (
-    STUCK_LIMIT, Configuration, ExploreResult, Heap, Machine, _as_int,
-    _signature, is_value,
+    STUCK_LIMIT, Configuration, ExploreResult, Heap, Machine, _UNBOUND,
+    _as_int, _signature, is_value,
 )
 from .syntax import (
     App, Assign, BinOp, Deref, Expr, For, FromIndex, FromSize, If, Lam, Let,
@@ -144,7 +144,6 @@ _KIDS = {
     If: attrgetter("cond", "then", "els"), When: attrgetter("lhs", "rhs",
                                                            "body"),
 }
-_UNBOUND = (None, None)
 
 
 def _comm_sites(e: Expr, chans: dict) -> frozenset:
@@ -238,8 +237,9 @@ class _State(Machine):
     `enabled` and wake rule are `run`'s, and what the search keeps beside
     it so that a step of the search costs a small multiple of `run`'s:
 
-    - `code`, the state as small integers: each actor's expression, each
-      buffer's contents and the cells, interned (`_Search.intern`), then
+    - `code`, the state as small integers: each actor's term (plugged
+      from its focus and continuation), each buffer's contents and the
+      cells, interned (`_Search.intern`), then
       each (channel, "send" | "recv") count.  `blocks` interns each run of
       `_BLOCK` entries; their tuple is the visited key, so a step renews
       only the entries it changed and their blocks.  In chain mode (see

@@ -6,11 +6,19 @@ channel array is a 1-indexed family of buffers, matching the 1-based
 iteration ranges that produce their indices.  Capacities are per channel.
 Actors take turns under a scheduler; a send on a full buffer or a receive on
 an empty one is simply not enabled, and a configuration where no actor can
-step while some are unfinished is a deadlock.  A step is one lookup of the
-expression's class in `_STEP`, and a value is what the step table answers
-None for (a size or an index of a value included): a rule steps the subterm
-in its context position through the table and rebuilds its node only
-around a `Stepped`; `commit` pushes or pops a communication's buffer.
+step while some are unfinished is a deadlock.
+
+The step relation runs on a CK machine (Felleisen & Friedman, 1986), the
+abstract machine that refocusing (Danvy & Nielsen, BRICS RS-04-26, 2004)
+leads to: an actor holds its term as a `focus` in a continuation `k`, an
+immutable chain of frames, each a context node with a hole.  A poll
+(`_actor_outcome`) refocuses from the focus in a loop: moving into a
+context or on to the next operand is not a step, and the actor keeps the
+decomposition, so the next poll starts at the redex.  A reduction is one
+step, and its `Stepped` carries the new focus and continuation, so a step
+rebuilds no context node; `commit` installs them and pushes or pops a
+communication's buffer.  `Actor.expr` is the term, plugged in a loop when
+read, and `step_expr` decomposes a term, takes one transition and plugs.
 Value substitution, `subst_expr`, is the machine's too: `check` never runs
 it.  It shares what it does not reach: the free names of each parsed actor
 expression are kept on its nodes, so a node none of the substituted names
@@ -123,12 +131,21 @@ class Heap:
 
 @record
 class Actor:
+    """An actor's name and its term, held as a `focus` in a continuation
+    `k` (see `_actor_outcome`); `expr` is the term, plugged on each read.
+    The frames of `k` are never changed, so a copy of an actor shares
+    them."""
     name: str
-    expr: Union[Expr, None]  # None encodes `stop`
+    focus: Union[Expr, None]  # None encodes `stop`
+    k: Optional[tuple] = None
+
+    @property
+    def expr(self) -> Union[Expr, None]:
+        return None if self.focus is None else _plug(self.focus, self.k)
 
     @property
     def done(self) -> bool:
-        return self.expr is None or is_value(self.expr)
+        return self.focus is None or is_value(self.expr)
 
 
 @record
@@ -141,8 +158,9 @@ class Configuration:
         return all(a.done for a in self.actors)
 
     def copy(self) -> "Configuration":
-        return Configuration([Actor(a.name, a.expr) for a in self.actors],
-                             self.heap.copy(), self.venv)
+        return Configuration(
+            [Actor(a.name, a.focus, a.k) for a in self.actors],
+            self.heap.copy(), self.venv)
 
 
 # ---------------------------------------------------------------------------
@@ -405,19 +423,26 @@ _SUBST = {
 
 
 # ---------------------------------------------------------------------------
-# Small-step reduction
+# Small-step reduction: a CK machine
 # ---------------------------------------------------------------------------
 
 class Stepped:
-    """A step: the new expression, its label, `key`, what it touches (the
-    buffer of its label, or the `LocRef` it reads or writes), the `payload`
-    a send pushes, and `change`, the heap change of an allocation or an
-    assignment; `effect` gives any change to the heap as a function."""
-    __slots__ = ("expr", "label", "change", "key", "payload")
+    """A step: the new term, as a focus (`expr` at construction) in a
+    continuation `k`, its label, `key`, what it touches (the buffer of its
+    label, or the `LocRef` it reads or writes), the `payload` a send
+    pushes, and `change`, the heap change of an allocation or an
+    assignment.  `expr` is the new term plugged, and `effect` gives any
+    change to the heap as a function."""
+    __slots__ = ("focus", "label", "change", "key", "payload", "k")
 
-    def __init__(self, expr, label=None, effect=None, key=None, payload=None):
-        self.expr, self.label, self.change = expr, label, effect
-        self.key, self.payload = key, payload
+    def __init__(self, expr, label=None, effect=None, key=None, payload=None,
+                 k=None):
+        self.focus, self.label, self.change = expr, label, effect
+        self.key, self.payload, self.k = key, payload, k
+
+    @property
+    def expr(self):
+        return _plug(self.focus, self.k)
 
     @property
     def effect(self):
@@ -457,229 +482,273 @@ def _rel_holds(op: str, a: int, b: int) -> bool:
 
 def step_expr(e: Expr, heap: Heap, actor: str, venv: Env
               ) -> Union[Stepped, Blocked, Stuck, None]:
-    """One reduction of `e`, or None when `e` is a value.  It only reads the
-    heap, so schedulers probe without committing; `commit` makes the change."""
-    try:
-        step = _STEP[e.__class__]
-    except KeyError:
-        raise TypeError(f"cannot step {e!r}") from None
-    return step(e, heap, actor, venv)
+    """One reduction of `e`, or None when `e` is a value: `e` decomposed,
+    one transition taken, and its `expr` the result plugged.  It only reads
+    the heap, so schedulers probe without committing; `commit` makes the
+    change."""
+    if e.__class__ not in _SUBST:
+        raise TypeError(f"cannot step {e!r}")
+    return _actor_outcome(Configuration([Actor(actor, e)], heap, venv), 0)
 
 
-def _step_seq(e: SeqE, heap: Heap, actor: str, venv: Env):
-    first = e.first
-    out = _STEP[first.__class__](first, heap, actor, venv)
-    if out is None:
-        return Stepped(e.second)
-    if out.__class__ is Stepped:
-        out.expr = SeqE(out.expr, e.second)
-    return out
+# A continuation is None or a frame `(kind, node, value, rest)`: the focus
+# fills a hole of `node` at the kind's position, `value` is what the kind
+# keeps beside the node, and `rest` is the enclosing continuation.
+#   _SEQ   a `SeqE`'s first; `node` is its second, `value` the `SeqE` or None
+#   _LET   a `Let`'s bound
+#   _SEND  a `Send`'s payload; `value` is its evaluated index
+#   _PAIR  a `BinOp`'s or a `When`'s lhs, or an `Assign`'s target (`value`
+#          None); then its rhs or value (`value` the evaluated first)
+#   _APP   the next operand of an `App`, its function first; `value` holds
+#          those evaluated, in order
+#   _ONE   the one operand of any other node: an `If`'s condition, a `For`'s
+#          bound, a `Recv`'s or a `Send`'s index, a wrapper's argument, a
+#          `ref`'s or a `!`'s operand.  A value there is put in place, and
+#          the node is entered again.
+_SEQ, _LET, _SEND, _PAIR, _APP, _ONE = range(6)
+_UNBOUND = (None, None)
+_COMM = object()  # the redex is a communication
 
 
-def _step_let(e: Let, heap: Heap, actor: str, venv: Env):
-    bound = e.bound
-    out = _STEP[bound.__class__](bound, heap, actor, venv)
-    if out is None:
-        return Stepped(subst_expr(e.body, {e.var: bound}))
-    if out.__class__ is Stepped:
-        out.expr = Let(e.var, out.expr, e.body)
-    return out
+def _plug(e: Expr, k, stop=None) -> Expr:
+    """The term that focus `e` in continuation `k` stands for, its frames
+    down to `stop` rebuilt in a loop; a node whose hole holds its own
+    operand is reused."""
+    while k is not stop:
+        tag, node, v, k = k
+        if tag is _SEQ:
+            e = v if v is not None and e is v.first else SeqE(e, node)
+        elif tag is _LET:
+            e = node if e is node.bound else Let(node.var, e, node.body)
+        elif tag is _SEND:
+            e = node if e is node.payload and v is node.index \
+                else Send(node.chan, v, e, node.loc)
+        elif tag is _PAIR:
+            cls = node.__class__
+            a, b = (node.target, node.value) if cls is Assign \
+                else (node.lhs, node.rhs)
+            x, y = (e, b) if v is None else (v, e)
+            if x is a and y is b:
+                e = node
+            elif cls is Assign:
+                e = Assign(x, y)
+            elif cls is BinOp:
+                e = BinOp(node.op, x, y)
+            else:
+                e = When(x, node.op, y, node.body)
+        elif tag is _APP:
+            operands = v + (e,) + node.args[len(v):]
+            e = App(operands[0], operands[1:])
+        else:
+            cls = node.__class__
+            if cls is If:
+                e = If(e, node.then, node.els)
+            elif cls is For:
+                e = For(node.tvar, node.var, node.lo, e, node.body)
+            elif cls is Send:
+                e = Send(node.chan, e, node.payload, node.loc)
+            elif cls is Recv:
+                e = Recv(node.chan, e, node.loc)
+            else:  # a wrapper, `ref` or `!`
+                e = cls(e)
+    return e
 
 
-def _step_app(e: App, heap: Heap, actor: str, venv: Env):
-    fn, args = e.fn, e.args
-    out = _STEP[fn.__class__](fn, heap, actor, venv)
-    if out is not None:
-        if out.__class__ is Stepped:
-            out.expr = App(out.expr, args)
+def _actor_outcome(cfg: Configuration, i: int):
+    """Actor i's poll: its focus refocused, in a loop, to the next redex,
+    and the redex's reduction, not committed: None when the term is a
+    value, else a `Stepped` (whose focus and `k` are the new term), a
+    `Blocked` or a `Stuck`.  The actor keeps the decomposition, which
+    plugs to the same term, so the next poll starts at the redex; moving
+    into a context or on to the next operand is not a step."""
+    actor = cfg.actors[i]
+    e, k = actor.focus, actor.k
+    if e is None:
+        return None
+    while True:
+        cls = e.__class__
+        if cls in _VALUE_CLASSES or (cls is MkSize or cls is MkIndex) \
+                and is_value(e):
+            if k is None:
+                out = None
+                break
+            tag, node, v, rest = k
+            if tag is _SEQ:
+                out = Stepped(node, k=rest)
+            elif tag is _LET:
+                out = Stepped(subst_expr(node.body, {node.var: e}), k=rest)
+            elif tag is _SEND:
+                index, out = v, _COMM
+            elif tag is _PAIR:
+                cls = node.__class__
+                if v is None:  # on to the second operand
+                    k = (_PAIR, node, e, rest)
+                    e = node.value if cls is Assign else node.rhs
+                    continue
+                if cls is Assign:
+                    if v.__class__ is not LocRef:
+                        out = Stuck("assignment to a non-reference")
+                    else:
+                        def effect(h: Heap, target=v, value=e):
+                            h.locs[(target.actor, target.slot)] = value
+                        out = Stepped(e, None, effect, v, k=rest)
+                    break
+                # `_as_int` of both operands, inline on this hot path
+                a = v.arg if v.__class__ is MkSize or v.__class__ is MkIndex \
+                    else v
+                b = e.arg if e.__class__ is MkSize or e.__class__ is MkIndex \
+                    else e
+                if a.__class__ is not IntLit or b.__class__ is not IntLit:
+                    out = Stuck("guard operands are not numeric"
+                                if cls is When else
+                                f"operator {node.op} on non-integers")
+                    break
+                a, b, op = a.value, b.value, node.op
+                if cls is When:
+                    out = Stepped(node.body if _rel_holds(op, a, b)
+                                  else _UNIT, k=rest)
+                elif op == "+":
+                    out = Stepped(IntLit(a + b), k=rest)
+                elif op == "-":
+                    out = Stepped(IntLit(a - b), k=rest)
+                elif op == "*":
+                    out = Stepped(IntLit(a * b), k=rest)
+                elif op == "/":
+                    out = Stuck("division by zero") if b == 0 \
+                        else Stepped(IntLit(a // b), k=rest)
+                elif op in ("==", "<=", "<"):
+                    out = Stepped(BoolLit(a == b if op == "==" else
+                                          a <= b if op == "<=" else a < b),
+                                  k=rest)
+                else:
+                    out = Stuck(f"unknown operator {op}")
+            elif tag is _APP:
+                v += (e,)
+                if len(v) <= len(node.args):
+                    k = (_APP, node, v, rest)
+                    e = node.args[len(v) - 1]
+                    continue
+                fn, args = v[0], v[1:]
+                if fn.__class__ is not Lam or len(fn.params) != len(args):
+                    out = Stuck("calling a non-procedure")
+                else:
+                    out = Stepped(subst_expr(fn.body, {
+                        name: a for (name, _), a in zip(fn.params, args)}),
+                        k=rest)
+            else:  # a `_ONE` frame: the operand goes in place
+                e, k = _plug(e, k, rest), rest
+                continue
+            break
+        if cls is SeqE:
+            k = (_SEQ, e.second, e, k)
+            e = e.first
+        elif cls is Let:
+            k = (_LET, e, None, k)
+            e = e.bound
+        elif cls is Send:
+            index = e.index
+            if index is None or is_value(index):
+                k = (_SEND, e, index, k)
+                e = e.payload
+            else:
+                k = (_ONE, e, None, k)
+                e = index
+        elif cls is Recv:
+            index = e.index
+            if index is None or is_value(index):
+                node, rest, out = e, k, _COMM
+                break
+            k = (_ONE, e, None, k)
+            e = index
+        elif cls is For:
+            bound = e.bound
+            n = bound.arg if bound.__class__ is MkSize \
+                or bound.__class__ is MkIndex else bound
+            if n.__class__ is IntLit:
+                n, lo, body = n.value, e.lo, e.body
+                if lo > n:
+                    out = Stepped(_UNIT, k=k)
+                    break
+                # an iteration whose body does not use the index is the
+                # body itself; a body a substitution built gets its free
+                # names kept here, once for all its iterations
+                fv = body._fv
+                if fv is None:
+                    fv = _free_names(body)
+                first = body if e.var not in fv else \
+                    subst_expr(body, {e.var: MkIndex(IntLit(lo))})
+                out = Stepped(first, k=(
+                    _SEQ, For(e.tvar, e.var, lo + 1, bound, body), None, k))
+                break
+            if is_value(bound):
+                out = Stuck("loop bound is not a size value")
+                break
+            k = (_ONE, e, None, k)
+            e = bound
+        elif cls is BinOp or cls is When:
+            k = (_PAIR, e, None, k)
+            e = e.lhs
+        elif cls is Assign:
+            k = (_PAIR, e, None, k)
+            e = e.target
+        elif cls is App:
+            k = (_APP, e, (), k)
+            e = e.fn
+        elif cls is FromSize or cls is FromIndex:
+            # `fromSize`/`fromIndex` unwraps a `size`/`index` of a literal
+            arg = e.arg
+            wrapper, reason = _UNWRAP[cls]
+            if arg.__class__ is wrapper and arg.arg.__class__ is IntLit:
+                out = Stepped(arg.arg, k=k)
+                break
+            if is_value(arg):
+                out = Stuck(reason)
+                break
+            k = (_ONE, e, None, k)
+            e = arg
+        elif cls is If:
+            cond = e.cond
+            if cond.__class__ is BoolLit:
+                out = Stepped(e.then if cond.value else e.els, k=k)
+                break
+            if is_value(cond):
+                out = Stuck("condition did not evaluate to a Boolean")
+                break
+            k = (_ONE, e, None, k)
+            e = cond
+        elif cls is NewRef or cls is Deref:
+            arg = e.init if cls is NewRef else e.target
+            if not is_value(arg):
+                k = (_ONE, e, None, k)
+                e = arg
+            elif cls is NewRef:
+                def effect(h: Heap, init=arg, name=actor.name):
+                    h.alloc(name, init)
+                slot = cfg.heap.next_slot.get(actor.name, 0)
+                out = Stepped(LocRef(actor.name, slot), effect=effect, k=k)
+                break
+            elif arg.__class__ is LocRef:
+                out = Stepped(cfg.heap.locs[(arg.actor, arg.slot)], key=arg,
+                              k=k)
+                break
+            else:
+                out = Stuck("dereferencing a non-reference")
+                break
+        elif cls is MkSize or cls is MkIndex:  # not a value: its argument
+            k = (_ONE, e, None, k)
+            e = e.arg
+        else:
+            raise TypeError(f"cannot step {e!r}")
+    actor.focus, actor.k = e, k
+    if out is not _COMM:
         return out
-    for i, a in enumerate(args):
-        out = _STEP[a.__class__](a, heap, actor, venv)
-        if out is not None:
-            if out.__class__ is Stepped:
-                out.expr = App(fn, args[:i] + (out.expr,) + args[i + 1:])
-            return out
-    if not isinstance(fn, Lam) or len(fn.params) != len(args):
-        return Stuck("calling a non-procedure")
-    mapping = {name: arg for (name, _), arg in zip(fn.params, args)}
-    return Stepped(subst_expr(fn.body, mapping))
-
-
-def _step_if(e: If, heap: Heap, actor: str, venv: Env):
-    cond = e.cond
-    out = _STEP[cond.__class__](cond, heap, actor, venv)
-    if out is not None:
-        if out.__class__ is Stepped:
-            out.expr = If(out.expr, e.then, e.els)
-        return out
-    match cond:
-        case BoolLit(True):
-            return Stepped(e.then)
-        case BoolLit(False):
-            return Stepped(e.els)
-        case _:
-            return Stuck("condition did not evaluate to a Boolean")
-
-
-def _step_when(e: When, heap: Heap, actor: str, venv: Env):
-    lhs, rhs = e.lhs, e.rhs
-    out = _STEP[lhs.__class__](lhs, heap, actor, venv)
-    if out is not None:
-        if out.__class__ is Stepped:
-            out.expr = When(out.expr, e.op, rhs, e.body)
-        return out
-    out = _STEP[rhs.__class__](rhs, heap, actor, venv)
-    if out is not None:
-        if out.__class__ is Stepped:
-            out.expr = When(lhs, e.op, out.expr, e.body)
-        return out
-    a, b = _as_int(lhs), _as_int(rhs)
-    if a is None or b is None:
-        return Stuck("guard operands are not numeric")
-    return Stepped(e.body if _rel_holds(e.op, a, b) else _UNIT)
-
-
-def _step_for(e: For, heap: Heap, actor: str, venv: Env):
-    tvar, var, lo, bound, body = e.tvar, e.var, e.lo, e.bound, e.body
-    out = _STEP[bound.__class__](bound, heap, actor, venv)
-    if out is not None:
-        if out.__class__ is Stepped:
-            out.expr = For(tvar, var, lo, out.expr, body)
-        return out
-    n = _as_int(bound)
-    if n is None:
-        return Stuck("loop bound is not a size value")
-    if lo > n:
-        return Stepped(_UNIT)
-    # an iteration whose body does not use the index is the body itself
-    first = body
-    if body._fv is None or var in body._fv:
-        first = subst_expr(body, {var: MkIndex(IntLit(lo))})
-    return Stepped(SeqE(first, For(tvar, var, lo + 1, bound, body)))
-
-
-def _step_arg(e: Union[MkSize, MkIndex, FromSize, FromIndex], heap: Heap,
-              actor: str, venv: Env):
-    """`size`/`index` of a value is one; `fromSize`/`fromIndex` unwraps it."""
-    arg = e.arg
-    out = _STEP[arg.__class__](arg, heap, actor, venv)
-    if out.__class__ is Stepped:
-        out.expr = e.__class__(out.expr)
-    elif out is None and e.__class__ in _UNWRAP:
-        wrapper, reason = _UNWRAP[e.__class__]
-        if arg.__class__ is wrapper and arg.arg.__class__ is IntLit:
-            return Stepped(arg.arg)
-        return Stuck(reason)
-    return out
-
-
-# `fromSize`/`fromIndex` -> the wrapper it unwraps, and why others are stuck
-_UNWRAP = {FromSize: (MkSize, "fromSize of a non-size value"),
-           FromIndex: (MkIndex, "fromIndex of a non-index value")}
-
-
-def _step_new_ref(e: NewRef, heap: Heap, actor: str, venv: Env):
-    init = e.init
-    out = _STEP[init.__class__](init, heap, actor, venv)
-    if out is not None:
-        if out.__class__ is Stepped:
-            out.expr = NewRef(out.expr)
-        return out
-    slot = heap.next_slot.get(actor, 0)
-    ref = LocRef(actor, slot)
-
-    def effect(h: Heap, init=init):
-        h.alloc(actor, init)
-    return Stepped(ref, effect=effect)
-
-
-def _step_deref(e: Deref, heap: Heap, actor: str, venv: Env):
-    target = e.target
-    out = _STEP[target.__class__](target, heap, actor, venv)
-    if out is not None:
-        if out.__class__ is Stepped:
-            out.expr = Deref(out.expr)
-        return out
-    if not isinstance(target, LocRef):
-        return Stuck("dereferencing a non-reference")
-    return Stepped(heap.locs[(target.actor, target.slot)], key=target)
-
-
-def _step_assign(e: Assign, heap: Heap, actor: str, venv: Env):
-    target, value = e.target, e.value
-    out = _STEP[target.__class__](target, heap, actor, venv)
-    if out is not None:
-        if out.__class__ is Stepped:
-            out.expr = Assign(out.expr, value)
-        return out
-    out = _STEP[value.__class__](value, heap, actor, venv)
-    if out is not None:
-        if out.__class__ is Stepped:
-            out.expr = Assign(target, out.expr)
-        return out
-    if not isinstance(target, LocRef):
-        return Stuck("assignment to a non-reference")
-
-    def effect(h: Heap, target=target, value=value):
-        h.locs[(target.actor, target.slot)] = value
-    return Stepped(value, None, effect, target)
-
-
-def _step_bin_op(e: BinOp, heap: Heap, actor: str, venv: Env):
-    op, lhs, rhs = e.op, e.lhs, e.rhs
-    out = _STEP[lhs.__class__](lhs, heap, actor, venv)
-    if out is not None:
-        if out.__class__ is Stepped:
-            out.expr = BinOp(op, out.expr, rhs)
-        return out
-    out = _STEP[rhs.__class__](rhs, heap, actor, venv)
-    if out is not None:
-        if out.__class__ is Stepped:
-            out.expr = BinOp(op, lhs, out.expr)
-        return out
-    a, b = _as_int(lhs), _as_int(rhs)
-    if a is None or b is None:
-        return Stuck(f"operator {op} on non-integers")
-    if op == "+":
-        return Stepped(IntLit(a + b))
-    if op == "-":
-        return Stepped(IntLit(a - b))
-    if op == "*":
-        return Stepped(IntLit(a * b))
-    if op == "/":
-        if b == 0:
-            return Stuck("division by zero")
-        return Stepped(IntLit(a // b))
-    if op == "==":
-        return Stepped(BoolLit(a == b))
-    if op == "<=":
-        return Stepped(BoolLit(a <= b))
-    if op == "<":
-        return Stepped(BoolLit(a < b))
-    return Stuck(f"unknown operator {op}")
-
-
-def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: Env):
-    """A send or receive: the index, then a send's payload, evaluate first."""
-    index, is_send = e.index, e.__class__ is Send
-    if index is not None:
-        out = _STEP[index.__class__](index, heap, actor, venv)
-        if out is not None:
-            if out.__class__ is Stepped:
-                out.expr = (Send(e.chan, out.expr, e.payload, e.loc) if is_send
-                            else Recv(e.chan, out.expr, e.loc))
-            return out
-    if is_send:
-        payload = e.payload
-        out = _STEP[payload.__class__](payload, heap, actor, venv)
-        if out is not None:
-            if out.__class__ is Stepped:
-                out.expr = Send(e.chan, index, out.expr)
-            return out
-    key, chan = heap.chans.get(e.chan, (None, None))
+    # a send's payload, or a receive, at its redex: `node` is the `Send` or
+    # `Recv`, `index` its evaluated index, and `rest` what encloses it
+    heap = cfg.heap
+    key, chan = heap.chans.get(node.chan, _UNBOUND)
     if key is None:
         if chan is None:
-            return Stuck(f"{e.chan} is not bound to a channel")
+            return Stuck(f"{node.chan} is not bound to a channel")
         idx = _as_int(index)
         if idx is None:
             return Stuck("array index is not an index value")
@@ -687,25 +756,18 @@ def _step_comm(e: Union[Send, Recv], heap: Heap, actor: str, venv: Env):
         if key not in heap.bufs:
             return Stuck(f"index {idx} outside channel array {chan}")
     buf = heap.bufs[key]
-    if is_send:
+    if node.__class__ is Send:
         if len(buf) >= heap.caps[chan]:
             return heap.blocked[key][0]
-        return Stepped(_UNIT, heap.labels[key][0], None, key, e.payload)
+        return Stepped(_UNIT, heap.labels[key][0], None, key, e, rest)
     if not buf:
         return heap.blocked[key][1]
-    return Stepped(buf[0], heap.labels[key][1], None, key)
+    return Stepped(buf[0], heap.labels[key][1], None, key, None, rest)
 
 
-# expression class -> its step; a value, and a size or an index of one,
-# steps to None
-_STEP = dict.fromkeys(_VALUE_CLASSES, lambda e, h, a, v: None)
-_STEP.update({
-    SeqE: _step_seq, Let: _step_let, App: _step_app, If: _step_if,
-    When: _step_when, For: _step_for, MkSize: _step_arg, MkIndex: _step_arg,
-    FromSize: _step_arg, FromIndex: _step_arg, NewRef: _step_new_ref,
-    Deref: _step_deref, Assign: _step_assign, BinOp: _step_bin_op,
-    Send: _step_comm, Recv: _step_comm,
-})
+# `fromSize`/`fromIndex` -> the wrapper it unwraps, and why others are stuck
+_UNWRAP = {FromSize: (MkSize, "fromSize of a non-size value"),
+           FromIndex: (MkIndex, "fromIndex of a non-index value")}
 
 
 # ---------------------------------------------------------------------------
@@ -734,17 +796,10 @@ class RunResult:
         return self.status == "done"
 
 
-def _actor_outcome(cfg: Configuration, i: int):
-    actor = cfg.actors[i]
-    e = actor.expr
-    if e is None:
-        return None
-    return _STEP[e.__class__](e, cfg.heap, actor.name, cfg.venv)
-
-
 def commit(cfg: Configuration, i: int, out: Stepped) -> None:
     """Apply actor i's polled step to `cfg` in place."""
-    cfg.actors[i].expr = out.expr
+    actor = cfg.actors[i]
+    actor.focus, actor.k = out.focus, out.k
     if out.change is not None:
         out.change(cfg.heap)
     elif out.label is not None:

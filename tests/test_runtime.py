@@ -14,7 +14,7 @@ from sdflow.runtime import (
 )
 from sdflow.syntax import (
     ActorE, Diagnostic, For, FromSize, IntLit, Lam, Let, MkIndex, MkSize,
-    NewRef, Recv, Send, SeqE, Var, proc_components,
+    NewRef, Recv, Send, Var, proc_components,
 )
 from sdflow.typecheck import check_network, check_proc
 
@@ -689,15 +689,19 @@ def _free(e, name: str) -> bool:
 
 def test_an_iteration_is_the_loop_body_exactly_when_the_index_is_not_free(
         monkeypatch):
+    # a poll keeps its redex as the actor's focus: a loop with iterations
+    # left steps to its first iteration, the new focus
     iterations = []
 
-    def unrolling(e, *args, inner=runtime._STEP[For]):
-        out = inner(e, *args)
-        if isinstance(out, Stepped) and isinstance(out.expr, SeqE):
-            iterations.append((out.expr.first is e.body, _free(e.body, e.var)))
+    def polled(cfg, i, inner=runtime._actor_outcome):
+        out = inner(cfg, i)
+        e = cfg.actors[i].focus
+        if isinstance(out, Stepped) and isinstance(e, For) \
+                and runtime._as_int(e.bound) >= e.lo:
+            iterations.append((out.focus is e.body, _free(e.body, e.var)))
         return out
 
-    monkeypatch.setitem(runtime._STEP, For, unrolling)
+    monkeypatch.setattr(runtime, "_actor_outcome", polled)
     result = run(instantiate(parse_program_or_raise(BINDERS), {"k": 3}))
     assert result.status == "done"
     sent = [1, 2] * 3 + [100] * 3 + [101, 102, 103] + [8] * 3 + [1000, 2000, 3000] \

@@ -29,14 +29,17 @@ The run cell counts the `subst_expr` calls, recursive ones included, that
 the Python-level calls (`sys.setprofile` "call" events) per step of one
 roundRobin `runtime.run`, the `sdflow.syntax` records it constructs per
 step (calls of a generated `__init__`), and the `Label`s it constructs, on
-pipeline3 at n=64 and the 16-stage pipeline at s=16.  While every context
-position of a step rule pre-tested `is_value` and stepped its subterm
-through a rebuild closure, and every communication built a fresh `Label`,
-they read 18.74 and 19.75 calls per step, and 257 and 482 labels.  While
-every iteration of a loop rebuilt its body, whether or not the body used
-the index, and every communication looked its channel up in the value
-environment, they read 15.14 and 15.57 calls and 2.46 and 2.35 records
-per step.
+pipeline3 at n=64, the 16-stage pipeline at s=16 and nested_loops at
+p=q=32.  While every context position of a step rule pre-tested
+`is_value` and stepped its subterm through a rebuild closure, and every
+communication built a fresh `Label`, the first two read 18.74 and 19.75
+calls per step, and 257 and 482 labels.  While every iteration of a loop
+rebuilt its body, whether or not the body used the index, and every
+communication looked its channel up in the value environment, they read
+15.14 and 15.57 calls and 2.46 and 2.35 records per step.  While every
+poll walked the actor's term from its root and every step rebuilt each
+context node above its redex, the three read 12.17, 11.67 and 15.14
+calls and 1.77, 1.41 and 3.11 records per step.
 
 The explore cells count, per state `runtime.explore` visits on pipelines
 16x apart at s=4, the actors it polls (`_actor_outcome` calls), the
@@ -138,8 +141,9 @@ RUN_STAGES = (16, 64)
 # step cells: network -> its sizes, and the Python-level calls and the
 # syntax records built per `run` step it read when set, which it may
 # exceed by at most RUN_CALLS_SLACK
-RUN_CALLS = {"pipeline3": ({"n": 64}, 12.769, 1.765),
-             "pipeline-16": ({"s": 16}, 12.425, 1.413)}
+RUN_CALLS = {"pipeline3": ({"n": 64}, 7.417, 0.766),
+             "pipeline-16": ({"s": 16}, 7.129, 0.436),
+             "nested_loops": ({"p": 32, "q": 32}, 7.401, 0.904)}
 RUN_CALLS_SLACK = 1.05
 # pipeline stages explored at s=4 by the explore cells, 16x apart, and how
 # much the work per visited state may grow between them
@@ -532,7 +536,7 @@ def explore_work(stages: int) -> dict:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(runtime, "_actor_outcome", polled)
         mp.setattr(exploration._Search, "reindex", reindexed)
-        for cls in runtime._STEP:
+        for cls in runtime._SUBST:
             # a class's generated methods replace their stubs when first
             # called, and would replace the counting wrapper with them
             syntax._build(cls)

@@ -2,7 +2,8 @@
 
 `step_expr`, `_in_context`, `_step_comm`, `_as_int`, `is_value` and
 `subst_expr` below are the pattern-matching versions that `sdflow.runtime`
-and `sdflow.syntax` replaced with one class lookup per step.  At every poll
+and `sdflow.syntax` replaced with one class lookup per step, and then with
+a CK machine that refocuses from each actor's focus.  At every poll
 of `run`, on the corpus and on hand-written networks under several
 schedules, both machines must give the same outcome: its class, `expr`,
 `label`, `reason` and blocking key, and effects that leave equal heaps.  A
@@ -469,16 +470,17 @@ def test_values_behind_size_and_index_wrappers():
         assert runtime.is_value(e) is is_value(e) is want
 
 
-def test_step_table_has_every_expression_class_and_values_step_to_none():
-    assert set(runtime._STEP) == EXPR_CLASSES
+def test_every_expression_class_steps_and_values_step_to_none():
+    # `step_expr` takes the classes `subst_expr` takes
+    assert set(runtime._SUBST) == EXPR_CLASSES
     values = [IntLit(1), BoolLit(True), LocRef("a0", 0), Var("x"),
               Lam((), syntax.EMPTY_FLOW, syntax.EMPTY_FLOW, IntLit(0))]
     assert {v.__class__ for v in values} == runtime._VALUE_CLASSES
     for v in values:
         for e in (v, MkSize(v), MkIndex(v), MkSize(MkIndex(v))):
-            assert runtime._STEP[e.__class__](e, Heap(), "a0", Env()) is None
-    assert runtime._STEP[MkSize](MkSize(Recv("c")), Heap(), "a0",
-                                 Env()).__class__ is Stuck
+            assert runtime.step_expr(e, Heap(), "a0", Env()) is None
+    assert runtime.step_expr(MkSize(Recv("c")), Heap(), "a0",
+                             Env()).__class__ is Stuck
 
 
 def test_unknown_classes_raise_as_before():
