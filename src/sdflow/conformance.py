@@ -474,7 +474,7 @@ def check_progress_theorem(net: Network, sizes: dict[str, int],
     for s in result.stuck:
         # every live actor of a stuck configuration is Blocked or Stuck
         residual = {a.name: "done" if a.done else
-                    step_expr(a.expr, s.heap, a.name, s.venv).reason
+                    step_expr(a.expr, s.heap, a.name).reason
                     for a in s.actors}
         stuck_desc.append({"actors": residual,
                            "buffers": s.heap.buffer_sizes()})

@@ -8,12 +8,15 @@ polls, commits and wakes as it does for `run`; it calls `commit` and
 such as perfbench's tracer, sees every call.  The key of a polled step,
 what it touches, decides both whom the step wakes and whether it is
 expanded on its own.  A communication is expanded on its own when no
-other actor can use its buffer's side.  While no procedure has been on
-the heap, an actor's sites only shrink, so that is decided once per label
-at the search's set-up: `_Search.first` records, for each label, the
-actors whose initial expression holds one of its two clash sites, and a
-step passes when they are at most its own actor.  After that, the search
-asks each state's index of live actors.
+other actor, and no procedure on the heap, can use its buffer's side.
+While no procedure has been on the heap, an actor's sites only shrink, so
+only an actor whose initial expression holds one of the label's two clash
+sites can: `_Search.first` records those owners once per label, and a step
+passes at once when they are at most its own actor.  Otherwise the search
+walks the current terms of the other owners, or, once a procedure has been
+on the heap, of every live actor and every procedure in a buffer or a
+cell.  No state keeps an index of sites: on every corpus program the owner
+fact alone decides.
 
 A search is acyclic when no actor's initial expression holds an
 application (`App`).  Then no state can recur on a path: a communication
@@ -26,7 +29,7 @@ and it keeps no key: a state in this chain mode holds only its
 communication counts, and nothing is interned.  `explore` walks such a
 chain in its inner loop, so a state there costs one `Machine.step` and the
 persistent choice: the count a label raises sits at a code slot found once
-per label, and only a procedure sent or received reaches `_Search._store`.
+per label, and a procedure sent or received only raises `_Search.lams`.
 At the first state with two or more successors the search interns that
 state in full (`_Search.rekey`) and keys every later state.  This is
 state-space caching (Godefroid, Holzmann & Pirottin, CAV 1992) and
@@ -41,7 +44,7 @@ from operator import attrgetter, itemgetter
 
 from .runtime import (
     STUCK_LIMIT, Configuration, ExploreResult, Heap, Machine, _UNBOUND,
-    _as_int, _signature, is_value,
+    _as_int, _signature,
 )
 from .syntax import (
     App, Assign, BinOp, Deref, Expr, For, FromIndex, FromSize, If, Lam, Let,
@@ -71,23 +74,23 @@ def explore(cfg: Configuration, max_states: int) -> ExploreResult:
     while stack:
         state, depth, i = stack.pop()
         outcomes, enabled = state.outcomes, state.enabled
-        bufs, stale = state.cfg.heap.bufs, state.stale
-        code, slot = state.code, search.slot
+        heap = state.cfg.heap
+        bufs, code, slot = heap.bufs, state.code, search.slot
         while True:
             if i is not None:  # take actor i's polled step
                 out = outcomes[i]
                 label = out.label
                 if label is None:
                     state.step(i, out)
-                    if out.change is not None:
-                        state.stored = search.stored(state.cfg.heap)
+                    if out.change is not None and not search.lams:
+                        search.lams = any(v.__class__ is Lam
+                                          for v in heap.locs.values())
                 else:
                     code[slot[id(label)]] += 1
                     moved = out.payload if label.is_send else bufs[out.key][0]
                     state.step(i, out)
                     if moved.__class__ is Lam:
-                        search._store(state, moved, 1 if label.is_send else -1)
-                stale.add(i)
+                        search.lams = True
                 if keyed:
                     search.renew(state, i, out)
             if keyed:
@@ -198,10 +201,11 @@ def _persistent(state: _State, search: _Search):
     expression holds one of the label's two clash sites.  While no
     procedure has been on the heap (`_Search.lams`), an actor's sites only
     shrink, or gain an index for a site that had none, so a step whose
-    label no other actor owned passes the exact test below, which is then
-    skipped.  That test is two lookups in the state's index of live actors
-    by site, not a scan of the other actors."""
-    outcomes = state.outcomes
+    label no other actor owned passes at once, and otherwise only the
+    other owners that have not finished can clash: their current terms are
+    walked (`_comm_sites`).  Once a procedure has been on the heap, every
+    live actor's term and every procedure on the heap is walked."""
+    outcomes, actors = state.outcomes, state.cfg.actors
     for i in state.enabled:
         out = outcomes[i]
         if out.key is None:
@@ -209,17 +213,25 @@ def _persistent(state: _State, search: _Search):
         label = out.label
         if label is None:  # it reads or writes a heap cell
             continue
-        if not search.lams and search.owned[id(label)] <= {i}:
-            return i
-        if state.stale:
-            search.reindex(state)
-        holders = state.holders
+        if search.lams:
+            others, stored = range(len(actors)), _stored(state.cfg.heap)
+        else:
+            others, stored = search.owned[id(label)], ()
+            if others <= {i}:
+                return i
         clash = {(label.chan, label.is_send, label.index),
                  (label.chan, label.is_send, None)}
-        if all(holders.get(site, _NO_SITES) <= {i} for site in clash) \
-                and all(clash.isdisjoint(s) for s in state.stored):
+        terms = chain((actors[j].expr for j in others
+                       if j != i and outcomes[j] is not None), stored)
+        if all(clash.isdisjoint(_comm_sites(e, search.chans)) for e in terms):
             return i
     return None
+
+
+def _stored(heap: Heap) -> list:
+    """The procedures held in `heap`'s cells and buffers."""
+    return [v for v in chain(heap.locs.values(), *heap.bufs.values())
+            if v.__class__ is Lam]
 
 
 _NO_SITES = frozenset()
@@ -234,52 +246,36 @@ def _cells(heap: Heap) -> tuple:
 
 class _State(Machine):
     """A configuration on `explore`'s stack: a `Machine`, whose outcomes,
-    `enabled` and wake rule are `run`'s, and what the search keeps beside
-    it so that a step of the search costs a small multiple of `run`'s:
+    `enabled` and wake rule are `run`'s, and `code`, the state as small
+    integers, kept so that a step of the search costs a small multiple of
+    `run`'s: each actor's term (plugged from its focus and continuation),
+    each buffer's contents and the cells, interned (`_Search.intern`),
+    then each (channel, "send" | "recv") count.  `blocks` interns each run
+    of `_BLOCK` entries; their tuple is the visited key, so a step renews
+    only the entries it changed and their blocks.  In chain mode (see the
+    module docstring) `blocks` is None and only the counts are kept."""
 
-    - `code`, the state as small integers: each actor's term (plugged
-      from its focus and continuation), each buffer's contents and the
-      cells, interned (`_Search.intern`), then
-      each (channel, "send" | "recv") count.  `blocks` interns each run of
-      `_BLOCK` entries; their tuple is the visited key, so a step renews
-      only the entries it changed and their blocks.  In chain mode (see
-      the module docstring) `blocks` is None and only the counts are kept;
-    - `holders`, communication site -> the live actors whose expression
-      has it (`_comm_sites`), and `stored`, the sites of each procedure on
-      the heap: the clash index of `_persistent`.  `indexed` is each
-      actor's sites as `holders` has them, and `stale` the actors that
-      moved since; `_Search.reindex` takes their sites when a clash test
-      needs them."""
-
-    __slots__ = ("code", "blocks", "holders", "indexed", "stale", "stored")
+    __slots__ = ("code", "blocks")
 
     def copy(self) -> "_State":
         new = super().copy()
         new.code, new.blocks = self.code.copy(), self.blocks.copy()
-        new.stored = self.stored.copy()
-        new.holders = {site: set(held) for site, held in self.holders.items()}
-        new.indexed, new.stale = self.indexed.copy(), self.stale.copy()
         return new
 
 
-# class -> (head, tail) of a node whose sites are its head's and its tail's
-_LINKS = {SeqE: attrgetter("first", "second"), Let: attrgetter("bound", "body"),
-          For: attrgetter("bound", "body")}
-
-
 class _Search:
-    """What the states of one `explore` share: the sites of each expression
-    seen, the interned values and blocks, where each buffer, count and the
-    cells sit in a state's code, `slot`, the id of each label -> where the
-    count it raises sits, `owned`, the id of each label -> the actors whose
-    initial expression holds one of its clash sites, `acyclic`, whether no
-    actor's initial expression holds an application, and `lams`, whether a
-    procedure has been on the heap in any state so far."""
+    """What the states of one `explore` share: the interned values and
+    blocks, where each buffer, count and the cells sit in a state's code,
+    `slot`, the id of each label -> where the count it raises sits,
+    `owned`, the id of each label -> the actors whose initial expression
+    holds one of its clash sites, `acyclic`, whether no actor's initial
+    expression holds an application, and `lams`, whether a procedure has
+    been on the heap in any state so far: in the initial heap, sent or
+    received, or in a cell after a cell change."""
 
     def __init__(self, cfg: Configuration):
         heap = cfg.heap
         self.chans = heap.chans
-        self.seen: dict = {}      # id(e) -> (e, its sites); e keeps its id
         self.interned: dict = {}  # value or block of a code -> its code
         n = len(cfg.actors)
         self.buffer_at = dict(zip(heap.bufs, count(n)))
@@ -291,68 +287,31 @@ class _Search:
         for (chan, _), (send, recv) in heap.labels.items():
             self.slot[id(send)] = self.count_at[chan, "send"]
             self.slot[id(recv)] = self.count_at[chan, "recv"]
-        self.lams = False  # has a procedure been on the heap?
 
     def intern(self, value) -> int:
         """`value`'s code: equal values, and only they, share one.  Its
         hash is taken once here, when an actor or a buffer changes."""
         return self.interned.setdefault(value, len(self.interned))
 
-    def sites(self, e: Expr) -> frozenset:
-        """`_comm_sites(e)`, kept for each expression seen."""
-        seen = self.seen
-        hit = seen.get(id(e))
-        if hit is not None:
-            return hit[1]
-        # a `Let`/`SeqE` chain adds its heads' sites to its tail's, and a
-        # loop its bound's to its body's, so each state of a long actor,
-        # and each iteration of a loop, costs only its new nodes
-        links = []
-        while id(e) not in seen and e.__class__ in _LINKS:
-            links.append(e)
-            e = _LINKS[e.__class__](e)[1]
-        hit = seen.get(id(e)) or (e, _comm_sites(e, self.chans))
-        seen[id(e)] = hit
-        for node in reversed(links):
-            head = _LINKS[node.__class__](node)[0]
-            hit = seen[id(node)] = (node, hit[1] | self.sites(head))
-        return hit[1]
-
-    def stored(self, heap: Heap) -> dict:
-        """The sites of each procedure held in a buffer or a cell, and how
-        many procedures have them."""
-        stored: dict = {}
-        for v in chain(heap.locs.values(), *heap.bufs.values()):
-            if v.__class__ is Lam:
-                sites = self.sites(v)
-                stored[sites] = stored.get(sites, 0) + 1
-        self.lams = self.lams or bool(stored)
-        return stored
-
     def first(self, cfg: Configuration) -> _State:
         """The search's initial state, in chain mode, and the facts its
-        initial expressions decide: `owned` and `acyclic`."""
+        initial configuration decides: `owned`, `acyclic` and `lams`."""
         state = _State(cfg)
         state.code, state.blocks = [0] * (self.cells_at + 1), None
-        state.stale = set()
-        state.indexed, holders = [], {}
+        owners: dict = {}  # site -> the actors whose expression has it
         for i, (actor, out) in enumerate(zip(cfg.actors, state.outcomes)):
-            # only a finished actor polls None
-            sites = _NO_SITES if out is None else \
-                _comm_sites(actor.expr, self.chans)
-            state.indexed.append(sites)
-            for site in sites:
-                holders.setdefault(site, set()).add(i)
-        state.holders = holders
-        self.acyclic = App not in holders
+            if out is not None:  # only a finished actor polls None
+                for site in _comm_sites(actor.expr, self.chans):
+                    owners.setdefault(site, set()).add(i)
+        self.acyclic = App not in owners
         self.owned: dict = {}
         for (chan, index), labels in cfg.heap.labels.items():
             for label in labels:
                 is_send = label.is_send
                 self.owned[id(label)] = frozenset(
-                    holders.get((chan, is_send, index), _NO_SITES)).union(
-                    holders.get((chan, is_send, None), _NO_SITES))
-        state.stored = self.stored(cfg.heap)
+                    owners.get((chan, is_send, index), _NO_SITES)).union(
+                    owners.get((chan, is_send, None), _NO_SITES))
+        self.lams = bool(_stored(cfg.heap))
         return state
 
     def rekey(self, state: _State) -> None:
@@ -392,31 +351,3 @@ class _Search:
             start = block * _BLOCK
             state.blocks[block] = interned.setdefault(
                 tuple(code[start:start + _BLOCK]), len(interned))
-
-    def reindex(self, state: _State) -> None:
-        """Bring `state.holders` up to date with the actors that moved since
-        it was last used: their sites are taken only when a clash test
-        needs them."""
-        holders = state.holders
-        for i in state.stale:
-            e = state.cfg.actors[i].expr
-            before = state.indexed[i]
-            after = state.indexed[i] = _NO_SITES if is_value(e) \
-                else self.sites(e)
-            if before is after:
-                continue
-            for site in before - after:
-                holders[site].discard(i)
-                if not holders[site]:
-                    del holders[site]
-            for site in after - before:
-                holders.setdefault(site, set()).add(i)
-        state.stale.clear()
-
-    def _store(self, state: _State, value: Lam, change: int) -> None:
-        """Count a procedure into (1) or out of (-1) the heap's."""
-        self.lams = True
-        sites, stored = self.sites(value), state.stored
-        stored[sites] = stored.get(sites, 0) + change
-        if not stored[sites]:
-            del stored[sites]

@@ -152,7 +152,6 @@ class Actor:
 class Configuration:
     actors: list[Actor]
     heap: Heap
-    venv: Env
 
     def done(self) -> bool:
         return all(a.done for a in self.actors)
@@ -160,7 +159,7 @@ class Configuration:
     def copy(self) -> "Configuration":
         return Configuration(
             [Actor(a.name, a.focus, a.k) for a in self.actors],
-            self.heap.copy(), self.venv)
+            self.heap.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +287,7 @@ def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
                         subst_expr(body, {var: MkIndex(IntLit(k))})))
             case _:
                 raise TypeError(f"unexpected process form {part!r}")
-    return Configuration(actors, heap, net.venv)
+    return Configuration(actors, heap)
 
 
 # --- value-level substitution ----------------------------------------------
@@ -480,7 +479,7 @@ def _rel_holds(op: str, a: int, b: int) -> bool:
     raise ValueError(f"unknown guard operator {op}")
 
 
-def step_expr(e: Expr, heap: Heap, actor: str, venv: Env
+def step_expr(e: Expr, heap: Heap, actor: str
               ) -> Union[Stepped, Blocked, Stuck, None]:
     """One reduction of `e`, or None when `e` is a value: `e` decomposed,
     one transition taken, and its `expr` the result plugged.  It only reads
@@ -488,7 +487,7 @@ def step_expr(e: Expr, heap: Heap, actor: str, venv: Env
     change."""
     if e.__class__ not in _SUBST:
         raise TypeError(f"cannot step {e!r}")
-    return _actor_outcome(Configuration([Actor(actor, e)], heap, venv), 0)
+    return _actor_outcome(Configuration([Actor(actor, e)], heap), 0)
 
 
 # A continuation is None or a frame `(kind, node, value, rest)`: the focus

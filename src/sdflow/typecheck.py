@@ -31,7 +31,6 @@ from .syntax import (
 )
 
 ARITH_OPS = {"+", "-", "*", "/"}
-COMPARE_OPS = {"==", "<=", "<"}
 
 
 @record

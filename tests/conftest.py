@@ -39,6 +39,27 @@ def state_key(cfg) -> tuple:
             (tuple(sorted(heap.locs.items())), tuple(heap.bufs.values())))
 
 
+def two_writers_beside_pipeline(stages: int) -> str:
+    """Two writers and a reader on channel m, then, after them in actor
+    order, an independent pipeline of `stages` actors carrying s items per
+    link: the writers' sends clash, and no pipeline actor owns m."""
+    decls = ["size s : Size(inf);", "val sz : Size(s);",
+             "chan m : Channel(0, 2);", "val mw1 : Chan(-, m, Integer);",
+             "val mw2 : Chan(-, m, Integer);", "val mr : Chan(+, m, Integer);"]
+    for k in range(1, stages):
+        decls += [f"chan c{k} : Channel(0, 2);",
+                  f"val w{k} : Chan(-, c{k}, Integer);",
+                  f"val r{k} : Chan(+, c{k}, Integer);"]
+    actors = ["actor { send mw1 1 }", "actor { send mw2 2 }",
+              "actor { let a = recv mr; let b = recv mr; a * 10 + b }",
+              "actor { for (t, x in 1..sz) send w1 fromIndex(x) }"]
+    actors += [f"actor {{ for (t, x in 1..sz) {{ let v = recv r{k}; "
+               f"send w{k + 1} v }} }}" for k in range(1, stages - 1)]
+    actors.append(f"actor {{ for (t, x in 1..sz) recv r{stages - 1} }}")
+    return ("\n".join(decls) + "\nflow eps;\nnetwork { "
+            + " || ".join(actors) + " }\n")
+
+
 def traced_run(cfg, **kwargs):
     """`runtime.run(cfg, **kwargs)` and the trace entries it hands its
     observer, in order: `run` builds them for an observer only."""

@@ -58,7 +58,7 @@ def test_every_step_reaches_the_oracles_term(name, source, values,
     def checked(cfg, i, out):
         nonlocal steps
         actor = cfg.actors[i]
-        want = oracle_step(terms[i], cfg.heap, actor.name, cfg.venv)
+        want = oracle_step(terms[i], cfg.heap, actor.name, net.venv)
         assert isinstance(want, Stepped) and want.label == out.label
         committed(cfg, i, out)
         terms[i] = want.expr

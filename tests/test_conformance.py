@@ -74,15 +74,14 @@ def test_delayed_array_counts_freed_slots_per_element():
     assert heap_flow_counts(net.tenv, cfg.heap) == Counter()
     for e in (Recv("dr", MkIndex(IntLit(2))), Send("aw", MkIndex(IntLit(3)),
                                                    IntLit(1))):
-        step_expr(e, cfg.heap, "a0", cfg.venv).effect(cfg.heap)
+        step_expr(e, cfg.heap, "a0").effect(cfg.heap)
     assert heap_flow_counts(net.tenv, cfg.heap) == Counter(
         {("d", False, 2): 1, ("a", True, 3): 1})
 
 
 def test_repeated_array_sends_count_per_element():
     net, cfg = array_config()
-    out = step_expr(Send("aw", MkIndex(IntLit(2)), IntLit(1)),
-                    cfg.heap, "a0", cfg.venv)
+    out = step_expr(Send("aw", MkIndex(IntLit(2)), IntLit(1)), cfg.heap, "a0")
     out.effect(cfg.heap)
     out.effect(cfg.heap)
     assert heap_flow_counts(net.tenv, cfg.heap) == Counter(

@@ -80,7 +80,7 @@ def full_explore(cfg, max_states=300_000):
 def _blocked(cfg):
     """A stuck configuration with what each of its actors waits for."""
     reasons = tuple((a.name, "done" if a.done else
-                     step_expr(a.expr, cfg.heap, a.name, cfg.venv).reason)
+                     step_expr(a.expr, cfg.heap, a.name).reason)
                     for a in cfg.actors)
     return state_key(cfg), reasons
 

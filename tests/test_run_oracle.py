@@ -52,7 +52,7 @@ def polling_run(cfg, scheduler="roundRobin", seed=0, max_steps=500_000,
         blocked = {}
         for i, actor in enumerate(cfg.actors):
             out = None if actor.done else \
-                step_expr(actor.expr, cfg.heap, actor.name, cfg.venv)
+                step_expr(actor.expr, cfg.heap, actor.name)
             if isinstance(out, Stepped):
                 candidates.append((i, out))
             elif isinstance(out, (Blocked, Stuck)):

@@ -76,7 +76,7 @@ def _solo_config(name="pipeline2.sdf", v=4):
 
 def test_send_appends_and_labels():
     net, cfg = _solo_config()
-    out = step_expr(Send("cw", None, IntLit(7)), cfg.heap, "a0", cfg.venv)
+    out = step_expr(Send("cw", None, IntLit(7)), cfg.heap, "a0")
     assert isinstance(out, Stepped)
     assert out.expr == IntLit(0)
     assert out.label is not None and out.label.chan == "c" and out.label.is_send
@@ -88,7 +88,7 @@ def test_recv_pops_fifo_head():
     from sdflow.syntax import Recv
     net, cfg = _solo_config()
     cfg.heap.bufs[("c", None)] = (IntLit(7), IntLit(9))
-    out = step_expr(Recv("cr"), cfg.heap, "a1", cfg.venv)
+    out = step_expr(Recv("cr"), cfg.heap, "a1")
     assert isinstance(out, Stepped)
     assert out.expr == IntLit(7)
     assert not out.label.is_send
@@ -99,13 +99,13 @@ def test_recv_pops_fifo_head():
 def test_send_blocks_on_full_buffer():
     net, cfg = _solo_config()
     cfg.heap.bufs[("c", None)] = (IntLit(1), IntLit(2))  # capacity 2
-    out = step_expr(Send("cw", None, IntLit(3)), cfg.heap, "a0", cfg.venv)
+    out = step_expr(Send("cw", None, IntLit(3)), cfg.heap, "a0")
     assert isinstance(out, Blocked)
 
 
 def test_from_size_projects():
     net, cfg = _solo_config()
-    out = step_expr(FromSize(MkSize(IntLit(8))), cfg.heap, "a0", cfg.venv)
+    out = step_expr(FromSize(MkSize(IntLit(8))), cfg.heap, "a0")
     assert isinstance(out, Stepped) and out.expr == IntLit(8)
 
 
@@ -233,7 +233,7 @@ def array_config():
 
 
 def _step(cfg, e):
-    return step_expr(e, cfg.heap, "a0", cfg.venv)
+    return step_expr(e, cfg.heap, "a0")
 
 
 def test_array_element_blocks_when_full_and_when_empty():
@@ -273,8 +273,8 @@ def test_a_communication_is_committed_from_its_label_with_no_closure():
     assert (sent.change, sent.key, sent.payload) == (None, ("a", 2), IntLit(5))
     copy = cfg.heap.copy()
     sent.effect(copy)
-    runtime.commit(Configuration([runtime.Actor("a0", None)], cfg.heap,
-                                 cfg.venv), 0, sent)
+    runtime.commit(Configuration([runtime.Actor("a0", None)], cfg.heap), 0,
+                   sent)
     assert cfg.heap == copy and cfg.heap.bufs["a", 2] == (IntLit(5),)
     received = _step(cfg, Recv("ar", MkIndex(IntLit(2))))
     assert (received.change, received.expr) == (None, IntLit(5))

@@ -44,17 +44,22 @@ calls and 1.77, 1.41 and 3.11 records per step.
 The explore cells count, per state `runtime.explore` visits on pipelines
 16x apart at s=4, the actors it polls (`_actor_outcome` calls), the
 expression hashes it computes (calls of an expression class's `__hash__`,
-nested ones included) and the times it brings a state's index of live
-actors by site up to date (`exploration._Search.reindex` calls).  When
-every state polled every actor and rehashed every actor's expression,
-pipeline-16 read 16.0 polls and 87.5 hashes per state, and pipeline-256
-256.0 and 1 287.7.  Before expressions kept their hashes, both read about
-7.5 hashes per state; before the clash test asked the static owner index
-first, both read 0.37 re-indexes per state, and now none is needed.  A
-pipeline's reduced state space is one chain and it holds no application,
-so the search keeps no key, and it hashes only the final values of its
-one terminal (0.05 per state); while every state was keyed, both read
-about 4.8 hashes per state.  The explore-call cells count the Python-level
+nested ones included) and the terms its clash tests walk
+(`exploration._comm_sites` calls beyond the set-up's one per live actor).
+When every state polled every actor and rehashed every actor's
+expression, pipeline-16 read 16.0 polls and 87.5 hashes per state, and
+pipeline-256 256.0 and 1 287.7.  Before expressions kept their hashes,
+both read about 7.5 hashes per state; before the clash test asked the
+static owner index first, both brought a per-state index of live actors
+by site up to date 0.37 times per state, and now no term is walked.  The
+writers cell counts the same walks beside 8 and 64 pipeline stages after
+two writers and a reader of one channel: the writers' sends clash, so a
+state walks at most the other writer's term for each, however long the
+pipeline (1.82 and 1.98 walks per state).  A pipeline's reduced state
+space is one chain and it holds no application, so the search keeps no
+key, and it hashes only the final values of its one terminal (0.05 per
+state); while every state was keyed, both read about 4.8 hashes per
+state.  The explore-call cells count the Python-level
 calls per state of one `explore` against those per step of one `run` on
 pipeline-16 at s=4 and downsampler at s=64, and the progress cell those of
 `check_progress_theorem` per explored state over corpus/good at size 4,
@@ -107,7 +112,9 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from conftest import ROOT, corpus_files, sizes_for
+from conftest import (
+    ROOT, corpus_files, sizes_for, two_writers_beside_pipeline,
+)
 
 from sdflow import (
     conformance, exploration, flowstate, kinding, parser, runtime, syntax,
@@ -149,6 +156,9 @@ RUN_CALLS_SLACK = 1.05
 # much the work per visited state may grow between them
 EXPLORE_STAGES = (16, 256)
 EXPLORE_GROWTH = 1.5
+# pipeline stages beside two writers and a reader of one channel, explored
+# at s=4 by the writers cell, 8x apart
+WRITERS_STAGES = (8, 64)
 # pipeline stages and rates, 4x apart, of the `run` memory cell, and how
 # much its tracemalloc peak may grow between them
 RUN_MEMORY = (64, (16, 64))
@@ -516,26 +526,25 @@ def test_let_chain_substitutions_grow_at_most_linearly():
     assert large <= GROWTH * small, (small, large)
 
 
-def explore_work(stages: int) -> dict:
-    """Per state `explore` visits on `gen.pipeline(stages)` at s=4: the
-    actors it polls, the expression hashes it computes and the re-indexes
-    of live actors by site it makes; and the states, the actors and the
-    hashes in all."""
-    net = parse_program(perfbench_gen().pipeline(stages).source)
-    cfg = runtime.instantiate(net, {"s": 4})
+def explore_work(source: str) -> dict:
+    """Per state `explore` visits on `source` at s=4: the actors it polls,
+    the expression hashes it computes and the terms its clash tests walk
+    beyond the set-up's one walk per live actor; and the states, the actors
+    and the hashes in all."""
+    cfg = runtime.instantiate(parse_program(source), {"s": 4})
     counts: Counter = Counter()
 
     def polled(cfg, i, inner=runtime._actor_outcome):
         counts["polls"] += 1
         return inner(cfg, i)
 
-    def reindexed(search, state, inner=exploration._Search.reindex):
-        counts["reindex"] += 1
-        return inner(search, state)
+    def walked(e, chans, inner=exploration._comm_sites):
+        counts["walks"] += 1
+        return inner(e, chans)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(runtime, "_actor_outcome", polled)
-        mp.setattr(exploration._Search, "reindex", reindexed)
+        mp.setattr(exploration, "_comm_sites", walked)
         for cls in runtime._SUBST:
             # a class's generated methods replace their stubs when first
             # called, and would replace the counting wrapper with them
@@ -546,16 +555,18 @@ def explore_work(stages: int) -> dict:
                 return inner(e)
             mp.setattr(cls, "__hash__", hashed)
         states = runtime.explore(cfg).states
+    scans = counts["walks"] - sum(not a.done for a in cfg.actors)
     return {"states": states, "actors": len(cfg.actors),
             "hashes": counts["hashes"],
             "polls_per_state": round(counts["polls"] / states, 3),
             "hashes_per_state": round(counts["hashes"] / states, 3),
-            "reindex_per_state": round(counts["reindex"] / states, 3)}
+            "scans_per_state": round(scans / states, 3)}
 
 
 @pytest.fixture(scope="module")
 def explored():
-    return {n: explore_work(n) for n in EXPLORE_STAGES}
+    return {n: explore_work(cell_source(f"pipeline-{n}"))
+            for n in EXPLORE_STAGES}
 
 
 @pytest.mark.parametrize("work", ["polls_per_state"])
@@ -566,10 +577,19 @@ def test_explore_work_per_state_does_not_grow_with_actors(explored, work):
 
 
 @pytest.mark.parametrize("stages", EXPLORE_STAGES)
-def test_explore_needs_no_reindex_on_a_pipeline(explored, stages):
+def test_explore_walks_no_term_on_a_pipeline(explored, stages):
     # each channel has one writer and one reader from the start and no
-    # procedure is ever on the heap, so the owner index decides every step
-    assert explored[stages]["reindex_per_state"] == 0
+    # procedure is ever on the heap, so the owner facts decide every step
+    assert explored[stages]["scans_per_state"] == 0
+
+
+def test_explore_scans_beside_two_writers_do_not_grow_with_stages():
+    # the clash test walks the other writer's term, not the pipeline's:
+    # 1.82 and 1.98 per state, approaching one walk per writer
+    small, large = (explore_work(two_writers_beside_pipeline(n))
+                    ["scans_per_state"] for n in WRITERS_STAGES)
+    assert small > 0
+    assert large <= EXPLORE_GROWTH * small, (small, large)
 
 
 @pytest.mark.parametrize("stages", EXPLORE_STAGES)
@@ -738,8 +758,12 @@ def write_bench(path: str) -> dict:
         "preserve": {**{name: preserve_calls(name) for name in PRESERVE_CALLS},
                      **{f"actor_flows-{ARRAY_FLOWS[0]}-s{s}": calls
                         for s, calls in array_flows_calls().items()}},
-        "explore": {**{f"pipeline-{n}": explore_work(n)
+        "explore": {**{f"pipeline-{n}":
+                       explore_work(cell_source(f"pipeline-{n}"))
                        for n in EXPLORE_STAGES},
+                    **{f"two_writers_beside_pipeline-{n}":
+                       explore_work(two_writers_beside_pipeline(n))
+                       for n in WRITERS_STAGES},
                     **{f"{name}-calls": explore_calls(name)
                        for name in EXPLORE_CALLS},
                     "corpus-good-size4-progress": progress_calls()},

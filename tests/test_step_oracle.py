@@ -392,7 +392,7 @@ def test_every_poll_matches_the_match_dispatch(name, source, monkeypatch):
         actor = cfg.actors[i]
         new = polled(cfg, i)
         old = None if actor.expr is None else \
-            step_expr(actor.expr, cfg.heap, actor.name, cfg.venv)
+            step_expr(actor.expr, cfg.heap, actor.name, net.venv)
         assert_same_outcome(new, old, cfg.heap, actor.expr)
         return new
 
@@ -451,7 +451,7 @@ def test_subst_and_is_value_match_the_match_dispatch(name, net):
         for e in subexpressions(body):
             assert runtime.is_value(e) == is_value(e)
             if cfg is not None:
-                out = runtime.step_expr(e, cfg.heap, "a0", cfg.venv)
+                out = runtime.step_expr(e, cfg.heap, "a0")
                 assert (out is None) is is_value(e)
             names = sorted({x.name for x in subexpressions(e)
                             if isinstance(x, Var)})
@@ -478,16 +478,16 @@ def test_every_expression_class_steps_and_values_step_to_none():
     assert {v.__class__ for v in values} == runtime._VALUE_CLASSES
     for v in values:
         for e in (v, MkSize(v), MkIndex(v), MkSize(MkIndex(v))):
-            assert runtime.step_expr(e, Heap(), "a0", Env()) is None
-    assert runtime.step_expr(MkSize(Recv("c")), Heap(), "a0",
-                             Env()).__class__ is Stuck
+            assert runtime.step_expr(e, Heap(), "a0") is None
+    assert runtime.step_expr(MkSize(Recv("c")), Heap(),
+                             "a0").__class__ is Stuck
 
 
 def test_unknown_classes_raise_as_before():
     with pytest.raises(TypeError, match="not an expression"):
         runtime.subst_expr(object(), {"x": IntLit(1)})
     with pytest.raises(TypeError, match="cannot step"):
-        runtime.step_expr(object(), Heap(), "a0", Env())
+        runtime.step_expr(object(), Heap(), "a0")
 
 
 RARE = [FromSize(MkSize(IntLit(3))), FromSize(IntLit(1)),
@@ -539,7 +539,7 @@ RARE += [
 
 @pytest.mark.parametrize("e", RARE, ids=repr)
 def test_rarely_taken_steps_match_the_match_dispatch(e):
-    cfg = instantiate(parse_program_or_raise(STUCK_BESIDE_BLOCKED),
-                      {"s": 2, "k": 3})
-    assert_same_outcome(runtime.step_expr(e, cfg.heap, "a0", cfg.venv),
-                        step_expr(e, cfg.heap, "a0", cfg.venv), cfg.heap, e)
+    net = parse_program_or_raise(STUCK_BESIDE_BLOCKED)
+    cfg = instantiate(net, {"s": 2, "k": 3})
+    assert_same_outcome(runtime.step_expr(e, cfg.heap, "a0"),
+                        step_expr(e, cfg.heap, "a0", net.venv), cfg.heap, e)
