@@ -13,9 +13,10 @@ import os
 import sys
 from pathlib import Path
 
+from .kinding import check_sizes
 from .netcheck import schedule_to_json
 from .parser import parse_program
-from .syntax import Diagnostic, Network, SizeKind
+from .syntax import Diagnostic, Network
 from .typecheck import check_network
 
 EXIT_OK = 0
@@ -170,13 +171,10 @@ def _command(argv) -> int:
             raise SystemExit(EXIT_CHECK)
     # `run` and `conform` get the same diagnostic from `instantiate`
     if args["command"] in ("check", "schedule"):
-        declared = {name for name, kind in net.tenv.items
-                    if isinstance(kind, SizeKind)}
-        for name in sizes:
-            if name not in declared:
-                _report([Diagnostic("Kind Size",
-                                    f"unknown size parameter {name}")])
-                raise SystemExit(EXIT_CHECK)
+        diags = check_sizes(net.tenv, sizes)
+        if diags:
+            _report(diags[:1])
+            raise SystemExit(EXIT_CHECK)
 
     if args["command"] == "check":
         if args["format"] == "json":

@@ -22,6 +22,8 @@ form, a list of pieces; a piece becomes a comprehension again only for the
 text of a violation.  On the heap side, a label's buffer count and whether
 it produces are found once; a step recounts only its buffer, from its new
 fill on the heap, so the two clauses still compare two independent views.
+Each part's flowstate is the checker's (`Checker.check_proc`), and each
+stuck sample's reasons are the search's polls (`ExploreResult.blocked`).
 """
 
 from __future__ import annotations
@@ -35,12 +37,11 @@ from .netcheck import PRODUCER, classify_event
 from .kinding import eval_size, normalize_size
 from .runtime import (
     Configuration, Heap, Label, buffer_name, explore, instantiate, run,
-    step_expr,
 )
 from .syntax import (
-    ActorComp, ActorE, ActorFlow, Comp, Divides, Env, Event, Iterator,
-    Network, Num, PArray, Stop, SVar, flow_comps, proc_components,
-    print_comp, subst_comp, subst_flow, subst_size, record,
+    ActorFlow, Comp, Divides, Env, Event, Iterator, Network, Num, PActor,
+    PArray, SVar, flow_comps, proc_components, print_comp, subst_comp,
+    subst_flow, subst_size, record,
 )
 from .typecheck import Checker
 
@@ -280,39 +281,31 @@ def actor_flows(net: Network, sizes: dict[str, int]) -> list[list]:
             flow = subst_flow(flow, name, Num(sizes[name]))
         return flow
 
-    for part, flow in zip(proc_components(net.body), _inferred(net)):
-        if isinstance(part, ActorE):
-            flows.append(_silent_pieces(ground(flow)))
-        elif isinstance(part, ActorComp):
-            # the checker keeps the index from shadowing a size name
-            flows += _element_pieces(ground(flow.body), flow.var, part.lo,
-                                     eval_size(flow.hi, sizes))
-        else:
-            flows.append([])
+    for flow in _inferred(net):
+        match flow:
+            case PActor(actor):
+                flows.append(_silent_pieces(ground(actor)))
+            case PArray(var, Num(lo), hi, body):
+                # the checker keeps the index from shadowing a size name
+                flows += _element_pieces(ground(body), var, lo,
+                                         eval_size(hi, sizes))
+            case _:
+                flows.append([])
     return flows
 
 
 def _inferred(net: Network) -> list:
-    """The flowstate the checker infers for each part of `net`, ungrounded:
-    an actor's, or an actor array's `PArray`, and None for `stop`.  They are
-    kept on the network the first time, as `flowstate` keeps a rate
-    summary, so a network checked again is not typed again; nothing is
-    kept when inference fails."""
+    """The flowstate the checker gives each part of `net` (`check_proc`),
+    ungrounded: `PEmpty` for `stop`, `PActor` for an actor and `PArray`
+    for an actor array.  They are kept on the network the first time, as
+    `flowstate` keeps a rate summary, so a network checked again is not
+    typed again; nothing is kept when inference fails."""
     inferred = net.__dict__.get("_inferred")
     if inferred is not None:
         return inferred
     checker = Checker()
-    inferred = []
-    for part in proc_components(net.body):
-        match part:
-            case Stop():
-                inferred.append(None)
-            case ActorE(expr):
-                inferred.append(checker.infer(net.tenv, net.venv, expr)[1])
-            case ActorComp():
-                synth = checker.check_proc(net.tenv, net.venv, part)
-                assert isinstance(synth, PArray)
-                inferred.append(synth)
+    inferred = [checker.check_proc(net.tenv, net.venv, part)
+                for part in proc_components(net.body)]
     if checker.diags:
         raise ValueError("network does not typecheck: "
                          + "; ".join(str(d) for d in checker.diags))
@@ -470,14 +463,11 @@ def check_progress_theorem(net: Network, sizes: dict[str, int],
     some interleaving runs forever (a cycle)."""
     cfg = instantiate(net, sizes)
     result = explore(cfg, max_states=max_states)
-    stuck_desc = []
-    for s in result.stuck:
-        # every live actor of a stuck configuration is Blocked or Stuck
-        residual = {a.name: "done" if a.done else
-                    step_expr(a.expr, s.heap, a.name).reason
-                    for a in s.actors}
-        stuck_desc.append({"actors": residual,
-                           "buffers": s.heap.buffer_sizes()})
+    # every live actor of a stuck configuration is Blocked or Stuck
+    stuck_desc = [{"actors": {a.name: reasons.get(a.name, "done")
+                              for a in s.actors},
+                   "buffers": s.heap.buffer_sizes()}
+                  for s, reasons in zip(result.stuck, result.blocked)]
     return ProgressReport(name, dict(sizes), result.states,
                           result.any_complete and result.all_complete,
                           stuck_desc, result.truncated, result.cycle)

@@ -16,7 +16,8 @@ passes at once when they are at most its own actor.  Otherwise the search
 walks the current terms of the other owners, or, once a procedure has been
 on the heap, of every live actor and every procedure in a buffer or a
 cell.  No state keeps an index of sites: on every corpus program the owner
-fact alone decides.
+fact alone decides.  Beside each stuck sample, `explore` keeps what its
+actors wait for, read from the state's polls (`Machine.reasons`).
 
 A search is acyclic when no actor's initial expression holds an
 application (`App`).  Then no state can recur on a path: a communication
@@ -68,6 +69,7 @@ def explore(cfg: Configuration, max_states: int) -> ExploreResult:
     path: list = []     # the keys on the current path, by depth
     terminals: set = set()
     stuck: list = []
+    blocked: list = []  # beside each stuck sample, its actors' reasons
     truncated = cycle = False
     states = 0
     stack = [(state, 0, None)]
@@ -113,6 +115,7 @@ def explore(cfg: Configuration, max_states: int) -> ExploreResult:
                     terminals.add(_signature(state.cfg, search.counts(state)))
                 elif len(stuck) < STUCK_LIMIT:
                     stuck.append(state.cfg)
+                    blocked.append(state.reasons())
                 break
             i = _persistent(state, search)
             if i is None:
@@ -132,7 +135,7 @@ def explore(cfg: Configuration, max_states: int) -> ExploreResult:
             depth += 1
     return ExploreResult(bool(terminals),
                          not (stuck or truncated or cycle),
-                         states, terminals, stuck, truncated, cycle)
+                         states, terminals, stuck, truncated, cycle, blocked)
 
 
 # class -> its subexpressions, of a node `_comm_sites` looks into; `Send`,

@@ -552,6 +552,26 @@ def check_kind(env: Env, kind: Kind) -> list[Diagnostic]:
     return diags
 
 
+def check_sizes(tenv: Env, sizes: dict[str, int]) -> list[Diagnostic]:
+    """What is wrong with the sizes given for a network whose declarations
+    are `tenv`: each name that no `size` declares, in the order given, then
+    each value above its declared bound, where the bound evaluates under
+    `sizes`.  A size left out is not reported."""
+    diags = [Diagnostic("Kind Size", f"unknown size parameter {name}")
+             for name in sizes if not isinstance(tenv.lookup(name), SizeKind)]
+    for name, kind in tenv.items:
+        if name in sizes and isinstance(kind, SizeKind):
+            try:
+                limit = eval_size(kind.bound, sizes)
+            except SizeArithmeticError:  # it names a size left out, or
+                continue                 # divides by zero at these sizes
+            if not is_inf(limit) and sizes[name] > limit:
+                diags.append(Diagnostic(
+                    "Size Bound", f"size {name}={sizes[name]} exceeds its "
+                    f"declared bound {limit}"))
+    return diags
+
+
 class _Prefix(dict):
     """The declarations checked so far, looked up like an `Env`: a later
     binding of a name replaces an earlier one."""
@@ -562,8 +582,6 @@ def check_type_env(env: Env) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     prefix = _Prefix()
     for name, kind in env.items:
-        if name in prefix:
-            diags.append(Diagnostic("TyEnv Extend", f"duplicate binding {name}"))
         diags.extend(check_kind(prefix, kind))
         prefix[name] = kind
     return diags
@@ -571,13 +589,9 @@ def check_type_env(env: Env) -> list[Diagnostic]:
 
 def check_value_env(tenv: Env, venv: Env) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    seen: set[str] = set()
     first: dict[str, tuple[str, ValueType]] = {}  # channel -> (binding, payload)
     reported: set[str] = set()  # channels whose binding has an error
     for name, ty in venv.items:
-        if name in seen:
-            diags.append(Diagnostic("ValEnv Extend Name", f"duplicate binding {name}"))
-        seen.add(name)
         k = kind_of(tenv, ty)
         if isinstance(k, Diagnostic):
             if not isinstance(ty, (ChanType, ChanArrayType)):
@@ -585,9 +599,6 @@ def check_value_env(tenv: Env, venv: Env) -> list[Diagnostic]:
             elif ty.name not in reported:  # once, at its first such binding
                 reported.add(ty.name)
                 diags.append(Diagnostic(k.rule, f"val {name}: {k.message}"))
-        elif not isinstance(k, TypeKind):
-            diags.append(Diagnostic(
-                "ValEnv Extend Var", f"binding {name} must have an ordinary type"))
         elif isinstance(ty, (ChanType, ChanArrayType)):
             other, payload = first.setdefault(ty.name, (name, ty.payload))
             if not types_equal(payload, ty.payload):

@@ -45,9 +45,9 @@ from .flowstate import (
 )
 from .kinding import normalize_size, size_leq
 from .syntax import (
-    Add, ChannelArrayKind, ChannelKind, Comp, Diagnostic, Env, Event,
-    Iterator, Num, PActor, PArray, ProcFlow, Sub, SVar, flow_comps,
-    print_comp, print_size, subst_flow, proc_flow_components, record, ZERO,
+    Add, Comp, Diagnostic, Env, Event, Iterator, Num, PActor, PArray,
+    ProcFlow, Sub, SVar, flow_comps, print_comp, print_size, subst_flow,
+    proc_flow_components, record, ZERO,
 )
 
 PRODUCER = "producer"
@@ -55,13 +55,12 @@ CONSUMER = "consumer"
 
 
 def classify_event(tenv: Env, ev: Event) -> str:
-    kind = tenv.lookup(ev.chan)
-    if isinstance(kind, ChannelKind) or isinstance(kind, ChannelArrayKind):
-        if ev.is_send:
-            return PRODUCER if kind.delay == 0 else CONSUMER
-        return PRODUCER if kind.delay == 1 else CONSUMER
-    raise FlowstateError(Diagnostic(
-        "FS Prog Prod", f"unbound channel {ev.chan}"))
+    """Whether `ev` produces or consumes, by its declared channel's delay;
+    `Ty Chan` and `Ty Chan Array` have found every channel declared."""
+    delay = tenv.lookup(ev.chan).delay
+    if ev.is_send:
+        return PRODUCER if delay == 0 else CONSUMER
+    return PRODUCER if delay == 1 else CONSUMER
 
 
 # ---------------------------------------------------------------------------

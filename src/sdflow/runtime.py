@@ -32,7 +32,8 @@ A step re-polls the actors whose outcome touched its key, or the actor
 that moved alone when it has none, so polls per step do not grow with the
 number of actors.  `run` drives one machine under a scheduler and counts
 its steps; only an observer gets trace entries, each holding the new fill
-of the one buffer its step touched.  `explore` drives one machine per
+of the one buffer its step touched.  What each actor of a deadlock or a
+stuck sample waits for is read from its last poll (`Machine.reasons`).  `explore` drives one machine per
 state it visits, at about what a step of `run` costs; its machinery is in
 `exploration`.
 
@@ -52,7 +53,7 @@ from collections import Counter, namedtuple
 from itertools import chain
 from typing import Callable, Optional, Union
 
-from .kinding import eval_size, is_inf
+from .kinding import check_sizes, eval_size, is_inf
 from .syntax import (
     ActorComp, ActorE, App, Assign, BinOp, BoolLit, BoolType, ChanArrayType,
     ChannelArrayKind, ChannelKind, ChanType, Deref, Diagnostic, Env, Expr, For,
@@ -199,16 +200,14 @@ def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
     channels prefilled to capacity, actor comprehensions unrolled.  Each
     buffer's two labels and its two `Blocked` outcomes, a send on it full
     and a receive on it empty, are made here once and shared."""
-    declared = [name for name, kind in net.tenv.items
-                if isinstance(kind, SizeKind)]
-    for name in declared:
-        if name not in sizes:
+    for name, kind in net.tenv.items:
+        if isinstance(kind, SizeKind) and name not in sizes:
             raise InstantiationError(Diagnostic(
                 "Kind Size", f"missing size parameter {name}"))
+    diags = check_sizes(net.tenv, sizes)
+    if diags and diags[0].rule == "Kind Size":  # an unknown name
+        raise InstantiationError(diags[0])
     for name, value in sizes.items():
-        if name not in declared:
-            raise InstantiationError(Diagnostic(
-                "Kind Size", f"unknown size parameter {name}"))
         if value < 1:
             raise InstantiationError(Diagnostic(
                 "Kind Size", f"size parameter {name} must be positive"))
@@ -241,15 +240,8 @@ def instantiate(net: Network, sizes: dict[str, int]) -> Configuration:
             heap.blocked[key] = (Blocked(f"buffer {shown} is full", key),
                                  Blocked(f"buffer {shown} is empty", key))
 
-    # instantiations must respect declared upper bounds
-    for name, kind in net.tenv.items:
-        if isinstance(kind, SizeKind):
-            bound = eval_size(kind.bound, sizes)
-            if not is_inf(bound) and sizes[name] > bound:
-                raise InstantiationError(Diagnostic(
-                    "Size Bound",
-                    f"size {name}={sizes[name]} exceeds its declared bound "
-                    f"{bound}"))
+    if diags:  # a size above its declared bound
+        raise InstantiationError(diags[0])
 
     # value-level size parameters become size constants, and each channel
     # name its buffer key (None for an array's) and its type-level name
@@ -870,6 +862,12 @@ class Machine:
         for j in (i,) if key is None else tuple(self.readers[key]):
             self.poll(j)
 
+    def reasons(self) -> dict:
+        """Each actor whose poll is `Blocked` or `Stuck`, by name -> why."""
+        return {a.name: out.reason
+                for a, out in zip(self.cfg.actors, self.outcomes)
+                if out.__class__ is Blocked or out.__class__ is Stuck}
+
     def copy(self) -> "Machine":
         new = object.__new__(self.__class__)
         new.cfg = self.cfg.copy()
@@ -904,9 +902,7 @@ def run(cfg: Configuration, scheduler: str = "roundRobin", seed: int = 0,
             status, blocked = "error", {"*": f"exceeded {max_steps} steps"}
             break
         if not enabled:
-            status, blocked = "deadlock", {
-                a.name: out.reason for a, out in zip(actors, outcomes)
-                if isinstance(out, (Blocked, Stuck))}
+            status, blocked = "deadlock", machine.reasons()
             break
         if round_robin:
             k = bisect_left(enabled, rr)
@@ -951,6 +947,7 @@ class ExploreResult:
     stuck: list                  # sample stuck configurations
     truncated: bool = False
     cycle: bool = False          # a state was met again on its own path
+    blocked: list = field(default_factory=list)  # each sample's `reasons`
 
     @property
     def deterministic_outcome(self) -> bool:

@@ -254,6 +254,33 @@ def test_undeclared_size_fails_the_check(command):
     assert out.stdout == ""
 
 
+BOUNDED = str(CORPUS / "good" / "guard_and_bound.sdf")  # m : Size(s)
+OVER_BOUND = "[Size Bound] size m=5 exceeds its declared bound 2\n"
+
+
+def _in_process(argv: list, capsys) -> tuple:
+    """`main`'s exit code, standard output and standard error on `argv`."""
+    try:
+        code = main(argv)
+    except SystemExit as exited:
+        code = exited.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", ["check", "schedule", "run", "conform"])
+def test_every_command_rejects_a_size_over_its_bound(command, capsys):
+    # `check` and `schedule` accepted it while only `instantiate` compared
+    # a size with its bound
+    assert _in_process([command, BOUNDED, "--size", "s=2", "--size", "m=5"],
+                       capsys) == (1, "", OVER_BOUND)
+
+
+def test_check_leaves_a_bound_on_a_size_not_given(capsys):
+    assert _in_process(["check", BOUNDED, "--size", "m=5"], capsys) == \
+        (0, "ok\n", "")
+
+
 @pytest.mark.parametrize("command", ["run", "conform"])
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_nonpositive_state_budget_is_a_usage_error(command, budget):

@@ -3,7 +3,8 @@ copies only a state with several; these tests hold what that must not
 change, and what it is for.
 
 A configuration handed out as a stuck sample must stay as it was found:
-re-polling it shows no enabled actor, no two samples are one state, and
+re-polling it shows no enabled actor and gives the reasons the search kept
+beside it (`ExploreResult.blocked`), no two samples are one state, and
 `check_progress_theorem` reports the same actors and buffers as when each
 successor was a fresh copy (the reports below were recorded then).  And
 `sdflow conform` on a wide network costs a small multiple of `sdflow run`,
@@ -112,11 +113,13 @@ def test_stuck_samples_stay_as_they_were_found(source, sizes, reports):
     net = parse_program_or_raise(source)
     ex = explore(instantiate(net, sizes))
     assert ex.stuck and len(ex.stuck) <= STUCK_LIMIT
-    for s in ex.stuck:
+    assert len(ex.blocked) == len(ex.stuck)
+    for s, reasons in zip(ex.stuck, ex.blocked):
         assert not s.done()
-        assert not any(isinstance(step_expr(a.expr, s.heap, a.name),
-                                  Stepped)
-                       for a in s.actors if not a.done)
+        outcomes = {a.name: step_expr(a.expr, s.heap, a.name)
+                    for a in s.actors if not a.done}
+        assert not any(isinstance(out, Stepped) for out in outcomes.values())
+        assert reasons == {name: out.reason for name, out in outcomes.items()}
     assert len({state_key(s) for s in ex.stuck}) == len(ex.stuck)
     assert len({id(s.heap) for s in ex.stuck}) == len(ex.stuck)
     assert check_progress_theorem(net, sizes).stuck == reports
@@ -229,6 +232,8 @@ def _explored(net, sizes, max_states=300_000) -> tuple:
     stuck = [(state_key(s), {a.name: step_expr(a.expr, s.heap, a.name).reason
                              for a in s.actors if not a.done})
              for s in ex.stuck]
+    # the reasons the search kept are those a fresh poll gives
+    assert ex.blocked == [reasons for _, reasons in stuck]
     return (ex.states, ex.any_complete, ex.all_complete, ex.terminals, stuck,
             ex.truncated, ex.cycle)
 

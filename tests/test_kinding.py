@@ -233,5 +233,3 @@ def test_check_value_env():
     venv = Env((("sz", SizeType(SVar("s"))),
                      ("inp", ChanType("+", "i", IntType()))))
     assert check_value_env(env, venv) == []
-    dup = Env((("x", IntType()), ("x", IntType())))
-    assert any("duplicate" in d.message for d in check_value_env(env, dup))

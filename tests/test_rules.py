@@ -4,18 +4,11 @@
 string given as the rule of a `Diagnostic`, or of a function with a `rule`
 parameter, or assigned to a variable named `rule`.  Each must have a case
 that pins the exact stderr of `sdflow check` on a program that breaks it
-(of `sdflow run` for `Size Bound`, which only an instantiation can break),
-here or in `test_cli`'s `VALUE_RULES` and `FLOW_RULES`.  The programs live
-here, not in corpus/, whose files perfbench's check-cli workload counts.
-
-Four rules no source program reaches, as a check before them reports the
-same fault first or the parser admits no such form: the parser rejects a
-duplicate declaration before `check_type_env` or `check_value_env` see it
-(`TyEnv Extend`, `ValEnv Extend Name`), and parses no size expression as a
-value's type (`ValEnv Extend Var`); and `check_progress` hands
-`netcheck.classify_event` only the events of the actors' flowstate, whose
-channels `Ty Chan` and `Ty Chan Array` have found declared (`FS Prog
-Prod`).  Each is pinned by the diagnostic of the call that reaches it.
+(with the sizes given, for `Size Bound`, which only given sizes can break;
+`sdflow run` reports it too), here or in `test_cli`'s `VALUE_RULES` and
+`FLOW_RULES`.  A rule that no command reaches has no place in `src/`.  The
+programs live here, not in corpus/, whose files perfbench's check-cli
+workload counts.
 """
 
 import ast
@@ -26,10 +19,6 @@ from conftest import ROOT
 from test_cli import FLOW_RULES, VALUE_RULES
 
 from sdflow.cli import main
-from sdflow.flowstate import FlowstateError
-from sdflow.kinding import check_type_env, check_value_env
-from sdflow.netcheck import classify_event
-from sdflow.syntax import INF, Env, Event, IntType, SizeKind, SVar
 
 ARRAY = ("chanarray a : ChannelArray(0, 1, 2);\n"
          "val aw : ChanArray(-, a, Integer, 2);\n"
@@ -93,30 +82,10 @@ CHECK_RULES = [
      "[FS Prog Cons] production is never consumed: 1 on c"),
 ]
 
-# (declarations, network body, `run` arguments, stderr of `run`)
-RUN_RULES = [
+# (declarations, network body, sizes, stderr of `check` and of `run`)
+SIZE_RULES = [
     ("size s : Size(2);", "actor { 0 }", ("--size", "s=3"),
      "[Size Bound] size s=3 exceeds its declared bound 2"),
-]
-
-
-def _raised(call) -> object:
-    with pytest.raises(FlowstateError) as raised:
-        call()
-    return raised.value.diag
-
-
-# (the call that reaches a rule no source program reaches, its diagnostic)
-API_RULES = [
-    (lambda: check_type_env(Env((("s", SizeKind(INF)),) * 2))[0],
-     "[TyEnv Extend] duplicate binding s"),
-    (lambda: check_value_env(Env(), Env((("x", IntType()),) * 2))[0],
-     "[ValEnv Extend Name] duplicate binding x"),
-    (lambda: check_value_env(Env((("s", SizeKind(INF)),)),
-                             Env((("x", SVar("s")),)))[0],
-     "[ValEnv Extend Var] binding x must have an ordinary type"),
-    (lambda: _raised(lambda: classify_event(Env(), Event("d", True))),
-     "[FS Prog Prod] unbound channel d"),
 ]
 
 
@@ -166,7 +135,7 @@ def emitted_rules() -> set:
 
 def test_every_rule_in_src_has_a_pinned_diagnostic():
     pinned = [_rule(case[-1]) for case in
-              CHECK_RULES + RUN_RULES + API_RULES + VALUE_RULES + FLOW_RULES]
+              CHECK_RULES + SIZE_RULES + VALUE_RULES + FLOW_RULES]
     assert len(pinned) == len(set(pinned)), "a rule is pinned twice"
     assert set(pinned) == emitted_rules()
 
@@ -190,16 +159,20 @@ def test_check_names_the_rule(decls, flow, body, stderr, tmp_path, capsys):
         (1, ("", stderr + "\n"))
 
 
-@pytest.mark.parametrize("decls, body, args, stderr", RUN_RULES,
-                         ids=[_rule(case[-1]) for case in RUN_RULES])
+@pytest.mark.parametrize("decls, body, args, stderr", SIZE_RULES,
+                         ids=[_rule(case[-1]) for case in SIZE_RULES])
+def test_check_names_the_rule_of_a_given_size(decls, body, args, stderr,
+                                              tmp_path, capsys):
+    path = tmp_path / "network.sdf"
+    path.write_text(_network(decls, "eps", body))
+    assert _exit_and_output(["check", str(path), *args], capsys) == \
+        (1, ("", stderr + "\n"))
+
+
+@pytest.mark.parametrize("decls, body, args, stderr", SIZE_RULES,
+                         ids=[_rule(case[-1]) for case in SIZE_RULES])
 def test_run_names_the_rule(decls, body, args, stderr, tmp_path, capsys):
     path = tmp_path / "network.sdf"
     path.write_text(_network(decls, "eps", body))
     assert _exit_and_output(["run", str(path), *args], capsys) == \
         (1, ("", stderr + "\n"))
-
-
-@pytest.mark.parametrize("call, diagnostic", API_RULES,
-                         ids=[_rule(case[-1]) for case in API_RULES])
-def test_a_rule_no_source_reaches_names_itself(call, diagnostic):
-    assert str(call()) == diagnostic
